@@ -1,120 +1,59 @@
-"""Numeric hot kernels: tolerance row matching and min-separation scans.
+"""Point matching by sorted projection: tolerance row matching and min separation.
 
-Two implementations live side by side: numba @njit loops and pure-numpy
-blocked versions.  The env var WYTHOFF_KERNELS selects one ("numba" or
-"numpy"); default is numba when importable, numpy otherwise.  A forced
-"numba" without an importable numba raises an ImportError that names the
-variable, rather than falling back to numpy.  Both paths are exercised by
-the test suite and timed by benchmarks/bench_kernels.py.
+Rows are sorted by their projection onto one fixed generic unit direction u.
+A projection never lengthens a distance, |x.u - y.u| <= |x - y|, so only rows
+close in that order can be close in space, and only those get the exact
+squared-distance test: the answers are those of a full distance matrix.  On
+the orbits of a reflection group a generic u separates almost every
+projection, so at a matching tolerance a row has one or two candidates.  The
+worst case is rows that tie in projection: they are compared pairwise, O(V^2)
+like a full distance matrix, in memory bounded by _BLOCK pairs at a time.
 """
-
-import os
 
 import numpy as np
 
-_choice = os.environ.get("WYTHOFF_KERNELS", "").strip().lower()
-
-if _choice not in ("", "numba", "numpy"):
-    raise ValueError("WYTHOFF_KERNELS must be 'numba' or 'numpy', got %r" % _choice)
-
-HAS_NUMBA = False
-if _choice in ("", "numba"):
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError as exc:
-        if _choice == "numba":
-            raise ImportError(
-                "WYTHOFF_KERNELS=numba but numba is not importable: %s" % exc
-            ) from exc
-
-ACTIVE = "numba" if HAS_NUMBA else "numpy"
+_BLOCK = 1 << 18
 
 
-def _match_rows_numpy(points, ref, tol):
-    # blocked so the (p, r) distance matrix never exceeds ~8MB
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    ref = np.ascontiguousarray(ref, dtype=np.float64)
-    out = np.full(len(points), -1, dtype=np.int64)
-    if len(ref) == 0:
-        return out
-    block = max(1, int(1_000_000 // max(1, len(ref))))
-    tol2 = tol * tol
-    for lo in range(0, len(points), block):
-        chunk = points[lo : lo + block]
-        d2 = ((chunk[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-        j = np.argmin(d2, axis=1)
-        hit = d2[np.arange(len(chunk)), j] <= tol2
-        out[lo : lo + len(chunk)][hit] = j[hit]
-    return out
+def _direction(dim):
+    u = np.random.default_rng(0).standard_normal(dim)
+    return u / np.linalg.norm(u)
 
 
-def _min_pairwise_numpy(points):
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    m = len(points)
-    if m < 2:
-        return np.inf
-    best = np.inf
-    block = max(1, int(2_000_000 // m))
-    for lo in range(0, m, block):
-        chunk = points[lo : lo + block]
-        d2 = ((chunk[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        rows = np.arange(len(chunk))
-        d2[rows, lo + rows] = np.inf
-        best = min(best, float(d2.min()))
-    return float(np.sqrt(best))
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _match_rows_numba(points, ref, tol):  # pragma: no cover - jitted
-        p, d = points.shape
-        r = ref.shape[0]
-        out = np.full(p, -1, dtype=np.int64)
-        tol2 = tol * tol
-        for i in range(p):
-            for j in range(r):
-                s = 0.0
-                for k in range(d):
-                    t = points[i, k] - ref[j, k]
-                    s += t * t
-                    if s > tol2:
-                        break
-                if s <= tol2:
-                    out[i] = j
-                    break
-        return out
-
-    @njit(cache=True)
-    def _min_pairwise_numba(points):  # pragma: no cover - jitted
-        m, d = points.shape
-        best = np.inf
-        for i in range(m):
-            for j in range(i + 1, m):
-                s = 0.0
-                for k in range(d):
-                    t = points[i, k] - points[j, k]
-                    s += t * t
-                    if s >= best:
-                        break
-                if s < best:
-                    best = s
-        return np.sqrt(best)
+def _pad(*arrays):
+    # computed projections are off by a few ulps of the row norms; widen
+    # every projection window by far more than that so no candidate is lost
+    return 1e-9 * max(np.abs(a).sum(axis=1).max() for a in arrays)
 
 
 def match_rows(points, ref, tol):
-    """Index of the row of ref within tol of each row of points, else -1.
+    """Lowest index of a row of ref within tol of each row of points, else -1.
 
-    Matching is by Euclidean distance; callers are responsible for keeping
-    tol well below the minimum separation of ref (see min_pairwise_distance).
+    Matching is by Euclidean distance (d^2 <= tol^2); callers are responsible
+    for keeping tol well below the minimum separation of ref (see
+    min_pairwise_distance).
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     ref = np.ascontiguousarray(ref, dtype=np.float64)
-    if HAS_NUMBA and len(points) * max(1, len(ref)) > 4096:
-        return _match_rows_numba(points, ref, float(tol))
-    return _match_rows_numpy(points, ref, float(tol))
+    best = np.full(len(points), len(ref), dtype=np.int64)
+    if len(points) and len(ref):
+        u = _direction(points.shape[1])
+        pr = ref @ u
+        order = np.argsort(pr)
+        pr = pr[order]
+        pq = points @ u
+        w = tol + _pad(points, ref)
+        lo = np.searchsorted(pr, pq - w, "left")
+        count = np.searchsorted(pr, pq + w, "right") - lo
+        ends = np.cumsum(count)
+        for start in range(0, int(ends[-1]), _BLOCK):
+            flat = np.arange(start, min(start + _BLOCK, int(ends[-1])))
+            q = np.searchsorted(ends, flat, "right")
+            r = order[lo[q] + flat - (ends[q] - count[q])]
+            hit = ((points[q] - ref[r]) ** 2).sum(axis=1) <= tol * tol
+            np.minimum.at(best, q[hit], r[hit])
+    best[best == len(ref)] = -1
+    return best
 
 
 def min_pairwise_distance(points):
@@ -122,16 +61,16 @@ def min_pairwise_distance(points):
     points = np.ascontiguousarray(points, dtype=np.float64)
     if len(points) < 2:
         return np.inf
-    if HAS_NUMBA and len(points) > 256:
-        return float(_min_pairwise_numba(points))
-    return _min_pairwise_numpy(points)
-
-
-def warmup():
-    """Trigger jit compilation so timed sections do not pay for it."""
-    pts = np.eye(3)
-    if HAS_NUMBA:
-        _match_rows_numba(pts, pts, 1e-9)
-        _min_pairwise_numba(pts)
-    match_rows(pts, pts, 1e-9)
-    min_pairwise_distance(pts)
+    p = points @ _direction(points.shape[1])
+    order = np.argsort(p)
+    p, points = p[order], points[order]
+    pad = _pad(points)
+    best2 = np.inf
+    i = np.arange(len(points) - 1)  # rows whose partner k places on may still be nearer
+    k = 1
+    while len(i):
+        best2 = min(best2, float(((points[i + k] - points[i]) ** 2).sum(axis=1).min()))
+        k += 1
+        i = i[i + k < len(points)]
+        i = i[p[i + k] - p[i] <= np.sqrt(best2) + pad]
+    return float(np.sqrt(best2))

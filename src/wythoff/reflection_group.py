@@ -65,26 +65,17 @@ class RootSystem:
 def root_system(normals: np.ndarray) -> RootSystem:
     n = len(normals)
     refl = [np.eye(n) - 2.0 * np.outer(v, v) for v in normals]
-    roots = [np.array(v, dtype=np.float64) for v in normals]
-    frontier = list(range(n))
-    while frontier:
-        arr = np.array([roots[i] for i in frontier])
-        nxt = []
-        for r in refl:
-            images = arr @ r.T
-            snapshot = np.array(roots)
-            hits = _kernels.match_rows(images, snapshot, ROOT_MATCH_TOL)
-            for row, hit in zip(images, hits):
-                if hit >= 0:
-                    continue
-                if len(roots) > len(snapshot):
-                    tail = np.array(roots[len(snapshot):])
-                    if _kernels.match_rows(row[None, :], tail, ROOT_MATCH_TOL)[0] >= 0:
-                        continue
-                nxt.append(len(roots))
-                roots.append(row.copy())
-        frontier = nxt
-    roots = np.array(roots)
+    roots = np.array(normals, dtype=np.float64)
+    frontier = roots
+    while len(frontier):
+        # one closure layer: every generator's images of the frontier, in
+        # generator order; an image is new unless it matches a known root or
+        # an earlier image (match_rows returns the lowest matching index)
+        images = np.vstack([frontier @ r.T for r in refl])
+        images = images[_kernels.match_rows(images, roots, ROOT_MATCH_TOL) < 0]
+        first = _kernels.match_rows(images, images, ROOT_MATCH_TOL) == np.arange(len(images))
+        frontier = images[first]
+        roots = np.vstack([roots, frontier])
     sep = _kernels.min_pairwise_distance(roots)
     if sep < ROOT_SEPARATION:
         raise ToleranceCollision(

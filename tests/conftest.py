@@ -1,14 +1,8 @@
 import pytest
 
-from wythoff._kernels import warmup
 from wythoff.face_lattice import build_lattice
 from wythoff.geometry import realize
 from wythoff.reflection_group import enumerate_group
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    warmup()
 
 
 class _Shared:

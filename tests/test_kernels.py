@@ -1,13 +1,21 @@
-import importlib.util
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from wythoff import _kernels
 from wythoff._kernels import match_rows, min_pairwise_distance
+
+
+def _brute_match(points, ref, tol):
+    """Lowest index of a row of ref within tol of each row, from the full matrix."""
+    if len(ref) == 0:
+        return np.full(len(points), -1)
+    hit = ((points[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2) <= tol * tol
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+
+def _brute_min(pts):
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(d, np.inf)
+    return d.min()
 
 
 def test_match_rows_recovers_permutation():
@@ -33,79 +41,92 @@ def test_match_rows_tolerance_boundary():
     assert match_rows(far, ref, 1e-7)[0] == -1
 
 
+def test_match_rows_probe_at_exactly_tol_matches():
+    tol = 0.25  # exact in binary, so the probe's distance is exactly tol
+    ref = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
+    probe = ref + np.array([[tol, 0.0, 0.0], [0.0, 0.0, -tol]])
+    assert np.array_equal(match_rows(probe, ref, tol), [0, 1])
+    assert np.array_equal(_brute_match(probe, ref, tol), [0, 1])
+    assert np.array_equal(match_rows(probe, ref, np.nextafter(tol, 0)), [-1, -1])
+
+
 def test_match_rows_empty_reference():
-    idx = match_rows(np.ones((2, 3)), np.empty((0, 3)), 1e-6)
+    probe = np.ones((2, 3))
+    idx = match_rows(probe, np.empty((0, 3)), 1e-6)
     assert np.array_equal(idx, [-1, -1])
+    assert np.array_equal(idx, _brute_match(probe, np.empty((0, 3)), 1e-6))
+
+
+def test_match_rows_empty_points():
+    idx = match_rows(np.empty((0, 3)), np.ones((4, 3)), 1e-6)
+    assert idx.shape == (0,)
+    assert np.array_equal(idx, _brute_match(np.empty((0, 3)), np.ones((4, 3)), 1e-6))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_match_rows_matches_brute_force(dim):
+    rng = np.random.default_rng(dim)
+    ref = rng.normal(size=(200, dim))
+    probe = np.vstack([ref[rng.permutation(200)[:80]] + 1e-9, rng.normal(size=(80, dim))])
+    for tol in (1e-7, 0.05, 0.5):
+        assert np.array_equal(match_rows(probe, ref, tol), _brute_match(probe, ref, tol))
+
+
+def test_match_rows_lowest_duplicate_wins():
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(30, 3))
+    ref = base[rng.integers(0, 30, size=90)]  # every row repeated, in shuffled order
+    got = match_rows(base, ref, 1e-9)
+    assert np.array_equal(got, _brute_match(base, ref, 1e-9))
+    for i, j in enumerate(got):
+        if j >= 0:
+            assert j == np.flatnonzero((ref == base[i]).all(axis=1)).min()
+
+
+def test_match_rows_one_dimension_ties():
+    # in one dimension every repeated value ties in projection
+    ref = np.array([[0.0], [1.0], [0.0], [2.0], [1.0], [0.0]])
+    probe = np.array([[0.0], [1.0], [2.0], [3.0], [1.5]])
+    assert np.array_equal(match_rows(probe, ref, 1e-9), [0, 1, 3, -1, -1])
+    assert np.array_equal(match_rows(probe, ref, 0.5), _brute_match(probe, ref, 0.5))
+
+
+def test_match_rows_ties_beyond_one_block():
+    # 900 probes tie with 300 rows each: more candidate pairs than one pass takes
+    rng = np.random.default_rng(9)
+    ref = rng.permutation(np.repeat([[0.0], [1.0], [2.0]], 300, axis=0))
+    probe = np.vstack([ref, [[0.5], [3.0]]])
+    got = match_rows(probe, ref, 1e-9)
+    assert np.array_equal(got, _brute_match(probe, ref, 1e-9))
+    assert got[-1] == got[-2] == -1
+    assert min_pairwise_distance(ref) == 0.0
+
+
+def test_match_rows_shifted_and_far_rows():
+    rng = np.random.default_rng(3)
+    ref = rng.normal(size=(200, 4))
+    probe = np.vstack([ref[::3] + 1e-9, rng.normal(size=(40, 4)) * 10 + 50])
+    expected = np.concatenate([np.arange(0, 200, 3), np.full(40, -1)])
+    assert np.array_equal(match_rows(probe, ref, 1e-7), expected)
+    assert min_pairwise_distance(probe) > 0
 
 
 def test_min_pairwise_small_cases():
     assert min_pairwise_distance(np.zeros((1, 3))) == np.inf
+    assert min_pairwise_distance(np.zeros((0, 3))) == np.inf
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
     assert min_pairwise_distance(pts) == pytest.approx(1.0)
 
 
-def _brute_min(pts):
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    np.fill_diagonal(d, np.inf)
-    return d.min()
-
-
 def test_min_pairwise_matches_brute_force():
     rng = np.random.default_rng(11)
-    pts = rng.normal(size=(300, 5))  # above the numba dispatch threshold
+    pts = rng.normal(size=(300, 5))
     assert min_pairwise_distance(pts) == pytest.approx(_brute_min(pts), rel=1e-12)
 
 
-def test_numpy_and_numba_paths_agree():
-    rng = np.random.default_rng(3)
-    ref = rng.normal(size=(200, 4))
-    probe = np.vstack([ref[::3] + 1e-9, rng.normal(size=(40, 4)) * 10 + 50])
-    got_np = _kernels._match_rows_numpy(probe, ref, 1e-7)
-    expected = np.concatenate([np.arange(0, 200, 3), np.full(40, -1)])
-    assert np.array_equal(got_np, expected)
-    assert min_pairwise_distance(probe) > 0
-    if _kernels.HAS_NUMBA:
-        got_nb = _kernels._match_rows_numba(
-            np.ascontiguousarray(probe), np.ascontiguousarray(ref), 1e-7
-        )
-        assert np.array_equal(got_np, got_nb)
-        pts = rng.normal(size=(400, 3))
-        assert _kernels._min_pairwise_numba(pts) == pytest.approx(
-            _kernels._min_pairwise_numpy(pts), rel=1e-12
-        )
-
-
-def _run_with_env(value):
-    env = dict(os.environ, WYTHOFF_KERNELS=value)
-    return subprocess.run(
-        [sys.executable, "-c", "from wythoff._kernels import ACTIVE; print(ACTIVE)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_env_flag_selects_numpy():
-    proc = _run_with_env("numpy")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_env_flag_selects_numba():
-    # Forcing numba must never quietly run numpy: it either selects numba
-    # or, where numba is missing, refuses with an error naming the switch.
-    proc = _run_with_env("numba")
-    if importlib.util.find_spec("numba") is not None:
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "numba"
-    else:
-        assert proc.returncode != 0
-        assert proc.stdout == ""
-        assert "WYTHOFF_KERNELS" in proc.stderr
-        assert "numba" in proc.stderr
-
-
-def test_env_flag_rejects_unknown_value():
-    proc = _run_with_env("fortran")
-    assert proc.returncode != 0
-    assert "WYTHOFF_KERNELS" in proc.stderr
+def test_min_pairwise_duplicates_and_ties():
+    assert min_pairwise_distance(np.array([[1.0, 2.0], [3.0, 1.0], [1.0, 2.0]])) == 0.0
+    line = np.array([[0.0], [5.0], [2.0], [2.5], [9.0], [5.0 + 1e-3]])
+    assert min_pairwise_distance(line) == pytest.approx(1e-3, rel=1e-9)
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0)), axis=-1).reshape(-1, 2)
+    assert min_pairwise_distance(grid * 0.5) == 0.5

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wythoff._kernels import match_rows
+from sweep import sweep_diagrams
+from wythoff._kernels import match_rows, min_pairwise_distance
 from wythoff.diagram import (
     classify_components,
     disjoint_union,
@@ -11,6 +12,7 @@ from wythoff.diagram import (
 )
 from wythoff.errors import BudgetExceeded, ToleranceCollision
 from wythoff.reflection_group import (
+    ROOT_MATCH_TOL,
     ROOT_SEPARATION,
     enumerate_group,
     root_system,
@@ -89,6 +91,58 @@ def test_roots_closed_under_simple_reflections():
     for n in normals:
         reflected = rs.roots - 2.0 * np.outer(rs.roots @ n, n)
         assert (match_rows(reflected, rs.roots, 1e-8) >= 0).all()
+
+
+def _closure_per_row(normals):
+    """Root closure one image at a time: the oracle for root_system's batched layers."""
+    refl = [np.eye(len(normals)) - 2.0 * np.outer(v, v) for v in normals]
+    roots = [np.array(v, dtype=np.float64) for v in normals]
+    frontier = list(range(len(normals)))
+    while frontier:
+        arr = np.array([roots[i] for i in frontier])
+        nxt = []
+        for r in refl:
+            images = arr @ r.T
+            snapshot = np.array(roots)
+            hits = match_rows(images, snapshot, ROOT_MATCH_TOL)
+            for row, hit in zip(images, hits):
+                if hit >= 0:
+                    continue
+                if len(roots) > len(snapshot):
+                    tail = np.array(roots[len(snapshot):])
+                    if match_rows(row[None, :], tail, ROOT_MATCH_TOL)[0] >= 0:
+                        continue
+                nxt.append(len(roots))
+                roots.append(row.copy())
+        frontier = nxt
+    roots = np.array(roots)
+    sep = min_pairwise_distance(roots)
+    if sep < ROOT_SEPARATION:
+        raise ToleranceCollision(
+            "distinct roots only %.3g apart (floor %.3g)" % (sep, ROOT_SEPARATION)
+        )
+    return roots
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    sweep_diagrams() + [family_diagram("E", 8), family_diagram("I2", 2, k=999)],
+    ids=lambda d: "+".join(str(t) for t in classify_components(d)),
+)
+def test_root_closure_matches_per_row_oracle(diagram):
+    normals = simple_normals(diagram)
+    rs = root_system(normals)
+    assert np.array_equal(rs.roots, _closure_per_row(normals))
+    assert np.array_equal(rs.simple, np.arange(len(normals)))
+
+
+def test_root_closure_collision_matches_per_row_oracle():
+    normals = simple_normals(family_diagram("I2", 2, k=3999))
+    with pytest.raises(ToleranceCollision) as batched:
+        root_system(normals)
+    with pytest.raises(ToleranceCollision) as per_row:
+        _closure_per_row(normals)
+    assert str(batched.value) == str(per_row.value)
 
 
 def test_root_separation_floor():
