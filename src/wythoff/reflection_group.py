@@ -6,6 +6,24 @@ reflections; every group element then becomes an integer permutation of the
 root list, and all later combinatorics (subgroups, cosets, face counting)
 is exact integer work.  One tolerance-bearing step remains: matching
 reflected roots back into the root list (dedup 1e-6, separation floor 1e-3).
+
+Elements are handled as whole arrays, keyed by their images of the n simple
+roots.  The key is injective: an element is linear and the simple roots are
+a basis, so their images fix it.  The root list starts with the simple
+roots, so two distinct permutation rows first differ within their first n
+columns, and the lexicographic order of the keys is that of the full rows.
+Each key is stored as big-endian unsigned root indices viewed as one
+``np.void`` scalar, whose byte order (memcmp) is that lexicographic order;
+lookups are ``searchsorted`` in the sorted key array.
+
+The enumeration is a breadth-first search by layers, and layer k holds the
+elements of length k.  Every generator s is a reflection (det -1), so
+l(sw) = l(w) +- 1: the products of layer k lie in layer k-1 or layer k+1.
+Only the sorted keys of layer k-1 are searched to drop old elements; the
+new ones are deduplicated among themselves by ``np.unique``.  A new element
+w' keeps its first occurrence in generator-major order, s_i w with the least
+i; no other s_i w equals w', so this is the parent and generator an
+element-by-element search in that order finds, whatever the frontier order.
 """
 
 from __future__ import annotations
@@ -98,11 +116,14 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Left-coset partition of a group by a parabolic subgroup.
+    """Left-coset partition of a group by a parabolic subgroup W_J.
 
     coset_id maps element index -> coset number; reps[c] is the coset's
-    lexicographically minimal element (element indices are in lex order of
-    their root permutations, so the minimum index is the canonical rep).
+    minimal element index, its lexicographically minimal permutation (the
+    canonical representative).  The coset g W_J is the connected component
+    of g under right multiplication by the s_j, j in J, found by propagating
+    the minimum index along those edges; cosets are numbered in increasing
+    order of their representatives.
     """
 
     subgroup: Subgroup
@@ -118,39 +139,54 @@ class Group:
     """A finite reflection group with its elements as root permutations.
 
     Element indices are assigned in lexicographic order of the permutation
-    rows, so index 0 is the identity and coset minima are canonical.
+    rows, so index 0 is the identity and coset minima are canonical.  The
+    order is that of the keys (images of the simple roots, see the module
+    docstring), held sorted in _keys for lookups.  lmult[i] and rmult[i]
+    map each element g to s_i g and g s_i; (g s_i)(a) = g(s_i a), so the
+    right table reads g's row at the columns s_i sends the simple roots to.
     """
 
-    def __init__(self, diagram, normals, roots, perms, index, parent, gen_of):
+    def __init__(self, diagram, normals, roots, perms, keys, parent, gen_of, gen_perms):
         self.diagram = diagram
         self.normals = normals
         self.roots = roots
         self.perms = perms
-        self._index = index
+        self._keys = keys
         self._parent = parent
         self._gen_of = gen_of
         self.n_gens = diagram.rank
-        gen_perms = perms_of_generators(roots, normals)
-        self.gen_elements = np.array(
-            [index[p.tobytes()] for p in gen_perms], dtype=np.int64
-        )
-        # left-translation tables by each generator
-        lm = np.empty((self.n_gens, len(perms)), dtype=np.int32)
-        for gi, gp in enumerate(gen_perms):
-            prod = gp[perms]
-            for e in range(len(perms)):
-                lm[gi, e] = index[prod[e].tobytes()]
-        self.lmult = lm
+        n = self.n_gens
+        self.gen_elements = self._lookup(_keys(gen_perms[:, :n])).astype(np.int64)
+        simple = perms[:, :n]
+        self.lmult = np.stack(
+            [self._lookup(_keys(gp[simple])) for gp in gen_perms]
+        ).astype(np.int32)
+        self.rmult = np.stack(
+            [self._lookup(_keys(perms[:, gp[:n]])) for gp in gen_perms]
+        ).astype(np.int32)
         self._subgroups: dict = {}
         self._cosets: dict = {}
         self._matrices = None
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Element indices of the given keys; KeyError if one is no element."""
+        pos = np.searchsorted(self._keys, keys)
+        if not _found(self._keys, keys, pos).all():
+            raise KeyError("permutation is not a group element")
+        return pos
 
     @property
     def order(self) -> int:
         return len(self.perms)
 
     def element_index(self, perm_row: np.ndarray) -> int:
-        return self._index[np.asarray(perm_row, dtype=self.perms.dtype).tobytes()]
+        row = np.asarray(perm_row, dtype=self.perms.dtype)
+        if row.shape != self.perms.shape[1:]:
+            raise KeyError("permutation is not a group element")
+        a = int(self._lookup(_keys(row[None, : self.n_gens]))[0])
+        if not np.array_equal(self.perms[a], row):
+            raise KeyError("permutation is not a group element")
+        return a
 
     def compose(self, a: int, b: int) -> int:
         """Index of a*b (apply b, then a)."""
@@ -199,17 +235,16 @@ class Group:
         if table is not None:
             return table
         sub = self.subgroup(key)
-        ph = self.perms[sub.elements]
-        coset_id = np.full(self.order, -1, dtype=np.int32)
-        reps = []
-        for g in range(self.order):
-            if coset_id[g] != -1:
-                continue
-            rows = self.perms[g][ph]
-            members = [self._index[rows[i].tobytes()] for i in range(len(rows))]
-            coset_id[members] = len(reps)
-            reps.append(g)
-        table = CosetTable(sub, coset_id, np.array(reps, dtype=np.int64))
+        label = np.arange(self.order)
+        right = self.rmult[sorted(key)]
+        while True:
+            before = label
+            for r in right:
+                label = np.minimum(label, label[r])
+            if np.array_equal(label, before):
+                break
+        reps, coset_id = np.unique(label, return_inverse=True)
+        table = CosetTable(sub, coset_id.astype(np.int32), reps.astype(np.int64))
         self._cosets[key] = table
         return table
 
@@ -280,41 +315,58 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
     normals = simple_normals(d)
     roots = root_system(normals)
     gen_perms = perms_of_generators(roots, normals)
-    m = roots.count
-    ident = np.arange(m, dtype=gen_perms[0].dtype if gen_perms else np.int16)
-    rows = [ident]
-    index = {ident.tobytes(): 0}
-    parent, gen_of = [-1], [-1]
-    frontier = [0]
-    while frontier:
-        arr = np.array([rows[i] for i in frontier])
-        nxt = []
-        for gi, gp in enumerate(gen_perms):
-            prod = gp[arr]
-            for k, src in enumerate(frontier):
-                b = prod[k].tobytes()
-                if b not in index:
-                    if len(rows) >= budget:
-                        raise BudgetExceeded("enumeration exceeded budget %d" % budget)
-                    index[b] = len(rows)
-                    rows.append(prod[k].copy())
-                    parent.append(src)
-                    gen_of.append(gi)
-                    nxt.append(index[b])
-        frontier = nxt
-    perms = np.array(rows)
-    if len(perms) != expected:
+    gens = np.stack(gen_perms)
+    n = d.rank
+    frontier = np.arange(roots.count, dtype=gens.dtype)[None, :]
+    layers, parents, gens_of = [frontier], [np.array([-1])], [np.array([-1])]
+    total, offset = 1, 0
+    below = _keys(frontier[:0, :n])     # sorted keys of the layer before the frontier
+    here = _keys(frontier[:, :n])       # keys of the frontier, which is kept sorted
+    while len(frontier):
+        cand = _keys(gens[:, frontier[:, :n]].reshape(-1, n))
+        uniq, first = np.unique(cand, return_index=True)
+        pos = np.searchsorted(below, uniq)
+        new = ~_found(below, uniq, pos)
+        gen, src = np.divmod(first[new], len(frontier))
+        if total + len(gen) > budget:
+            raise BudgetExceeded("enumeration exceeded budget %d" % budget)
+        nxt = gens[gen[:, None], frontier[src]]
+        layers.append(nxt)
+        parents.append(offset + src)
+        gens_of.append(gen)
+        total += len(nxt)
+        offset += len(frontier)
+        below, here, frontier = here, uniq[new], nxt
+    if total != expected:
         raise ToleranceCollision(
-            "enumerated %d elements, formula says %d" % (len(perms), expected)
+            "enumerated %d elements, formula says %d" % (total, expected)
         )
-    # reindex so element order is lex order of permutation rows
-    order = np.lexsort(perms.T[::-1])
+    # reindex so element order is lex order of the keys (= of the rows)
+    keys = _keys(np.concatenate([layer[:, :n] for layer in layers]))
+    order = np.argsort(keys)
     inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    perms = perms[order]
-    index = {perms[i].tobytes(): i for i in range(len(perms))}
-    parent = np.array(parent)[order]
+    inv[order] = np.arange(total)
+    perms = np.empty((total, roots.count), dtype=frontier.dtype)
+    offset = 0
+    while layers:
+        layer = layers.pop(0)
+        perms[inv[offset : offset + len(layer)]] = layer
+        offset += len(layer)
+    parent = np.concatenate(parents)[order]
     parent = np.where(parent >= 0, inv[np.maximum(parent, 0)], -1)
-    gen_of = np.array(gen_of)[order]
-    assert index[ident.tobytes()] == 0
-    return Group(d, normals, roots, perms, index, parent, gen_of)
+    gen_of = np.concatenate(gens_of)[order]
+    assert inv[0] == 0
+    return Group(d, normals, roots, perms, keys[order], parent, gen_of, gens)
+
+
+def _keys(simple_images: np.ndarray) -> np.ndarray:
+    """One np.void key per row of root indices, memcmp order = lex order."""
+    be = np.ascontiguousarray(simple_images, dtype=">u%d" % simple_images.dtype.itemsize)
+    return be.view(np.dtype((np.void, be.dtype.itemsize * be.shape[1]))).reshape(-1)
+
+
+def _found(sorted_keys: np.ndarray, keys: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Which keys sit at their searchsorted positions pos in sorted_keys."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys

@@ -2,7 +2,7 @@
 
 from itertools import chain, combinations
 
-from wythoff.diagram import family_diagram
+from wythoff.diagram import disjoint_union, family_diagram, parse
 
 
 def sweep_diagrams():
@@ -20,6 +20,16 @@ def sweep_diagrams():
     for k in range(3, 13):
         out.append(family_diagram("I2", 2, k=k))
     return out
+
+
+def sweep_products():
+    """The two-component prisms and duoprisms of the benchmark's sweep."""
+    pairs = [
+        ("x", "x3o"), ("x", "x5o"), ("x", "x3o3o"), ("x", "x4o3o"),
+        ("x", "o3x4o"), ("x", "x5o3o"), ("x3o", "x4o"), ("x4o", "x4o"),
+        ("x5o", "x6o"), ("x3x", "x4o"), ("x8o", "x3o"), ("x3o", "x3o3o"),
+    ]
+    return [disjoint_union(parse(a), parse(b)) for a, b in pairs]
 
 
 def ring_subsets(n):

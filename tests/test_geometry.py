@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from sweep import decorated_variants, sweep_diagrams, sweep_products
+from wythoff import geometry
 from wythoff._kernels import match_rows
 from wythoff.diagram import disjoint_union, family_diagram, parse
 from wythoff.errors import UnsupportedDimension
 from wythoff.geometry import (
     AFFINE_RANK_TOL,
+    FACET_NORM_TOL,
+    RIDGE_MATCH_TOL,
+    _ridge_normals,
     off_document,
     polar_dual_check,
     realization_document,
@@ -15,6 +20,7 @@ from wythoff.geometry import (
     wythoff_point,
 )
 from wythoff.reflection_group import simple_normals
+from wythoff.regular import ruled_verdict
 
 
 def test_wythoff_point_hits_prescribed_mirrors():
@@ -112,6 +118,64 @@ def test_polar_dual_separates_regular_from_not(shared):
         assert polar_dual_check(shared.realization(parse(text))).ok, text
     assert not polar_dual_check(shared.realization(parse("o3x4x"))).ok
     assert not polar_dual_check(shared.realization(parse("x3x3o"))).ok
+
+
+def _ridge_reflection_per_ridge(real):
+    """One match_rows call per ridge: the oracle for the batched witness."""
+    normals = _ridge_normals(real)
+    pts = real.points
+    failures = []
+    for i, u in enumerate(normals):
+        moved = pts - 2.0 * np.outer(pts @ u, u)
+        if (match_rows(moved, pts, RIDGE_MATCH_TOL) < 0).any():
+            failures.append(i)
+            if len(failures) >= 10:
+                break
+    return not failures, {"ridges": len(normals), "failures": failures}
+
+
+def _polar_dual_per_ridge(real):
+    lat = real.lattice
+    cents = np.vstack(
+        [real.points[real.slot_vertices(s)].mean(axis=1) for s in lat.slots_by_rank[lat.n - 1]]
+    )
+    norms = np.linalg.norm(cents, axis=1)
+    spread = float((norms.max() - norms.min()) / norms.mean())
+    closed = True
+    for u in _ridge_normals(real):
+        moved = cents - 2.0 * np.outer(cents @ u, u)
+        if (match_rows(moved, cents, RIDGE_MATCH_TOL) < 0).any():
+            closed = False
+            break
+    detail = {"facets": len(cents), "norm_spread": spread, "reflection_closed": closed}
+    return spread <= FACET_NORM_TOL and closed, detail
+
+
+def _witness_items():
+    regular = [
+        d
+        for base in sweep_diagrams()
+        for d in decorated_variants(base)
+        if d.rank >= 2 and ruled_verdict(d).regular
+    ]
+    regular += [d for d in sweep_products() if ruled_verdict(d).regular]
+    return regular + [parse("o3x4x"), parse("x3x3x3x")]
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+def test_batched_witnesses_match_per_ridge_oracle(shared, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(geometry, "WITNESS_ROWS", block)
+    for d in _witness_items():
+        real = shared.realization(d)
+        ridge = ridge_reflection_check(real)
+        polar = polar_dual_check(real)
+        assert (ridge.ok, ridge.detail) == _ridge_reflection_per_ridge(real)
+        assert (polar.ok, polar.detail) == _polar_dual_per_ridge(real)
+    for text in ("o3x4x", "x3x3x3x"):
+        real = shared.realization(parse(text))
+        assert len(ridge_reflection_check(real).detail["failures"]) == 10
+        assert not polar_dual_check(real).detail["reflection_closed"]
 
 
 def test_box_product_is_geometrically_regular(shared):

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from sweep import sweep_diagrams
+from sweep import sweep_diagrams, sweep_products
 from wythoff._kernels import match_rows, min_pairwise_distance
 from wythoff.diagram import (
     classify_components,
@@ -15,6 +17,7 @@ from wythoff.reflection_group import (
     ROOT_MATCH_TOL,
     ROOT_SEPARATION,
     enumerate_group,
+    perms_of_generators,
     root_system,
     simple_normals,
 )
@@ -223,3 +226,130 @@ def test_non_definite_gram_rejected():
     bad = DecoratedDiagram(("a", "b", "c"), (1, 0, 0), ((0, 1, 5), (1, 2, 5)))
     with pytest.raises(NotFiniteType):
         simple_normals(bad)
+
+
+def _enumerate_by_dict(d):
+    """Element-by-element BFS keyed by full permutation bytes: the group oracle.
+
+    Returns perms in lex order of the rows, the row -> index dict, the BFS
+    parent and generator of every element, lmult, gen_elements and the
+    generator permutations.
+    """
+    normals = simple_normals(d)
+    roots = root_system(normals)
+    gen_perms = perms_of_generators(roots, normals)
+    ident = np.arange(roots.count, dtype=gen_perms[0].dtype)
+    rows = [ident]
+    index = {ident.tobytes(): 0}
+    parent, gen_of = [-1], [-1]
+    frontier = [0]
+    while frontier:
+        arr = np.array([rows[i] for i in frontier])
+        nxt = []
+        for gi, gp in enumerate(gen_perms):
+            prod = gp[arr]
+            for k, src in enumerate(frontier):
+                b = prod[k].tobytes()
+                if b not in index:
+                    index[b] = len(rows)
+                    rows.append(prod[k].copy())
+                    parent.append(src)
+                    gen_of.append(gi)
+                    nxt.append(index[b])
+        frontier = nxt
+    perms = np.array(rows)
+    order = np.lexsort(perms.T[::-1])
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(order))
+    perms = perms[order]
+    index = {perms[i].tobytes(): i for i in range(len(perms))}
+    parent = np.array(parent)[order]
+    parent = np.where(parent >= 0, inv[np.maximum(parent, 0)], -1)
+    gen_of = np.array(gen_of)[order]
+    lmult = np.empty((len(gen_perms), len(perms)), dtype=np.int32)
+    for gi, gp in enumerate(gen_perms):
+        prod = gp[perms]
+        for e in range(len(perms)):
+            lmult[gi, e] = index[prod[e].tobytes()]
+    gen_elements = np.array([index[p.tobytes()] for p in gen_perms], dtype=np.int64)
+    return perms, index, parent, gen_of, lmult, gen_elements, gen_perms
+
+
+def _subgroup_by_dict(perms, index, gen_perms, nodes):
+    """Sorted indices of the subgroup generated by the given generators."""
+    found = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for gi in sorted(nodes):
+            for a in frontier:
+                b = index[gen_perms[gi][perms[a]].tobytes()]
+                if b not in found:
+                    found.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return np.array(sorted(found), dtype=np.int64)
+
+
+def _coset_table_by_dict(perms, index, sub_elements):
+    """Left cosets found one at a time, members looked up in the dict."""
+    ph = perms[sub_elements]
+    coset_id = np.full(len(perms), -1, dtype=np.int32)
+    reps = []
+    for g in range(len(perms)):
+        if coset_id[g] != -1:
+            continue
+        rows = perms[g][ph]
+        members = [index[rows[i].tobytes()] for i in range(len(rows))]
+        coset_id[members] = len(reps)
+        reps.append(g)
+    return coset_id, np.array(reps, dtype=np.int64)
+
+
+def _word_by_tree(parent, gen_of, a):
+    out = []
+    while parent[a] != -1:
+        out.append(int(gen_of[a]))
+        a = int(parent[a])
+    return tuple(out)
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    sweep_diagrams()
+    + sweep_products()
+    + [family_diagram("I2", 2, k=999), family_diagram("E", 6, ringed=(0,))],
+    ids=lambda d: "+".join(str(t) for t in classify_components(d)),
+)
+def test_group_and_coset_tables_match_dict_oracle(shared, diagram):
+    g = shared.group(diagram)
+    perms, index, parent, gen_of, lmult, gen_elements, gen_perms = _enumerate_by_dict(diagram)
+    assert _same(g.perms, perms)
+    assert _same(g.lmult, lmult)
+    assert _same(g.gen_elements, gen_elements)
+    assert all(g.word(a) == _word_by_tree(parent, gen_of, a) for a in range(g.order))
+    n = diagram.rank
+    for nodes in (frozenset(c) for r in range(n + 1) for c in combinations(range(n), r)):
+        table = g.coset_table(nodes)
+        sub = _subgroup_by_dict(perms, index, gen_perms, nodes)
+        coset_id, reps = _coset_table_by_dict(perms, index, sub)
+        assert _same(table.subgroup.elements, sub), sorted(nodes)
+        assert _same(table.coset_id, coset_id), sorted(nodes)
+        assert _same(table.reps, reps), sorted(nodes)
+
+
+def test_element_index_rejects_non_elements(shared):
+    g = shared.group(parse("x4o3o"))
+    n, m = g.n_gens, g.perms.shape[1]
+    a = 7
+    # agrees with element a on the simple roots, differs elsewhere
+    twisted = g.perms[a].copy()
+    twisted[[n, n + 1]] = twisted[[n + 1, n]]
+    for row in (twisted, np.arange(m)[::-1], np.arange(m - 1), np.arange(m) + 1):
+        with pytest.raises(KeyError):
+            g.element_index(row)
+    assert g.element_index(g.perms[a]) == a
