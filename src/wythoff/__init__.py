@@ -55,7 +55,6 @@ from .face_lattice import (
     build_lattice,
     diamond_report,
     euler_ok,
-    f_vector_enumerated,
     f_vector_formula,
     flag_report,
     lattice_document,
@@ -111,7 +110,6 @@ __all__ = [
     "disjoint_union",
     "enumerate_group",
     "euler_ok",
-    "f_vector_enumerated",
     "f_vector_formula",
     "face_restriction",
     "family_diagram",

@@ -234,7 +234,7 @@ def _cmd_is_regular(args) -> int:
         k, a, b = v.witness
         lines.append(f"witness: rank {k} has face types S={a} and S={b}")
     if args.oracle:
-        flag = is_flag_transitive(d, budget=args.budget)
+        flag = is_flag_transitive(d)
         payload["flag_transitive"] = flag
         lines.append(f"flag transitive under the generating group: {'yes' if flag else 'no'}")
         if v.regular and not flag:

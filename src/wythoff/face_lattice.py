@@ -8,18 +8,20 @@ whole-polytope face (all nodes selected, a single coset) serves as the top
 of the lattice; a synthetic bottom sits below the vertices.
 
 Flags are maximal chains.  They factor exactly as (selection ordering,
-group element): stacking the per-rank coset-id columns for one ordering
-over all group elements enumerates each flag once.  Structural checks
-(diamond property, flag degree/connectivity) exploit that integer form.
+group element g), and the group acts on them by left translation of g
+alone, freely: stacking the per-rank coset-id columns for one ordering over
+all group elements enumerates each flag once.  So the flag checks need only
+the moves of one flag per ordering (flag_report), and lattice isomorphism
+needs one walk start per ordering (lattices_isomorphic).  The diamond
+property is checked by joining the integer cover pairs of adjacent ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .decoration import (
     Decoration,
@@ -32,10 +34,6 @@ from .decoration import (
 from .diagram import DecoratedDiagram, group_order
 from .errors import WythoffError
 from .reflection_group import Group, enumerate_group
-
-# direct flag-graph checking above this many flags switches to the
-# covering-space method (see flag_report)
-FLAG_DIRECT_LIMIT = 700_000
 
 
 @dataclass(frozen=True)
@@ -75,6 +73,18 @@ class FaceLattice:
         self._slot_of_face = None
         self._chains = None
         self._flag_rows = None
+
+    @cached_property
+    def face_rank(self) -> np.ndarray:
+        """Rank of every face id; ids are numbered rank by rank."""
+        sizes = [sum(s.count for s in sl) for sl in self.slots_by_rank]
+        return np.repeat(np.arange(self.n + 1), sizes)
+
+    @cached_property
+    def covers_by_lower(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cover pairs as (lower ids, upper ids), sorted by lower id."""
+        order = np.argsort(self.covers[:, 0], kind="stable")
+        return self.covers[order, 0], self.covers[order, 1]
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -192,11 +202,6 @@ def _compute_covers(group, slots_by_rank) -> np.ndarray:
     return np.vstack(pairs)
 
 
-def f_vector_enumerated(lat: FaceLattice) -> tuple[int, ...]:
-    """Face counts read off the enumerated coset partition."""
-    return lat.f_vector
-
-
 def f_vector_formula(d: DecoratedDiagram) -> tuple[int, ...]:
     """Face counts by orbit-stabilizer arithmetic only (no enumeration).
 
@@ -240,43 +245,38 @@ class DiamondReport:
 def diamond_report(lat: FaceLattice) -> DiamondReport:
     """Every (rank k-1, rank k+1) incident pair has exactly 2 faces between.
 
-    Uses sparse cover-matrix products; the bottom sentinel appears as an
-    all-ones row so the k = 0 case (each edge has two vertices) and the
-    k = n-1 case (each ridge lies in two facets) are included.
+    For each rank k the covers into rank k are joined on their rank-k face
+    with the covers out of it; the number of joined rows per (lower, upper)
+    pair is the number of faces between them.  The bottom sentinel lies
+    below every vertex, so the k = 0 case (each edge has two vertices) and
+    the k = n-1 case (each ridge lies in two facets) are included.  At most
+    ten violations per rank are listed, as (lower, upper, count) in
+    (lower, upper) order, with lower None for the bottom.
     """
-    n = lat.n
-    counts = [sum(s.count for s in sl) for sl in lat.slots_by_rank]
-    offsets = [lat.slots_by_rank[k][0].offset if lat.slots_by_rank[k] else 0
-               for k in range(n + 1)]
-    mats = [sp.csr_matrix(np.ones((1, counts[0]), dtype=np.int64))]
-    lo_rank = np.empty(lat.face_total, dtype=np.int64)
-    for k, sl in enumerate(lat.slots_by_rank):
-        for s in sl:
-            lo_rank[s.offset : s.offset + s.count] = k
-    cov = lat.covers
-    ranks_of_lo = lo_rank[cov[:, 0]]
-    for k in range(n):
-        sel = ranks_of_lo == k
-        rows = cov[sel, 0] - offsets[k]
-        cols = cov[sel, 1] - offsets[k + 1]
-        mats.append(
-            sp.csr_matrix(
-                (np.ones(len(rows), dtype=np.int64), (rows, cols)),
-                shape=(counts[k], counts[k + 1]),
-            )
-        )
+    lo, hi = lat.covers_by_lower
+    bounds = np.searchsorted(lat.face_rank[lo], np.arange(lat.n + 1))
+    sizes = np.bincount(lat.face_rank)
+    offsets = np.cumsum(sizes) - sizes
+    width = lat.face_total + 1
+    below, mid = np.full(sizes[0], lat.bottom_id), np.arange(sizes[0])
     checked = 0
     violations = []
-    for k in range(n):
-        prod = (mats[k] @ mats[k + 1]).tocoo()
-        checked += prod.nnz
-        bad = prod.data != 2
-        if bad.any():
-            for r, c, v in zip(
-                prod.row[bad][:10], prod.col[bad][:10], prod.data[bad][:10]
-            ):
-                lower = None if k == 0 else int(r + offsets[k - 1])
-                violations.append((lower, int(c + offsets[k + 1]), int(v)))
+    for k in range(lat.n):
+        up_mid, up_hi = lo[bounds[k] : bounds[k + 1]], hi[bounds[k] : bounds[k + 1]]
+        per_mid = np.bincount(up_mid - offsets[k], minlength=sizes[k])
+        # below row i joins the per_mid[mid[i]] up rows from first[i] on
+        reps = per_mid[mid - offsets[k]]
+        first = (np.cumsum(per_mid) - per_mid)[mid - offsets[k]]
+        ends = np.cumsum(reps)
+        rows = np.arange(reps.sum()) + np.repeat(first - ends + reps, reps)
+        keys = np.sort(np.repeat(below, reps) * width + up_hi[rows])
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        counts = np.diff(np.append(starts, len(keys)))
+        checked += len(starts)
+        for i in np.flatnonzero(counts != 2)[:10].tolist():
+            lower, upper = divmod(int(keys[starts[i]]), width)
+            violations.append((None if k == 0 else lower, upper, int(counts[i])))
+        below, mid = up_mid, up_hi
     return DiamondReport(checked, violations)
 
 
@@ -289,64 +289,11 @@ class FlagReport:
     chain_count: int
     degree_ok: bool
     connected: bool
-    method: str
+    method: str = "covering"
 
     @property
     def ok(self) -> bool:
         return self.degree_ok and self.connected
-
-
-def flag_report(lat: FaceLattice, method: str = "auto") -> FlagReport:
-    """Check every flag has one neighbor per rank and the graph is connected.
-
-    method "direct" builds the explicit flag adjacency graph.  "covering"
-    uses the exact product structure flags = orderings x group: each rank-k
-    move computed at the identity determines all others by left translation
-    (faces are cosets, so this is integer-exact), making connectivity a
-    chain-graph + holonomy-subgroup condition.  "auto" picks direct below
-    FLAG_DIRECT_LIMIT flags.  Both methods agree on every lattice small
-    enough to run both; the test suite enforces that.
-    """
-    if method == "auto":
-        method = "direct" if lat.flag_count() <= FLAG_DIRECT_LIMIT else "covering"
-    if method == "direct":
-        rows = lat.flag_rows()
-        degree_ok, edges = _flag_pairings(rows)
-        if not degree_ok:
-            return FlagReport(len(rows), len(lat.chains()), False, False, method)
-        graph = sp.coo_matrix(
-            (
-                np.ones(len(edges), dtype=np.int8),
-                (edges[:, 0], edges[:, 1]),
-            ),
-            shape=(len(rows), len(rows)),
-        )
-        ncomp, _ = connected_components(graph, directed=False)
-        return FlagReport(len(rows), len(lat.chains()), True, ncomp == 1, method)
-    if method == "covering":
-        return _flag_report_covering(lat)
-    raise ValueError("method must be auto, direct or covering")
-
-
-def _flag_pairings(rows: np.ndarray):
-    """Per-rank partner edges; degree_ok means every group has size 2."""
-    count, n = rows.shape
-    all_edges = []
-    for k in range(n):
-        cols = [rows[:, j] for j in range(n) if j != k]
-        if cols:
-            order = np.lexsort(tuple(cols[::-1]))
-            key = rows[order][:, [j for j in range(n) if j != k]]
-            diff = np.any(key[1:] != key[:-1], axis=1)
-            starts = np.flatnonzero(np.concatenate(([True], diff)))
-        else:
-            order = np.arange(count)
-            starts = np.array([0])
-        sizes = np.diff(np.append(starts, count))
-        if not np.all(sizes == 2):
-            return False, None
-        all_edges.append(np.stack([order[starts], order[starts + 1]], axis=1))
-    return True, np.vstack(all_edges) if all_edges else np.empty((0, 2), np.int64)
 
 
 def flag_partners(lat: FaceLattice) -> np.ndarray:
@@ -391,110 +338,121 @@ def _left_mult_table(group: Group, element: int) -> np.ndarray:
     return table
 
 
-def _flag_report_covering(lat: FaceLattice) -> FlagReport:
+def _coset_minima(label: np.ndarray, tables: list) -> np.ndarray:
+    """Least element of each right coset Hx, H generated by the tables' elements.
+
+    label must map every x into Hx with label[x] <= x (the identity map
+    does).  The graph x -- w x has the right cosets of H as components, and
+    they are found by hooking and pointer jumping: each round hooks the root
+    of x's tree onto the root of w x's tree when that is smaller, then
+    points every element at its root.  Whole trees merge at once, so a long
+    cycle closes in a number of rounds logarithmic in its length.
+    """
+    while True:
+        before = label
+        label = label.copy()
+        for t in tables:
+            np.minimum.at(label, label, label[t])
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+        if np.array_equal(label, before):
+            return label
+
+
+def flag_report(lat: FaceLattice) -> FlagReport:
+    """Check every flag has one neighbor per rank and the flag graph is connected.
+
+    Flags are (ordering, g) and faces are cosets, so every rank-k move
+    commutes with left translation, exactly in integers: if the rank-k
+    neighbor of (c, identity) is (c', h), that of (c, g) is (c', g h).  So
+    the degree check needs the n moves of one flag per ordering, and the
+    flag graph is connected exactly when the graph of orderings is connected
+    and the holonomy of its cycles generates the group.  Flags are never
+    listed.
+    """
     group = lat.group
     n = lat.n
     chains = lat.chains()
     chain_idx = {c: i for i, c in enumerate(chains)}
     slots = lat.slots_by_rank
-    stab_elements = {}
+    stab = [[frozenset(s.decoration.stabilizer_nodes()) for s in sl] for sl in slots]
+    between = {}
 
-    def members(slot):
-        key = slot.selection
-        if key not in stab_elements:
-            stab_elements[key] = group.subgroup(
-                slot.decoration.stabilizer_nodes()
-            ).elements
-        return stab_elements[key]
+    def faces_between(k, lo, hi):
+        """Rank-k faces meeting the identity cosets of slots lo and hi."""
+        if (k, lo, hi) in between:
+            return between[(k, lo, hi)]
+        lower = slots[k - 1][lo] if lo is not None else None
+        upper = slots[k + 1][hi] if hi is not None else None
+        ids = [
+            group.subgroup(stab[k - 1][lo]).elements if lo is not None else None,
+            group.subgroup(stab[k + 1][hi]).elements if hi is not None else None,
+        ]
+        out = []
+        for si, s in enumerate(slots[k]):
+            if lower is not None and not lower.selection < s.selection:
+                continue
+            if upper is not None and not s.selection < upper.selection:
+                continue
+            here = np.arange(s.count)
+            for elements in ids:
+                if elements is not None:
+                    here = np.intersect1d(here, s.table.coset_id[elements])
+            out.extend((si, int(c)) for c in here)
+        between[(k, lo, hi)] = out
+        return out
 
     moves = {}
-    degree_ok = True
     for ci, chain in enumerate(chains):
-        chain_slots = [slots[k][si] for k, si in enumerate(chain)]
         for k in range(n):
-            lower = chain_slots[k - 1] if k > 0 else None
-            upper = chain_slots[k + 1] if k + 1 < n else None
-            base_slot = chain_slots[k]
-            base_face = (chain[k], int(base_slot.table.coset_id[0]))
-            mids = []
-            for si, s in enumerate(slots[k]):
-                if lower is not None and not lower.selection < s.selection:
-                    continue
-                if upper is not None and not s.selection < upper.selection:
-                    continue
-                a = (
-                    np.unique(s.table.coset_id[members(lower)])
-                    if lower is not None
-                    else None
-                )
-                b = (
-                    np.unique(s.table.coset_id[members(upper)])
-                    if upper is not None
-                    else None
-                )
-                if a is None and b is None:
-                    here = np.arange(s.count)
-                elif a is None:
-                    here = b
-                elif b is None:
-                    here = a
-                else:
-                    here = np.intersect1d(a, b)
-                mids.extend((si, int(c)) for c in here)
-            if len(mids) != 2 or base_face not in mids:
-                degree_ok = False
-                break
-            other_slot_i, other_coset = next(m for m in mids if m != base_face)
-            other = slots[k][other_slot_i]
-            others = [
-                frozenset(chain_slots[j].decoration.stabilizer_nodes())
-                for j in range(n)
-                if j != k
-            ]
-            inter = (
-                frozenset.intersection(*others)
-                if others
-                else frozenset(range(lat.diagram.rank))
+            mids = faces_between(
+                k, chain[k - 1] if k > 0 else None, chain[k + 1] if k + 1 < n else None
             )
+            base_face = (chain[k], int(slots[k][chain[k]].table.coset_id[0]))
+            if len(mids) != 2 or base_face not in mids:
+                return FlagReport(lat.flag_count(), len(chains), False, False)
+            other_slot, other_coset = next(m for m in mids if m != base_face)
+            others = [stab[j][chain[j]] for j in range(n) if j != k]
+            inter = frozenset.intersection(*others) if others else frozenset(range(n))
             pk = group.subgroup(inter).elements
-            hs = pk[other.table.coset_id[pk] == other_coset]
+            hs = pk[slots[k][other_slot].table.coset_id[pk] == other_coset]
             if len(hs) != 1:
                 raise WythoffError("flag move is not unique")
-            new_chain = chain[:k] + (other_slot_i,) + chain[k + 1 :]
+            new_chain = chain[:k] + (other_slot,) + chain[k + 1 :]
             moves[(ci, k)] = (int(hs[0]), chain_idx[new_chain])
-        if not degree_ok:
-            break
-    if not degree_ok:
-        return FlagReport(lat.flag_count(), len(chains), False, False, "covering")
-    # BFS over the chain graph, collecting holonomy generators
+    # BFS over the chain graph, collecting holonomy elements; a move's
+    # reverse is the rank-k move of cj, whose holonomy is the inverse
     p = {0: 0}
+    p_inv = {0: 0}
     queue = [0]
     holonomy = set()
     while queue:
         ci = queue.pop()
         for k in range(n):
             h, cj = moves[(ci, k)]
-            ph = group.compose(p[ci], h)
             if cj not in p:
-                p[cj] = ph
+                p[cj] = group.compose(p[ci], h)
+                p_inv[cj] = group.inverse(p[cj])
                 queue.append(cj)
-            else:
-                w = group.compose(ph, group.inverse(p[cj]))
+            elif ci <= cj:
+                w = group.compose(group.compose(p[ci], h), p_inv[cj])
                 if w:
                     holonomy.add(w)
     if len(p) != len(chains):
-        return FlagReport(lat.flag_count(), len(chains), True, False, "covering")
-    tables = [_left_mult_table(group, w) for w in sorted(holonomy)]
-    visited = np.zeros(group.order, dtype=bool)
-    visited[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size and not visited.all():
-        cand = np.concatenate([t[frontier] for t in tables]) if tables else frontier[:0]
-        cand = np.unique(cand[~visited[cand]]) if cand.size else cand
-        visited[cand] = True
-        frontier = cand
-    connected = bool(visited.all())
-    return FlagReport(lat.flag_count(), len(chains), True, connected, "covering")
+        return FlagReport(lat.flag_count(), len(chains), True, False)
+    # label[w] is 0 exactly when w lies in the subgroup generated so far; an
+    # element outside it at least doubles it, so at most log2 |G| holonomy
+    # elements are kept as generators
+    tables = []
+    label = np.arange(group.order)
+    for w in sorted(holonomy):
+        if label[w]:
+            tables.append(_left_mult_table(group, w))
+            label = _coset_minima(label, tables)
+    return FlagReport(lat.flag_count(), len(chains), True, not label.any())
 
 
 # -- vertex figure ----------------------------------------------------------
@@ -535,61 +493,51 @@ def vertex_figure(lat: FaceLattice) -> VertexFigure:
     return VertexFigure(ids, cov[mask])
 
 
-# -- generator action / lattice isomorphism ---------------------------------
+# -- lattice isomorphism ---------------------------------------------------
 
 
-def generator_face_actions(lat: FaceLattice) -> np.ndarray:
-    """(n_gens, face_total) table: face id -> image face id under r_i."""
-    g = lat.group
-    out = np.empty((g.n_gens, lat.face_total), dtype=np.int32)
-    for sl in lat.slots_by_rank:
-        for s in sl:
-            for gi in range(g.n_gens):
-                new = s.table.coset_id[g.lmult[gi][s.table.reps]]
-                out[gi, s.offset : s.offset + s.count] = new + s.offset
-    return out
-
-
-def _walk_code(partners: np.ndarray, start: int) -> np.ndarray:
+def _walk_code(partners: list, start: int, ref: list | None = None) -> list | None:
     """Canonical BFS renumbering of the flag graph from one start flag.
 
-    The per-rank matchings make the walk deterministic, so two polytopes
-    are isomorphic exactly when some start yields identical codes.
+    partners[f][k] is the rank-k neighbor of flag f.  The per-rank matchings
+    make the walk deterministic, so two polytopes are isomorphic exactly
+    when some start yields identical codes.  Given a reference code ref,
+    the walk returns None at the first row that differs from it.
     """
-    n, count = partners.shape
-    ids = np.full(count, -1, dtype=np.int64)
-    order = np.empty(count, dtype=np.int64)
-    ids[start] = 0
-    order[0] = start
-    filled = 1
-    code = np.empty((count, n), dtype=np.int64)
-    qi = 0
-    while qi < filled:
-        f = order[qi]
-        for c in range(n):
-            g = partners[c, f]
-            if ids[g] < 0:
-                ids[g] = filled
-                order[filled] = g
-                filled += 1
-            code[qi, c] = ids[g]
-        qi += 1
-    if filled != count:
+    ids = {start: 0}
+    order = [start]
+    code = []
+    for f in order:
+        row = []
+        for g in partners[f]:
+            if g not in ids:
+                ids[g] = len(order)
+                order.append(g)
+            row.append(ids[g])
+        if ref is not None and row != ref[len(code)]:
+            return None
+        code.append(row)
+    if len(order) != len(partners):
         raise WythoffError("flag graph is disconnected")
     return code
 
 
 def lattices_isomorphic(a: FaceLattice, b: FaceLattice) -> bool:
-    """Rank-preserving lattice isomorphism test via flag-walk codes."""
+    """Rank-preserving lattice isomorphism test via flag-walk codes.
+
+    Left translation by g^-1 is an automorphism of b taking the flag
+    (c, g) to (c, identity), so if any isomorphism takes a's first flag into
+    chain c of b, another takes it to (c, identity), flag number c |G|.  One
+    walk start per ordering of b therefore suffices.
+    """
     if a.f_vector != b.f_vector or a.flag_count() != b.flag_count():
         return False
-    pa = flag_partners(a)
-    pb = flag_partners(b)
-    ref = _walk_code(pa, 0)
-    for start in range(pb.shape[1]):
-        if np.array_equal(ref, _walk_code(pb, start)):
-            return True
-    return False
+    ref = _walk_code(flag_partners(a).T.tolist(), 0)
+    pb = flag_partners(b).T.tolist()
+    return any(
+        _walk_code(pb, c * b.group.order, ref) is not None
+        for c in range(len(b.chains()))
+    )
 
 
 def lattice_document(lat: FaceLattice) -> dict:

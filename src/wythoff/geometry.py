@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._kernels import match_rows, min_pairwise_distance
 from .decoration import RING
@@ -154,52 +153,27 @@ def affine_rank_check(real: Realization) -> CheckReport:
 
 
 def containment_check(real: Realization) -> CheckReport:
-    """Vertex set of the lower face of each cover lies inside the upper's."""
+    """Vertex set of the lower face of each cover lies inside the upper's.
+
+    Every (face, vertex) incidence becomes one integer key; each cover's
+    (upper face, lower-face vertex) keys are looked up in the sorted keys.
+    """
     lat = real.lattice
     nv = len(real.points)
-    mats = []
-    sizes = []
-    offsets = []
-    for sl in lat.slots_by_rank:
-        rows = []
-        cols = []
-        size = np.empty(sum(s.count for s in sl), dtype=np.int64)
-        base = sl[0].offset
-        for s in sl:
-            fv = real.slot_vertices(s)
-            rows.append(np.repeat(np.arange(s.count) + (s.offset - base), fv.shape[1]))
-            cols.append(fv.ravel())
-            size[s.offset - base : s.offset - base + s.count] = fv.shape[1]
-        mats.append(
-            sp.csr_matrix(
-                (
-                    np.ones(sum(len(r) for r in rows), dtype=np.int64),
-                    (np.concatenate(rows), np.concatenate(cols)),
-                ),
-                shape=(len(size), nv),
-            )
-        )
-        sizes.append(size)
-        offsets.append(base)
-    lo_rank = np.empty(lat.face_total, dtype=np.int64)
-    for sl in lat.slots_by_rank:
-        for s in sl:
-            lo_rank[s.offset : s.offset + s.count] = s.rank
-    cov = lat.covers
-    checked = 0
+    slots = [s for sl in lat.slots_by_rank for s in sl]
+    keys = np.sort(np.concatenate([
+        ((np.arange(s.count) + s.offset)[:, None] * nv + real.slot_vertices(s)).ravel()
+        for s in slots
+    ]))
+    lo, hi = lat.covers_by_lower
     violations = 0
-    for k in range(lat.n):
-        sel = lo_rank[cov[:, 0]] == k
-        if not sel.any():
-            continue
-        lo = cov[sel, 0] - offsets[k]
-        hi = cov[sel, 1] - offsets[k + 1]
-        inter = (mats[k] @ mats[k + 1].T).tocsr()
-        got = np.asarray(inter[lo, hi]).ravel()
-        checked += len(lo)
-        violations += int(np.sum(got != sizes[k][lo]))
+    for s in slots:
+        a, b = np.searchsorted(lo, [s.offset, s.offset + s.count])
+        want = hi[a:b, None] * nv + real.slot_vertices(s)[lo[a:b] - s.offset]
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        violations += int(np.count_nonzero((keys[pos] != want).any(axis=1)))
     return CheckReport(
-        "containment", violations == 0, {"covers": checked, "violations": violations}
+        "containment", violations == 0, {"covers": len(lo), "violations": violations}
     )
 
 

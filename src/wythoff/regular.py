@@ -2,11 +2,11 @@
 
 Two independent notions are implemented.  ruled_verdict applies a closed
 position table on the decorated diagram (which families and ring positions
-yield regular polytopes).  is_flag_transitive checks transitivity of the
-generating reflection group on flags by explicit orbit closure.  They can
-disagree only when a polytope is regular but its full symmetry group is
-strictly larger than the generating group; oracle_gap_reason enumerates
-exactly those constructions.
+yield regular polytopes).  is_flag_transitive decides transitivity of the
+generating reflection group on flags from the flag structure (one orbit
+per selection ordering).  They can disagree only when a polytope is regular
+but its full symmetry group is strictly larger than the generating group;
+oracle_gap_reason enumerates exactly those constructions.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .decoration import (
     decoration_from_selection,
     face_restriction,
     require_nondegenerate,
+    selection_orderings,
     start_decoration,
     valid_selection_sets,
 )
@@ -33,7 +34,7 @@ from .diagram import (
     group_order,
 )
 from .errors import UnknownName
-from .face_lattice import FaceLattice, build_lattice, f_vector_formula, generator_face_actions
+from .face_lattice import FaceLattice, f_vector_formula
 
 _POLYGON_NAMES = {
     3: "triangle",
@@ -313,33 +314,22 @@ def regularity_witness(d: DecoratedDiagram):
 # -- flag-transitivity oracle --------------------------------------------------
 
 
-def is_flag_transitive(src, budget: int | None = None) -> bool:
+def is_flag_transitive(src) -> bool:
     """Does the generating group act transitively on flags?
 
-    An orbit has at most group-order flags, so more flags than elements is
-    an immediate no.  Otherwise the orbit of one flag is closed under the
-    generator action on faces and compared against the full flag set.
+    A flag is a pair (selection ordering, g), and the group acts on flags by
+    left translation of g alone.  That action is free and keeps the
+    ordering, so the flags of one ordering form exactly one orbit.  The
+    group is therefore flag-transitive exactly when there is one selection
+    ordering.  src is a diagram or a FaceLattice; nothing is enumerated, so
+    the answer holds beyond any enumeration budget.
     """
-    lat = src if isinstance(src, FaceLattice) else build_lattice(src, budget=budget)
-    rows = lat.flag_rows()
-    if len(rows) > lat.group.order:
-        return False
-    acts = generator_face_actions(lat)
-    index = {r.tobytes(): i for i, r in enumerate(rows)}
-    visited = [False] * len(rows)
-    visited[0] = True
-    frontier = [0]
-    while frontier:
-        batch = rows[frontier]
-        nxt = []
-        for gi in range(acts.shape[0]):
-            for img in acts[gi][batch]:
-                j = index[img.tobytes()]
-                if not visited[j]:
-                    visited[j] = True
-                    nxt.append(j)
-        frontier = nxt
-    return all(visited)
+    if isinstance(src, FaceLattice):
+        start = src.start
+    else:
+        require_nondegenerate(src)
+        start = start_decoration(src)
+    return len(selection_orderings(start)) == 1
 
 
 def oracle_gap_reason(d: DecoratedDiagram) -> str | None:

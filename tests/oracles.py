@@ -1,0 +1,193 @@
+"""Second routes kept as test oracles for the library's flag and incidence checks.
+
+Each function here is the route the library took before it switched to a
+cheaper exact one; tests assert that both routes agree.  These are the
+only users of scipy.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+
+from wythoff.face_lattice import (
+    DiamondReport,
+    FaceLattice,
+    FlagReport,
+    _walk_code,
+    flag_partners,
+)
+from wythoff.geometry import CheckReport
+
+
+def _flag_pairings(rows: np.ndarray):
+    """Per-rank partner edges; degree_ok means every group has size 2."""
+    count, n = rows.shape
+    all_edges = []
+    for k in range(n):
+        cols = [rows[:, j] for j in range(n) if j != k]
+        if cols:
+            order = np.lexsort(tuple(cols[::-1]))
+            key = rows[order][:, [j for j in range(n) if j != k]]
+            diff = np.any(key[1:] != key[:-1], axis=1)
+            starts = np.flatnonzero(np.concatenate(([True], diff)))
+        else:
+            order = np.arange(count)
+            starts = np.array([0])
+        sizes = np.diff(np.append(starts, count))
+        if not np.all(sizes == 2):
+            return False, None
+        all_edges.append(np.stack([order[starts], order[starts + 1]], axis=1))
+    return True, np.vstack(all_edges) if all_edges else np.empty((0, 2), np.int64)
+
+
+def _flag_report_direct(lat: FaceLattice) -> FlagReport:
+    """Flag degree and connectivity from the explicit flag adjacency graph."""
+    rows = lat.flag_rows()
+    degree_ok, edges = _flag_pairings(rows)
+    if not degree_ok:
+        return FlagReport(len(rows), len(lat.chains()), False, False, "direct")
+    graph = sp.coo_matrix(
+        (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
+        shape=(len(rows), len(rows)),
+    )
+    ncomp, _ = connected_components(graph, directed=False)
+    return FlagReport(len(rows), len(lat.chains()), True, ncomp == 1, "direct")
+
+
+def generator_face_actions(lat: FaceLattice) -> np.ndarray:
+    """(n_gens, face_total) table: face id -> image face id under r_i."""
+    g = lat.group
+    out = np.empty((g.n_gens, lat.face_total), dtype=np.int32)
+    for sl in lat.slots_by_rank:
+        for s in sl:
+            for gi in range(g.n_gens):
+                new = s.table.coset_id[g.lmult[gi][s.table.reps]]
+                out[gi, s.offset : s.offset + s.count] = new + s.offset
+    return out
+
+
+def _is_flag_transitive_by_orbit(lat: FaceLattice) -> bool:
+    """Flag-transitivity by closing the orbit of one flag under the generators.
+
+    An orbit has at most group-order flags, so more flags than elements is
+    an immediate no.
+    """
+    rows = lat.flag_rows()
+    if len(rows) > lat.group.order:
+        return False
+    acts = generator_face_actions(lat)
+    index = {r.tobytes(): i for i, r in enumerate(rows)}
+    visited = [False] * len(rows)
+    visited[0] = True
+    frontier = [0]
+    while frontier:
+        batch = rows[frontier]
+        nxt = []
+        for gi in range(acts.shape[0]):
+            for img in acts[gi][batch]:
+                j = index[img.tobytes()]
+                if not visited[j]:
+                    visited[j] = True
+                    nxt.append(j)
+        frontier = nxt
+    return all(visited)
+
+
+def _diamond_by_sparse(lat: FaceLattice) -> DiamondReport:
+    """Diamond report from sparse cover-matrix products.
+
+    Within one lower face the violations come in scipy's product order.
+    """
+    n = lat.n
+    counts = [sum(s.count for s in sl) for sl in lat.slots_by_rank]
+    offsets = [lat.slots_by_rank[k][0].offset if lat.slots_by_rank[k] else 0
+               for k in range(n + 1)]
+    mats = [sp.csr_matrix(np.ones((1, counts[0]), dtype=np.int64))]
+    lo_rank = np.empty(lat.face_total, dtype=np.int64)
+    for k, sl in enumerate(lat.slots_by_rank):
+        for s in sl:
+            lo_rank[s.offset : s.offset + s.count] = k
+    cov = lat.covers
+    ranks_of_lo = lo_rank[cov[:, 0]]
+    for k in range(n):
+        sel = ranks_of_lo == k
+        rows = cov[sel, 0] - offsets[k]
+        cols = cov[sel, 1] - offsets[k + 1]
+        mats.append(
+            sp.csr_matrix(
+                (np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                shape=(counts[k], counts[k + 1]),
+            )
+        )
+    checked = 0
+    violations = []
+    for k in range(n):
+        prod = (mats[k] @ mats[k + 1]).tocoo()
+        checked += prod.nnz
+        bad = prod.data != 2
+        if bad.any():
+            for r, c, v in zip(
+                prod.row[bad][:10], prod.col[bad][:10], prod.data[bad][:10]
+            ):
+                lower = None if k == 0 else int(r + offsets[k - 1])
+                violations.append((lower, int(c + offsets[k + 1]), int(v)))
+    return DiamondReport(checked, violations)
+
+
+def _containment_by_sparse(real) -> CheckReport:
+    """Containment from sparse face-vertex incidence products."""
+    lat = real.lattice
+    nv = len(real.points)
+    mats = []
+    sizes = []
+    offsets = []
+    for sl in lat.slots_by_rank:
+        rows = []
+        cols = []
+        size = np.empty(sum(s.count for s in sl), dtype=np.int64)
+        base = sl[0].offset
+        for s in sl:
+            fv = real.slot_vertices(s)
+            rows.append(np.repeat(np.arange(s.count) + (s.offset - base), fv.shape[1]))
+            cols.append(fv.ravel())
+            size[s.offset - base : s.offset - base + s.count] = fv.shape[1]
+        mats.append(
+            sp.csr_matrix(
+                (
+                    np.ones(sum(len(r) for r in rows), dtype=np.int64),
+                    (np.concatenate(rows), np.concatenate(cols)),
+                ),
+                shape=(len(size), nv),
+            )
+        )
+        sizes.append(size)
+        offsets.append(base)
+    lo_rank = np.empty(lat.face_total, dtype=np.int64)
+    for sl in lat.slots_by_rank:
+        for s in sl:
+            lo_rank[s.offset : s.offset + s.count] = s.rank
+    cov = lat.covers
+    checked = 0
+    violations = 0
+    for k in range(lat.n):
+        sel = lo_rank[cov[:, 0]] == k
+        if not sel.any():
+            continue
+        lo = cov[sel, 0] - offsets[k]
+        hi = cov[sel, 1] - offsets[k + 1]
+        inter = (mats[k] @ mats[k + 1].T).tocsr()
+        got = np.asarray(inter[lo, hi]).ravel()
+        checked += len(lo)
+        violations += int(np.sum(got != sizes[k][lo]))
+    return CheckReport(
+        "containment", violations == 0, {"covers": checked, "violations": violations}
+    )
+
+
+def _lattices_isomorphic_per_flag(a: FaceLattice, b: FaceLattice) -> bool:
+    """Isomorphism by trying every flag of b as the start of the walk."""
+    if a.f_vector != b.f_vector or a.flag_count() != b.flag_count():
+        return False
+    ref = _walk_code(flag_partners(a).T.tolist(), 0)
+    pb = flag_partners(b).T.tolist()
+    return any(_walk_code(pb, s, ref) is not None for s in range(len(pb)))

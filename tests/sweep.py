@@ -32,6 +32,39 @@ def sweep_products():
     return [disjoint_union(parse(a), parse(b)) for a, b in pairs]
 
 
+def rank_34_diagrams():
+    """Every decoration of the rank-3 and rank-4 sweep families, plus boxes."""
+    for base in sweep_diagrams():
+        if base.rank in (3, 4):
+            yield from decorated_variants(base)
+    boxes = [
+        disjoint_union(parse("x"), parse("x"), parse("x")),
+        disjoint_union(parse("x4o"), parse("x")),
+        disjoint_union(parse("o4x"), parse("x")),
+        disjoint_union(parse("x3o"), parse("x")),
+        disjoint_union(parse("x3x"), parse("x")),
+        disjoint_union(parse("x5o"), parse("x")),
+        disjoint_union(parse("x"), parse("x"), parse("x"), parse("x")),
+        disjoint_union(parse("x4o"), parse("x"), parse("x")),
+        disjoint_union(parse("x4o"), parse("x4o")),
+        disjoint_union(parse("x4o3o"), parse("x")),
+        disjoint_union(parse("o4o3x"), parse("x")),
+        disjoint_union(parse("x3o"), parse("x3o")),
+    ]
+    yield from boxes
+
+
+def big_group_diagrams():
+    """The benchmark's big_group items: A7, B6 and E6, each ringed at one end."""
+    return [parse("x3o3o3o3o3o3o"), parse("x4o3o3o3o3o"), family_diagram("E", 6, ringed=(0,))]
+
+
+def orbit_diagrams():
+    """The benchmark's orbit items: seven H4 ring sets, 720 to 7200 vertices."""
+    texts = ("o5o3x3o", "o5x3o3o", "o5o3x3x", "x5x3o3o", "x5o3o3x", "o5x3o3x", "o5x3x3x")
+    return [parse(t) for t in texts]
+
+
 def ring_subsets(n):
     """All non-empty ring sets; on a connected diagram none is degenerate."""
     return chain.from_iterable(combinations(range(n), r) for r in range(1, n + 1))

@@ -10,7 +10,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from sweep import decorated_variants, sweep_diagrams
+from sweep import decorated_variants, rank_34_diagrams, sweep_diagrams
 from wythoff.decoration import (
     decoration_from_selection,
     reachable_decorations,
@@ -208,32 +208,11 @@ def test_criterion_08_edge_uniformity_sweep(shared):
     print(f"CRITERION 8: PASS ({checked} decorations, worst spread {worst:.2e})")
 
 
-def _rank_34_diagrams():
-    for base in sweep_diagrams():
-        if base.rank in (3, 4):
-            yield from decorated_variants(base)
-    boxes = [
-        disjoint_union(parse("x"), parse("x"), parse("x")),
-        disjoint_union(parse("x4o"), parse("x")),
-        disjoint_union(parse("o4x"), parse("x")),
-        disjoint_union(parse("x3o"), parse("x")),
-        disjoint_union(parse("x3x"), parse("x")),
-        disjoint_union(parse("x5o"), parse("x")),
-        disjoint_union(parse("x"), parse("x"), parse("x"), parse("x")),
-        disjoint_union(parse("x4o"), parse("x"), parse("x")),
-        disjoint_union(parse("x4o"), parse("x4o")),
-        disjoint_union(parse("x4o3o"), parse("x")),
-        disjoint_union(parse("o4o3x"), parse("x")),
-        disjoint_union(parse("x3o"), parse("x3o")),
-    ]
-    yield from boxes
-
-
 def test_criterion_09_ruled_vs_oracle_with_documented_gaps(shared):
     """Table verdicts equal the flag-transitivity oracle modulo listed gaps."""
     agreements = 0
     gaps = 0
-    for d in _rank_34_diagrams():
+    for d in rank_34_diagrams():
         verdict = ruled_verdict(d)
         oracle = is_flag_transitive(shared.lattice(d))
         reason = oracle_gap_reason(d)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,33 @@ def test_is_regular_oracle_gap(capsys):
     assert "name: 24-cell" in out
     assert "flag transitive under the generating group: no" in out
     assert "gap:" in out
+
+
+def test_is_regular_oracle_beyond_the_budget(capsys):
+    # |B8| = 10321920 is over the default budget; the oracle enumerates nothing
+    code, out, _ = run(capsys, "is-regular", "x4o3o3o3o3o3o3o", "--oracle", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["name"] == "8-hypercube" and data["flag_transitive"]
+
+
+def test_check_loads_no_scipy():
+    script = (
+        "import sys\n"
+        "from wythoff.cli import main\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "after_import = scipy()\n"
+        "code = main(['check', 'x3x4o', '--json'])\n"
+        "print(code, after_import, scipy(), file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ok"]
+    assert done.stderr.split() == ["0", "[]", "[]"]
 
 
 def test_classify_json(capsys):

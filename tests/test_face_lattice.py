@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+from oracles import _flag_report_direct, generator_face_actions
 from wythoff.decoration import start_decoration
 from wythoff.diagram import disjoint_union, family_diagram, parse
 from wythoff.errors import Degenerate
 from wythoff.face_lattice import (
+    _coset_minima,
+    _left_mult_table,
     build_lattice,
     diamond_report,
     euler_ok,
-    f_vector_enumerated,
     f_vector_formula,
     flag_partners,
     flag_report,
-    generator_face_actions,
     lattice_document,
     lattices_isomorphic,
     vertex_figure,
@@ -41,7 +42,6 @@ KNOWN_F_VECTORS = {
 def test_known_f_vectors(shared, text, fv):
     lat = shared.lattice(parse(text))
     assert lat.f_vector == fv
-    assert f_vector_enumerated(lat) == fv
     assert f_vector_formula(parse(text)) == fv
 
 
@@ -85,10 +85,30 @@ def test_flag_methods_agree(shared):
         parse("x3x"),
     ]:
         lat = shared.lattice(d)
-        direct = flag_report(lat, "direct")
-        covering = flag_report(lat, "covering")
+        direct = _flag_report_direct(lat)
+        covering = flag_report(lat)
         assert direct.ok and covering.ok, d
         assert direct.count == covering.count == lat.flag_count()
+        assert covering.method == "covering"
+
+
+def test_coset_minima_are_least_elements_of_right_cosets(shared):
+    rng = np.random.default_rng(7)
+    for d in (parse("x12o"), parse("x4o3o"), parse("x3o3o")):
+        g = shared.group(d)
+        for size in (1, 2, 3):
+            gens = [int(w) for w in rng.choice(np.arange(1, g.order), size, replace=False)]
+            label = _coset_minima(
+                np.arange(g.order), [_left_mult_table(g, w) for w in gens]
+            )
+            sub = {0}
+            while True:
+                grown = sub | {g.compose(w, h) for w in gens for h in sub}
+                if grown == sub:
+                    break
+                sub = grown
+            for x in range(g.order):
+                assert label[x] == min(g.compose(h, x) for h in sub), (d, gens, x)
 
 
 def test_flag_count_is_chains_times_order(shared):
@@ -112,10 +132,8 @@ def test_flag_partners_form_matchings(shared):
 def test_generator_actions_preserve_rank(shared):
     lat = shared.lattice(parse("x4o3o"))
     acts = generator_face_actions(lat)
-    ranks = np.empty(lat.face_total, dtype=int)
-    for sl in lat.slots_by_rank:
-        for s in sl:
-            ranks[s.offset : s.offset + s.count] = s.rank
+    ranks = lat.face_rank
+    assert np.array_equal(np.bincount(ranks), list(lat.f_vector) + [1])
     for gi in range(acts.shape[0]):
         assert np.array_equal(np.sort(acts[gi]), np.arange(lat.face_total))
         assert np.array_equal(ranks[acts[gi]], ranks)

@@ -1,7 +1,7 @@
 import pytest
 
 from wythoff.diagram import disjoint_union, family_diagram, parse
-from wythoff.errors import UnknownName
+from wythoff.errors import Degenerate, UnknownName
 from wythoff.face_lattice import f_vector_formula
 from wythoff.regular import (
     canonical_name,
@@ -114,6 +114,14 @@ def test_oracle_matches_ruled_on_true_regulars(shared):
         assert is_flag_transitive(shared.lattice(parse(text))), text
     for text in ["o3x4x", "x3x3o", "x3o3x", "o4x3o"]:
         assert not is_flag_transitive(shared.lattice(parse(text))), text
+
+
+def test_transitivity_without_enumeration():
+    # |B8| = 10321920 and |E8| = 696729600 are both over the enumeration budget
+    assert is_flag_transitive(family_diagram("B", 8, ringed=(0,)))
+    assert not is_flag_transitive(family_diagram("E", 8, ringed=(0,)))
+    with pytest.raises(Degenerate):
+        is_flag_transitive(parse("o3o"))
 
 
 def test_oracle_gap_cases(shared):
