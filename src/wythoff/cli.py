@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .decoration import is_degenerate
+from .decoration import face_types, is_degenerate, orbit_size, start_decoration
 from .diagram import (
     classify_components,
     group_order,
@@ -125,26 +125,20 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_faces(args) -> int:
-    from .decoration import (
-        decoration_from_selection,
-        start_decoration,
-        valid_selection_sets,
-    )
-
     d = _load_diagram(args.diagram)
-    start = start_decoration(d)
+    if args.rank is not None and not 0 <= args.rank <= d.rank:
+        raise UnsupportedDimension(
+            f"--rank {args.rank} is outside 0..{d.rank}, the face ranks of this diagram"
+        )
     total = group_order(d)
-    ranks = [args.rank] if args.rank is not None else list(range(d.rank))
+    ranks = [args.rank] if args.rank is not None else range(d.rank)
     entries = []
     lines = []
-    for k in ranks:
-        for sel in sorted(valid_selection_sets(start, k), key=sorted):
-            dec = decoration_from_selection(start, sel)
-            stab = dec.stabilizer_nodes()
-            count = total // group_order(d.induced(stab)) if stab else total
-            names = [d.node_ids[v] for v in sorted(sel)]
-            entries.append({"rank": k, "selection": names, "count": count})
-            lines.append(f"rank {k}  S={{{','.join(names)}}}  faces={count}")
+    for k, sel, dec in face_types(start_decoration(d), ranks):
+        count = orbit_size(dec, total)
+        names = [d.node_ids[v] for v in sorted(sel)]
+        entries.append({"rank": k, "selection": names, "count": count})
+        lines.append(f"rank {k}  S={{{','.join(names)}}}  faces={count}")
     return _emit(args, {"faces": entries, "lines": lines})
 
 
@@ -158,7 +152,7 @@ def _cmd_fvector(args) -> int:
         payload["formula"] = list(fv)
         lines.append("formula:    " + " ".join(map(str, fv)))
     if args.method in ("enum", "both"):
-        lat = build_lattice(d, budget=args.budget, with_covers=False)
+        lat = build_lattice(d, budget=args.budget)
         fv = lat.f_vector
         payload["enumerated"] = list(fv)
         lines.append("enumerated: " + " ".join(map(str, fv)))

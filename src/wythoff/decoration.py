@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import CROSS, RING, DecoratedDiagram
+from .diagram import CROSS, RING, DecoratedDiagram, group_order
 from .errors import Degenerate, InvalidS, NotApplicable
 
 CROSSED = 0
@@ -142,6 +142,27 @@ def decoration_from_selection(start: Decoration, s) -> Decoration:
         else:
             values.append(CROSSED)
     return Decoration(d, tuple(values))
+
+
+def face_types(start: Decoration, ranks):
+    """(rank, selection, decoration) of every face type of the given ranks.
+
+    Within a rank the selections come in sorted order; face ids are
+    numbered in this order.
+    """
+    for k in ranks:
+        for sel in sorted(valid_selection_sets(start, k), key=sorted):
+            yield k, sel, decoration_from_selection(start, sel)
+
+
+def orbit_size(dec: Decoration, order: int) -> int:
+    """Faces of this type, |G| / |W_J|, given order = |G|.
+
+    W_J is the face stabilizer, generated by the nodes not valued 1; it is
+    trivial when every node is.
+    """
+    d, stab = dec.diagram, dec.stabilizer_nodes()
+    return order // group_order(d.induced(stab)) if stab else order
 
 
 def selection_orderings(start: Decoration) -> list[tuple[int, ...]]:

@@ -338,8 +338,6 @@ def classify_components(d: DecoratedDiagram) -> tuple[FamilyTag, ...]:
 
 def group_order(d: DecoratedDiagram) -> int:
     """Order of the reflection group: product of component family orders."""
-    if d.rank == 0:
-        return 1
     return math.prod(tag.order for tag in classify_components(d))
 
 
@@ -355,12 +353,6 @@ def coxeter_matrix(d: DecoratedDiagram) -> np.ndarray:
 def gram_matrix(d: DecoratedDiagram) -> np.ndarray:
     """Bilinear form B_ij = -cos(pi / m_ij); identity diagonal."""
     return -np.cos(np.pi / coxeter_matrix(d))
-
-
-def is_positive_definite_gram(d: DecoratedDiagram, tol: float = 1e-9) -> bool:
-    """Finite-type test by smallest Gram eigenvalue (> tol)."""
-    w = np.linalg.eigvalsh(gram_matrix(d))
-    return bool(w[0] > tol)
 
 
 def canonical_certificate(d: DecoratedDiagram):

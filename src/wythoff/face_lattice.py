@@ -5,7 +5,9 @@ decoration); the stabilizer is the parabolic subgroup generated by the
 nodes not valued 1.  Faces of consecutive rank are in a cover relation
 exactly when their selections nest and their cosets intersect.  The
 whole-polytope face (all nodes selected, a single coset) serves as the top
-of the lattice; a synthetic bottom sits below the vertices.
+of the lattice; a synthetic bottom sits below the vertices.  The cover
+pairs are derived from the coset tables when first read, so a lattice used
+only for its f-vector never builds them.
 
 Flags are maximal chains.  They factor exactly as (selection ordering,
 group element g), and the group acts on them by left translation of g
@@ -25,11 +27,11 @@ import numpy as np
 
 from .decoration import (
     Decoration,
-    decoration_from_selection,
+    face_types,
+    orbit_size,
     require_nondegenerate,
     selection_orderings,
     start_decoration,
-    valid_selection_sets,
 )
 from .diagram import DecoratedDiagram, group_order
 from .errors import WythoffError
@@ -60,19 +62,20 @@ class Face:
 
 
 class FaceLattice:
-    def __init__(self, diagram, start, group, slots_by_rank, covers):
+    def __init__(self, diagram, start, group, slots_by_rank):
         self.diagram = diagram
         self.start = start
         self.group = group
         self.n = diagram.rank
         self.slots_by_rank = slots_by_rank
-        self.covers = covers              # (pairs, 2) lower-id, upper-id
         self.face_total = sum(s.count for sl in slots_by_rank for s in sl)
         self.bottom_id = self.face_total  # synthetic, rank -1
         self.top_id = slots_by_rank[self.n][0].offset
-        self._slot_of_face = None
-        self._chains = None
-        self._flag_rows = None
+
+    @cached_property
+    def covers(self) -> np.ndarray:
+        """(pairs, 2) cover pairs, lower id then upper id."""
+        return _compute_covers(self.slots_by_rank)
 
     @cached_property
     def face_rank(self) -> np.ndarray:
@@ -100,19 +103,15 @@ class FaceLattice:
                 for c in range(s.count):
                     yield Face(s.offset + c, s.rank, sel, int(s.table.reps[c]))
 
-    def slot_of(self, face_id: int) -> Slot:
-        if self._slot_of_face is None:
-            lookup = []
-            for sl in self.slots_by_rank:
-                for s in sl:
-                    lookup.append((s.offset, s))
-            lookup.sort(key=lambda t: t[0])
-            self._slot_of_face = lookup
-        import bisect
+    @cached_property
+    def _slots(self) -> tuple[list, np.ndarray]:
+        """Every slot in face-id order, and the id of each slot's first face."""
+        slots = [s for sl in self.slots_by_rank for s in sl]
+        return slots, np.array([s.offset for s in slots])
 
-        keys = [t[0] for t in self._slot_of_face]
-        i = bisect.bisect_right(keys, face_id) - 1
-        return self._slot_of_face[i][1]
+    def slot_of(self, face_id: int) -> Slot:
+        slots, starts = self._slots
+        return slots[int(np.searchsorted(starts, face_id, side="right")) - 1]
 
     def face(self, face_id: int) -> Face:
         s = self.slot_of(face_id)
@@ -121,71 +120,62 @@ class FaceLattice:
 
     # -- flags -----------------------------------------------------------
 
-    def chains(self):
+    @cached_property
+    def chains(self) -> list:
         """Selection orderings as per-rank slot indices (ranks 0..n-1)."""
-        if self._chains is None:
-            slot_idx = [
-                {s.selection: i for i, s in enumerate(sl)}
-                for sl in self.slots_by_rank
-            ]
-            chains = []
-            for ordering in selection_orderings(self.start):
-                sel = set()
-                path = [slot_idx[0][frozenset()]]
-                for w in ordering[:-1]:
-                    sel.add(w)
-                    path.append(slot_idx[len(sel)][frozenset(sel)])
-                chains.append(tuple(path))
-            self._chains = chains
-        return self._chains
+        slot_idx = [
+            {s.selection: i for i, s in enumerate(sl)}
+            for sl in self.slots_by_rank
+        ]
+        chains = []
+        for ordering in selection_orderings(self.start):
+            sel = set()
+            path = [slot_idx[0][frozenset()]]
+            for w in ordering[:-1]:
+                sel.add(w)
+                path.append(slot_idx[len(sel)][frozenset(sel)])
+            chains.append(tuple(path))
+        return chains
 
     def flag_count(self) -> int:
-        return len(self.chains()) * self.group.order
+        return len(self.chains) * self.group.order
 
+    @cached_property
     def flag_rows(self) -> np.ndarray:
         """All flags as rows of global face ids, one column per rank."""
-        if self._flag_rows is None:
-            cols = {}
-            for k, sl in enumerate(self.slots_by_rank[: self.n]):
-                for i, s in enumerate(sl):
-                    cols[(k, i)] = (
-                        s.table.coset_id.astype(np.int32) + np.int32(s.offset)
-                    )
-            blocks = [
-                np.stack([cols[(k, ci)] for k, ci in enumerate(chain)], axis=1)
-                for chain in self.chains()
-            ]
-            self._flag_rows = np.vstack(blocks) if blocks else np.empty((0, 0), np.int32)
-        return self._flag_rows
+        cols = {}
+        for k, sl in enumerate(self.slots_by_rank[: self.n]):
+            for i, s in enumerate(sl):
+                cols[(k, i)] = (
+                    s.table.coset_id.astype(np.int32) + np.int32(s.offset)
+                )
+        blocks = [
+            np.stack([cols[(k, ci)] for k, ci in enumerate(chain)], axis=1)
+            for chain in self.chains
+        ]
+        return np.vstack(blocks) if blocks else np.empty((0, 0), np.int32)
 
 
 def build_lattice(
     d: DecoratedDiagram,
     group: Group | None = None,
     budget: int | None = None,
-    with_covers: bool = True,
 ) -> FaceLattice:
-    """Enumerate all faces (and cover pairs) of the polytope of d."""
+    """Enumerate all faces of the polytope of d; covers follow on first use."""
     require_nondegenerate(d)
     start = start_decoration(d)
     if group is None:
         group = enumerate_group(d, budget)
-    n = d.rank
-    slots_by_rank = []
+    slots_by_rank = [[] for _ in range(d.rank + 1)]
     offset = 0
-    for k in range(n + 1):
-        slots = []
-        for sel in sorted(valid_selection_sets(start, k), key=sorted):
-            dec = decoration_from_selection(start, sel)
-            table = group.coset_table(dec.stabilizer_nodes())
-            slots.append(Slot(k, sel, dec, table, offset))
-            offset += table.count
-        slots_by_rank.append(slots)
-    covers = _compute_covers(group, slots_by_rank) if with_covers else None
-    return FaceLattice(d, start, group, slots_by_rank, covers)
+    for k, sel, dec in face_types(start, range(d.rank + 1)):
+        table = group.coset_table(dec.stabilizer_nodes())
+        slots_by_rank[k].append(Slot(k, sel, dec, table, offset))
+        offset += table.count
+    return FaceLattice(d, start, group, slots_by_rank)
 
 
-def _compute_covers(group, slots_by_rank) -> np.ndarray:
+def _compute_covers(slots_by_rank) -> np.ndarray:
     total = sum(s.count for sl in slots_by_rank for s in sl)
     pairs = []
     for k in range(len(slots_by_rank) - 1):
@@ -210,16 +200,10 @@ def f_vector_formula(d: DecoratedDiagram) -> tuple[int, ...]:
     budget.
     """
     require_nondegenerate(d)
-    start = start_decoration(d)
     total = group_order(d)
-    out = []
-    for k in range(d.rank):
-        cnt = 0
-        for sel in valid_selection_sets(start, k):
-            dec = decoration_from_selection(start, sel)
-            stab = dec.stabilizer_nodes()
-            cnt += total // (group_order(d.induced(stab)) if stab else 1)
-        out.append(cnt)
+    out = [0] * d.rank
+    for k, _, dec in face_types(start_decoration(d), range(d.rank)):
+        out[k] += orbit_size(dec, total)
     return tuple(out)
 
 
@@ -298,7 +282,7 @@ class FlagReport:
 
 def flag_partners(lat: FaceLattice) -> np.ndarray:
     """(n, flag_count) partner table: the rank-k neighbor of each flag."""
-    rows = lat.flag_rows()
+    rows = lat.flag_rows
     degree_ok, edges_by_rank = _flag_pairings_per_rank(rows)
     if not degree_ok:
         raise WythoffError("flag graph is not a matching per rank")
@@ -330,21 +314,21 @@ def _flag_pairings_per_rank(rows):
     return True, per_rank
 
 
-def _left_mult_table(group: Group, element: int) -> np.ndarray:
-    """Vectorized g -> element * g table via the element's generator word."""
+def _right_mult_table(group: Group, element: int) -> np.ndarray:
+    """Vectorized g -> g * element table via the element's generator word."""
     table = np.arange(group.order, dtype=np.int64)
-    for gi in reversed(group.word(element)):
-        table = group.lmult[gi][table]
+    for gi in group.word(element):
+        table = group.rmult[gi][table]
     return table
 
 
 def _coset_minima(label: np.ndarray, tables: list) -> np.ndarray:
-    """Least element of each right coset Hx, H generated by the tables' elements.
+    """Least element of each left coset xH, H generated by the tables' elements.
 
-    label must map every x into Hx with label[x] <= x (the identity map
-    does).  The graph x -- w x has the right cosets of H as components, and
+    label must map every x into xH with label[x] <= x (the identity map
+    does).  The graph x -- x w has the left cosets of H as components, and
     they are found by hooking and pointer jumping: each round hooks the root
-    of x's tree onto the root of w x's tree when that is smaller, then
+    of x's tree onto the root of x w's tree when that is smaller, then
     points every element at its root.  Whole trees merge at once, so a long
     cycle closes in a number of rounds logarithmic in its length.
     """
@@ -375,7 +359,7 @@ def flag_report(lat: FaceLattice) -> FlagReport:
     """
     group = lat.group
     n = lat.n
-    chains = lat.chains()
+    chains = lat.chains
     chain_idx = {c: i for i, c in enumerate(chains)}
     slots = lat.slots_by_rank
     stab = [[frozenset(s.decoration.stabilizer_nodes()) for s in sl] for sl in slots]
@@ -450,7 +434,7 @@ def flag_report(lat: FaceLattice) -> FlagReport:
     label = np.arange(group.order)
     for w in sorted(holonomy):
         if label[w]:
-            tables.append(_left_mult_table(group, w))
+            tables.append(_right_mult_table(group, w))
             label = _coset_minima(label, tables)
     return FlagReport(lat.flag_count(), len(chains), True, not label.any())
 
@@ -478,7 +462,6 @@ def vertex_figure(lat: FaceLattice) -> VertexFigure:
     """
     stab = lat.slots_by_rank[0][0].table.subgroup.elements
     ids = []
-    keep = set()
     for k in range(1, lat.n):
         level = []
         for s in lat.slots_by_rank[k]:
@@ -487,10 +470,9 @@ def vertex_figure(lat: FaceLattice) -> VertexFigure:
             )
         level.sort()
         ids.append(level)
-        keep.update(level)
     cov = lat.covers
-    mask = np.array([(a in keep and b in keep) for a, b in cov], dtype=bool)
-    return VertexFigure(ids, cov[mask])
+    keep = [f for level in ids for f in level]
+    return VertexFigure(ids, cov[np.isin(cov, keep).all(axis=1)])
 
 
 # -- lattice isomorphism ---------------------------------------------------
@@ -536,7 +518,7 @@ def lattices_isomorphic(a: FaceLattice, b: FaceLattice) -> bool:
     pb = flag_partners(b).T.tolist()
     return any(
         _walk_code(pb, c * b.group.order, ref) is not None
-        for c in range(len(b.chains()))
+        for c in range(len(b.chains))
     )
 
 

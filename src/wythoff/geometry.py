@@ -69,7 +69,6 @@ class Realization:
     lattice: FaceLattice
     base_point: np.ndarray
     points: np.ndarray            # (V, dim); row i = rank-0 face with id i
-    vertex_of_element: np.ndarray  # group element -> vertex index
     _face_vertex: dict            # slot offset -> (count, m) vertex indices
 
     @property
@@ -112,7 +111,7 @@ def realize(src, group=None, budget=None) -> Realization:
             if not np.all(counts == m):
                 raise WythoffError("conjugate faces with unequal vertex counts")
             face_vertex[s.offset] = (key % total).reshape(s.count, m).astype(np.int32)
-    return Realization(lat, x, points, vt.coset_id, face_vertex)
+    return Realization(lat, x, points, face_vertex)
 
 
 # -- verification reports ----------------------------------------------------

@@ -24,6 +24,10 @@ new ones are deduplicated among themselves by ``np.unique``.  A new element
 w' keeps its first occurrence in generator-major order, s_i w with the least
 i; no other s_i w equals w', so this is the parent and generator an
 element-by-element search in that order finds, whatever the frontier order.
+
+One Cayley table is kept, right multiplication by the generators (rmult).
+It closes the parabolic subgroups, labels their left cosets, and gives
+right multiplication by any element through the element's word.
 """
 
 from __future__ import annotations
@@ -141,9 +145,11 @@ class Group:
     Element indices are assigned in lexicographic order of the permutation
     rows, so index 0 is the identity and coset minima are canonical.  The
     order is that of the keys (images of the simple roots, see the module
-    docstring), held sorted in _keys for lookups.  lmult[i] and rmult[i]
-    map each element g to s_i g and g s_i; (g s_i)(a) = g(s_i a), so the
-    right table reads g's row at the columns s_i sends the simple roots to.
+    docstring), held sorted in _keys for lookups.  rmult[i] maps each
+    element g to g s_i, the one Cayley table kept: (g s_i)(a) = g(s_i a), so
+    it reads g's row at the columns s_i sends the simple roots to.  Walking
+    it from the identity closes a parabolic subgroup, and from g the left
+    coset g W_J.
     """
 
     def __init__(self, diagram, normals, roots, perms, keys, parent, gen_of, gen_perms):
@@ -157,16 +163,11 @@ class Group:
         self.n_gens = diagram.rank
         n = self.n_gens
         self.gen_elements = self._lookup(_keys(gen_perms[:, :n])).astype(np.int64)
-        simple = perms[:, :n]
-        self.lmult = np.stack(
-            [self._lookup(_keys(gp[simple])) for gp in gen_perms]
-        ).astype(np.int32)
         self.rmult = np.stack(
             [self._lookup(_keys(perms[:, gp[:n]])) for gp in gen_perms]
         ).astype(np.int32)
         self._subgroups: dict = {}
         self._cosets: dict = {}
-        self._matrices = None
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         """Element indices of the given keys; KeyError if one is no element."""
@@ -221,7 +222,7 @@ class Group:
         visited = np.zeros(self.order, dtype=bool)
         visited[0] = True
         frontier = np.array([0], dtype=np.int64)
-        tabs = self.lmult[gens]
+        tabs = self.rmult[gens]
         while frontier.size:
             cand = tabs[:, frontier].ravel()
             cand = np.unique(cand[~visited[cand]])
@@ -248,37 +249,12 @@ class Group:
         self._cosets[key] = table
         return table
 
-    def cosets(self, sub: Subgroup) -> np.ndarray:
-        """Canonical left-coset representatives of sub in this group."""
-        if not all(0 <= v < self.n_gens for v in sub.generator_nodes):
-            raise SubgroupNotContained("subgroup uses foreign generators")
-        return self.coset_table(sub.generator_nodes).reps
-
-    def matrices(self) -> np.ndarray:
-        """Orthogonal matrix of every element, batched (order, n, n)."""
-        if self._matrices is None:
-            s_cols = self.roots.roots[self.roots.simple].T
-            s_inv = np.linalg.inv(s_cols)
-            t = self.roots.roots[self.perms[:, self.roots.simple]]
-            self._matrices = np.einsum("gdj,je->gde", t.transpose(0, 2, 1), s_inv)
-        return self._matrices
-
     def point_images(self, x: np.ndarray) -> np.ndarray:
         """g*x for every element, batched, without storing matrices."""
         s_cols = self.roots.roots[self.roots.simple].T
         y = np.linalg.solve(s_cols, np.asarray(x, dtype=np.float64))
         t = self.roots.roots[self.perms[:, self.roots.simple]]
         return np.einsum("gjd,j->gd", t, y)
-
-    def reflection_count(self) -> int:
-        """Number of elements acting as reflections (det -1, trace n-2)."""
-        mats = self.matrices()
-        dets = np.linalg.det(mats)
-        traces = np.trace(mats, axis1=1, axis2=2)
-        n = mats.shape[1]
-        return int(
-            np.count_nonzero((np.abs(dets + 1) < 1e-6) & (np.abs(traces - (n - 2)) < 1e-6))
-        )
 
 
 def perms_of_generators(roots: RootSystem, normals: np.ndarray) -> list[np.ndarray]:

@@ -17,12 +17,12 @@ from itertools import combinations
 from math import comb
 
 from .decoration import (
-    decoration_from_selection,
     face_restriction,
+    face_types,
+    orbit_size,
     require_nondegenerate,
     selection_orderings,
     start_decoration,
-    valid_selection_sets,
 )
 from .diagram import (
     RING,
@@ -281,11 +281,9 @@ def shape_signature(d: DecoratedDiagram):
         start = start_decoration(d)
         total = group_order(d)
         facets = {}
-        for sel in valid_selection_sets(start, n - 1):
-            stab = decoration_from_selection(start, sel).stabilizer_nodes()
-            count = total // group_order(d.induced(stab))
+        for _, sel, dec in face_types(start, [n - 1]):
             fsig = shape_signature(face_restriction(start, sel))
-            facets[fsig] = facets.get(fsig, 0) + count
+            facets[fsig] = facets.get(fsig, 0) + orbit_size(dec, total)
         sig = (n, f_vector_formula(d), tuple(sorted(facets.items())))
     _SIG_CACHE[key] = sig
     return sig
@@ -298,16 +296,12 @@ def regularity_witness(d: DecoratedDiagram):
     two face types differ.
     """
     start = start_decoration(d)
-    for k in range(2, d.rank):
-        seen = {}
-        for sel in sorted(valid_selection_sets(start, k), key=sorted):
-            sig = shape_signature(face_restriction(start, sel))
-            if sig in seen:
-                continue
-            for other, osig in seen.items():
-                if osig != sig:
-                    return (k, tuple(sorted(other)), tuple(sorted(sel)))
-            seen[sel] = sig
+    first = {}
+    for k, sel, _ in face_types(start, range(2, d.rank)):
+        sig = shape_signature(face_restriction(start, sel))
+        other, osig = first.setdefault(k, (sel, sig))
+        if osig != sig:
+            return (k, tuple(sorted(other)), tuple(sorted(sel)))
     return None
 
 

@@ -1,14 +1,17 @@
 """Second routes kept as test oracles for the library's flag and incidence checks.
 
-Each function here is the route the library took before it switched to a
-cheaper exact one; tests assert that both routes agree.  These are the
-only users of scipy.
+Each flag, diamond and containment function here is the route the library
+took before it switched to a cheaper exact one; tests assert that both
+routes agree.  These are the only users of scipy.  The element matrices,
+the reflection count and the Gram definiteness test are independent views
+of the group and the diagram that only tests read.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from wythoff.diagram import gram_matrix
 from wythoff.face_lattice import (
     DiamondReport,
     FaceLattice,
@@ -17,6 +20,29 @@ from wythoff.face_lattice import (
     flag_partners,
 )
 from wythoff.geometry import CheckReport
+
+
+def group_matrices(g) -> np.ndarray:
+    """Orthogonal matrix of every element of g, batched (order, n, n)."""
+    s_inv = np.linalg.inv(g.roots.roots[g.roots.simple].T)
+    t = g.roots.roots[g.perms[:, g.roots.simple]]
+    return np.einsum("gdj,je->gde", t.transpose(0, 2, 1), s_inv)
+
+
+def reflection_count(g) -> int:
+    """Number of elements acting as reflections (det -1, trace n-2)."""
+    mats = group_matrices(g)
+    dets = np.linalg.det(mats)
+    traces = np.trace(mats, axis1=1, axis2=2)
+    n = mats.shape[1]
+    return int(
+        np.count_nonzero((np.abs(dets + 1) < 1e-6) & (np.abs(traces - (n - 2)) < 1e-6))
+    )
+
+
+def is_positive_definite_gram(d, tol: float = 1e-9) -> bool:
+    """Finite-type test by smallest Gram eigenvalue (> tol)."""
+    return bool(np.linalg.eigvalsh(gram_matrix(d))[0] > tol)
 
 
 def _flag_pairings(rows: np.ndarray):
@@ -42,26 +68,30 @@ def _flag_pairings(rows: np.ndarray):
 
 def _flag_report_direct(lat: FaceLattice) -> FlagReport:
     """Flag degree and connectivity from the explicit flag adjacency graph."""
-    rows = lat.flag_rows()
+    rows = lat.flag_rows
     degree_ok, edges = _flag_pairings(rows)
     if not degree_ok:
-        return FlagReport(len(rows), len(lat.chains()), False, False, "direct")
+        return FlagReport(len(rows), len(lat.chains), False, False, "direct")
     graph = sp.coo_matrix(
         (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
         shape=(len(rows), len(rows)),
     )
     ncomp, _ = connected_components(graph, directed=False)
-    return FlagReport(len(rows), len(lat.chains()), True, ncomp == 1, "direct")
+    return FlagReport(len(rows), len(lat.chains), True, ncomp == 1, "direct")
 
 
 def generator_face_actions(lat: FaceLattice) -> np.ndarray:
-    """(n_gens, face_total) table: face id -> image face id under r_i."""
+    """(n_gens, face_total) table: face id -> image face id under r_i.
+
+    r_i maps the face rep W_J to the coset (r_i rep) W_J.
+    """
     g = lat.group
     out = np.empty((g.n_gens, lat.face_total), dtype=np.int32)
     for sl in lat.slots_by_rank:
         for s in sl:
             for gi in range(g.n_gens):
-                new = s.table.coset_id[g.lmult[gi][s.table.reps]]
+                images = [g.compose(int(g.gen_elements[gi]), int(r)) for r in s.table.reps]
+                new = s.table.coset_id[images]
                 out[gi, s.offset : s.offset + s.count] = new + s.offset
     return out
 
@@ -72,7 +102,7 @@ def _is_flag_transitive_by_orbit(lat: FaceLattice) -> bool:
     An orbit has at most group-order flags, so more flags than elements is
     an immediate no.
     """
-    rows = lat.flag_rows()
+    rows = lat.flag_rows
     if len(rows) > lat.group.order:
         return False
     acts = generator_face_actions(lat)

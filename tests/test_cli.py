@@ -47,6 +47,15 @@ def test_faces_listing(capsys):
     assert "faces=8" in out and "faces=12" in out and "faces=6" in out
 
 
+def test_faces_rank_outside_the_face_ranks_is_a_usage_error(capsys):
+    for rank in ("-1", "4", "7"):
+        code, out, err = run(capsys, "faces", "x4o3o", "--rank", rank)
+        assert code == 2 and not out, rank
+        assert "0..3" in err, rank
+    code, out, _ = run(capsys, "faces", "x4o3o", "--rank", "3")
+    assert code == 0 and "faces=1" in out
+
+
 def test_fvector_both_methods(capsys):
     code, out, _ = run(capsys, "fvector", "o3x4x", "--method", "both")
     assert code == 0

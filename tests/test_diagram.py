@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import is_positive_definite_gram
 from wythoff.diagram import (
     canonical_certificate,
     classify_components,
@@ -11,7 +12,6 @@ from wythoff.diagram import (
     family_diagram,
     gram_matrix,
     group_order,
-    is_positive_definite_gram,
     parse,
     serialize_document,
     serialize_inline,

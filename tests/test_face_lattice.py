@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import _flag_report_direct, generator_face_actions
+from wythoff import face_lattice
+from wythoff.cli import main
 from wythoff.decoration import start_decoration
 from wythoff.diagram import disjoint_union, family_diagram, parse
 from wythoff.errors import Degenerate
 from wythoff.face_lattice import (
     _coset_minima,
-    _left_mult_table,
+    _right_mult_table,
     build_lattice,
     diamond_report,
     euler_ok,
@@ -92,31 +94,32 @@ def test_flag_methods_agree(shared):
         assert covering.method == "covering"
 
 
-def test_coset_minima_are_least_elements_of_right_cosets(shared):
+def test_coset_minima_are_least_elements_of_left_cosets(shared):
     rng = np.random.default_rng(7)
     for d in (parse("x12o"), parse("x4o3o"), parse("x3o3o")):
         g = shared.group(d)
         for size in (1, 2, 3):
             gens = [int(w) for w in rng.choice(np.arange(1, g.order), size, replace=False)]
-            label = _coset_minima(
-                np.arange(g.order), [_left_mult_table(g, w) for w in gens]
-            )
+            tables = [_right_mult_table(g, w) for w in gens]
+            for w, t in zip(gens, tables):
+                assert all(t[x] == g.compose(x, w) for x in range(g.order)), (d, w)
+            label = _coset_minima(np.arange(g.order), tables)
             sub = {0}
             while True:
-                grown = sub | {g.compose(w, h) for w in gens for h in sub}
+                grown = sub | {g.compose(h, w) for w in gens for h in sub}
                 if grown == sub:
                     break
                 sub = grown
             for x in range(g.order):
-                assert label[x] == min(g.compose(h, x) for h in sub), (d, gens, x)
+                assert label[x] == min(g.compose(x, h) for h in sub), (d, gens, x)
 
 
 def test_flag_count_is_chains_times_order(shared):
     lat = shared.lattice(parse("o3x4x"))
     assert lat.flag_count() == 3 * 48
-    assert len(lat.flag_rows()) == 144
+    assert len(lat.flag_rows) == 144
     # every flag row is distinct
-    assert len({r.tobytes() for r in lat.flag_rows()}) == 144
+    assert len({r.tobytes() for r in lat.flag_rows}) == 144
 
 
 def test_flag_partners_form_matchings(shared):
@@ -200,4 +203,22 @@ def test_chains_match_selection_orderings(shared):
     from wythoff.decoration import selection_orderings
 
     lat = shared.lattice(parse("o3x4x"))
-    assert len(lat.chains()) == len(selection_orderings(start_decoration(lat.diagram)))
+    assert len(lat.chains) == len(selection_orderings(start_decoration(lat.diagram)))
+
+
+def test_covers_are_computed_on_first_read(monkeypatch, capsys):
+    calls = []
+    compute = face_lattice._compute_covers
+
+    def counted(slots_by_rank):
+        calls.append(1)
+        return compute(slots_by_rank)
+
+    monkeypatch.setattr(face_lattice, "_compute_covers", counted)
+    lat = build_lattice(parse("o3x4x"))
+    assert not calls
+    assert len(lat.covers) == len(lat.covers) == 36 * 2 + 36 * 2 + 14
+    assert len(calls) == 1
+    assert main(["fvector", "o3x4x", "--method", "both"]) == 0
+    assert "agreement: yes" in capsys.readouterr().out
+    assert len(calls) == 1

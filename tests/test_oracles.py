@@ -90,7 +90,8 @@ def _corrupted_cube(shared):
             if len(lower & set(real.vertices_of(int(f)).tolist())) == k
         )
     cov = np.vstack([cov[1:], cov[-10:-9]])
-    bad = FaceLattice(lat.diagram, lat.start, lat.group, lat.slots_by_rank, cov)
+    bad = FaceLattice(lat.diagram, lat.start, lat.group, lat.slots_by_rank)
+    bad.covers = cov
     return bad, replace(real, lattice=bad)
 
 

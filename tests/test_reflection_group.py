@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from oracles import group_matrices, reflection_count
 from sweep import sweep_diagrams, sweep_products
 from wythoff._kernels import match_rows, min_pairwise_distance
 from wythoff.diagram import (
@@ -68,7 +69,7 @@ def test_compose_and_inverse_laws(shared):
 
 def test_word_reconstructs_element(shared):
     g = shared.group(parse("x5o3o"))
-    mats = g.matrices()
+    mats = group_matrices(g)
     rng = np.random.default_rng(9)
     for a in rng.integers(0, g.order, size=10):
         prod = np.eye(3)
@@ -158,7 +159,7 @@ def test_root_separation_floor():
 
 def test_matrices_orthogonal_with_unit_determinant(shared):
     g = shared.group(parse("x3o4o3o"))
-    mats = g.matrices()
+    mats = group_matrices(g)
     eye = np.eye(4)
     err = np.abs(np.einsum("nij,nkj->nik", mats, mats) - eye).max()
     assert err < 1e-9
@@ -168,7 +169,7 @@ def test_matrices_orthogonal_with_unit_determinant(shared):
 
 def test_reflection_count_is_half_the_roots(shared):
     g = shared.group(parse("x4o3o"))
-    assert g.reflection_count() == 9
+    assert reflection_count(g) == 9
 
 
 def test_point_images_agree_with_matrices(shared):
@@ -176,7 +177,7 @@ def test_point_images_agree_with_matrices(shared):
     rng = np.random.default_rng(2)
     x = rng.normal(size=3)
     via_perm = g.point_images(x)
-    via_mats = np.einsum("nij,j->ni", g.matrices(), x)
+    via_mats = np.einsum("nij,j->ni", group_matrices(g), x)
     assert np.abs(via_perm - via_mats).max() < 1e-10
 
 
@@ -232,8 +233,8 @@ def _enumerate_by_dict(d):
     """Element-by-element BFS keyed by full permutation bytes: the group oracle.
 
     Returns perms in lex order of the rows, the row -> index dict, the BFS
-    parent and generator of every element, lmult, gen_elements and the
-    generator permutations.
+    parent and generator of every element, rmult (g -> g s_i), gen_elements
+    and the generator permutations.
     """
     normals = simple_normals(d)
     roots = root_system(normals)
@@ -266,13 +267,13 @@ def _enumerate_by_dict(d):
     parent = np.array(parent)[order]
     parent = np.where(parent >= 0, inv[np.maximum(parent, 0)], -1)
     gen_of = np.array(gen_of)[order]
-    lmult = np.empty((len(gen_perms), len(perms)), dtype=np.int32)
+    rmult = np.empty((len(gen_perms), len(perms)), dtype=np.int32)
     for gi, gp in enumerate(gen_perms):
-        prod = gp[perms]
+        prod = perms[:, gp]
         for e in range(len(perms)):
-            lmult[gi, e] = index[prod[e].tobytes()]
+            rmult[gi, e] = index[prod[e].tobytes()]
     gen_elements = np.array([index[p.tobytes()] for p in gen_perms], dtype=np.int64)
-    return perms, index, parent, gen_of, lmult, gen_elements, gen_perms
+    return perms, index, parent, gen_of, rmult, gen_elements, gen_perms
 
 
 def _subgroup_by_dict(perms, index, gen_perms, nodes):
@@ -327,9 +328,9 @@ def _same(a, b):
 )
 def test_group_and_coset_tables_match_dict_oracle(shared, diagram):
     g = shared.group(diagram)
-    perms, index, parent, gen_of, lmult, gen_elements, gen_perms = _enumerate_by_dict(diagram)
+    perms, index, parent, gen_of, rmult, gen_elements, gen_perms = _enumerate_by_dict(diagram)
     assert _same(g.perms, perms)
-    assert _same(g.lmult, lmult)
+    assert _same(g.rmult, rmult)
     assert _same(g.gen_elements, gen_elements)
     assert all(g.word(a) == _word_by_tree(parent, gen_of, a) for a in range(g.order))
     n = diagram.rank
