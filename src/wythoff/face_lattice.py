@@ -15,12 +15,13 @@ alone, freely: stacking the per-rank coset-id columns for one ordering over
 all group elements enumerates each flag once.  So the flag checks need only
 the moves of one flag per ordering (flag_report), and lattice isomorphism
 needs one walk start per ordering (lattices_isomorphic).  The diamond
-property is checked by joining the integer cover pairs of adjacent ranks.
+property is checked by joining the integer cover pairs of adjacent ranks,
+and the covers of each slot pair are counted against |G| / |W_(J_lo n J_hi)|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +36,7 @@ from .decoration import (
 )
 from .diagram import DecoratedDiagram, group_order
 from .errors import WythoffError
-from .reflection_group import Group, enumerate_group
+from .reflection_group import Group, _coset_minima, enumerate_group
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,10 @@ class FaceLattice:
         return slots, np.array([s.offset for s in slots])
 
     def slot_of(self, face_id: int) -> Slot:
+        if not 0 <= face_id < self.face_total:
+            raise IndexError(
+                "face id %d out of range 0..%d" % (face_id, self.face_total - 1)
+            )
         slots, starts = self._slots
         return slots[int(np.searchsorted(starts, face_id, side="right")) - 1]
 
@@ -220,10 +225,11 @@ def euler_ok(lat: FaceLattice) -> bool:
 class DiamondReport:
     pairs_checked: int
     violations: list
+    cover_mismatches: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.cover_mismatches
 
 
 def diamond_report(lat: FaceLattice) -> DiamondReport:
@@ -236,6 +242,13 @@ def diamond_report(lat: FaceLattice) -> DiamondReport:
     the k = n-1 case (each ridge lies in two facets) are included.  At most
     ten violations per rank are listed, as (lower, upper, count) in
     (lower, upper) order, with lower None for the bottom.
+
+    A missing rank of covers forms no such pair, so the covers are also
+    counted per nested slot pair of consecutive ranks: faces gW_lo and gW_hi
+    meet in one cover per coset of W_lo n W_hi = W_(J_lo n J_hi), so there
+    are |G| / |W_(J_lo n J_hi)| of them, both orders by formula.  Every slot
+    pair off that count is listed as (lower selection, upper selection,
+    found, expected).
     """
     lo, hi = lat.covers_by_lower
     bounds = np.searchsorted(lat.face_rank[lo], np.arange(lat.n + 1))
@@ -261,7 +274,33 @@ def diamond_report(lat: FaceLattice) -> DiamondReport:
             lower, upper = divmod(int(keys[starts[i]]), width)
             violations.append((None if k == 0 else lower, upper, int(counts[i])))
         below, mid = up_mid, up_hi
-    return DiamondReport(checked, violations)
+    return DiamondReport(checked, violations, _cover_count_mismatches(lat))
+
+
+def _cover_count_mismatches(lat: FaceLattice) -> list:
+    slots, _ = lat._slots
+    ranks = np.array([s.rank for s in slots])
+    pair = np.repeat(np.arange(len(slots)), [s.count for s in slots])[lat.covers]
+    found = np.bincount(pair[:, 0] * len(slots) + pair[:, 1], minlength=len(slots) ** 2)
+    found = found.reshape(len(slots), len(slots))
+    d = lat.diagram
+    total = group_order(d)
+    orders = {(): 1}
+    out = []
+    for a, lo in enumerate(slots):
+        for b in np.flatnonzero(ranks == lo.rank + 1).tolist():
+            hi = slots[b]
+            if not lo.selection < hi.selection:
+                continue
+            common = tuple(sorted(
+                set(lo.decoration.stabilizer_nodes()) & set(hi.decoration.stabilizer_nodes())
+            ))
+            if common not in orders:
+                orders[common] = group_order(d.induced(common))
+            want = total // orders[common]
+            if found[a, b] != want:
+                out.append((sorted(lo.selection), sorted(hi.selection), int(found[a, b]), want))
+    return out
 
 
 # -- flag graph ------------------------------------------------------------
@@ -320,30 +359,6 @@ def _right_mult_table(group: Group, element: int) -> np.ndarray:
     for gi in group.word(element):
         table = group.rmult[gi][table]
     return table
-
-
-def _coset_minima(label: np.ndarray, tables: list) -> np.ndarray:
-    """Least element of each left coset xH, H generated by the tables' elements.
-
-    label must map every x into xH with label[x] <= x (the identity map
-    does).  The graph x -- x w has the left cosets of H as components, and
-    they are found by hooking and pointer jumping: each round hooks the root
-    of x's tree onto the root of x w's tree when that is smaller, then
-    points every element at its root.  Whole trees merge at once, so a long
-    cycle closes in a number of rounds logarithmic in its length.
-    """
-    while True:
-        before = label
-        label = label.copy()
-        for t in tables:
-            np.minimum.at(label, label, label[t])
-        while True:
-            root = label[label]
-            if np.array_equal(root, label):
-                break
-            label = root
-        if np.array_equal(label, before):
-            return label
 
 
 def flag_report(lat: FaceLattice) -> FlagReport:

@@ -8,30 +8,43 @@ is exact integer work.  One tolerance-bearing step remains: matching
 reflected roots back into the root list (dedup 1e-6, separation floor 1e-3).
 
 Elements are handled as whole arrays, keyed by their images of the n simple
-roots.  The key is injective: an element is linear and the simple roots are
-a basis, so their images fix it.  The root list starts with the simple
-roots, so two distinct permutation rows first differ within their first n
-columns, and the lexicographic order of the keys is that of the full rows.
-Each key is stored as big-endian unsigned root indices viewed as one
-``np.void`` scalar, whose byte order (memcmp) is that lexicographic order;
-lookups are ``searchsorted`` in the sorted key array.
+roots.  These images fix the element: it is linear and the simple roots are
+a basis.  The image w(a_j) lies in the W-orbit of a_j, so it is written as
+its digit, its rank within that orbit in root-index order, and the key is
+the mixed-radix number sum_j digit[w(a_j)] * place_j, where place_j is the
+product of the orbit sizes of a_(j+1), ..., a_n.  Distinct images give
+distinct digit strings, so the key is injective.  Digits grow with the root
+index within each orbit, so key order is the lexicographic order of the
+simple images; the root list starts with the simple roots, so two distinct
+permutation rows first differ within their first n columns, and key order
+is the lexicographic order of the full rows.  Keys are uint64 and the key
+space is the product of the n orbit sizes: 2^49.4 for A8, 2^63.3 for E8.  A
+group whose key space exceeds 2^64 is refused (BudgetExceeded) before any
+per-element array is built.  Lookups are ``searchsorted`` in the sorted
+key array.
 
 The enumeration is a breadth-first search by layers, and layer k holds the
 elements of length k.  Every generator s is a reflection (det -1), so
 l(sw) = l(w) +- 1: the products of layer k lie in layer k-1 or layer k+1.
 Only the sorted keys of layer k-1 are searched to drop old elements; the
-new ones are deduplicated among themselves by ``np.unique``.  A new element
+new ones are deduplicated among themselves by a sort.  A new element
 w' keeps its first occurrence in generator-major order, s_i w with the least
 i; no other s_i w equals w', so this is the parent and generator an
 element-by-element search in that order finds, whatever the frontier order.
 
 One Cayley table is kept, right multiplication by the generators (rmult).
-It closes the parabolic subgroups, labels their left cosets, and gives
-right multiplication by any element through the element's word.
+Components of a graph of element (or root) maps are labelled by their
+least member in one routine, _coset_minima.  Over rmult restricted to J it
+labels the left cosets g W_J, and the identity's coset is W_J itself, so a
+coset table also gives its subgroup.  Over the generator permutations of
+the roots it gives the root orbits behind the keys, and over right
+multiplication by holonomy elements it decides flag connectivity.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -47,6 +60,8 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 2_000_000
+KEY_LIMIT = 2**64
+ROW_BLOCK = 8192
 ROOT_MATCH_TOL = 1e-6
 ROOT_SEPARATION = 1e-3
 
@@ -125,9 +140,9 @@ class CosetTable:
     coset_id maps element index -> coset number; reps[c] is the coset's
     minimal element index, its lexicographically minimal permutation (the
     canonical representative).  The coset g W_J is the connected component
-    of g under right multiplication by the s_j, j in J, found by propagating
-    the minimum index along those edges; cosets are numbered in increasing
-    order of their representatives.
+    of g under right multiplication by the s_j, j in J, labelled with its
+    least member by _coset_minima; cosets are numbered in increasing order
+    of their representatives, and the identity's coset 0 is W_J itself.
     """
 
     subgroup: Subgroup
@@ -144,28 +159,32 @@ class Group:
 
     Element indices are assigned in lexicographic order of the permutation
     rows, so index 0 is the identity and coset minima are canonical.  The
-    order is that of the keys (images of the simple roots, see the module
-    docstring), held sorted in _keys for lookups.  rmult[i] maps each
-    element g to g s_i, the one Cayley table kept: (g s_i)(a) = g(s_i a), so
-    it reads g's row at the columns s_i sends the simple roots to.  Walking
-    it from the identity closes a parabolic subgroup, and from g the left
-    coset g W_J.
+    order is that of the uint64 keys (see the module docstring), held sorted
+    in _keys for lookups; key_table[j, a] is the key term of an element
+    sending a_j to root a.  rmult[i] maps each element g to g s_i, the one
+    Cayley table kept: (g s_i)(a) = g(s_i a), so it reads g's row at the
+    columns s_i sends the simple roots to.  Walking it from the identity
+    closes a parabolic subgroup, and from g the left coset g W_J.
     """
 
-    def __init__(self, diagram, normals, roots, perms, keys, parent, gen_of, gen_perms):
+    def __init__(self, diagram, normals, roots, perms, keys, key_table, parent, gen_of, gen_perms):
         self.diagram = diagram
         self.normals = normals
         self.roots = roots
         self.perms = perms
         self._keys = keys
+        self._key_table = key_table
         self._parent = parent
         self._gen_of = gen_of
         self.n_gens = diagram.rank
-        n = self.n_gens
-        self.gen_elements = self._lookup(_keys(gen_perms[:, :n])).astype(np.int64)
-        self.rmult = np.stack(
-            [self._lookup(_keys(perms[:, gp[:n]])) for gp in gen_perms]
-        ).astype(np.int32)
+        self._columns = np.arange(self.n_gens)
+        self.gen_elements = self._lookup(_row_keys(key_table, gen_perms)).astype(np.int64)
+        # by blocks of rows, which stay in cache while every generator reads them
+        self.rmult = np.empty((len(gen_perms), self.order), dtype=np.int32)
+        for lo in range(0, self.order, ROW_BLOCK):
+            rows = perms[lo : lo + ROW_BLOCK]
+            for i, gp in enumerate(gen_perms):
+                self.rmult[i, lo : lo + len(rows)] = self._lookup(_row_keys(key_table, rows, gp))
         self._subgroups: dict = {}
         self._cosets: dict = {}
 
@@ -184,8 +203,13 @@ class Group:
         row = np.asarray(perm_row, dtype=self.perms.dtype)
         if row.shape != self.perms.shape[1:]:
             raise KeyError("permutation is not a group element")
-        a = int(self._lookup(_keys(row[None, : self.n_gens]))[0])
-        if not np.array_equal(self.perms[a], row):
+        try:
+            key = self._key_table[self._columns, row[: self.n_gens]].sum()
+        except IndexError:
+            raise KeyError("permutation is not a group element") from None
+        # a row that is no element may share a key with one: the full row decides
+        a = int(np.searchsorted(self._keys, key))
+        if a == self.order or not np.array_equal(self.perms[a], row):
             raise KeyError("permutation is not a group element")
         return a
 
@@ -206,10 +230,14 @@ class Group:
             a = int(self._parent[a])
         return tuple(out)
 
-    def subgroup(self, nodes) -> Subgroup:
+    def _node_set(self, nodes) -> frozenset:
         key = frozenset(int(v) for v in nodes)
         if not all(0 <= v < self.n_gens for v in key):
             raise SubgroupNotContained("generator indices out of range")
+        return key
+
+    def subgroup(self, nodes) -> Subgroup:
+        key = self._node_set(nodes)
         sub = self._subgroups.get(key)
         if sub is None:
             sub = Subgroup(key, self._close_subgroup(sorted(key)))
@@ -217,6 +245,7 @@ class Group:
         return sub
 
     def _close_subgroup(self, gens) -> np.ndarray:
+        """W_J walked out from the identity, for subgroups without a coset table."""
         if not gens:
             return np.zeros(1, dtype=np.int64)
         visited = np.zeros(self.order, dtype=bool)
@@ -231,21 +260,15 @@ class Group:
         return np.flatnonzero(visited)
 
     def coset_table(self, nodes) -> CosetTable:
-        key = frozenset(int(v) for v in nodes)
+        key = self._node_set(nodes)
         table = self._cosets.get(key)
         if table is not None:
             return table
-        sub = self.subgroup(key)
-        label = np.arange(self.order)
-        right = self.rmult[sorted(key)]
-        while True:
-            before = label
-            for r in right:
-                label = np.minimum(label, label[r])
-            if np.array_equal(label, before):
-                break
-        reps, coset_id = np.unique(label, return_inverse=True)
-        table = CosetTable(sub, coset_id.astype(np.int32), reps.astype(np.int64))
+        label = _coset_minima(np.arange(self.order), list(self.rmult[sorted(key)]))
+        is_rep = label == np.arange(self.order)
+        coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
+        sub = self._subgroups.setdefault(key, Subgroup(key, np.flatnonzero(label == 0)))
+        table = CosetTable(sub, coset_id, np.flatnonzero(is_rep))
         self._cosets[key] = table
         return table
 
@@ -255,6 +278,70 @@ class Group:
         y = np.linalg.solve(s_cols, np.asarray(x, dtype=np.float64))
         t = self.roots.roots[self.perms[:, self.roots.simple]]
         return np.einsum("gjd,j->gd", t, y)
+
+
+def _coset_minima(label: np.ndarray, tables: list) -> np.ndarray:
+    """Least member of each component of the graph x -- t[x], t in tables.
+
+    label must map every x into its component with label[x] <= x (the
+    identity map does).  With right multiplication tables by the elements
+    of H the components are the left cosets xH; with the generator
+    permutations of the roots they are the root orbits.  They are found by
+    hooking and pointer jumping: each round hooks the root of x's tree onto
+    the root of t[x]'s tree when that is smaller, then points every member
+    at its root.  Whole trees merge at once, so a long cycle closes in a
+    number of rounds logarithmic in its length.  Once every edge joins
+    equal labels, each component carries one label, its least member.
+    """
+    label = label.copy()
+    while True:
+        for t in tables:
+            np.minimum.at(label, label, label[t])
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+        if all(np.array_equal(label[t], label) for t in tables):
+            return label
+
+
+def key_layout(gen_perms) -> np.ndarray:
+    """Key table of the group the root permutations generate.
+
+    The digit of a root is its rank within its W-orbit in root-index order,
+    and the table's row j holds digit * place_j, place_j being the product
+    of the orbit sizes of a_(j+1), ..., a_n; an element's key sums row j at
+    its image of a_j.  Entries outside a_j's orbit are never read for an
+    element.  BudgetExceeded if the key space, the product of the orbit
+    sizes of the simple roots, does not fit in 64 bits.
+    """
+    n, count = len(gen_perms), len(gen_perms[0])
+    orbit = _coset_minima(np.arange(count), list(gen_perms))
+    size = np.bincount(orbit, minlength=count)
+    by_orbit = np.argsort(orbit, kind="stable")
+    digit = np.empty(count, dtype=np.uint64)
+    digit[by_orbit] = np.arange(count) - (np.cumsum(size) - size)[orbit[by_orbit]]
+    sizes = [int(size[orbit[j]]) for j in range(n)]
+    space = math.prod(sizes)
+    if space > KEY_LIMIT:
+        raise BudgetExceeded(
+            "element keys need %.1f bits, over the 64-bit key limit" % math.log2(space)
+        )
+    places = np.array([math.prod(sizes[j + 1 :]) for j in range(n)], dtype=np.uint64)
+    return places[:, None] * digit
+
+
+def _row_keys(key_table: np.ndarray, rows: np.ndarray, cols=None) -> np.ndarray:
+    """uint64 keys of rows whose image of a_j sits in column cols[j] (default j).
+
+    Accumulated column by column, so no (rows, n) array of key terms is built.
+    """
+    cols = range(len(key_table)) if cols is None else cols
+    keys = key_table[0][rows[:, cols[0]]]
+    for j in range(1, len(key_table)):
+        keys += key_table[j][rows[:, cols[j]]]
+    return keys
 
 
 def perms_of_generators(roots: RootSystem, normals: np.ndarray) -> list[np.ndarray]:
@@ -293,52 +380,64 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
     gen_perms = perms_of_generators(roots, normals)
     gens = np.stack(gen_perms)
     n = d.rank
-    frontier = np.arange(roots.count, dtype=gens.dtype)[None, :]
-    layers, parents, gens_of = [frontier], [np.array([-1])], [np.array([-1])]
+    key_table = key_layout(gen_perms)
+    # gen_table[i, j, a]: key term of s_i w for an element w with w(a_j) = a
+    gen_table = key_table[np.arange(n)[:, None], gens[:, None, :]]
+    # the search holds each layer's images of the simple roots only; full
+    # rows are filled in afterwards, in element order
+    frontier = np.arange(n, dtype=gens.dtype)[None, :]
+    here = _row_keys(key_table, frontier)   # keys of the frontier, which is kept sorted
+    below = here[:0]                        # sorted keys of the layer before it
+    sizes, keys, parents, gens_of = [1], [here], [np.array([-1])], [np.array([-1])]
     total, offset = 1, 0
-    below = _keys(frontier[:0, :n])     # sorted keys of the layer before the frontier
-    here = _keys(frontier[:, :n])       # keys of the frontier, which is kept sorted
     while len(frontier):
-        cand = _keys(gens[:, frontier[:, :n]].reshape(-1, n))
-        uniq, first = np.unique(cand, return_index=True)
+        cand = gen_table[:, 0, frontier[:, 0]]
+        for j in range(1, n):
+            cand += gen_table[:, j, frontier[:, j]]
+        # distinct candidates in key order, each at its first position
+        cand = cand.ravel()
+        by_key = np.argsort(cand)
+        cand = cand[by_key]
+        step = np.ones(len(cand), dtype=bool)
+        step[1:] = cand[1:] != cand[:-1]
+        starts = np.flatnonzero(step)
+        uniq, first = cand[starts], np.minimum.reduceat(by_key, starts)
         pos = np.searchsorted(below, uniq)
         new = ~_found(below, uniq, pos)
         gen, src = np.divmod(first[new], len(frontier))
         if total + len(gen) > budget:
             raise BudgetExceeded("enumeration exceeded budget %d" % budget)
         nxt = gens[gen[:, None], frontier[src]]
-        layers.append(nxt)
+        sizes.append(len(nxt))
         parents.append(offset + src)
         gens_of.append(gen)
         total += len(nxt)
         offset += len(frontier)
         below, here, frontier = here, uniq[new], nxt
+        keys.append(here)
     if total != expected:
         raise ToleranceCollision(
             "enumerated %d elements, formula says %d" % (total, expected)
         )
-    # reindex so element order is lex order of the keys (= of the rows)
-    keys = _keys(np.concatenate([layer[:, :n] for layer in layers]))
+    # reindex so element order is key order (= lex order of the rows)
+    keys = np.concatenate(keys)
     order = np.argsort(keys)
     inv = np.empty_like(order)
     inv[order] = np.arange(total)
-    perms = np.empty((total, roots.count), dtype=frontier.dtype)
-    offset = 0
-    while layers:
-        layer = layers.pop(0)
-        perms[inv[offset : offset + len(layer)]] = layer
-        offset += len(layer)
     parent = np.concatenate(parents)[order]
     parent = np.where(parent >= 0, inv[np.maximum(parent, 0)], -1)
     gen_of = np.concatenate(gens_of)[order]
     assert inv[0] == 0
-    return Group(d, normals, roots, perms, keys[order], parent, gen_of, gens)
-
-
-def _keys(simple_images: np.ndarray) -> np.ndarray:
-    """One np.void key per row of root indices, memcmp order = lex order."""
-    be = np.ascontiguousarray(simple_images, dtype=">u%d" % simple_images.dtype.itemsize)
-    return be.view(np.dtype((np.void, be.dtype.itemsize * be.shape[1]))).reshape(-1)
+    # the row of w = s_i p is s_i applied to the row of p, one layer after it
+    perms = np.empty((total, roots.count), dtype=gens.dtype)
+    perms[0] = np.arange(roots.count)
+    for lo, hi in itertools.pairwise(np.cumsum(sizes)):
+        idx = inv[lo:hi]
+        by_gen = gen_of[idx]
+        for i, gp in enumerate(gen_perms):
+            sel = idx[by_gen == i]
+            perms[sel] = np.take(gp, perms[parent[sel]])
+    return Group(d, normals, roots, perms, keys[order], key_table, parent, gen_of, gens)
 
 
 def _found(sorted_keys: np.ndarray, keys: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from wythoff.decoration import start_decoration
 from wythoff.diagram import disjoint_union, family_diagram, parse
 from wythoff.errors import Degenerate
 from wythoff.face_lattice import (
-    _coset_minima,
+    FaceLattice,
     _right_mult_table,
     build_lattice,
     diamond_report,
@@ -20,6 +20,7 @@ from wythoff.face_lattice import (
     lattices_isomorphic,
     vertex_figure,
 )
+from wythoff.reflection_group import _coset_minima
 
 KNOWN_F_VECTORS = {
     "x": (2,),
@@ -72,6 +73,19 @@ def test_euler_and_diamond_across_samples(shared):
         assert euler_ok(lat), text
         rep = diamond_report(lat)
         assert rep.ok and rep.pairs_checked > 0, text
+
+
+def test_diamond_counts_covers_per_slot_pair(shared):
+    lat = shared.lattice(parse("x4o3o"))
+    assert diamond_report(lat).cover_mismatches == []
+    # every edge -> square cover dropped: no (vertex, square) pair is left
+    # to count faces between, so only the per-slot-pair count sees it
+    bad = FaceLattice(lat.diagram, lat.start, lat.group, lat.slots_by_rank)
+    bad.covers = lat.covers[lat.face_rank[lat.covers[:, 0]] != 1]
+    rep = diamond_report(bad)
+    assert rep.violations == []
+    assert rep.cover_mismatches == [([0], [0, 1], 0, 24)]
+    assert not rep.ok
 
 
 def test_flag_methods_agree(shared):
@@ -197,6 +211,15 @@ def test_face_lookup_round_trip(shared):
     for f in lat.faces():
         again = lat.face(f.id)
         assert again == f
+
+
+def test_out_of_range_face_ids_are_named(shared):
+    real = shared.realization(parse("x4o3o"))
+    lat = real.lattice
+    for lookup, face_id in ((lat.face, -1), (lat.face, lat.bottom_id), (real.vertices_of, -1)):
+        with pytest.raises(IndexError, match=r"face id %d out of range 0\.\.26$" % face_id):
+            lookup(face_id)
+    assert lat.face(lat.top_id).rank == 3
 
 
 def test_chains_match_selection_orderings(shared):

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import group_matrices, reflection_count
 from sweep import sweep_diagrams, sweep_products
@@ -18,6 +20,7 @@ from wythoff.reflection_group import (
     ROOT_MATCH_TOL,
     ROOT_SEPARATION,
     enumerate_group,
+    key_layout,
     perms_of_generators,
     root_system,
     simple_normals,
@@ -354,3 +357,60 @@ def test_element_index_rejects_non_elements(shared):
         with pytest.raises(KeyError):
             g.element_index(row)
     assert g.element_index(g.perms[a]) == a
+
+
+def _generator_perms(d):
+    normals = simple_normals(d)
+    return perms_of_generators(root_system(normals), normals)
+
+
+def test_a1_power_24_has_a_key_space_of_2_to_the_24():
+    # A1^24: 24 orbits {a_j, -a_j}, so one binary digit per simple root
+    d = parse("x")
+    for _ in range(23):
+        d = disjoint_union(d, parse("x"))
+    table = key_layout(_generator_perms(d))
+    cols = np.arange(24)
+    # the root list is the simple roots, then their negatives in order: the
+    # identity has the least key and -1, the longest element, the greatest
+    assert table[cols, cols].sum() == 0
+    assert table[cols, cols + 24].sum() == 2**24 - 1
+
+
+def test_e8_keys_fit_in_64_bits():
+    # all 240 roots form one orbit, so every row holds all of its digits
+    table = key_layout(_generator_perms(family_diagram("E", 8)))
+    assert sum(int(row.max()) for row in table) == 240**8 - 1 < 2**64
+
+
+def test_key_space_over_64_bits_is_refused():
+    with pytest.raises(BudgetExceeded, match="64-bit key limit"):
+        key_layout(_generator_perms(disjoint_union(family_diagram("E", 8), parse("x"))))
+
+
+_KEY_FAMILIES = (
+    [family_diagram("A", n) for n in range(1, 6)]
+    + [family_diagram("B", n) for n in range(2, 6)]
+    + [family_diagram("D", n) for n in (4, 5)]
+    + [family_diagram("F", 4), family_diagram("H", 3)]
+    + [family_diagram("I2", 2, k=k) for k in range(5, 30)]
+)
+
+
+@st.composite
+def _small_groups(draw):
+    """A family or a two-component product with |G| <= 5000."""
+    parts = draw(st.lists(st.sampled_from(_KEY_FAMILIES), min_size=1, max_size=2).filter(
+        lambda ps: np.prod([group_order(p) for p in ps]) <= 5000
+    ))
+    return parts[0] if len(parts) == 1 else disjoint_union(*parts)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_small_groups())
+def test_keys_number_elements_in_row_order(d):
+    g = enumerate_group(d)
+    assert np.array_equal(np.lexsort(g.perms.T[::-1]), np.arange(g.order))
+    assert all(g.element_index(g.perms[a]) == a for a in range(g.order))
+    for i, gp in enumerate(_generator_perms(d)):
+        assert np.array_equal(g.perms[g.rmult[i]], g.perms[:, gp])
