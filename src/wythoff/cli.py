@@ -13,7 +13,13 @@ import json
 import sys
 
 from . import __version__
-from .decoration import face_types, is_degenerate, orbit_size, start_decoration
+from .decoration import (
+    face_types,
+    is_degenerate,
+    orbit_size,
+    require_nondegenerate,
+    start_decoration,
+)
 from .diagram import (
     classify_components,
     group_order,
@@ -126,6 +132,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_faces(args) -> int:
     d = _load_diagram(args.diagram)
+    require_nondegenerate(d)
     if args.rank is not None and not 0 <= args.rank <= d.rank:
         raise UnsupportedDimension(
             f"--rank {args.rank} is outside 0..{d.rank}, the face ranks of this diagram"
@@ -262,17 +269,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, diagram=True):
+    def add(name, fn, help_, diagram=True, budget=False):
         sp = sub.add_parser(name, help=help_)
         if diagram:
             sp.add_argument("diagram", help="inline diagram like x4o3o, or @file")
         sp.add_argument("--json", action="store_true", help="JSON output envelope")
-        sp.add_argument(
-            "--budget",
-            type=int,
-            default=None,
-            help="group enumeration cap (default WYTHOFF_BUDGET or 2000000)",
-        )
+        if budget:
+            sp.add_argument(
+                "--budget",
+                type=int,
+                default=None,
+                help="group enumeration cap (default WYTHOFF_BUDGET or 2000000)",
+            )
         sp.set_defaults(fn=fn)
         return sp
 
@@ -280,15 +288,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add("order", _cmd_order, "reflection group order by formula")
     sp = add("faces", _cmd_faces, "face types and counts by formula")
     sp.add_argument("--rank", type=int, default=None)
-    sp = add("fvector", _cmd_fvector, "f-vector")
+    sp = add("fvector", _cmd_fvector, "f-vector", budget=True)
     sp.add_argument("--method", choices=("enum", "formula", "both"), default="both")
-    sp = add("lattice", _cmd_lattice, "full face lattice as JSON")
+    sp = add("lattice", _cmd_lattice, "full face lattice as JSON", budget=True)
     sp.add_argument("--out", default=None)
-    add("vertices", _cmd_vertices, "vertex coordinates")
-    sp = add("export", _cmd_export, "geometry export")
+    add("vertices", _cmd_vertices, "vertex coordinates", budget=True)
+    sp = add("export", _cmd_export, "geometry export", budget=True)
     sp.add_argument("--format", choices=("off", "json"), default="json")
     sp.add_argument("--out", default=None)
-    add("check", _cmd_check, "run all structural and numeric checks")
+    add("check", _cmd_check, "run all structural and numeric checks", budget=True)
     sp = add("is-regular", _cmd_is_regular, "regularity classification")
     sp.add_argument("--oracle", action="store_true", help="also run the flag-transitivity oracle")
     sp = add("classify", _cmd_classify, "catalog of regular polytopes", diagram=False)

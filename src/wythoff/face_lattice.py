@@ -9,14 +9,15 @@ of the lattice; a synthetic bottom sits below the vertices.  The cover
 pairs are derived from the coset tables when first read, so a lattice used
 only for its f-vector never builds them.
 
-Flags are maximal chains.  They factor exactly as (selection ordering,
+Flags are maximal chains.  They factor exactly as (selection ordering c,
 group element g), and the group acts on them by left translation of g
-alone, freely: stacking the per-rank coset-id columns for one ordering over
-all group elements enumerates each flag once.  So the flag checks need only
-the moves of one flag per ordering (flag_report), and lattice isomorphism
-needs one walk start per ordering (lattices_isomorphic).  The diamond
-property is checked by joining the integer cover pairs of adjacent ranks,
-and the covers of each slot pair are counted against |G| / |W_(J_lo n J_hi)|.
+alone, freely.  So the moves of one flag per ordering (_flag_moves) give
+the whole flag graph: the flag checks (flag_report) and the partner table
+(flag_partners) both read them, and no flag is ever listed.  Lattice
+isomorphism needs one walk start per ordering (lattices_isomorphic).  The
+diamond property is checked by joining the integer cover pairs of adjacent
+ranks, and the covers of each slot pair are counted against
+|G| / |W_(J_lo n J_hi)|.
 """
 
 from __future__ import annotations
@@ -144,21 +145,6 @@ class FaceLattice:
 
     def flag_count(self) -> int:
         return len(self.chains) * self.group.order
-
-    @cached_property
-    def flag_rows(self) -> np.ndarray:
-        """All flags as rows of global face ids, one column per rank."""
-        cols = {}
-        for k, sl in enumerate(self.slots_by_rank[: self.n]):
-            for i, s in enumerate(sl):
-                cols[(k, i)] = (
-                    s.table.coset_id.astype(np.int32) + np.int32(s.offset)
-                )
-        blocks = [
-            np.stack([cols[(k, ci)] for k, ci in enumerate(chain)], axis=1)
-            for chain in self.chains
-        ]
-        return np.vstack(blocks) if blocks else np.empty((0, 0), np.int32)
 
 
 def build_lattice(
@@ -319,40 +305,6 @@ class FlagReport:
         return self.degree_ok and self.connected
 
 
-def flag_partners(lat: FaceLattice) -> np.ndarray:
-    """(n, flag_count) partner table: the rank-k neighbor of each flag."""
-    rows = lat.flag_rows
-    degree_ok, edges_by_rank = _flag_pairings_per_rank(rows)
-    if not degree_ok:
-        raise WythoffError("flag graph is not a matching per rank")
-    count, n = rows.shape
-    out = np.empty((n, count), dtype=np.int64)
-    for k, edges in enumerate(edges_by_rank):
-        out[k, edges[:, 0]] = edges[:, 1]
-        out[k, edges[:, 1]] = edges[:, 0]
-    return out
-
-
-def _flag_pairings_per_rank(rows):
-    count, n = rows.shape
-    per_rank = []
-    for k in range(n):
-        cols = [rows[:, j] for j in range(n) if j != k]
-        if cols:
-            order = np.lexsort(tuple(cols[::-1]))
-            key = rows[order][:, [j for j in range(n) if j != k]]
-            diff = np.any(key[1:] != key[:-1], axis=1)
-            starts = np.flatnonzero(np.concatenate(([True], diff)))
-        else:
-            order = np.arange(count)
-            starts = np.array([0])
-        sizes = np.diff(np.append(starts, count))
-        if not np.all(sizes == 2):
-            return False, None
-        per_rank.append(np.stack([order[starts], order[starts + 1]], axis=1))
-    return True, per_rank
-
-
 def _right_mult_table(group: Group, element: int) -> np.ndarray:
     """Vectorized g -> g * element table via the element's generator word."""
     table = np.arange(group.order, dtype=np.int64)
@@ -361,23 +313,21 @@ def _right_mult_table(group: Group, element: int) -> np.ndarray:
     return table
 
 
-def flag_report(lat: FaceLattice) -> FlagReport:
-    """Check every flag has one neighbor per rank and the flag graph is connected.
+def _flag_moves(lat: FaceLattice) -> dict | None:
+    """The move of flag (c, identity) at every rank k, for every ordering c.
 
-    Flags are (ordering, g) and faces are cosets, so every rank-k move
-    commutes with left translation, exactly in integers: if the rank-k
-    neighbor of (c, identity) is (c', h), that of (c, g) is (c', g h).  So
-    the degree check needs the n moves of one flag per ordering, and the
-    flag graph is connected exactly when the graph of orderings is connected
-    and the holonomy of its cycles generates the group.  Flags are never
-    listed.
+    Returns {(c, k): (h, c')}: the rank-k neighbor of (c, identity) is
+    (c', h).  The rank-k faces between its rank-(k-1) and rank-(k+1) faces
+    are read from the coset tables: those whose coset meets both identity
+    cosets.  The move's h is the one element of the parabolic subgroup
+    fixing the flag's other faces, W_inter, that carries the base face's
+    coset to the other one.  None when some flag does not have exactly one
+    rank-k neighbor.
     """
     group = lat.group
     n = lat.n
-    chains = lat.chains
-    chain_idx = {c: i for i, c in enumerate(chains)}
+    chain_idx = {c: i for i, c in enumerate(lat.chains)}
     slots = lat.slots_by_rank
-    stab = [[frozenset(s.decoration.stabilizer_nodes()) for s in sl] for sl in slots]
     between = {}
 
     def faces_between(k, lo, hi):
@@ -386,10 +336,6 @@ def flag_report(lat: FaceLattice) -> FlagReport:
             return between[(k, lo, hi)]
         lower = slots[k - 1][lo] if lo is not None else None
         upper = slots[k + 1][hi] if hi is not None else None
-        ids = [
-            group.subgroup(stab[k - 1][lo]).elements if lo is not None else None,
-            group.subgroup(stab[k + 1][hi]).elements if hi is not None else None,
-        ]
         out = []
         for si, s in enumerate(slots[k]):
             if lower is not None and not lower.selection < s.selection:
@@ -397,24 +343,26 @@ def flag_report(lat: FaceLattice) -> FlagReport:
             if upper is not None and not s.selection < upper.selection:
                 continue
             here = np.arange(s.count)
-            for elements in ids:
-                if elements is not None:
-                    here = np.intersect1d(here, s.table.coset_id[elements])
+            for bound in (lower, upper):
+                if bound is not None:
+                    here = np.intersect1d(here, s.table.coset_id[bound.table.subgroup.elements])
             out.extend((si, int(c)) for c in here)
         between[(k, lo, hi)] = out
         return out
 
     moves = {}
-    for ci, chain in enumerate(chains):
+    for ci, chain in enumerate(lat.chains):
         for k in range(n):
             mids = faces_between(
                 k, chain[k - 1] if k > 0 else None, chain[k + 1] if k + 1 < n else None
             )
             base_face = (chain[k], int(slots[k][chain[k]].table.coset_id[0]))
             if len(mids) != 2 or base_face not in mids:
-                return FlagReport(lat.flag_count(), len(chains), False, False)
+                return None
             other_slot, other_coset = next(m for m in mids if m != base_face)
-            others = [stab[j][chain[j]] for j in range(n) if j != k]
+            others = [
+                slots[j][chain[j]].table.subgroup.generator_nodes for j in range(n) if j != k
+            ]
             inter = frozenset.intersection(*others) if others else frozenset(range(n))
             pk = group.subgroup(inter).elements
             hs = pk[slots[k][other_slot].table.coset_id[pk] == other_coset]
@@ -422,6 +370,25 @@ def flag_report(lat: FaceLattice) -> FlagReport:
                 raise WythoffError("flag move is not unique")
             new_chain = chain[:k] + (other_slot,) + chain[k + 1 :]
             moves[(ci, k)] = (int(hs[0]), chain_idx[new_chain])
+    return moves
+
+
+def flag_report(lat: FaceLattice) -> FlagReport:
+    """Check every flag has one neighbor per rank and the flag graph is connected.
+
+    Flags are (ordering, g) and faces are cosets, so every rank-k move
+    commutes with left translation, exactly in integers: if the rank-k
+    neighbor of (c, identity) is (c', h), that of (c, g) is (c', g h).  So
+    the degree check needs the n moves of one flag per ordering
+    (_flag_moves), and the flag graph is connected exactly when the graph of
+    orderings is connected and the holonomy of its cycles generates the
+    group.  No flag is listed.
+    """
+    group = lat.group
+    chains = lat.chains
+    moves = _flag_moves(lat)
+    if moves is None:
+        return FlagReport(lat.flag_count(), len(chains), False, False)
     # BFS over the chain graph, collecting holonomy elements; a move's
     # reverse is the rank-k move of cj, whose holonomy is the inverse
     p = {0: 0}
@@ -430,7 +397,7 @@ def flag_report(lat: FaceLattice) -> FlagReport:
     holonomy = set()
     while queue:
         ci = queue.pop()
-        for k in range(n):
+        for k in range(lat.n):
             h, cj = moves[(ci, k)]
             if cj not in p:
                 p[cj] = group.compose(p[ci], h)
@@ -452,6 +419,24 @@ def flag_report(lat: FaceLattice) -> FlagReport:
             tables.append(_right_mult_table(group, w))
             label = _coset_minima(label, tables)
     return FlagReport(lat.flag_count(), len(chains), True, not label.any())
+
+
+def flag_partners(lat: FaceLattice) -> np.ndarray:
+    """(n, flag_count) partner table: the rank-k neighbor of each flag.
+
+    Flag (c, g) is number c |G| + g.  Its rank-k neighbor is (c', g h), where
+    (c', h) is the rank-k move of (c, identity) (see flag_report), so each
+    ordering's block of a row is c' |G| plus one right-multiplication table.
+    No flag is listed.
+    """
+    moves = _flag_moves(lat)
+    if moves is None:
+        raise WythoffError("flag graph is not a matching per rank")
+    order = lat.group.order
+    out = np.empty((lat.n, lat.flag_count()), dtype=np.int64)
+    for (c, k), (h, cj) in moves.items():
+        out[k, c * order : (c + 1) * order] = cj * order + _right_mult_table(lat.group, h)
+    return out
 
 
 # -- vertex figure ----------------------------------------------------------

@@ -93,6 +93,7 @@ class RootSystem:
 
     roots: np.ndarray          # (count, dim) unit vectors
     simple: np.ndarray         # indices of the simple normals in roots
+    perms: np.ndarray          # (n, count): perms[i][a] is the index of s_i(root a)
 
     @property
     def count(self) -> int:
@@ -100,17 +101,30 @@ class RootSystem:
 
 
 def root_system(normals: np.ndarray) -> RootSystem:
+    """Close the normals under their reflections, recording the root permutations.
+
+    Every root lies in exactly one closure frontier, so the closure reflects
+    each root by each generator exactly once, and the permutations are read
+    off the two matches it makes anyway.
+    """
     n = len(normals)
     refl = [np.eye(n) - 2.0 * np.outer(v, v) for v in normals]
     roots = np.array(normals, dtype=np.float64)
     frontier = roots
+    blocks = []
     while len(frontier):
         # one closure layer: every generator's images of the frontier, in
         # generator order; an image is new unless it matches a known root or
         # an earlier image (match_rows returns the lowest matching index)
         images = np.vstack([frontier @ r.T for r in refl])
-        images = images[_kernels.match_rows(images, roots, ROOT_MATCH_TOL) < 0]
-        first = _kernels.match_rows(images, images, ROOT_MATCH_TOL) == np.arange(len(images))
+        ids = _kernels.match_rows(images, roots, ROOT_MATCH_TOL)
+        new = ids < 0
+        images = images[new]
+        first_of = _kernels.match_rows(images, images, ROOT_MATCH_TOL)
+        first = first_of == np.arange(len(images))
+        # a new image is numbered by the rank of its first occurrence
+        ids[new] = len(roots) + (np.cumsum(first) - 1)[first_of]
+        blocks.append(ids.reshape(n, -1))
         frontier = images[first]
         roots = np.vstack([roots, frontier])
     sep = _kernels.min_pairwise_distance(roots)
@@ -118,7 +132,10 @@ def root_system(normals: np.ndarray) -> RootSystem:
         raise ToleranceCollision(
             "distinct roots only %.3g apart (floor %.3g)" % (sep, ROOT_SEPARATION)
         )
-    return RootSystem(roots, np.arange(n))
+    perms = np.hstack(blocks).astype(np.int16 if len(roots) < 2**15 else np.int32)
+    if not (np.sort(perms, axis=1) == np.arange(len(roots))).all():
+        raise ToleranceCollision("root reflection is not a permutation")
+    return RootSystem(roots, np.arange(n), perms)
 
 
 @dataclass(frozen=True)
@@ -344,23 +361,6 @@ def _row_keys(key_table: np.ndarray, rows: np.ndarray, cols=None) -> np.ndarray:
     return keys
 
 
-def perms_of_generators(roots: RootSystem, normals: np.ndarray) -> list[np.ndarray]:
-    """Permutation each generating reflection induces on the root list."""
-    dtype = np.int16 if roots.count < 2**15 else np.int32
-    out = []
-    for v in normals:
-        r = np.eye(len(v)) - 2.0 * np.outer(v, v)
-        images = roots.roots @ r.T
-        hits = _kernels.match_rows(images, roots.roots, ROOT_MATCH_TOL)
-        if (hits < 0).any():
-            raise ToleranceCollision("reflected root missing from root set")
-        perm = hits.astype(dtype)
-        if len(np.unique(perm)) != roots.count:
-            raise ToleranceCollision("root reflection is not a permutation")
-        out.append(perm)
-    return out
-
-
 def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
     """Enumerate the reflection group of a finite-type diagram.
 
@@ -377,10 +377,9 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
         )
     normals = simple_normals(d)
     roots = root_system(normals)
-    gen_perms = perms_of_generators(roots, normals)
-    gens = np.stack(gen_perms)
+    gens = roots.perms
     n = d.rank
-    key_table = key_layout(gen_perms)
+    key_table = key_layout(gens)
     # gen_table[i, j, a]: key term of s_i w for an element w with w(a_j) = a
     gen_table = key_table[np.arange(n)[:, None], gens[:, None, :]]
     # the search holds each layer's images of the simple roots only; full
@@ -434,7 +433,7 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
     for lo, hi in itertools.pairwise(np.cumsum(sizes)):
         idx = inv[lo:hi]
         by_gen = gen_of[idx]
-        for i, gp in enumerate(gen_perms):
+        for i, gp in enumerate(gens):
             sel = idx[by_gen == i]
             perms[sel] = np.take(gp, perms[parent[sel]])
     return Group(d, normals, roots, perms, keys[order], key_table, parent, gen_of, gens)

@@ -1,25 +1,24 @@
 """Second routes kept as test oracles for the library's flag and incidence checks.
 
-Each flag, diamond and containment function here is the route the library
-took before it switched to a cheaper exact one; tests assert that both
-routes agree.  These are the only users of scipy.  The element matrices,
-the reflection count and the Gram definiteness test are independent views
-of the group and the diagram that only tests read.
+Each flag, diamond, containment and root-permutation function here is the
+route the library took before it switched to a cheaper exact one; tests
+assert that both routes agree.  The flag routes list every flag
+(flag_rows), which the library never does.  These are the only users of
+scipy.  The element matrices, the reflection count and the Gram
+definiteness test are independent views of the group and the diagram that
+only tests read.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from wythoff import _kernels
 from wythoff.diagram import gram_matrix
-from wythoff.face_lattice import (
-    DiamondReport,
-    FaceLattice,
-    FlagReport,
-    _walk_code,
-    flag_partners,
-)
+from wythoff.errors import ToleranceCollision
+from wythoff.face_lattice import DiamondReport, FaceLattice, FlagReport, _walk_code
 from wythoff.geometry import CheckReport
+from wythoff.reflection_group import ROOT_MATCH_TOL, RootSystem
 
 
 def group_matrices(g) -> np.ndarray:
@@ -45,10 +44,50 @@ def is_positive_definite_gram(d, tol: float = 1e-9) -> bool:
     return bool(np.linalg.eigvalsh(gram_matrix(d))[0] > tol)
 
 
+def perms_of_generators(roots: RootSystem, normals: np.ndarray) -> list[np.ndarray]:
+    """Permutation each generating reflection induces on the root list.
+
+    Every root is reflected and matched again after the closure; root_system
+    records the same permutations while it closes.
+    """
+    dtype = np.int16 if roots.count < 2**15 else np.int32
+    out = []
+    for v in normals:
+        r = np.eye(len(v)) - 2.0 * np.outer(v, v)
+        images = roots.roots @ r.T
+        hits = _kernels.match_rows(images, roots.roots, ROOT_MATCH_TOL)
+        if (hits < 0).any():
+            raise ToleranceCollision("reflected root missing from root set")
+        perm = hits.astype(dtype)
+        if len(np.unique(perm)) != roots.count:
+            raise ToleranceCollision("root reflection is not a permutation")
+        out.append(perm)
+    return out
+
+
+def flag_rows(lat: FaceLattice) -> np.ndarray:
+    """Every flag as a row of global face ids, one column per rank.
+
+    Row c |G| + g is the flag (c, g): the cosets of g in the slots of
+    ordering c, the numbering flag_partners uses.
+    """
+    blocks = [
+        np.stack(
+            [
+                slots[i].table.coset_id.astype(np.int32) + np.int32(slots[i].offset)
+                for slots, i in zip(lat.slots_by_rank, chain)
+            ],
+            axis=1,
+        )
+        for chain in lat.chains
+    ]
+    return np.vstack(blocks)
+
+
 def _flag_pairings(rows: np.ndarray):
-    """Per-rank partner edges; degree_ok means every group has size 2."""
+    """Per-rank partner edges, or None unless every group has size 2."""
     count, n = rows.shape
-    all_edges = []
+    per_rank = []
     for k in range(n):
         cols = [rows[:, j] for j in range(n) if j != k]
         if cols:
@@ -61,23 +100,32 @@ def _flag_pairings(rows: np.ndarray):
             starts = np.array([0])
         sizes = np.diff(np.append(starts, count))
         if not np.all(sizes == 2):
-            return False, None
-        all_edges.append(np.stack([order[starts], order[starts + 1]], axis=1))
-    return True, np.vstack(all_edges) if all_edges else np.empty((0, 2), np.int64)
+            return None
+        per_rank.append(np.stack([order[starts], order[starts + 1]], axis=1))
+    return per_rank
 
 
-def _flag_report_direct(lat: FaceLattice) -> FlagReport:
-    """Flag degree and connectivity from the explicit flag adjacency graph."""
-    rows = lat.flag_rows
-    degree_ok, edges = _flag_pairings(rows)
-    if not degree_ok:
-        return FlagReport(len(rows), len(lat.chains), False, False, "direct")
+def _flag_graph_direct(lat: FaceLattice):
+    """The explicit flag graph: its FlagReport and (n, flags) partner table.
+
+    The partner table is None when some flag lacks exactly one neighbor of
+    some rank.
+    """
+    rows = flag_rows(lat)
+    count, n = rows.shape
+    per_rank = _flag_pairings(rows)
+    if per_rank is None:
+        return FlagReport(count, len(lat.chains), False, False, "direct"), None
+    partners = np.empty((n, count), dtype=np.int64)
+    for k, edges in enumerate(per_rank):
+        partners[k, edges[:, 0]] = edges[:, 1]
+        partners[k, edges[:, 1]] = edges[:, 0]
     graph = sp.coo_matrix(
-        (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
-        shape=(len(rows), len(rows)),
+        (np.ones(n * count, dtype=np.int8), (np.tile(np.arange(count), n), partners.ravel())),
+        shape=(count, count),
     )
     ncomp, _ = connected_components(graph, directed=False)
-    return FlagReport(len(rows), len(lat.chains), True, ncomp == 1, "direct")
+    return FlagReport(count, len(lat.chains), True, ncomp == 1, "direct"), partners
 
 
 def generator_face_actions(lat: FaceLattice) -> np.ndarray:
@@ -102,7 +150,7 @@ def _is_flag_transitive_by_orbit(lat: FaceLattice) -> bool:
     An orbit has at most group-order flags, so more flags than elements is
     an immediate no.
     """
-    rows = lat.flag_rows
+    rows = flag_rows(lat)
     if len(rows) > lat.group.order:
         return False
     acts = generator_face_actions(lat)
@@ -215,9 +263,12 @@ def _containment_by_sparse(real) -> CheckReport:
 
 
 def _lattices_isomorphic_per_flag(a: FaceLattice, b: FaceLattice) -> bool:
-    """Isomorphism by trying every flag of b as the start of the walk."""
+    """Isomorphism by trying every flag of b as the start of the walk.
+
+    The partners come from the listed flags, not from the library's moves.
+    """
     if a.f_vector != b.f_vector or a.flag_count() != b.flag_count():
         return False
-    ref = _walk_code(flag_partners(a).T.tolist(), 0)
-    pb = flag_partners(b).T.tolist()
+    ref = _walk_code(_flag_graph_direct(a)[1].T.tolist(), 0)
+    pb = _flag_graph_direct(b)[1].T.tolist()
     return any(_walk_code(pb, s, ref) is not None for s in range(len(pb)))

@@ -56,6 +56,12 @@ def test_faces_rank_outside_the_face_ranks_is_a_usage_error(capsys):
     assert code == 0 and "faces=1" in out
 
 
+def test_faces_of_a_degenerate_diagram_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "faces", "o3o")
+    assert code == 2 and not out
+    assert "every component needs at least one ringed node" in err
+
+
 def test_fvector_both_methods(capsys):
     code, out, _ = run(capsys, "fvector", "o3x4x", "--method", "both")
     assert code == 0
@@ -66,6 +72,13 @@ def test_fvector_budget_exceeded(capsys):
     code, _, err = run(capsys, "fvector", "x3o3o3o", "--method", "enum", "--budget", "10")
     assert code == 2
     assert "budget" in err.lower()
+
+
+def test_budget_is_refused_where_nothing_is_enumerated(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["order", "x4o3o", "--budget", "10"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_check_all_green(capsys):

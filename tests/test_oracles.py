@@ -10,7 +10,7 @@ import pytest
 from oracles import (
     _containment_by_sparse,
     _diamond_by_sparse,
-    _flag_report_direct,
+    _flag_graph_direct,
     _is_flag_transitive_by_orbit,
     _lattices_isomorphic_per_flag,
 )
@@ -23,7 +23,13 @@ from sweep import (
     sweep_products,
 )
 from wythoff.diagram import parse
-from wythoff.face_lattice import FaceLattice, diamond_report, flag_report, lattices_isomorphic
+from wythoff.face_lattice import (
+    FaceLattice,
+    diamond_report,
+    flag_partners,
+    flag_report,
+    lattices_isomorphic,
+)
 from wythoff.geometry import containment_check
 from wythoff.regular import is_flag_transitive
 
@@ -48,8 +54,10 @@ def test_flag_report_matches_direct_graph(shared, name):
         if lat.flag_count() > DIRECT_FLAG_LIMIT:
             continue
         covering = flag_report(lat)
-        assert covering == replace(_flag_report_direct(lat), method="covering"), d
+        direct, partners = _flag_graph_direct(lat)
+        assert covering == replace(direct, method="covering"), d
         assert covering.ok, d
+        assert np.array_equal(flag_partners(lat), partners), d
         compared += 1
     assert compared
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import group_matrices, reflection_count
+from oracles import group_matrices, perms_of_generators, reflection_count
 from sweep import sweep_diagrams, sweep_products
 from wythoff._kernels import match_rows, min_pairwise_distance
 from wythoff.diagram import (
@@ -21,7 +21,6 @@ from wythoff.reflection_group import (
     ROOT_SEPARATION,
     enumerate_group,
     key_layout,
-    perms_of_generators,
     root_system,
     simple_normals,
 )
@@ -141,6 +140,21 @@ def test_root_closure_matches_per_row_oracle(diagram):
     rs = root_system(normals)
     assert np.array_equal(rs.roots, _closure_per_row(normals))
     assert np.array_equal(rs.simple, np.arange(len(normals)))
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    sweep_diagrams()
+    + [family_diagram("E", n) for n in (6, 7, 8)]
+    + [family_diagram("B", 8), family_diagram("D", 8), family_diagram("I2", 2, k=999)],
+    ids=lambda d: "+".join(str(t) for t in classify_components(d)),
+)
+def test_closure_permutations_match_rematching(diagram):
+    normals = simple_normals(diagram)
+    rs = root_system(normals)
+    after = np.stack(perms_of_generators(rs, normals))
+    assert rs.perms.dtype == after.dtype
+    assert np.array_equal(rs.perms, after)
 
 
 def test_root_closure_collision_matches_per_row_oracle():
