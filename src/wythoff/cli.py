@@ -312,6 +312,12 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:
+        # an unreadable @file or an unwritable --out: bad input, not a failure
+        if e.filename is None:
+            raise
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
+        return 2
     except WythoffError as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ use a structured JSON document.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -31,7 +32,15 @@ class FamilyTag:
     """Finite reflection family of one connected component.
 
     family is one of A, B, D, E, F, H, I2; k is the edge label for I2.
-    nodes holds the component's node indices in the parent diagram.
+    nodes holds the component's node indices in the parent diagram, in the
+    layout order of family_diagram, so position i of nodes plays the part
+    of node i of the family's standard diagram: paths run from the end that
+    gives the greater label sequence (B and H from their 4 or 5 edge); D is
+    its long arm from the end, the branch node at n-3, then the two leaves;
+    E is its length-2 arm from the end, the branch node at 2, the long arm
+    outwards, then the leaf.  Ties (a path whose labels read the same both
+    ways, arms of equal length) go to the side with the least node.  Ring
+    positions (regular.py) read this order.
     """
 
     family: str
@@ -252,26 +261,36 @@ def serialize_document(d: DecoratedDiagram) -> dict:
     }
 
 
+def _arm(d, prev, cur) -> list | None:
+    """Nodes from cur to the end of its arm, walking away from prev; None at a branch."""
+    out = [cur]
+    while True:
+        nxt = [w for w in d.neighbors(cur) if w != prev]
+        if len(nxt) > 1:
+            return None
+        if not nxt:
+            return out
+        prev, cur = cur, nxt[0]
+        out.append(cur)
+
+
 def _classify_path(d, comp, degrees):
-    """Family of a path-shaped component, or None."""
-    ends = [v for v in comp if degrees[v] <= 1]
+    """Family of a path-shaped component, or None.
+
+    The nodes run from the end that gives the greater label sequence, the
+    lesser node first on a tie.
+    """
     if len(comp) == 1:
         return FamilyTag("A", 1, nodes=tuple(comp))
+    ends = [v for v in comp if degrees[v] == 1]
     if len(ends) != 2:
         return None
-    # walk the path collecting labels
-    order = [ends[0]]
-    prev = None
-    while len(order) < len(comp):
-        nxt = [w for w in d.neighbors(order[-1]) if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    labels = tuple(d.label(order[i], order[i + 1]) for i in range(len(order) - 1))
-    nodes = tuple(comp)
+    order = _arm(d, None, ends[0])
+    labels = tuple(d.label(a, b) for a, b in itertools.pairwise(order))
+    if labels[::-1] > labels:
+        order, labels = order[::-1], labels[::-1]
+    nodes = tuple(order)
     n = len(comp)
-    labels = max(labels, labels[::-1])
     if n == 2:
         k = labels[0]
         if k == 3:
@@ -289,33 +308,26 @@ def _classify_path(d, comp, degrees):
 
 
 def _classify_tree(d, comp, degrees):
-    """Family of a component with one degree-3 branch node, or None."""
+    """Family of a component with one degree-3 branch node, or None.
+
+    Arms are walked out from the branch node; among arms of equal length
+    the one with the least node comes first.
+    """
     centers = [v for v in comp if degrees[v] == 3]
     if len(centers) != 1 or any(degrees[v] > 3 for v in comp):
         return None
-    for i, j, m in d.edges:
-        if i in comp and m != 3:
-            return None
+    if any(m != 3 for i, _, m in d.edges if i in comp):
+        return None
     c = centers[0]
-    lengths = []
-    for w in d.neighbors(c):
-        ln, prev, cur = 1, c, w
-        while True:
-            nxt = [u for u in d.neighbors(cur) if u != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None
-            prev, cur = cur, nxt[0]
-            ln += 1
-        lengths.append(ln)
-    lengths.sort()
-    nodes = tuple(comp)
+    arms = [_arm(d, c, w) for w in d.neighbors(c)]
+    if None in arms:
+        return None
+    short, mid, long = sorted(arms, key=lambda arm: (len(arm), min(arm)))
     n = len(comp)
-    if lengths[:2] == [1, 1]:
-        return FamilyTag("D", n, nodes=nodes)
-    if lengths[0] == 1 and lengths[1] == 2 and lengths[2] in (2, 3, 4):
-        return FamilyTag("E", n, nodes=nodes)
+    if len(mid) == 1:
+        return FamilyTag("D", n, nodes=(*long[::-1], c, *short, *mid))
+    if len(short) == 1 and len(mid) == 2 and len(long) in (2, 3, 4):
+        return FamilyTag("E", n, nodes=(*mid[::-1], c, *long, *short))
     return None
 
 
@@ -359,41 +371,23 @@ def canonical_certificate(d: DecoratedDiagram):
     """Hashable form identifying the decorated diagram up to isomorphism.
 
     All finite-type components are paths or the D/E trees, so a certificate
-    is the sorted multiset of per-component canonical (labels, marks) data.
+    is the sorted multiset of per-component canonical (labels, marks) data:
+    a path read in the lesser of its two directions, a tree as its branch
+    node's mark and its arms' marks, walked out from the branch node.
     """
-    degrees = [len(d.neighbors(v)) for v in range(d.rank)]
     parts = []
     for tag in classify_components(d):
-        comp = tag.nodes
+        nodes = tag.nodes
         if tag.family in ("D", "E"):
-            c = next(v for v in comp if degrees[v] == 3)
-            branches = []
-            for w in d.neighbors(c):
-                seq, prev, cur = [d.marks[w]], c, w
-                while True:
-                    nxt = [u for u in d.neighbors(cur) if u != prev]
-                    if not nxt:
-                        break
-                    prev, cur = cur, nxt[0]
-                    seq.append(d.marks[cur])
-                branches.append(tuple(seq))
-            branches.sort(key=lambda b: (len(b), b))
-            parts.append((str(tag), d.marks[c], tuple(branches)))
-        elif len(comp) == 1:
-            parts.append((str(tag), d.marks[comp[0]], ()))
+            c = nodes[tag.rank - 3 if tag.family == "D" else 2]
+            arms = (tuple(d.marks[v] for v in _arm(d, c, w)) for w in d.neighbors(c))
+            parts.append((str(tag), d.marks[c], tuple(sorted(arms, key=lambda b: (len(b), b)))))
+        elif len(nodes) == 1:
+            parts.append((str(tag), d.marks[nodes[0]], ()))
         else:
-            ends = [v for v in comp if degrees[v] <= 1]
-            order = [ends[0]]
-            prev = None
-            while len(order) < len(comp):
-                nxt = [w for w in d.neighbors(order[-1]) if w != prev]
-                prev = order[-1]
-                order.append(nxt[0])
-            labels = tuple(d.label(order[i], order[i + 1]) for i in range(len(order) - 1))
-            marks = tuple(d.marks[v] for v in order)
-            fwd = (labels, marks)
-            rev = (labels[::-1], marks[::-1])
-            parts.append((str(tag),) + min(fwd, rev))
+            labels = tuple(d.label(a, b) for a, b in itertools.pairwise(nodes))
+            marks = tuple(d.marks[v] for v in nodes)
+            parts.append((str(tag),) + min((labels, marks), (labels[::-1], marks[::-1])))
     return tuple(sorted(parts))
 
 

@@ -305,14 +305,6 @@ class FlagReport:
         return self.degree_ok and self.connected
 
 
-def _right_mult_table(group: Group, element: int) -> np.ndarray:
-    """Vectorized g -> g * element table via the element's generator word."""
-    table = np.arange(group.order, dtype=np.int64)
-    for gi in group.word(element):
-        table = group.rmult[gi][table]
-    return table
-
-
 def _flag_moves(lat: FaceLattice) -> dict | None:
     """The move of flag (c, identity) at every rank k, for every ordering c.
 
@@ -389,10 +381,9 @@ def flag_report(lat: FaceLattice) -> FlagReport:
     moves = _flag_moves(lat)
     if moves is None:
         return FlagReport(lat.flag_count(), len(chains), False, False)
-    # BFS over the chain graph, collecting holonomy elements; a move's
-    # reverse is the rank-k move of cj, whose holonomy is the inverse
+    # BFS over the chain graph, collecting holonomy elements p[ci] h p[cj]^-1;
+    # a move's reverse is the rank-k move of cj, whose holonomy is the inverse
     p = {0: 0}
-    p_inv = {0: 0}
     queue = [0]
     holonomy = set()
     while queue:
@@ -400,11 +391,10 @@ def flag_report(lat: FaceLattice) -> FlagReport:
         for k in range(lat.n):
             h, cj = moves[(ci, k)]
             if cj not in p:
-                p[cj] = group.compose(p[ci], h)
-                p_inv[cj] = group.inverse(p[cj])
+                p[cj] = group.walk(p[ci], group.word(h))
                 queue.append(cj)
             elif ci <= cj:
-                w = group.compose(group.compose(p[ci], h), p_inv[cj])
+                w = int(group.walk(p[ci], group.word(h) + group.word(p[cj])[::-1]))
                 if w:
                     holonomy.add(w)
     if len(p) != len(chains):
@@ -416,7 +406,7 @@ def flag_report(lat: FaceLattice) -> FlagReport:
     label = np.arange(group.order)
     for w in sorted(holonomy):
         if label[w]:
-            tables.append(_right_mult_table(group, w))
+            tables.append(group.walk(np.arange(group.order), group.word(w)))
             label = _coset_minima(label, tables)
     return FlagReport(lat.flag_count(), len(chains), True, not label.any())
 
@@ -432,10 +422,12 @@ def flag_partners(lat: FaceLattice) -> np.ndarray:
     moves = _flag_moves(lat)
     if moves is None:
         raise WythoffError("flag graph is not a matching per rank")
-    order = lat.group.order
+    group = lat.group
+    order = group.order
     out = np.empty((lat.n, lat.flag_count()), dtype=np.int64)
     for (c, k), (h, cj) in moves.items():
-        out[k, c * order : (c + 1) * order] = cj * order + _right_mult_table(lat.group, h)
+        table = group.walk(np.arange(order), group.word(h))
+        out[k, c * order : (c + 1) * order] = cj * order + table
     return out
 
 

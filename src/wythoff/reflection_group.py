@@ -7,7 +7,7 @@ root list, and all later combinatorics (subgroups, cosets, face counting)
 is exact integer work.  One tolerance-bearing step remains: matching
 reflected roots back into the root list (dedup 1e-6, separation floor 1e-3).
 
-Elements are handled as whole arrays, keyed by their images of the n simple
+Elements are found as whole arrays, keyed by their images of the n simple
 roots.  These images fix the element: it is linear and the simple roots are
 a basis.  The image w(a_j) lies in the W-orbit of a_j, so it is written as
 its digit, its rank within that orbit in root-index order, and the key is
@@ -20,8 +20,9 @@ permutation rows first differ within their first n columns, and key order
 is the lexicographic order of the full rows.  Keys are uint64 and the key
 space is the product of the n orbit sizes: 2^49.4 for A8, 2^63.3 for E8.  A
 group whose key space exceeds 2^64 is refused (BudgetExceeded) before any
-per-element array is built.  Lookups are ``searchsorted`` in the sorted
-key array.
+per-element array is built.  The keys exist only inside enumerate_group:
+they deduplicate the search and, by ``searchsorted`` in the sorted key
+array, build the Cayley table.
 
 The enumeration is a breadth-first search by layers, and layer k holds the
 elements of length k.  Every generator s is a reflection (det -1), so
@@ -32,13 +33,14 @@ w' keeps its first occurrence in generator-major order, s_i w with the least
 i; no other s_i w equals w', so this is the parent and generator an
 element-by-element search in that order finds, whatever the frontier order.
 
-One Cayley table is kept, right multiplication by the generators (rmult).
-Components of a graph of element (or root) maps are labelled by their
-least member in one routine, _coset_minima.  Over rmult restricted to J it
-labels the left cosets g W_J, and the identity's coset is W_J itself, so a
-coset table also gives its subgroup.  Over the generator permutations of
-the roots it gives the root orbits behind the keys, and over right
-multiplication by holonomy elements it decides flag connectivity.
+One Cayley table is kept, right multiplication by the generators (rmult),
+and every product is a walk along it (Group.walk).  Components of a graph
+of element (or root) maps are labelled by their least member in one
+routine, _coset_minima.  Over rmult restricted to J it labels the left
+cosets g W_J, and the identity's coset is W_J itself, so a coset table also
+gives its subgroup.  Over the generator permutations of the roots it gives
+the root orbits behind the keys, and over right multiplication by holonomy
+elements it decides flag connectivity.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .diagram import DecoratedDiagram, gram_matrix, group_order
 from .errors import (
     BudgetExceeded,
     NotFiniteType,
+    ParseError,
     SubgroupNotContained,
     ToleranceCollision,
 )
@@ -67,13 +70,16 @@ ROOT_SEPARATION = 1e-3
 
 
 def enumeration_budget() -> int:
-    """Element budget; override with the WYTHOFF_BUDGET env var."""
+    """Element budget; override with the WYTHOFF_BUDGET env var.
+
+    ParseError if the variable is set to something other than an integer.
+    """
     raw = os.environ.get("WYTHOFF_BUDGET", "").strip()
     if raw:
         try:
             return int(raw)
         except ValueError:
-            raise ValueError("WYTHOFF_BUDGET must be an integer") from None
+            raise ParseError("WYTHOFF_BUDGET must be an integer, got %r" % raw) from None
     return DEFAULT_BUDGET
 
 
@@ -175,69 +181,40 @@ class Group:
     """A finite reflection group with its elements as root permutations.
 
     Element indices are assigned in lexicographic order of the permutation
-    rows, so index 0 is the identity and coset minima are canonical.  The
-    order is that of the uint64 keys (see the module docstring), held sorted
-    in _keys for lookups; key_table[j, a] is the key term of an element
-    sending a_j to root a.  rmult[i] maps each element g to g s_i, the one
-    Cayley table kept: (g s_i)(a) = g(s_i a), so it reads g's row at the
-    columns s_i sends the simple roots to.  Walking it from the identity
-    closes a parabolic subgroup, and from g the left coset g W_J.
+    rows, so index 0 is the identity and coset minima are canonical.
+    rmult[i] maps each element g to g s_i, the one Cayley table kept:
+    (g s_i)(a) = g(s_i a).  Every product is a walk along it: g times the
+    element a is walk(g, word(a)), and every generator is an involution, so
+    g times the inverse of a is walk(g, reversed(word(a))).  Walking it from
+    the identity closes a parabolic subgroup, and from g the left coset
+    g W_J.  The generators themselves are rmult[:, 0].  No element keys are
+    kept: they exist only inside enumerate_group.
     """
 
-    def __init__(self, diagram, normals, roots, perms, keys, key_table, parent, gen_of, gen_perms):
+    def __init__(self, diagram, normals, roots, perms, rmult, parent, gen_of):
         self.diagram = diagram
         self.normals = normals
         self.roots = roots
         self.perms = perms
-        self._keys = keys
-        self._key_table = key_table
+        self.rmult = rmult
         self._parent = parent
         self._gen_of = gen_of
         self.n_gens = diagram.rank
-        self._columns = np.arange(self.n_gens)
-        self.gen_elements = self._lookup(_row_keys(key_table, gen_perms)).astype(np.int64)
-        # by blocks of rows, which stay in cache while every generator reads them
-        self.rmult = np.empty((len(gen_perms), self.order), dtype=np.int32)
-        for lo in range(0, self.order, ROW_BLOCK):
-            rows = perms[lo : lo + ROW_BLOCK]
-            for i, gp in enumerate(gen_perms):
-                self.rmult[i, lo : lo + len(rows)] = self._lookup(_row_keys(key_table, rows, gp))
         self._subgroups: dict = {}
         self._cosets: dict = {}
-
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Element indices of the given keys; KeyError if one is no element."""
-        pos = np.searchsorted(self._keys, keys)
-        if not _found(self._keys, keys, pos).all():
-            raise KeyError("permutation is not a group element")
-        return pos
 
     @property
     def order(self) -> int:
         return len(self.perms)
 
-    def element_index(self, perm_row: np.ndarray) -> int:
-        row = np.asarray(perm_row, dtype=self.perms.dtype)
-        if row.shape != self.perms.shape[1:]:
-            raise KeyError("permutation is not a group element")
-        try:
-            key = self._key_table[self._columns, row[: self.n_gens]].sum()
-        except IndexError:
-            raise KeyError("permutation is not a group element") from None
-        # a row that is no element may share a key with one: the full row decides
-        a = int(np.searchsorted(self._keys, key))
-        if a == self.order or not np.array_equal(self.perms[a], row):
-            raise KeyError("permutation is not a group element")
-        return a
+    def walk(self, start, word):
+        """start s_w0 s_w1 ... for the generator indices in word, by rmult.
 
-    def compose(self, a: int, b: int) -> int:
-        """Index of a*b (apply b, then a)."""
-        return self.element_index(self.perms[a][self.perms[b]])
-
-    def inverse(self, a: int) -> int:
-        inv = np.empty_like(self.perms[a])
-        inv[self.perms[a]] = np.arange(len(inv), dtype=self.perms.dtype)
-        return self.element_index(inv)
+        start is one element index or an array of them.
+        """
+        for i in word:
+            start = self.rmult[i][start]
+        return start
 
     def word(self, a: int) -> tuple[int, ...]:
         """One generator word for element a (BFS tree, left factors first)."""
@@ -421,6 +398,7 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
     # reindex so element order is key order (= lex order of the rows)
     keys = np.concatenate(keys)
     order = np.argsort(keys)
+    keys = keys[order]
     inv = np.empty_like(order)
     inv[order] = np.arange(total)
     parent = np.concatenate(parents)[order]
@@ -436,7 +414,19 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
         for i, gp in enumerate(gens):
             sel = idx[by_gen == i]
             perms[sel] = np.take(gp, perms[parent[sel]])
-    return Group(d, normals, roots, perms, keys[order], key_table, parent, gen_of, gens)
+    # rmult by blocks of rows, which stay in cache while every generator
+    # reads them; row g s_i reads g's row at the columns s_i sends the
+    # simple roots to, and its key is looked up among the sorted keys
+    rmult = np.empty((n, total), dtype=np.int32)
+    for lo in range(0, total, ROW_BLOCK):
+        rows = perms[lo : lo + ROW_BLOCK]
+        for i, gp in enumerate(gens):
+            want = _row_keys(key_table, rows, gp)
+            pos = np.searchsorted(keys, want)
+            if not _found(keys, want, pos).all():
+                raise KeyError("permutation is not a group element")
+            rmult[i, lo : lo + len(rows)] = pos
+    return Group(d, normals, roots, perms, rmult, parent, gen_of)
 
 
 def _found(sorted_keys: np.ndarray, keys: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -96,48 +96,12 @@ def known_f_vector(name: str) -> tuple[int, ...]:
     return tuple(2 ** (k + 1) * comb(n, k + 1) for k in range(n))
 
 
-# -- diagram position helpers -------------------------------------------------
-
-
-def _path_order(d: DecoratedDiagram, comp) -> list:
-    """Nodes of a path component from one end to the other."""
-    if len(comp) == 1:
-        return list(comp)
-    ends = [v for v in comp if len(d.neighbors(v)) == 1]
-    order = [min(ends)]
-    prev = None
-    while len(order) < len(comp):
-        nxt = [w for w in d.neighbors(order[-1]) if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
-def _oriented_path(d: DecoratedDiagram, comp, lead_label: int) -> list:
-    """Path order starting at the end whose first edge carries lead_label."""
-    order = _path_order(d, comp)
-    if d.label(order[0], order[1]) != lead_label:
-        order.reverse()
-    return order
-
-
-def _is_box_factor(d: DecoratedDiagram, comp) -> bool:
+def _is_box_factor(d: DecoratedDiagram, tag) -> bool:
     """Segment, or a 4-3-...-3 chain ringed exactly at the 4 end."""
-    rings = [v for v in comp if d.marks[v] == RING]
+    rings = [pos for pos, v in enumerate(tag.nodes) if d.marks[v] == RING]
     if len(rings) != 1:
         return False
-    if len(comp) == 1:
-        return True
-    if any(len(d.neighbors(v)) > 2 for v in comp):
-        return False
-    order = _path_order(d, comp)
-    labels = [d.label(order[i], order[i + 1]) for i in range(len(order) - 1)]
-    if len(comp) == 2:
-        return labels == [4]
-    if labels[0] != 4:
-        order.reverse()
-        labels.reverse()
-    return labels[0] == 4 and all(m == 3 for m in labels[1:]) and rings[0] == order[0]
+    return tag.rank == 1 or (tag.family, tag.k) == ("I2", 4) or (tag.family, rings) == ("B", [0])
 
 
 @dataclass(frozen=True)
@@ -161,7 +125,7 @@ def ruled_verdict(d: DecoratedDiagram) -> RuledVerdict:
     tags = classify_components(d)
     n = d.rank
     if len(tags) > 1:
-        if all(_is_box_factor(d, t.nodes) for t in tags):
+        if all(_is_box_factor(d, t) for t in tags):
             return RuledVerdict(
                 True,
                 _dim_adjusted_name(n, "hypercube"),
@@ -190,7 +154,7 @@ def ruled_verdict(d: DecoratedDiagram) -> RuledVerdict:
             "more than one ring on a connected diagram of dimension >= 3",
             regularity_witness(d),
         )
-    name = _connected_single_ring(d, tag, rings[0])
+    name = _connected_single_ring(tag, tag.nodes.index(rings[0]))
     if name is not None:
         return RuledVerdict(True, name, f"ring position on {tag} listed as {name}")
     return RuledVerdict(
@@ -209,50 +173,33 @@ def _dim_adjusted_name(n: int, kind: str) -> str:
     return f"{n}-{kind}"
 
 
-def _connected_single_ring(d, tag, v) -> str | None:
+def _connected_single_ring(tag, pos) -> str | None:
+    """The regular polytope ringed at position pos of tag's layout, or None."""
     n = tag.rank
-    comp = list(range(n))
     if tag.family == "A":
-        order = _path_order(d, comp)
-        if v in (order[0], order[-1]):
+        if pos in (0, n - 1):
             return f"{n}-simplex"
-        if n == 3 and v == order[1]:
+        if n == 3 and pos == 1:
             return "3-hyperoctahedron"
-        return None
     if tag.family == "B":
-        order = _oriented_path(d, comp, 4)
-        if v == order[0]:
+        if pos == 0:
             return f"{n}-hypercube"
-        if v == order[-1]:
+        if pos == n - 1:
             return f"{n}-hyperoctahedron"
-        if n == 4 and v == order[2]:
+        if n == 4 and pos == 2:
             return "24-cell"
-        return None
     if tag.family == "H":
-        order = _oriented_path(d, comp, 5)
-        if v == order[-1]:
+        if pos == n - 1:
             return "icosahedron" if n == 3 else "600-cell"
-        if v == order[0]:
+        if pos == 0:
             return "dodecahedron" if n == 3 else "120-cell"
-        return None
-    if tag.family == "F":
-        if len(d.neighbors(v)) == 1:
-            return "24-cell"
-        return None
+    if tag.family == "F" and pos in (0, n - 1):
+        return "24-cell"
     if tag.family == "D":
-        center = next(w for w in comp if len(d.neighbors(w)) == 3)
-        leaves = [w for w in comp if len(d.neighbors(w)) == 1]
         if n == 4:
-            if v == center:
-                return "24-cell"
-            if v in leaves:
-                return "4-hyperoctahedron"
-            return None
-        twins = [w for w in leaves if center in d.neighbors(w)]
-        long_end = next(w for w in leaves if w not in twins)
-        if v == long_end:
+            return "24-cell" if pos == 1 else "4-hyperoctahedron"
+        if pos == 0:
             return f"{n}-hyperoctahedron"
-        return None
     return None
 
 
@@ -345,20 +292,15 @@ def oracle_gap_reason(d: DecoratedDiagram) -> str | None:
         return "doubled polygon: both nodes ringed halves the symmetry"
     if len(rings) != 1:
         return None
-    v = rings[0]
-    if tag.family == "A" and tag.rank == 3:
-        order = _path_order(d, list(range(3)))
-        if v == order[1]:
-            return "octahedron from the tetrahedral group (index 2)"
+    pos = tag.nodes.index(rings[0])
+    if tag.family == "A" and tag.rank == 3 and pos == 1:
+        return "octahedron from the tetrahedral group (index 2)"
     if tag.family == "D" and tag.rank == 4:
-        center = next(w for w in range(4) if len(d.neighbors(w)) == 3)
-        if v == center:
+        if pos == 1:
             return "24-cell from the D4 group (index 6)"
         return "16-cell from the demihypercube group (index 2)"
-    if tag.family == "B" and tag.rank == 4:
-        order = _oriented_path(d, list(range(4)), 4)
-        if v == order[2]:
-            return "24-cell from the hyperoctahedral group (index 3)"
+    if tag.family == "B" and tag.rank == 4 and pos == 2:
+        return "24-cell from the hyperoctahedral group (index 3)"
     return None
 
 

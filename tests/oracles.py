@@ -6,8 +6,11 @@ assert that both routes agree.  The flag routes list every flag
 (flag_rows), which the library never does.  These are the only users of
 scipy.  The element matrices, the reflection count and the Gram
 definiteness test are independent views of the group and the diagram that
-only tests read.
+only tests read, and element_index, compose and inverse multiply by
+composing permutation rows, where the library walks rmult.
 """
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +29,34 @@ def group_matrices(g) -> np.ndarray:
     s_inv = np.linalg.inv(g.roots.roots[g.roots.simple].T)
     t = g.roots.roots[g.perms[:, g.roots.simple]]
     return np.einsum("gdj,je->gde", t.transpose(0, 2, 1), s_inv)
+
+
+@functools.cache
+def _row_index(g) -> dict:
+    # kept per group for the session, like the suite's shared groups
+    return {row.tobytes(): a for a, row in enumerate(g.perms)}
+
+
+def element_index(g, row) -> int:
+    """Index of the element of g with this permutation row; KeyError if none.
+
+    A lookup on g.perms alone: it reads neither rmult nor any key.
+    """
+    a = _row_index(g).get(np.asarray(row).astype(g.perms.dtype).tobytes())
+    if a is None or not np.array_equal(g.perms[a], row):
+        raise KeyError("permutation is not a group element")
+    return a
+
+
+def compose(g, a: int, b: int) -> int:
+    """Index of a*b (apply b, then a)."""
+    return element_index(g, g.perms[a][g.perms[b]])
+
+
+def inverse(g, a: int) -> int:
+    inv = np.empty_like(g.perms[a])
+    inv[g.perms[a]] = np.arange(len(inv))
+    return element_index(g, inv)
 
 
 def reflection_count(g) -> int:
@@ -137,8 +168,8 @@ def generator_face_actions(lat: FaceLattice) -> np.ndarray:
     out = np.empty((g.n_gens, lat.face_total), dtype=np.int32)
     for sl in lat.slots_by_rank:
         for s in sl:
-            for gi in range(g.n_gens):
-                images = [g.compose(int(g.gen_elements[gi]), int(r)) for r in s.table.reps]
+            for gi, gp in enumerate(g.roots.perms):
+                images = [element_index(g, gp[g.perms[r]]) for r in s.table.reps]
                 new = s.table.coset_id[images]
                 out[gi, s.offset : s.offset + s.count] = new + s.offset
     return out

@@ -176,6 +176,27 @@ def test_diagram_from_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "120"
 
 
+def test_unreadable_diagram_file_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "validate", f"@{missing}")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "no_such_dir" / "x.json"
+    code, out, err = run(capsys, "lattice", "x4o3o", "--out", str(target))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_non_integer_budget_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("WYTHOFF_BUDGET", "abc")
+    code, out, err = run(capsys, "check", "x4o3o")
+    assert code == 2 and not out
+    assert "WYTHOFF_BUDGET" in err and "'abc'" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "order", "x9q")
     assert code == 2 and "error:" in err

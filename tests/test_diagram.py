@@ -191,6 +191,23 @@ def test_certificate_ignores_orientation_and_layout():
     assert canonical_certificate(a) != canonical_certificate(c)
 
 
+def test_classification_reads_nodes_in_layout_order():
+    layouts = (
+        [("A", n, None) for n in range(1, 9)]
+        + [("B", n, None) for n in range(2, 9)]
+        + [("D", n, None) for n in range(5, 9)]
+        + [("E", n, None) for n in (6, 7, 8)]
+        + [("F", 4, None), ("H", 3, None), ("H", 4, None)]
+        + [("I2", 2, k) for k in (3, 4, 5, 12, 999)]
+    )
+    for family, rank, k in layouts:
+        (tag,) = classify_components(family_diagram(family, rank, k=k))
+        assert tag.nodes == tuple(range(rank)), (family, rank, k)
+    # D4's three leaves are interchangeable; its branch node is still at 1
+    (tag,) = classify_components(family_diagram("D", 4))
+    assert tag.nodes[1] == 1 and sorted(tag.nodes) == [0, 1, 2, 3]
+
+
 def test_family_diagram_ring_positions():
     d = family_diagram("B", 4, ringed=(0,))
     assert d.label(0, 1) == 4 and d.marks[0] == 1

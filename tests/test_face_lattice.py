@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import _flag_graph_direct, flag_rows, generator_face_actions
+from oracles import _flag_graph_direct, compose, flag_rows, generator_face_actions
 from wythoff import face_lattice
 from wythoff.cli import main
 from wythoff.decoration import start_decoration
@@ -9,7 +9,6 @@ from wythoff.diagram import disjoint_union, family_diagram, parse
 from wythoff.errors import Degenerate
 from wythoff.face_lattice import (
     FaceLattice,
-    _right_mult_table,
     build_lattice,
     diamond_report,
     euler_ok,
@@ -114,18 +113,18 @@ def test_coset_minima_are_least_elements_of_left_cosets(shared):
         g = shared.group(d)
         for size in (1, 2, 3):
             gens = [int(w) for w in rng.choice(np.arange(1, g.order), size, replace=False)]
-            tables = [_right_mult_table(g, w) for w in gens]
+            tables = [g.walk(np.arange(g.order), g.word(w)) for w in gens]
             for w, t in zip(gens, tables):
-                assert all(t[x] == g.compose(x, w) for x in range(g.order)), (d, w)
+                assert all(t[x] == compose(g, x, w) for x in range(g.order)), (d, w)
             label = _coset_minima(np.arange(g.order), tables)
             sub = {0}
             while True:
-                grown = sub | {g.compose(h, w) for w in gens for h in sub}
+                grown = sub | {compose(g, h, w) for w in gens for h in sub}
                 if grown == sub:
                     break
                 sub = grown
             for x in range(g.order):
-                assert label[x] == min(g.compose(x, h) for h in sub), (d, gens, x)
+                assert label[x] == min(compose(g, x, h) for h in sub), (d, gens, x)
 
 
 def test_flag_count_is_chains_times_order(shared):

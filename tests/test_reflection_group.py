@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import group_matrices, perms_of_generators, reflection_count
+from oracles import (
+    compose,
+    element_index,
+    group_matrices,
+    inverse,
+    perms_of_generators,
+    reflection_count,
+)
 from sweep import sweep_diagrams, sweep_products
 from wythoff._kernels import match_rows, min_pairwise_distance
 from wythoff.diagram import (
@@ -64,9 +71,9 @@ def test_compose_and_inverse_laws(shared):
     rng = np.random.default_rng(5)
     for _ in range(25):
         a, b = rng.integers(0, g.order, size=2)
-        c = g.compose(int(a), int(b))
+        c = compose(g, int(a), int(b))
         assert np.array_equal(g.perms[c], g.perms[a][g.perms[b]])
-        assert g.compose(int(a), g.inverse(int(a))) == 0
+        assert compose(g, int(a), inverse(g, int(a))) == 0
 
 
 def test_word_reconstructs_element(shared):
@@ -76,7 +83,7 @@ def test_word_reconstructs_element(shared):
     for a in rng.integers(0, g.order, size=10):
         prod = np.eye(3)
         for gi in g.word(int(a)):
-            prod = prod @ mats[g.gen_elements[gi]]
+            prod = prod @ mats[g.rmult[gi, 0]]
         assert np.allclose(prod, mats[int(a)], atol=1e-10)
 
 
@@ -250,8 +257,8 @@ def _enumerate_by_dict(d):
     """Element-by-element BFS keyed by full permutation bytes: the group oracle.
 
     Returns perms in lex order of the rows, the row -> index dict, the BFS
-    parent and generator of every element, rmult (g -> g s_i), gen_elements
-    and the generator permutations.
+    parent and generator of every element, rmult (g -> g s_i), the element
+    indices of the generators and the generator permutations.
     """
     normals = simple_normals(d)
     roots = root_system(normals)
@@ -289,7 +296,7 @@ def _enumerate_by_dict(d):
         prod = perms[:, gp]
         for e in range(len(perms)):
             rmult[gi, e] = index[prod[e].tobytes()]
-    gen_elements = np.array([index[p.tobytes()] for p in gen_perms], dtype=np.int64)
+    gen_elements = np.array([index[p.tobytes()] for p in gen_perms], dtype=np.int32)
     return perms, index, parent, gen_of, rmult, gen_elements, gen_perms
 
 
@@ -348,7 +355,7 @@ def test_group_and_coset_tables_match_dict_oracle(shared, diagram):
     perms, index, parent, gen_of, rmult, gen_elements, gen_perms = _enumerate_by_dict(diagram)
     assert _same(g.perms, perms)
     assert _same(g.rmult, rmult)
-    assert _same(g.gen_elements, gen_elements)
+    assert _same(g.rmult[:, 0], gen_elements)
     assert all(g.word(a) == _word_by_tree(parent, gen_of, a) for a in range(g.order))
     n = diagram.rank
     for nodes in (frozenset(c) for r in range(n + 1) for c in combinations(range(n), r)):
@@ -358,19 +365,6 @@ def test_group_and_coset_tables_match_dict_oracle(shared, diagram):
         assert _same(table.subgroup.elements, sub), sorted(nodes)
         assert _same(table.coset_id, coset_id), sorted(nodes)
         assert _same(table.reps, reps), sorted(nodes)
-
-
-def test_element_index_rejects_non_elements(shared):
-    g = shared.group(parse("x4o3o"))
-    n, m = g.n_gens, g.perms.shape[1]
-    a = 7
-    # agrees with element a on the simple roots, differs elsewhere
-    twisted = g.perms[a].copy()
-    twisted[[n, n + 1]] = twisted[[n + 1, n]]
-    for row in (twisted, np.arange(m)[::-1], np.arange(m - 1), np.arange(m) + 1):
-        with pytest.raises(KeyError):
-            g.element_index(row)
-    assert g.element_index(g.perms[a]) == a
 
 
 def _generator_perms(d):
@@ -425,6 +419,20 @@ def _small_groups(draw):
 def test_keys_number_elements_in_row_order(d):
     g = enumerate_group(d)
     assert np.array_equal(np.lexsort(g.perms.T[::-1]), np.arange(g.order))
-    assert all(g.element_index(g.perms[a]) == a for a in range(g.order))
     for i, gp in enumerate(_generator_perms(d)):
         assert np.array_equal(g.perms[g.rmult[i]], g.perms[:, gp])
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    sweep_diagrams() + sweep_products() + [family_diagram("E", 6)],
+    ids=lambda d: "+".join(str(t) for t in classify_components(d)),
+)
+def test_walks_multiply_like_permutation_rows(shared, diagram):
+    g = shared.group(diagram)
+    rng = np.random.default_rng(3)
+    for a, b in rng.integers(0, g.order, size=(20, 2)).tolist():
+        assert np.array_equal(g.perms[g.walk(a, g.word(b))], g.perms[a][g.perms[b]])
+    for h in rng.integers(0, g.order, size=3).tolist():
+        by_rows = [element_index(g, row) for row in g.perms[:, g.perms[h]]]
+        assert np.array_equal(g.walk(np.arange(g.order), g.word(h)), by_rows)

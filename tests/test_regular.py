@@ -1,6 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wythoff.diagram import disjoint_union, family_diagram, parse
+from wythoff.decoration import face_restriction, start_decoration
+from wythoff.diagram import (
+    DecoratedDiagram,
+    canonical_certificate,
+    disjoint_union,
+    family_diagram,
+    parse,
+)
 from wythoff.errors import Degenerate, UnknownName
 from wythoff.face_lattice import f_vector_formula
 from wythoff.regular import (
@@ -208,3 +217,52 @@ def test_polygon_catalog():
     assert len(cat["square"]) == 2   # I2(4) and the x x box
     assert len(cat["hexagon"]) == 2  # I2(6) and fully ringed triangle
     assert len(cat["9-gon"]) == 1
+
+
+_FAMILIES = (
+    [("A", n, None) for n in range(1, 9)]
+    + [("B", n, None) for n in range(2, 9)]
+    + [("D", n, None) for n in range(4, 9)]
+    + [("E", n, None) for n in (6, 7, 8)]
+    + [("F", 4, None), ("H", 3, None), ("H", 4, None)]
+    + [("I2", 2, k) for k in (3, 4, 5, 6, 12)]
+)
+
+
+@st.composite
+def _relabelled_single_rings(draw):
+    """A family with one ring, and a copy with its nodes renumbered by perm
+    and its edges listed in another order, each flipped at random."""
+    family, rank, k = draw(st.sampled_from(_FAMILIES))
+    d = family_diagram(family, rank, k=k, ringed=(draw(st.integers(0, rank - 1)),))
+    perm = draw(st.permutations(range(rank)))
+    ids, marks = [None] * rank, [None] * rank
+    for i in range(rank):
+        ids[perm[i]], marks[perm[i]] = d.node_ids[i], d.marks[i]
+    edges = [
+        (perm[j], perm[i], m) if draw(st.booleans()) else (perm[i], perm[j], m)
+        for i, j, m in draw(st.permutations(d.edges))
+    ]
+    return d, DecoratedDiagram(tuple(ids), tuple(marks), tuple(edges)), perm
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_relabelled_single_rings())
+def test_verdicts_ignore_node_numbering_and_edge_orientation(case):
+    d, e, perm = case
+    want, got = ruled_verdict(d), ruled_verdict(e)
+    assert (got.regular, got.name, got.reason) == (want.regular, want.name, want.reason)
+    assert (got.witness is None) == (want.witness is None)
+    if got.witness:
+        # the first rank with two face shapes is the same; the pair named
+        # there, read back in d's numbering, has two shapes in d too
+        k, a, b = got.witness
+        assert k == want.witness[0]
+        back = {perm[i]: i for i in range(d.rank)}
+        start = start_decoration(d)
+        sig_a, sig_b = (
+            shape_signature(face_restriction(start, {back[v] for v in sel})) for sel in (a, b)
+        )
+        assert sig_a != sig_b
+    assert oracle_gap_reason(e) == oracle_gap_reason(d)
+    assert canonical_certificate(e) == canonical_certificate(d)
