@@ -72,8 +72,12 @@ _USAGE_ERRORS = (
 
 def _load_diagram(arg: str):
     if arg.startswith("@"):
-        with open(arg[1:], encoding="utf-8") as fh:
-            arg = fh.read().strip()
+        path = arg[1:]
+        with open(path, encoding="utf-8") as fh:
+            try:
+                arg = fh.read().strip()
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{path}: not UTF-8 text (byte {e.start})") from None
     return parse(arg)
 
 

@@ -365,6 +365,33 @@ def _flag_moves(lat: FaceLattice) -> dict | None:
     return moves
 
 
+def _holonomy(lat: FaceLattice, moves: dict) -> tuple[dict, set]:
+    """Tree elements and cycle holonomy of the graph of orderings.
+
+    A BFS from ordering 0 over the moves of _flag_moves gives each reached
+    ordering c its tree element p[c], with p[cj] = p[ci] h along the tree.
+    Every other move (ci, k) -> (h, cj) with ci <= cj adds p[ci] h p[cj]^-1
+    to the holonomy unless it is the identity; a move's reverse is the
+    rank-k move of cj, whose holonomy is the inverse.
+    """
+    group = lat.group
+    p = {0: 0}
+    queue = [0]
+    holonomy = set()
+    while queue:
+        ci = queue.pop()
+        for k in range(lat.n):
+            h, cj = moves[(ci, k)]
+            if cj not in p:
+                p[cj] = group.walk(p[ci], group.word(h))
+                queue.append(cj)
+            elif ci <= cj:
+                w = int(group.walk(p[ci], group.word(h) + group.word(p[cj])[::-1]))
+                if w:
+                    holonomy.add(w)
+    return p, holonomy
+
+
 def flag_report(lat: FaceLattice) -> FlagReport:
     """Check every flag has one neighbor per rank and the flag graph is connected.
 
@@ -381,22 +408,7 @@ def flag_report(lat: FaceLattice) -> FlagReport:
     moves = _flag_moves(lat)
     if moves is None:
         return FlagReport(lat.flag_count(), len(chains), False, False)
-    # BFS over the chain graph, collecting holonomy elements p[ci] h p[cj]^-1;
-    # a move's reverse is the rank-k move of cj, whose holonomy is the inverse
-    p = {0: 0}
-    queue = [0]
-    holonomy = set()
-    while queue:
-        ci = queue.pop()
-        for k in range(lat.n):
-            h, cj = moves[(ci, k)]
-            if cj not in p:
-                p[cj] = group.walk(p[ci], group.word(h))
-                queue.append(cj)
-            elif ci <= cj:
-                w = int(group.walk(p[ci], group.word(h) + group.word(p[cj])[::-1]))
-                if w:
-                    holonomy.add(w)
+    p, holonomy = _holonomy(lat, moves)
     if len(p) != len(chains):
         return FlagReport(lat.flag_count(), len(chains), True, False)
     # label[w] is 0 exactly when w lies in the subgroup generated so far; an

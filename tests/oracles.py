@@ -7,7 +7,9 @@ assert that both routes agree.  The flag routes list every flag
 scipy.  The element matrices, the reflection count and the Gram
 definiteness test are independent views of the group and the diagram that
 only tests read, and element_index, compose and inverse multiply by
-composing permutation rows, where the library walks rmult.
+composing permutation rows, where the library walks rmult.  The minimum
+separation by a walk along one sorted projection is the point kernel's
+route before its cell grid.
 """
 
 import functools
@@ -303,3 +305,30 @@ def _lattices_isomorphic_per_flag(a: FaceLattice, b: FaceLattice) -> bool:
     ref = _walk_code(_flag_graph_direct(a)[1].T.tolist(), 0)
     pb = _flag_graph_direct(b)[1].T.tolist()
     return any(_walk_code(pb, s, ref) is not None for s in range(len(pb)))
+
+
+def min_pairwise_by_projection(points) -> float:
+    """Smallest distance between two distinct rows, walking one sorted projection.
+
+    Rows are sorted along a generic unit direction u, and each row is
+    compared with its k-th successor for k = 1, 2, ... while their projections
+    lie within the best distance so far; |x.u - y.u| <= |x - y|, so no nearer
+    pair is skipped.  The squared distances use the kernel's expression.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if len(points) < 2:
+        return np.inf
+    u = np.random.default_rng(0).standard_normal(points.shape[1])
+    p = points @ (u / np.linalg.norm(u))
+    order = np.argsort(p)
+    p, points = p[order], points[order]
+    pad = 1e-9 * np.abs(points).sum(axis=1).max()
+    best2 = np.inf
+    i = np.arange(len(points) - 1)  # rows whose partner k places on may still be nearer
+    k = 1
+    while len(i):
+        best2 = min(best2, float(((points[i + k] - points[i]) ** 2).sum(axis=1).min()))
+        k += 1
+        i = i[i + k < len(points)]
+        i = i[p[i + k] - p[i] <= np.sqrt(best2) + pad]
+    return float(np.sqrt(best2))

@@ -183,6 +183,14 @@ def test_unreadable_diagram_file_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and str(missing) in err
 
 
+def test_non_utf8_diagram_file_is_a_usage_error(capsys, tmp_path):
+    f = tmp_path / "d.txt"
+    f.write_bytes(b"\xff\xfex3x4o")
+    code, out, err = run(capsys, "validate", f"@{f}")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and str(f) in err and "UTF-8" in err
+
+
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "no_such_dir" / "x.json"
     code, out, err = run(capsys, "lattice", "x4o3o", "--out", str(target))

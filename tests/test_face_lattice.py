@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import _flag_graph_direct, compose, flag_rows, generator_face_actions
+from oracles import _flag_graph_direct, compose, flag_rows, generator_face_actions, inverse
 from wythoff import face_lattice
 from wythoff.cli import main
 from wythoff.decoration import start_decoration
@@ -105,6 +105,49 @@ def test_flag_methods_agree(shared):
         assert direct.ok and covering.ok, d
         assert direct.count == covering.count == lat.flag_count()
         assert covering.method == "covering"
+
+
+def _holonomy_by_rows(g, moves, p):
+    """p[ci] h p[cj]^-1 of every move with ci <= cj, by permutation rows."""
+    out = set()
+    for (ci, _k), (h, cj) in moves.items():
+        w = compose(g, compose(g, int(p[ci]), h), inverse(g, int(p[cj])))
+        if ci <= cj and w:
+            out.add(w)
+    return out
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [
+        parse("x3x4o"),
+        parse("x4x3x"),
+        parse("x3x3x3x"),
+        disjoint_union(parse("x3x"), parse("x4x")),
+    ],
+    ids=["x3x4o", "x4x3x", "x3x3x3x", "x3x+x4x"],
+)
+def test_holonomy_is_tree_element_times_move_times_inverse(shared, diagram):
+    lat = shared.lattice(diagram)
+    g = lat.group
+    moves = face_lattice._flag_moves(lat)
+    p, holonomy = face_lattice._holonomy(lat, moves)
+    assert len(lat.chains) > 1 and sorted(p) == list(range(len(lat.chains)))
+    # a move that changes the ordering reaches the other slot's identity
+    # face, so every tree element of a Wythoff lattice is the identity
+    assert all(int(x) == 0 for x in p.values())
+    assert holonomy and holonomy == _holonomy_by_rows(g, moves, p)
+    # relabel each ordering's flags (c, x) as (c, x t[c]): the moves become
+    # t[ci]^-1 h t[cj], the tree elements t[c] and the holonomy is unchanged
+    rng = np.random.default_rng(len(lat.chains))
+    t = [0] + [int(x) for x in rng.integers(1, g.order, size=len(lat.chains) - 1)]
+    relabelled = {
+        (ci, k): (compose(g, compose(g, inverse(g, t[ci]), h), t[cj]), cj)
+        for (ci, k), (h, cj) in moves.items()
+    }
+    p_t, holonomy_t = face_lattice._holonomy(lat, relabelled)
+    assert {c: int(x) for c, x in p_t.items()} == {c: t[c] for c in p}
+    assert holonomy_t == holonomy == _holonomy_by_rows(g, relabelled, p_t)
 
 
 def test_coset_minima_are_least_elements_of_left_cosets(shared):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import min_pairwise_by_projection
 from wythoff._kernels import match_rows, min_pairwise_distance
+from wythoff.diagram import family_diagram, parse
+from wythoff.reflection_group import root_system, simple_normals
+
+ORBIT_RING_SETS = ("o5o3x3o", "o5x3o3o", "o5o3x3x", "x5x3o3o", "x5o3o3x", "o5x3o3x", "o5x3x3x")
 
 
 def _brute_match(points, ref, tol):
@@ -13,9 +20,9 @@ def _brute_match(points, ref, tol):
 
 
 def _brute_min(pts):
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    np.fill_diagonal(d, np.inf)
-    return d.min()
+    """Every pair, with the kernel's own row-wise expression."""
+    i, j = np.triu_indices(len(pts), 1)
+    return float(np.sqrt(((pts[i] - pts[j]) ** 2).sum(axis=1).min()))
 
 
 def test_match_rows_recovers_permutation():
@@ -121,7 +128,7 @@ def test_min_pairwise_small_cases():
 def test_min_pairwise_matches_brute_force():
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(300, 5))
-    assert min_pairwise_distance(pts) == pytest.approx(_brute_min(pts), rel=1e-12)
+    assert min_pairwise_distance(pts) == _brute_min(pts)
 
 
 def test_min_pairwise_duplicates_and_ties():
@@ -130,3 +137,66 @@ def test_min_pairwise_duplicates_and_ties():
     assert min_pairwise_distance(line) == pytest.approx(1e-3, rel=1e-9)
     grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0)), axis=-1).reshape(-1, 2)
     assert min_pairwise_distance(grid * 0.5) == 0.5
+
+
+@pytest.mark.parametrize("text", ORBIT_RING_SETS + ("x5x3x3x", "x3x3x3x3x3x", "x999x"))
+def test_min_pairwise_equals_projection_walk_on_vertices(shared, text):
+    pts = shared.realization(parse(text)).points
+    assert min_pairwise_distance(pts) == min_pairwise_by_projection(pts)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("E", 6), ("E", 7), ("E", 8), ("B", 8), ("D", 8), ("H", 4), ("F", 4)]
+)
+def test_min_pairwise_equals_projection_walk_on_roots(family, rank):
+    roots = root_system(simple_normals(family_diagram(family, rank))).roots
+    assert min_pairwise_distance(roots) == min_pairwise_by_projection(roots)
+
+
+@st.composite
+def _point_sets(draw):
+    """Random rows at any scale, with near-duplicates and rounded (tied) rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 300))
+    scale = 10.0 ** draw(st.floats(-6, 3))
+    pts = rng.normal(size=(n, dim)) * scale
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        src, dst = rng.integers(0, n, size=(2, k))
+        pts[dst] = pts[src] + rng.normal(size=(k, dim)) * scale * 1e-9
+    if draw(st.booleans()):
+        pts = np.round(pts / scale, draw(st.integers(0, 2))) * scale
+    return pts
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_point_sets())
+def test_min_pairwise_property_against_brute_force(pts):
+    assert min_pairwise_distance(pts) == _brute_min(pts)
+
+
+def test_min_pairwise_all_rows_equal():
+    assert min_pairwise_distance(np.full((50, 4), 2.5)) == 0.0
+
+
+def test_min_pairwise_row_zero_far_from_a_tight_cluster():
+    # row 0's nearest row is 1000 away, so the cluster fills a cell or two
+    rng = np.random.default_rng(4)
+    cluster = rng.normal(size=(400, 4)) * 1e-3
+    pts = np.vstack([[1000.0, 0.0, 0.0, 0.0], cluster])
+    assert min_pairwise_distance(pts) == _brute_min(pts)
+    assert min_pairwise_distance(pts) < 1e-3
+
+
+def test_min_pairwise_tiny_pair_in_a_huge_extent():
+    # row 0 has a partner 2e-3 away, so cells of that side would number
+    # about 1e12 / 1e3 per axis and overflow int64 keys: the side is raised
+    rng = np.random.default_rng(6)
+    for dim in (1, 2, 3, 4, 6):
+        pts = rng.uniform(0.0, 1e12, size=(200, dim))
+        pts[1] = pts[0] + 2e-3 / np.sqrt(dim)
+        pts[7] = pts[100] + 1e-3 / np.sqrt(dim)
+        got = min_pairwise_distance(pts)
+        assert got == _brute_min(pts)
+        assert got < 1.5e-3
