@@ -25,7 +25,7 @@ from .errors import (
     WythoffError,
 )
 from .face_lattice import FaceLattice, build_lattice
-from .reflection_group import simple_normals
+from .reflection_group import ROW_BLOCK, simple_normals
 
 POINT_MATCH_TOL = 1e-7       # image-vs-representative agreement
 POINT_SEPARATION = 1e-3      # minimum distance between distinct vertices
@@ -88,10 +88,15 @@ def realize(src, group=None, budget=None) -> Realization:
     lat = src if isinstance(src, FaceLattice) else build_lattice(src, group, budget)
     g = lat.group
     x = wythoff_point(lat.diagram, g.normals)
-    images = g.point_images(x)
     vt = lat.slots_by_rank[0][0].table
-    points = images[vt.reps]
-    deviation = np.abs(images - points[vt.coset_id]).max()
+    points = g.point_images(x, vt.reps)
+    # every image is audited against its representative by blocks of
+    # elements, so no array of all |G| images is built
+    deviation = 0.0
+    for lo in range(0, g.order, ROW_BLOCK):
+        block = g.point_images(x, slice(lo, lo + ROW_BLOCK))
+        block -= points[vt.coset_id[lo : lo + ROW_BLOCK]]
+        deviation = max(deviation, np.abs(block, out=block).max())
     if deviation > POINT_MATCH_TOL:
         raise DedupCollision(
             f"orbit image differs from its representative by {deviation:.2e}"

@@ -2,27 +2,33 @@
 
 Simple mirror normals come from the Cholesky factor of the diagram's Gram
 matrix.  The root set is the closure of the normals under the generating
-reflections; every group element then becomes an integer permutation of the
-root list, and all later combinatorics (subgroups, cosets, face counting)
-is exact integer work.  One tolerance-bearing step remains: matching
-reflected roots back into the root list (dedup 1e-6, separation floor 1e-3).
+reflections; every group element permutes the root list, and all later
+combinatorics (subgroups, cosets, face counting) is exact integer work.
+One tolerance-bearing step remains: matching reflected roots back into the
+root list (dedup 1e-6, separation floor 1e-3).
+
+An element w is kept as its images of a few roots only, the columns
+C = {a_j} u {s_i a_j}, which the root closure lists first.  The images of
+the simple roots a_j fix w: it is linear and the simple roots are a basis.
+The images of the roots s_i(a_j) are the images of the simple roots under
+w s_i, which is all right multiplication needs.  C is 18 of 72 roots on B6
+and 21 of 98 on B7; no per-element array of every root is built.
 
 Elements are found as whole arrays, keyed by their images of the n simple
-roots.  These images fix the element: it is linear and the simple roots are
-a basis.  The image w(a_j) lies in the W-orbit of a_j, so it is written as
+roots.  The image w(a_j) lies in the W-orbit of a_j, so it is written as
 its digit, its rank within that orbit in root-index order, and the key is
 the mixed-radix number sum_j digit[w(a_j)] * place_j, where place_j is the
 product of the orbit sizes of a_(j+1), ..., a_n.  Distinct images give
 distinct digit strings, so the key is injective.  Digits grow with the root
 index within each orbit, so key order is the lexicographic order of the
 simple images; the root list starts with the simple roots, so two distinct
-permutation rows first differ within their first n columns, and key order
-is the lexicographic order of the full rows.  Keys are uint64 and the key
-space is the product of the n orbit sizes: 2^49.4 for A8, 2^63.3 for E8.  A
-group whose key space exceeds 2^64 is refused (BudgetExceeded) before any
-per-element array is built.  The keys exist only inside enumerate_group:
-they deduplicate the search and, by ``searchsorted`` in the sorted key
-array, build the Cayley table.
+permutations of it first differ within their first n roots, and key order
+is the lexicographic order of the full permutations.  Keys are uint64 and
+the key space is the product of the n orbit sizes: 2^49.4 for A8, 2^63.3
+for E8.  A group whose key space exceeds 2^64 is refused (BudgetExceeded)
+before any per-element array is built.  The keys exist only inside
+enumerate_group: they deduplicate the search and, by ``searchsorted`` in
+the sorted key array, build the Cayley table.
 
 The enumeration is a breadth-first search by layers, and layer k holds the
 elements of length k.  Every generator s is a reflection (det -1), so
@@ -111,7 +117,8 @@ def root_system(normals: np.ndarray) -> RootSystem:
 
     Every root lies in exactly one closure frontier, so the closure reflects
     each root by each generator exactly once, and the permutations are read
-    off the two matches it makes anyway.
+    off the two matches it makes anyway.  The roots are listed by frontier:
+    the simple normals, then the new images s_i(a_j), and so on.
     """
     n = len(normals)
     refl = [np.eye(n) - 2.0 * np.outer(v, v) for v in normals]
@@ -180,15 +187,19 @@ class CosetTable:
 class Group:
     """A finite reflection group with its elements as root permutations.
 
-    Element indices are assigned in lexicographic order of the permutation
-    rows, so index 0 is the identity and coset minima are canonical.
-    rmult[i] maps each element g to g s_i, the one Cayley table kept:
-    (g s_i)(a) = g(s_i a).  Every product is a walk along it: g times the
-    element a is walk(g, word(a)), and every generator is an involution, so
-    g times the inverse of a is walk(g, reversed(word(a))).  Walking it from
-    the identity closes a parabolic subgroup, and from g the left coset
-    g W_J.  The generators themselves are rmult[:, 0].  No element keys are
-    kept: they exist only inside enumerate_group.
+    Element indices are assigned in lexicographic order of the permutations
+    of the root list, so index 0 is the identity and coset minima are
+    canonical.  perms[g, c] is the index of g(root c) for the roots the
+    library reads: the simple roots and their images under the generators,
+    which the root closure lists first, so perms holds the first columns of
+    the full permutation rows.  rmult[i] maps each element g to g s_i, the
+    one Cayley table kept: (g s_i)(a) = g(s_i a).  Every product is a walk
+    along it: g times the element a is walk(g, word(a)), and every
+    generator is an involution, so g times the inverse of a is
+    walk(g, reversed(word(a))).  Walking it from the identity closes a
+    parabolic subgroup, and from g the left coset g W_J.  The generators
+    themselves are rmult[:, 0].  No element keys are kept: they exist only
+    inside enumerate_group.
     """
 
     def __init__(self, diagram, normals, roots, perms, rmult, parent, gen_of):
@@ -205,7 +216,7 @@ class Group:
 
     @property
     def order(self) -> int:
-        return len(self.perms)
+        return self.rmult.shape[1]
 
     def walk(self, start, word):
         """start s_w0 s_w1 ... for the generator indices in word, by rmult.
@@ -266,12 +277,19 @@ class Group:
         self._cosets[key] = table
         return table
 
-    def point_images(self, x: np.ndarray) -> np.ndarray:
-        """g*x for every element, batched, without storing matrices."""
-        s_cols = self.roots.roots[self.roots.simple].T
-        y = np.linalg.solve(s_cols, np.asarray(x, dtype=np.float64))
-        t = self.roots.roots[self.perms[:, self.roots.simple]]
-        return np.einsum("gjd,j->gd", t, y)
+    def point_images(self, x: np.ndarray, elements=slice(None)) -> np.ndarray:
+        """g*x for the given elements (all by default), without matrices.
+
+        With x = sum_j y_j a_j, g*x = sum_j y_j g(a_j), added up one simple
+        root at a time so that no (elements, n, dim) array is built.
+        """
+        roots = self.roots.roots
+        y = np.linalg.solve(roots[self.roots.simple].T, np.asarray(x, dtype=np.float64))
+        rows = self.perms[elements]
+        out = roots[rows[:, 0]] * y[0]
+        for j in range(1, len(y)):
+            out += roots[rows[:, j]] * y[j]
+        return out
 
 
 def _coset_minima(label: np.ndarray, tables: list) -> np.ndarray:
@@ -402,12 +420,16 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
     inv = np.empty_like(order)
     inv[order] = np.arange(total)
     parent = np.concatenate(parents)[order]
-    parent = np.where(parent >= 0, inv[np.maximum(parent, 0)], -1)
-    gen_of = np.concatenate(gens_of)[order]
+    parent = np.where(parent >= 0, inv[np.maximum(parent, 0)], -1).astype(np.int32)
+    gen_of = np.concatenate(gens_of)[order].astype(np.int8)
     assert inv[0] == 0
-    # the row of w = s_i p is s_i applied to the row of p, one layer after it
-    perms = np.empty((total, roots.count), dtype=gens.dtype)
-    perms[0] = np.arange(roots.count)
+    # the kept columns are the simple roots and their images under the
+    # generators, which the root closure lists first: roots 0..kept-1.
+    # w = s_i p sends root c to s_i(p(c)), so its row is s_i applied to the
+    # row of p, one layer after it, column by column
+    kept = int(gens[:, roots.simple].max()) + 1
+    perms = np.empty((total, kept), dtype=gens.dtype)
+    perms[0] = np.arange(kept)
     for lo, hi in itertools.pairwise(np.cumsum(sizes)):
         idx = inv[lo:hi]
         by_gen = gen_of[idx]

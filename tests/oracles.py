@@ -6,13 +6,15 @@ assert that both routes agree.  The flag routes list every flag
 (flag_rows), which the library never does.  These are the only users of
 scipy.  The element matrices, the reflection count and the Gram
 definiteness test are independent views of the group and the diagram that
-only tests read, and element_index, compose and inverse multiply by
-composing permutation rows, where the library walks rmult.  The minimum
-separation by a walk along one sorted projection is the point kernel's
-route before its cell grid.
+only tests read.  The group keeps only the root columns the library reads;
+full_rows rebuilds every column, and element_index, compose and inverse
+multiply by composing these rows, where the library walks rmult.  The
+minimum separation by a walk along one sorted projection is the point
+kernel's route before its cell grid.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,38 +28,69 @@ from wythoff.geometry import CheckReport
 from wythoff.reflection_group import ROOT_MATCH_TOL, RootSystem
 
 
+@functools.cache
+def full_rows(g) -> np.ndarray:
+    """(order, roots): row a is element a's permutation of the whole root list.
+
+    The same layered fill as enumerate_group, over every column: by the BFS
+    tree, the row of w = s_i p is s_i applied to the row of p, filled in
+    order of word length.  Kept per group for the session, like the suite's
+    shared groups.
+    """
+    gens = g.roots.perms
+    parent = g._parent.astype(np.int64)
+    length = np.zeros(g.order, dtype=np.int64)
+    up = parent
+    while (up >= 0).any():
+        length += up >= 0
+        up = np.where(up >= 0, parent[up], -1)
+    by_length = np.argsort(length, kind="stable")
+    bounds = np.searchsorted(length[by_length], np.arange(1, length.max() + 2))
+    rows = np.empty((g.order, g.roots.count), dtype=gens.dtype)
+    rows[0] = np.arange(g.roots.count)
+    for lo, hi in itertools.pairwise(bounds):
+        idx = by_length[lo:hi]
+        for i, gp in enumerate(gens):
+            sel = idx[g._gen_of[idx] == i]
+            rows[sel] = gp[rows[parent[sel]]]
+    return rows
+
+
 def group_matrices(g) -> np.ndarray:
     """Orthogonal matrix of every element of g, batched (order, n, n)."""
     s_inv = np.linalg.inv(g.roots.roots[g.roots.simple].T)
-    t = g.roots.roots[g.perms[:, g.roots.simple]]
+    t = g.roots.roots[full_rows(g)[:, g.roots.simple]]
     return np.einsum("gdj,je->gde", t.transpose(0, 2, 1), s_inv)
 
 
 @functools.cache
 def _row_index(g) -> dict:
     # kept per group for the session, like the suite's shared groups
-    return {row.tobytes(): a for a, row in enumerate(g.perms)}
+    return {row.tobytes(): a for a, row in enumerate(full_rows(g))}
 
 
 def element_index(g, row) -> int:
     """Index of the element of g with this permutation row; KeyError if none.
 
-    A lookup on g.perms alone: it reads neither rmult nor any key.
+    A lookup on full_rows alone: it reads neither rmult nor any key.
     """
-    a = _row_index(g).get(np.asarray(row).astype(g.perms.dtype).tobytes())
-    if a is None or not np.array_equal(g.perms[a], row):
+    rows = full_rows(g)
+    a = _row_index(g).get(np.asarray(row).astype(rows.dtype).tobytes())
+    if a is None or not np.array_equal(rows[a], row):
         raise KeyError("permutation is not a group element")
     return a
 
 
 def compose(g, a: int, b: int) -> int:
     """Index of a*b (apply b, then a)."""
-    return element_index(g, g.perms[a][g.perms[b]])
+    rows = full_rows(g)
+    return element_index(g, rows[a][rows[b]])
 
 
 def inverse(g, a: int) -> int:
-    inv = np.empty_like(g.perms[a])
-    inv[g.perms[a]] = np.arange(len(inv))
+    row = full_rows(g)[a]
+    inv = np.empty_like(row)
+    inv[row] = np.arange(len(inv))
     return element_index(g, inv)
 
 
@@ -167,11 +200,12 @@ def generator_face_actions(lat: FaceLattice) -> np.ndarray:
     r_i maps the face rep W_J to the coset (r_i rep) W_J.
     """
     g = lat.group
+    rows = full_rows(g)
     out = np.empty((g.n_gens, lat.face_total), dtype=np.int32)
     for sl in lat.slots_by_rank:
         for s in sl:
             for gi, gp in enumerate(g.roots.perms):
-                images = [element_index(g, gp[g.perms[r]]) for r in s.table.reps]
+                images = [element_index(g, gp[rows[r]]) for r in s.table.reps]
                 new = s.table.coset_id[images]
                 out[gi, s.offset : s.offset + s.count] = new + s.offset
     return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from sweep import decorated_variants, sweep_diagrams, sweep_products
 from wythoff import geometry
 from wythoff._kernels import match_rows
 from wythoff.diagram import disjoint_union, family_diagram, parse
-from wythoff.errors import UnsupportedDimension
+from wythoff.errors import DedupCollision, UnsupportedDimension
 from wythoff.geometry import (
     AFFINE_RANK_TOL,
     FACET_NORM_TOL,
@@ -19,7 +21,7 @@ from wythoff.geometry import (
     verify_realization,
     wythoff_point,
 )
-from wythoff.reflection_group import simple_normals
+from wythoff.reflection_group import ROW_BLOCK, simple_normals
 from wythoff.regular import ruled_verdict
 
 
@@ -242,3 +244,39 @@ def test_realize_accepts_prebuilt_lattice(shared):
     lat = shared.lattice(parse("x3o3o"))
     real = realize(lat)
     assert len(real.points) == 4
+
+
+def test_audit_reaches_the_last_partial_block(shared, monkeypatch):
+    # B6: 46080 elements, so the last of the audit's blocks is partial
+    lat = shared.lattice(parse("x4o3o3o3o3o"))
+    g = lat.group
+    target = g.order - 1
+    assert g.order % ROW_BLOCK and target not in lat.slots_by_rank[0][0].table.reps
+    images = g.point_images
+
+    def perturbed(x, elements=slice(None)):
+        out = images(x, elements)
+        out[np.arange(g.order)[elements] == target, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(g, "point_images", perturbed)
+    with pytest.raises(DedupCollision, match="representative"):
+        realize(lat)
+
+
+@pytest.mark.parametrize("text,kept", [("x4o3o3o3o3o", 18), ("x3o3o3o3o3o3o", 20)])
+def test_realize_builds_no_array_of_every_image(shared, text, kept):
+    lat = shared.lattice(parse(text))
+    g = lat.group
+    simple = g.roots.simple
+    assert g.perms.shape[1] == len(np.union1d(simple, g.roots.perms[:, simple])) == kept
+    assert g._parent.dtype == np.int32 and g._gen_of.dtype == np.int8
+    # one (|G|, dim) float array of images is 1x; gathering every simple
+    # root's image of every element before adding them up is n times that
+    tracemalloc.start()
+    try:
+        realize(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * g.order * g.roots.roots.shape[1] * 8

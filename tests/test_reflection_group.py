@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     compose,
     element_index,
+    full_rows,
     group_matrices,
     inverse,
     perms_of_generators,
@@ -62,17 +63,20 @@ def test_identity_is_element_zero(shared):
 
 def test_rows_are_permutations(shared):
     g = shared.group(parse("x5o3o"))
-    sorted_rows = np.sort(g.perms, axis=1)
-    assert np.array_equal(sorted_rows, np.tile(np.arange(g.perms.shape[1]), (g.order, 1)))
+    rows = full_rows(g)
+    sorted_rows = np.sort(rows, axis=1)
+    assert np.array_equal(sorted_rows, np.tile(np.arange(rows.shape[1]), (g.order, 1)))
+    assert _same(g.perms, rows[:, : g.perms.shape[1]])
 
 
 def test_compose_and_inverse_laws(shared):
     g = shared.group(parse("x4o3o"))
+    rows = full_rows(g)
     rng = np.random.default_rng(5)
     for _ in range(25):
         a, b = rng.integers(0, g.order, size=2)
         c = compose(g, int(a), int(b))
-        assert np.array_equal(g.perms[c], g.perms[a][g.perms[b]])
+        assert np.array_equal(rows[c], rows[a][rows[b]])
         assert compose(g, int(a), inverse(g, int(a))) == 0
 
 
@@ -203,6 +207,15 @@ def test_point_images_agree_with_matrices(shared):
     via_perm = g.point_images(x)
     via_mats = np.einsum("nij,j->ni", group_matrices(g), x)
     assert np.abs(via_perm - via_mats).max() < 1e-10
+
+
+def test_point_images_of_some_elements_are_rows_of_all(shared):
+    g = shared.group(parse("x4o3o3o3o3o"))
+    x = np.random.default_rng(4).normal(size=g.n_gens)
+    every = g.point_images(x)
+    some = np.random.default_rng(6).integers(0, g.order, size=500)
+    assert np.array_equal(g.point_images(x, slice(40000, 46000)), every[40000:46000])
+    assert np.array_equal(g.point_images(x, some), every[some])
 
 
 def test_coset_table_partitions_group(shared):
@@ -353,7 +366,8 @@ def _same(a, b):
 def test_group_and_coset_tables_match_dict_oracle(shared, diagram):
     g = shared.group(diagram)
     perms, index, parent, gen_of, rmult, gen_elements, gen_perms = _enumerate_by_dict(diagram)
-    assert _same(g.perms, perms)
+    assert _same(full_rows(g), perms)
+    assert _same(g.perms, perms[:, : g.perms.shape[1]])
     assert _same(g.rmult, rmult)
     assert _same(g.rmult[:, 0], gen_elements)
     assert all(g.word(a) == _word_by_tree(parent, gen_of, a) for a in range(g.order))
@@ -418,9 +432,10 @@ def _small_groups(draw):
 @given(_small_groups())
 def test_keys_number_elements_in_row_order(d):
     g = enumerate_group(d)
-    assert np.array_equal(np.lexsort(g.perms.T[::-1]), np.arange(g.order))
+    rows = full_rows(g)
+    assert np.array_equal(np.lexsort(rows.T[::-1]), np.arange(g.order))
     for i, gp in enumerate(_generator_perms(d)):
-        assert np.array_equal(g.perms[g.rmult[i]], g.perms[:, gp])
+        assert np.array_equal(rows[g.rmult[i]], rows[:, gp])
 
 
 @pytest.mark.parametrize(
@@ -430,9 +445,10 @@ def test_keys_number_elements_in_row_order(d):
 )
 def test_walks_multiply_like_permutation_rows(shared, diagram):
     g = shared.group(diagram)
+    rows = full_rows(g)
     rng = np.random.default_rng(3)
     for a, b in rng.integers(0, g.order, size=(20, 2)).tolist():
-        assert np.array_equal(g.perms[g.walk(a, g.word(b))], g.perms[a][g.perms[b]])
+        assert np.array_equal(rows[g.walk(a, g.word(b))], rows[a][rows[b]])
     for h in rng.integers(0, g.order, size=3).tolist():
-        by_rows = [element_index(g, row) for row in g.perms[:, g.perms[h]]]
+        by_rows = [element_index(g, row) for row in rows[:, rows[h]]]
         assert np.array_equal(g.walk(np.arange(g.order), g.word(h)), by_rows)
