@@ -12,12 +12,14 @@ only for its f-vector never builds them.
 Flags are maximal chains.  They factor exactly as (selection ordering c,
 group element g), and the group acts on them by left translation of g
 alone, freely.  So the moves of one flag per ordering (_flag_moves) give
-the whole flag graph: the flag checks (flag_report) and the partner table
-(flag_partners) both read them, and no flag is ever listed.  Lattice
-isomorphism needs one walk start per ordering (lattices_isomorphic).  The
-diamond property is checked by joining the integer cover pairs of adjacent
-ranks, and the covers of each slot pair are counted against
-|G| / |W_(J_lo n J_hi)|.
+the whole flag graph, and each move either changes the ordering and keeps
+the element or keeps the ordering and multiplies by one simple reflection.
+The flag checks (flag_report) and the partner table (flag_partners) both
+read the moves, with no group products and no subgroup closures, and no
+flag is ever listed.  Lattice isomorphism needs one walk start per
+ordering (lattices_isomorphic).  The diamond property is checked by
+joining the integer cover pairs of adjacent ranks, and the covers of each
+slot pair are counted against |G| / |W_(J_lo n J_hi)|.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .decoration import (
 )
 from .diagram import DecoratedDiagram, group_order
 from .errors import WythoffError
-from .reflection_group import Group, _coset_minima, enumerate_group
+from .reflection_group import Group, enumerate_group
 
 
 @dataclass(frozen=True)
@@ -308,15 +310,26 @@ class FlagReport:
 def _flag_moves(lat: FaceLattice) -> dict | None:
     """The move of flag (c, identity) at every rank k, for every ordering c.
 
-    Returns {(c, k): (h, c')}: the rank-k neighbor of (c, identity) is
-    (c', h).  The rank-k faces between its rank-(k-1) and rank-(k+1) faces
-    are read from the coset tables: those whose coset meets both identity
-    cosets.  The move's h is the one element of the parabolic subgroup
-    fixing the flag's other faces, W_inter, that carries the base face's
-    coset to the other one.  None when some flag does not have exactly one
-    rank-k neighbor.
+    Returns {(c, k): (i, c')}: the rank-k neighbor of (c, identity) is
+    (c', s_i), or (c', identity) when i is None.  The rank-k faces between
+    the flag's rank-(k-1) and rank-(k+1) faces are read from the coset
+    tables: those whose coset meets both identity cosets.  None when some
+    flag does not have exactly two faces there, its own and one other.
+
+    The other face gives the move.  Let J_j be the stabilizer nodes of the
+    flag's rank-j face and K the nodes in every J_j but J_k.  Every h in W_K
+    fixes the flag's other faces, so h W_(J_k) lies between them, in the
+    flag's own slot; and coset 0 of every slot nested between them meets
+    both identity cosets, so it lies between them too.  G acts freely on
+    flags, so distinct h give distinct faces, and the neighbor (c, h) of a
+    flag that keeps its ordering has h != identity in the intersection of
+    the W_(J_j), j != k, which is W_K.  With exactly two faces between:
+    - a face in another slot is that slot's coset 0, and h = identity;
+    - a face in the flag's own slot is h W_(J_k) with W_K = {1, h}, so K is
+      one node {i} and h = s_i.
+    Anything else raises WythoffError.
     """
-    group = lat.group
+    rmult = lat.group.rmult
     n = lat.n
     chain_idx = {c: i for i, c in enumerate(lat.chains)}
     slots = lat.slots_by_rank
@@ -348,48 +361,48 @@ def _flag_moves(lat: FaceLattice) -> dict | None:
             mids = faces_between(
                 k, chain[k - 1] if k > 0 else None, chain[k + 1] if k + 1 < n else None
             )
-            base_face = (chain[k], int(slots[k][chain[k]].table.coset_id[0]))
-            if len(mids) != 2 or base_face not in mids:
+            if len(mids) != 2 or (chain[k], 0) not in mids:
                 return None
-            other_slot, other_coset = next(m for m in mids if m != base_face)
-            others = [
-                slots[j][chain[j]].table.subgroup.generator_nodes for j in range(n) if j != k
-            ]
-            inter = frozenset.intersection(*others) if others else frozenset(range(n))
-            pk = group.subgroup(inter).elements
-            hs = pk[slots[k][other_slot].table.coset_id[pk] == other_coset]
-            if len(hs) != 1:
+            other_slot, other_coset = next(m for m in mids if m != (chain[k], 0))
+            node = None
+            if other_slot == chain[k]:
+                others = [
+                    slots[j][chain[j]].table.subgroup.generator_nodes for j in range(n) if j != k
+                ]
+                inter = frozenset.intersection(*others) if others else frozenset(range(n))
+                node = min(inter) if len(inter) == 1 else None
+            # the other face must be the coset of the move's element
+            h = 0 if node is None else rmult[node, 0]
+            if slots[k][other_slot].table.coset_id[h] != other_coset:
                 raise WythoffError("flag move is not unique")
             new_chain = chain[:k] + (other_slot,) + chain[k + 1 :]
-            moves[(ci, k)] = (int(hs[0]), chain_idx[new_chain])
+            moves[(ci, k)] = (node, chain_idx[new_chain])
     return moves
 
 
-def _holonomy(lat: FaceLattice, moves: dict) -> tuple[dict, set]:
-    """Tree elements and cycle holonomy of the graph of orderings.
+def _flags_connected(moves: dict, orderings: int, n: int) -> bool:
+    """Whether the flag graph of these moves of (c, identity) is connected.
 
-    A BFS from ordering 0 over the moves of _flag_moves gives each reached
-    ordering c its tree element p[c], with p[cj] = p[ci] h along the tree.
-    Every other move (ci, k) -> (h, cj) with ci <= cj adds p[ci] h p[cj]^-1
-    to the holonomy unless it is the identity; a move's reverse is the
-    rank-k move of cj, whose holonomy is the inverse.
+    moves is _flag_moves' table over orderings 0..orderings-1.  A move that
+    changes the ordering keeps the element, and one that keeps it
+    multiplies the element by s_i on the right.  So from (0, identity) the
+    walk reaches (c, g) for exactly the orderings c of its component in the
+    graph of orderings and the g in W_I, I the nodes that the ordering
+    keeping moves of those orderings name.  W_I = W only when I is every
+    node (Humphreys, Reflection Groups and Coxeter Groups, 5.5), so the
+    graph is connected exactly when every ordering is reached and the moves
+    name all n nodes.
     """
-    group = lat.group
-    p = {0: 0}
-    queue = [0]
-    holonomy = set()
+    reached, queue = {0}, [0]
     while queue:
-        ci = queue.pop()
-        for k in range(lat.n):
-            h, cj = moves[(ci, k)]
-            if cj not in p:
-                p[cj] = group.walk(p[ci], group.word(h))
+        c = queue.pop()
+        for k in range(n):
+            cj = moves[(c, k)][1]
+            if cj not in reached:
+                reached.add(cj)
                 queue.append(cj)
-            elif ci <= cj:
-                w = int(group.walk(p[ci], group.word(h) + group.word(p[cj])[::-1]))
-                if w:
-                    holonomy.add(w)
-    return p, holonomy
+    named = {i for i, _ in moves.values() if i is not None}
+    return len(reached) == orderings and named == set(range(n))
 
 
 def flag_report(lat: FaceLattice) -> FlagReport:
@@ -399,47 +412,36 @@ def flag_report(lat: FaceLattice) -> FlagReport:
     commutes with left translation, exactly in integers: if the rank-k
     neighbor of (c, identity) is (c', h), that of (c, g) is (c', g h).  So
     the degree check needs the n moves of one flag per ordering
-    (_flag_moves), and the flag graph is connected exactly when the graph of
-    orderings is connected and the holonomy of its cycles generates the
-    group.  No flag is listed.
+    (_flag_moves), and connectivity is one search over the orderings
+    (_flags_connected).  No flag is listed.
     """
-    group = lat.group
     chains = lat.chains
     moves = _flag_moves(lat)
     if moves is None:
         return FlagReport(lat.flag_count(), len(chains), False, False)
-    p, holonomy = _holonomy(lat, moves)
-    if len(p) != len(chains):
-        return FlagReport(lat.flag_count(), len(chains), True, False)
-    # label[w] is 0 exactly when w lies in the subgroup generated so far; an
-    # element outside it at least doubles it, so at most log2 |G| holonomy
-    # elements are kept as generators
-    tables = []
-    label = np.arange(group.order)
-    for w in sorted(holonomy):
-        if label[w]:
-            tables.append(group.walk(np.arange(group.order), group.word(w)))
-            label = _coset_minima(label, tables)
-    return FlagReport(lat.flag_count(), len(chains), True, not label.any())
+    return FlagReport(
+        lat.flag_count(), len(chains), True, _flags_connected(moves, len(chains), lat.n)
+    )
 
 
 def flag_partners(lat: FaceLattice) -> np.ndarray:
     """(n, flag_count) partner table: the rank-k neighbor of each flag.
 
-    Flag (c, g) is number c |G| + g.  Its rank-k neighbor is (c', g h), where
-    (c', h) is the rank-k move of (c, identity) (see flag_report), so each
-    ordering's block of a row is c' |G| plus one right-multiplication table.
-    No flag is listed.
+    Flag (c, g) is number c |G| + g.  Its rank-k neighbor is (c', g s_i) or
+    (c', g), where (c', s_i) or (c', identity) is the rank-k move of
+    (c, identity) (see flag_report), so each ordering's block of a row is
+    c' |G| plus rmult[i] or the identity map.  No flag is listed.
     """
     moves = _flag_moves(lat)
     if moves is None:
         raise WythoffError("flag graph is not a matching per rank")
-    group = lat.group
-    order = group.order
+    order = lat.group.order
+    identity = np.arange(order)
     out = np.empty((lat.n, lat.flag_count()), dtype=np.int64)
-    for (c, k), (h, cj) in moves.items():
-        table = group.walk(np.arange(order), group.word(h))
-        out[k, c * order : (c + 1) * order] = cj * order + table
+    for (c, k), (i, cj) in moves.items():
+        block = out[k, c * order : (c + 1) * order]
+        block[:] = identity if i is None else lat.group.rmult[i]
+        block += cj * order
     return out
 
 

@@ -39,14 +39,12 @@ w' keeps its first occurrence in generator-major order, s_i w with the least
 i; no other s_i w equals w', so this is the parent and generator an
 element-by-element search in that order finds, whatever the frontier order.
 
-One Cayley table is kept, right multiplication by the generators (rmult),
-and every product is a walk along it (Group.walk).  Components of a graph
-of element (or root) maps are labelled by their least member in one
-routine, _coset_minima.  Over rmult restricted to J it labels the left
-cosets g W_J, and the identity's coset is W_J itself, so a coset table also
-gives its subgroup.  Over the generator permutations of the roots it gives
-the root orbits behind the keys, and over right multiplication by holonomy
-elements it decides flag connectivity.
+One Cayley table is kept, right multiplication by the generators (rmult).
+Components of a graph of element (or root) maps are labelled by their
+least member in one routine, _coset_minima.  Over rmult restricted to J it
+labels the left cosets g W_J, and the identity's coset is W_J itself, so a
+coset table also gives its subgroup.  Over the generator permutations of
+the roots it gives the root orbits behind the keys.
 """
 
 from __future__ import annotations
@@ -193,86 +191,36 @@ class Group:
     library reads: the simple roots and their images under the generators,
     which the root closure lists first, so perms holds the first columns of
     the full permutation rows.  rmult[i] maps each element g to g s_i, the
-    one Cayley table kept: (g s_i)(a) = g(s_i a).  Every product is a walk
-    along it: g times the element a is walk(g, word(a)), and every
-    generator is an involution, so g times the inverse of a is
-    walk(g, reversed(word(a))).  Walking it from the identity closes a
-    parabolic subgroup, and from g the left coset g W_J.  The generators
-    themselves are rmult[:, 0].  No element keys are kept: they exist only
-    inside enumerate_group.
+    one Cayley table kept: (g s_i)(a) = g(s_i a).  The generators themselves
+    are rmult[:, 0].  Joining g to g s_j for j in J gives the left cosets
+    g W_J (coset_table).  No element keys or words are kept: the keys and the
+    search tree exist only inside enumerate_group.
     """
 
-    def __init__(self, diagram, normals, roots, perms, rmult, parent, gen_of):
+    def __init__(self, diagram, normals, roots, perms, rmult):
         self.diagram = diagram
         self.normals = normals
         self.roots = roots
         self.perms = perms
         self.rmult = rmult
-        self._parent = parent
-        self._gen_of = gen_of
         self.n_gens = diagram.rank
-        self._subgroups: dict = {}
         self._cosets: dict = {}
 
     @property
     def order(self) -> int:
         return self.rmult.shape[1]
 
-    def walk(self, start, word):
-        """start s_w0 s_w1 ... for the generator indices in word, by rmult.
-
-        start is one element index or an array of them.
-        """
-        for i in word:
-            start = self.rmult[i][start]
-        return start
-
-    def word(self, a: int) -> tuple[int, ...]:
-        """One generator word for element a (BFS tree, left factors first)."""
-        out = []
-        while self._parent[a] != -1:
-            out.append(int(self._gen_of[a]))
-            a = int(self._parent[a])
-        return tuple(out)
-
-    def _node_set(self, nodes) -> frozenset:
+    def coset_table(self, nodes) -> CosetTable:
         key = frozenset(int(v) for v in nodes)
         if not all(0 <= v < self.n_gens for v in key):
             raise SubgroupNotContained("generator indices out of range")
-        return key
-
-    def subgroup(self, nodes) -> Subgroup:
-        key = self._node_set(nodes)
-        sub = self._subgroups.get(key)
-        if sub is None:
-            sub = Subgroup(key, self._close_subgroup(sorted(key)))
-            self._subgroups[key] = sub
-        return sub
-
-    def _close_subgroup(self, gens) -> np.ndarray:
-        """W_J walked out from the identity, for subgroups without a coset table."""
-        if not gens:
-            return np.zeros(1, dtype=np.int64)
-        visited = np.zeros(self.order, dtype=bool)
-        visited[0] = True
-        frontier = np.array([0], dtype=np.int64)
-        tabs = self.rmult[gens]
-        while frontier.size:
-            cand = tabs[:, frontier].ravel()
-            cand = np.unique(cand[~visited[cand]])
-            visited[cand] = True
-            frontier = cand
-        return np.flatnonzero(visited)
-
-    def coset_table(self, nodes) -> CosetTable:
-        key = self._node_set(nodes)
         table = self._cosets.get(key)
         if table is not None:
             return table
-        label = _coset_minima(np.arange(self.order), list(self.rmult[sorted(key)]))
+        label = _coset_minima(self.order, list(self.rmult[sorted(key)]))
         is_rep = label == np.arange(self.order)
         coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
-        sub = self._subgroups.setdefault(key, Subgroup(key, np.flatnonzero(label == 0)))
+        sub = Subgroup(key, np.flatnonzero(label == 0))
         table = CosetTable(sub, coset_id, np.flatnonzero(is_rep))
         self._cosets[key] = table
         return table
@@ -292,20 +240,19 @@ class Group:
         return out
 
 
-def _coset_minima(label: np.ndarray, tables: list) -> np.ndarray:
-    """Least member of each component of the graph x -- t[x], t in tables.
+def _coset_minima(count: int, tables: list) -> np.ndarray:
+    """Least member of each component of the graph x -- t[x] on 0..count-1.
 
-    label must map every x into its component with label[x] <= x (the
-    identity map does).  With right multiplication tables by the elements
-    of H the components are the left cosets xH; with the generator
-    permutations of the roots they are the root orbits.  They are found by
-    hooking and pointer jumping: each round hooks the root of x's tree onto
-    the root of t[x]'s tree when that is smaller, then points every member
-    at its root.  Whole trees merge at once, so a long cycle closes in a
+    With the rows of rmult for the generators in J the components are the
+    left cosets x W_J (coset_table); with the generator permutations of the
+    roots they are the root orbits (key_layout).  They are found by hooking
+    and pointer jumping: each round hooks the root of x's tree onto the
+    root of t[x]'s tree when that is smaller, then points every member at
+    its root.  Whole trees merge at once, so a long cycle closes in a
     number of rounds logarithmic in its length.  Once every edge joins
     equal labels, each component carries one label, its least member.
     """
-    label = label.copy()
+    label = np.arange(count)
     while True:
         for t in tables:
             np.minimum.at(label, label, label[t])
@@ -329,7 +276,7 @@ def key_layout(gen_perms) -> np.ndarray:
     sizes of the simple roots, does not fit in 64 bits.
     """
     n, count = len(gen_perms), len(gen_perms[0])
-    orbit = _coset_minima(np.arange(count), list(gen_perms))
+    orbit = _coset_minima(count, list(gen_perms))
     size = np.bincount(orbit, minlength=count)
     by_orbit = np.argsort(orbit, kind="stable")
     digit = np.empty(count, dtype=np.uint64)
@@ -382,7 +329,7 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
     frontier = np.arange(n, dtype=gens.dtype)[None, :]
     here = _row_keys(key_table, frontier)   # keys of the frontier, which is kept sorted
     below = here[:0]                        # sorted keys of the layer before it
-    sizes, keys, parents, gens_of = [1], [here], [np.array([-1])], [np.array([-1])]
+    sizes, keys, parents, gens_of = [1], [here], [], []
     total, offset = 1, 0
     while len(frontier):
         cand = gen_table[:, 0, frontier[:, 0]]
@@ -403,8 +350,8 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
             raise BudgetExceeded("enumeration exceeded budget %d" % budget)
         nxt = gens[gen[:, None], frontier[src]]
         sizes.append(len(nxt))
-        parents.append(offset + src)
-        gens_of.append(gen)
+        parents.append((offset + src).astype(np.int32))
+        gens_of.append(gen.astype(np.int8))
         total += len(nxt)
         offset += len(frontier)
         below, here, frontier = here, uniq[new], nxt
@@ -417,25 +364,25 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
     keys = np.concatenate(keys)
     order = np.argsort(keys)
     keys = keys[order]
-    inv = np.empty_like(order)
-    inv[order] = np.arange(total)
-    parent = np.concatenate(parents)[order]
-    parent = np.where(parent >= 0, inv[np.maximum(parent, 0)], -1).astype(np.int32)
-    gen_of = np.concatenate(gens_of)[order].astype(np.int8)
+    inv = np.empty(total, dtype=np.int32)
+    inv[order] = np.arange(total, dtype=np.int32)
+    del order
     assert inv[0] == 0
     # the kept columns are the simple roots and their images under the
     # generators, which the root closure lists first: roots 0..kept-1.
     # w = s_i p sends root c to s_i(p(c)), so its row is s_i applied to the
-    # row of p, one layer after it, column by column
+    # row of p, one layer before it, column by column; the search tree is
+    # read one layer at a time and dropped
     kept = int(gens[:, roots.simple].max()) + 1
     perms = np.empty((total, kept), dtype=gens.dtype)
     perms[0] = np.arange(kept)
-    for lo, hi in itertools.pairwise(np.cumsum(sizes)):
-        idx = inv[lo:hi]
-        by_gen = gen_of[idx]
+    layers = zip(itertools.pairwise(np.cumsum(sizes)), parents, gens_of)
+    for (lo, hi), parent, gen in layers:
+        idx, parent = inv[lo:hi], inv[parent]
         for i, gp in enumerate(gens):
-            sel = idx[by_gen == i]
-            perms[sel] = np.take(gp, perms[parent[sel]])
+            sel = gen == i
+            perms[idx[sel]] = np.take(gp, perms[parent[sel]])
+    del inv, parents, gens_of
     # rmult by blocks of rows, which stay in cache while every generator
     # reads them; row g s_i reads g's row at the columns s_i sends the
     # simple roots to, and its key is looked up among the sorted keys
@@ -448,7 +395,7 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
             if not _found(keys, want, pos).all():
                 raise KeyError("permutation is not a group element")
             rmult[i, lo : lo + len(rows)] = pos
-    return Group(d, normals, roots, perms, rmult, parent, gen_of)
+    return Group(d, normals, roots, perms, rmult)
 
 
 def _found(sorted_keys: np.ndarray, keys: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -3,18 +3,21 @@
 Each flag, diamond, containment and root-permutation function here is the
 route the library took before it switched to a cheaper exact one; tests
 assert that both routes agree.  The flag routes list every flag
-(flag_rows), which the library never does.  These are the only users of
-scipy.  The element matrices, the reflection count and the Gram
-definiteness test are independent views of the group and the diagram that
-only tests read.  The group keeps only the root columns the library reads;
-full_rows rebuilds every column, and element_index, compose and inverse
-multiply by composing these rows, where the library walks rmult.  The
-minimum separation by a walk along one sorted projection is the point
-kernel's route before its cell grid.
+(flag_rows), or find each flag move by searching a whole parabolic
+subgroup and decide connectivity from the holonomy of the graph of
+orderings (flag_moves_by_search, flag_report_by_holonomy), where the
+library reads each move as the identity or one simple reflection.  These
+are the only users of scipy.  The element matrices, the reflection count
+and the Gram definiteness test are independent views of the group and the
+diagram that only tests read.  The group keeps only the root columns the
+library reads and no words; full_rows rebuilds every column along a
+search tree of rmult, word and walk give words and products along that
+tree, and element_index, compose and inverse multiply by composing
+permutation rows.  The minimum separation by a walk along one sorted
+projection is the point kernel's route before its cell grid.
 """
 
 import functools
-import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,37 +25,77 @@ from scipy.sparse.csgraph import connected_components
 
 from wythoff import _kernels
 from wythoff.diagram import gram_matrix
-from wythoff.errors import ToleranceCollision
+from wythoff.errors import ToleranceCollision, WythoffError
 from wythoff.face_lattice import DiamondReport, FaceLattice, FlagReport, _walk_code
 from wythoff.geometry import CheckReport
 from wythoff.reflection_group import ROOT_MATCH_TOL, RootSystem
 
 
 @functools.cache
+def _search_tree(g):
+    """A breadth-first tree of g over rmult from the identity.
+
+    Returns (parent, gen, layers): every element w but the identity is
+    parent[w] s_gen[w], and layers lists the elements by word length.  Kept
+    per group for the session, like the suite's shared groups.
+    """
+    parent = np.full(g.order, -1, dtype=np.int64)
+    gen = np.full(g.order, -1, dtype=np.int64)
+    seen = np.zeros(g.order, dtype=bool)
+    seen[0] = True
+    layers = [np.array([0])]
+    while len(layers[-1]):
+        frontier, nxt = layers[-1], []
+        for i, table in enumerate(g.rmult):
+            cand = table[frontier]
+            new = ~seen[cand]
+            cand, first = np.unique(cand[new], return_index=True)
+            seen[cand] = True
+            parent[cand] = frontier[new][first]
+            gen[cand] = i
+            nxt.append(cand)
+        layers.append(np.concatenate(nxt))
+    assert seen.all(), "rmult does not reach every element"
+    return parent, gen, layers[:-1]
+
+
+def word(g, a: int) -> tuple[int, ...]:
+    """One generator word for element a, left factors first: a = s_w0 s_w1 ..."""
+    parent, gen, _ = _search_tree(g)
+    out = []
+    while parent[a] != -1:
+        out.append(int(gen[a]))
+        a = int(parent[a])
+    return tuple(out[::-1])
+
+
+def walk(g, start, gens):
+    """start s_w0 s_w1 ... for the generator indices in gens, by rmult.
+
+    start is one element index or an array of them; walk(g, x, word(g, a))
+    is the product x a.
+    """
+    for i in gens:
+        start = g.rmult[i][start]
+    return start
+
+
+@functools.cache
 def full_rows(g) -> np.ndarray:
     """(order, roots): row a is element a's permutation of the whole root list.
 
-    The same layered fill as enumerate_group, over every column: by the BFS
-    tree, the row of w = s_i p is s_i applied to the row of p, filled in
-    order of word length.  Kept per group for the session, like the suite's
-    shared groups.
+    Filled along _search_tree, in order of word length: w = p s_i sends
+    root c to p(s_i(c)), so the row of w is the row of p read at the
+    columns of s_i's permutation.  Kept per group for the session.
     """
     gens = g.roots.perms
-    parent = g._parent.astype(np.int64)
-    length = np.zeros(g.order, dtype=np.int64)
-    up = parent
-    while (up >= 0).any():
-        length += up >= 0
-        up = np.where(up >= 0, parent[up], -1)
-    by_length = np.argsort(length, kind="stable")
-    bounds = np.searchsorted(length[by_length], np.arange(1, length.max() + 2))
+    parent, gen, layers = _search_tree(g)
     rows = np.empty((g.order, g.roots.count), dtype=gens.dtype)
     rows[0] = np.arange(g.roots.count)
-    for lo, hi in itertools.pairwise(bounds):
-        idx = by_length[lo:hi]
+    for layer in layers[1:]:
         for i, gp in enumerate(gens):
-            sel = idx[g._gen_of[idx] == i]
-            rows[sel] = gp[rows[parent[sel]]]
+            sel = layer[gen[layer] == i]
+            rows[sel] = rows[parent[sel]][:, gp]
     return rows
 
 
@@ -63,22 +106,37 @@ def group_matrices(g) -> np.ndarray:
     return np.einsum("gdj,je->gde", t.transpose(0, 2, 1), s_inv)
 
 
+def _as_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque bytes key per row, for sorting and searching whole rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
 @functools.cache
-def _row_index(g) -> dict:
+def _sorted_row_keys(g) -> tuple[np.ndarray, np.ndarray]:
     # kept per group for the session, like the suite's shared groups
-    return {row.tobytes(): a for a, row in enumerate(full_rows(g))}
+    keys = _as_keys(full_rows(g))
+    order = np.argsort(keys)
+    return keys[order], order
+
+
+def element_indices(g, rows) -> np.ndarray:
+    """Indices of the elements of g with these permutation rows; KeyError if any is none.
+
+    A search among the sorted bytes of full_rows: it reads no key of the
+    library and walks no word.
+    """
+    keys, order = _sorted_row_keys(g)
+    want = _as_keys(np.atleast_2d(rows).astype(full_rows(g).dtype))
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    if not (keys[pos] == want).all():
+        raise KeyError("permutation is not a group element")
+    return order[pos]
 
 
 def element_index(g, row) -> int:
-    """Index of the element of g with this permutation row; KeyError if none.
-
-    A lookup on full_rows alone: it reads neither rmult nor any key.
-    """
-    rows = full_rows(g)
-    a = _row_index(g).get(np.asarray(row).astype(rows.dtype).tobytes())
-    if a is None or not np.array_equal(rows[a], row):
-        raise KeyError("permutation is not a group element")
-    return a
+    """Index of the element of g with this permutation row; KeyError if none."""
+    return int(element_indices(g, row)[0])
 
 
 def compose(g, a: int, b: int) -> int:
@@ -192,6 +250,130 @@ def _flag_graph_direct(lat: FaceLattice):
     )
     ncomp, _ = connected_components(graph, directed=False)
     return FlagReport(count, len(lat.chains), True, ncomp == 1, "direct"), partners
+
+
+def _parabolic(g, nodes) -> np.ndarray:
+    """Sorted elements of W_J, walked out from the identity along rmult."""
+    visited = np.zeros(g.order, dtype=bool)
+    visited[0] = True
+    frontier = np.array([0])
+    tables = g.rmult[sorted(nodes)]
+    while frontier.size:
+        cand = tables[:, frontier].ravel()
+        cand = np.unique(cand[~visited[cand]])
+        visited[cand] = True
+        frontier = cand
+    return np.flatnonzero(visited)
+
+
+def flag_moves_by_search(lat: FaceLattice) -> dict | None:
+    """The move of flag (c, identity) at every rank k, by a subgroup search.
+
+    Returns {(c, k): (h, c')}, h an element index: the rank-k neighbor of
+    (c, identity) is (c', h).  The two faces between the flag's rank-(k-1)
+    and rank-(k+1) faces are found as in the library; h is the one element
+    of W_K, K the nodes in every stabilizer of the flag's other faces, that
+    carries the flag's face to the other one, found by searching the whole
+    of W_K.  None when some flag does not have exactly two faces there;
+    WythoffError when h is not unique.
+    """
+    g = lat.group
+    n = lat.n
+    chain_idx = {c: i for i, c in enumerate(lat.chains)}
+    slots = lat.slots_by_rank
+    parabolics = {}
+    moves = {}
+    for ci, chain in enumerate(lat.chains):
+        for k in range(n):
+            lower = slots[k - 1][chain[k - 1]] if k > 0 else None
+            upper = slots[k + 1][chain[k + 1]] if k + 1 < n else None
+            mids = []
+            for si, s in enumerate(slots[k]):
+                if lower is not None and not lower.selection < s.selection:
+                    continue
+                if upper is not None and not s.selection < upper.selection:
+                    continue
+                here = np.arange(s.count)
+                for bound in (lower, upper):
+                    if bound is not None:
+                        meets = s.table.coset_id[bound.table.subgroup.elements]
+                        here = np.intersect1d(here, meets)
+                mids.extend((si, int(c)) for c in here)
+            base_face = (chain[k], int(slots[k][chain[k]].table.coset_id[0]))
+            if len(mids) != 2 or base_face not in mids:
+                return None
+            other_slot, other_coset = next(m for m in mids if m != base_face)
+            others = [
+                slots[j][chain[j]].table.subgroup.generator_nodes for j in range(n) if j != k
+            ]
+            inter = frozenset.intersection(*others) if others else frozenset(range(n))
+            if inter not in parabolics:
+                parabolics[inter] = _parabolic(g, inter)
+            pk = parabolics[inter]
+            hs = pk[slots[k][other_slot].table.coset_id[pk] == other_coset]
+            if len(hs) != 1:
+                raise WythoffError("flag move is not unique")
+            new_chain = chain[:k] + (other_slot,) + chain[k + 1 :]
+            moves[(ci, k)] = (int(hs[0]), chain_idx[new_chain])
+    return moves
+
+
+@functools.cache
+def _right_table(g, w: int) -> np.ndarray:
+    """x -> x w for every element x, by composing permutation rows."""
+    rows = full_rows(g)
+    return element_indices(g, rows[:, rows[w]])
+
+
+def flag_report_by_holonomy(lat: FaceLattice, moves: dict | None) -> FlagReport:
+    """FlagReport from the holonomy of the graph of orderings, by permutation rows.
+
+    moves is flag_moves_by_search(lat).  A search from ordering 0 gives each
+    reached ordering c a tree element p[c], with p[cj] = p[ci] h along the
+    tree; every other move (ci, k) -> (h, cj) with ci <= cj adds the
+    holonomy p[ci] h p[cj]^-1 unless it is the identity.  The flag graph is
+    connected when every ordering is reached and joining every x to x w,
+    for the holonomy elements w, connects the group.
+    """
+    g = lat.group
+    count, chains = lat.flag_count(), len(lat.chains)
+    if moves is None:
+        return FlagReport(count, chains, False, False, "holonomy")
+    p = {0: 0}
+    queue = [0]
+    holonomy = set()
+    while queue:
+        ci = queue.pop()
+        for k in range(lat.n):
+            h, cj = moves[(ci, k)]
+            if cj not in p:
+                p[cj] = compose(g, p[ci], h)
+                queue.append(cj)
+            elif ci <= cj:
+                w = compose(g, compose(g, p[ci], h), inverse(g, p[cj]))
+                if w:
+                    holonomy.add(w)
+    if len(p) != chains:
+        return FlagReport(count, chains, True, False, "holonomy")
+    ends = [_right_table(g, w) for w in sorted(holonomy)]
+    graph = sp.coo_matrix(
+        (
+            np.ones(len(ends) * g.order, dtype=np.int8),
+            (np.tile(np.arange(g.order), len(ends)), np.concatenate([[], *ends]).astype(np.int64)),
+        ),
+        shape=(g.order, g.order),
+    )
+    ncomp, _ = connected_components(graph, directed=False)
+    return FlagReport(count, chains, True, ncomp == 1, "holonomy")
+
+
+def flag_partners_by_rows(lat: FaceLattice, moves: dict) -> np.ndarray:
+    """flag_partners from the moves of flag_moves_by_search, by permutation rows."""
+    order = lat.group.order
+    out = np.empty((lat.n, lat.flag_count()), dtype=np.int64)
+    for (c, k), (h, cj) in moves.items():
+        out[k, c * order : (c + 1) * order] = cj * order + _right_table(lat.group, h)
+    return out
 
 
 def generator_face_actions(lat: FaceLattice) -> np.ndarray:

@@ -1,12 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import _flag_graph_direct, compose, flag_rows, generator_face_actions, inverse
+from oracles import (
+    _flag_graph_direct,
+    compose,
+    flag_moves_by_search,
+    flag_rows,
+    generator_face_actions,
+)
 from wythoff import face_lattice
 from wythoff.cli import main
 from wythoff.decoration import start_decoration
 from wythoff.diagram import disjoint_union, family_diagram, parse
-from wythoff.errors import Degenerate
+from wythoff.errors import Degenerate, WythoffError
 from wythoff.face_lattice import (
     FaceLattice,
     build_lattice,
@@ -107,47 +115,47 @@ def test_flag_methods_agree(shared):
         assert covering.method == "covering"
 
 
-def _holonomy_by_rows(g, moves, p):
-    """p[ci] h p[cj]^-1 of every move with ci <= cj, by permutation rows."""
-    out = set()
-    for (ci, _k), (h, cj) in moves.items():
-        w = compose(g, compose(g, int(p[ci]), h), inverse(g, int(p[cj])))
-        if ci <= cj and w:
-            out.add(w)
-    return out
+def test_flags_connected_needs_every_node_named():
+    # two orderings joined at rank 0; at rank 1 each keeps its ordering
+    moves = {(0, 0): (None, 1), (1, 0): (None, 0), (0, 1): (0, 0), (1, 1): (1, 1)}
+    assert face_lattice._flags_connected(moves, 2, 2)
+    # node 1 named by no move: the flags reached from (0, identity) are
+    # every ordering times W_{0}, half of them
+    moves[(1, 1)] = (0, 1)
+    assert not face_lattice._flags_connected(moves, 2, 2)
 
 
-@pytest.mark.parametrize(
-    "diagram",
-    [
-        parse("x3x4o"),
-        parse("x4x3x"),
-        parse("x3x3x3x"),
-        disjoint_union(parse("x3x"), parse("x4x")),
-    ],
-    ids=["x3x4o", "x4x3x", "x3x3x3x", "x3x+x4x"],
-)
-def test_holonomy_is_tree_element_times_move_times_inverse(shared, diagram):
-    lat = shared.lattice(diagram)
-    g = lat.group
-    moves = face_lattice._flag_moves(lat)
-    p, holonomy = face_lattice._holonomy(lat, moves)
-    assert len(lat.chains) > 1 and sorted(p) == list(range(len(lat.chains)))
-    # a move that changes the ordering reaches the other slot's identity
-    # face, so every tree element of a Wythoff lattice is the identity
-    assert all(int(x) == 0 for x in p.values())
-    assert holonomy and holonomy == _holonomy_by_rows(g, moves, p)
-    # relabel each ordering's flags (c, x) as (c, x t[c]): the moves become
-    # t[ci]^-1 h t[cj], the tree elements t[c] and the holonomy is unchanged
-    rng = np.random.default_rng(len(lat.chains))
-    t = [0] + [int(x) for x in rng.integers(1, g.order, size=len(lat.chains) - 1)]
-    relabelled = {
-        (ci, k): (compose(g, compose(g, inverse(g, t[ci]), h), t[cj]), cj)
-        for (ci, k), (h, cj) in moves.items()
-    }
-    p_t, holonomy_t = face_lattice._holonomy(lat, relabelled)
-    assert {c: int(x) for c, x in p_t.items()} == {c: t[c] for c in p}
-    assert holonomy_t == holonomy == _holonomy_by_rows(g, relabelled, p_t)
+def test_flags_connected_needs_every_ordering_reached():
+    # orderings {0, 1} and {2, 3} joined at rank 0 only, with both nodes named
+    moves = {}
+    for c, other in ((0, 1), (1, 0), (2, 3), (3, 2)):
+        moves[(c, 0)] = (None, other)
+        moves[(c, 1)] = (c % 2, c)
+    assert not face_lattice._flags_connected(moves, 4, 2)
+    # join orderings 1 and 2 at rank 1; orderings 0 and 3 still name both nodes
+    moves[(1, 1)], moves[(2, 1)] = (None, 2), (None, 1)
+    assert face_lattice._flags_connected(moves, 4, 2)
+
+
+def test_flag_move_off_its_reflection_is_refused(shared):
+    lat = shared.lattice(parse("x3x4o"))
+    s0 = int(lat.group.rmult[0, 0])
+    # the rank-0 move of (0, identity) keeps its ordering: it is s_0
+    assert face_lattice._flag_moves(lat)[(0, 0)] == (0, 0)
+    assert flag_moves_by_search(lat)[(0, 0)] == (s0, 0)
+    # relabel the element s_0 alone into the base vertex's coset: the other
+    # vertex of the base edge, still reached through s_0 s_2, is no longer
+    # the coset of s_0
+    slots = [list(sl) for sl in lat.slots_by_rank]
+    vertices = slots[0][0]
+    coset_id = vertices.table.coset_id.copy()
+    coset_id[s0] = 0
+    slots[0][0] = replace(vertices, table=replace(vertices.table, coset_id=coset_id))
+    bad = FaceLattice(lat.diagram, lat.start, lat.group, slots)
+    with pytest.raises(WythoffError, match="flag move is not unique"):
+        flag_report(bad)
+    with pytest.raises(WythoffError, match="flag move is not unique"):
+        flag_moves_by_search(bad)
 
 
 def test_coset_minima_are_least_elements_of_left_cosets(shared):
@@ -156,10 +164,8 @@ def test_coset_minima_are_least_elements_of_left_cosets(shared):
         g = shared.group(d)
         for size in (1, 2, 3):
             gens = [int(w) for w in rng.choice(np.arange(1, g.order), size, replace=False)]
-            tables = [g.walk(np.arange(g.order), g.word(w)) for w in gens]
-            for w, t in zip(gens, tables):
-                assert all(t[x] == compose(g, x, w) for x in range(g.order)), (d, w)
-            label = _coset_minima(np.arange(g.order), tables)
+            tables = [np.array([compose(g, x, w) for x in range(g.order)]) for w in gens]
+            label = _coset_minima(g.order, tables)
             sub = {0}
             while True:
                 grown = sub | {compose(g, h, w) for w in gens for h in sub}

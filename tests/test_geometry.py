@@ -270,7 +270,6 @@ def test_realize_builds_no_array_of_every_image(shared, text, kept):
     g = lat.group
     simple = g.roots.simple
     assert g.perms.shape[1] == len(np.union1d(simple, g.roots.perms[:, simple])) == kept
-    assert g._parent.dtype == np.int32 and g._gen_of.dtype == np.int8
     # one (|G|, dim) float array of images is 1x; gathering every simple
     # root's image of every element before adding them up is n times that
     tracemalloc.start()

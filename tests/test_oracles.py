@@ -13,6 +13,9 @@ from oracles import (
     _flag_graph_direct,
     _is_flag_transitive_by_orbit,
     _lattices_isomorphic_per_flag,
+    flag_moves_by_search,
+    flag_partners_by_rows,
+    flag_report_by_holonomy,
 )
 from sweep import (
     big_group_diagrams,
@@ -22,6 +25,7 @@ from sweep import (
     sweep_diagrams,
     sweep_products,
 )
+from wythoff import face_lattice
 from wythoff.diagram import parse
 from wythoff.face_lattice import (
     FaceLattice,
@@ -60,6 +64,24 @@ def test_flag_report_matches_direct_graph(shared, name):
         assert np.array_equal(flag_partners(lat), partners), d
         compared += 1
     assert compared
+
+
+@pytest.mark.parametrize("name", ["rank_34", "products", "orbit", "big_group"])
+def test_flag_moves_match_subgroup_search(shared, name):
+    for d in INPUT_SETS[name]():
+        lat = shared.lattice(d)
+        g = lat.group
+        old = flag_moves_by_search(lat)
+        # the library names each move's element by its node, s_i or None
+        moves = {
+            key: (0 if i is None else int(g.rmult[i, 0]), cj)
+            for key, (i, cj) in face_lattice._flag_moves(lat).items()
+        }
+        assert moves == old, d
+        by_holonomy = flag_report_by_holonomy(lat, old)
+        assert flag_report(lat) == replace(by_holonomy, method="covering"), d
+        assert by_holonomy.ok, d
+        assert np.array_equal(flag_partners(lat), flag_partners_by_rows(lat, old)), d
 
 
 @pytest.mark.parametrize("name", INPUT_SETS)

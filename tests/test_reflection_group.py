@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,8 @@ from oracles import (
     inverse,
     perms_of_generators,
     reflection_count,
+    walk,
+    word,
 )
 from sweep import sweep_diagrams, sweep_products
 from wythoff._kernels import match_rows, min_pairwise_distance
@@ -86,7 +89,7 @@ def test_word_reconstructs_element(shared):
     rng = np.random.default_rng(9)
     for a in rng.integers(0, g.order, size=10):
         prod = np.eye(3)
-        for gi in g.word(int(a)):
+        for gi in word(g, int(a)):
             prod = prod @ mats[g.rmult[gi, 0]]
         assert np.allclose(prod, mats[int(a)], atol=1e-10)
 
@@ -235,9 +238,25 @@ def test_parabolic_subgroup_orders(shared):
     g = shared.group(parse("x4o3o3o"))
     d = parse("x4o3o3o")
     for nodes in [frozenset({0}), frozenset({0, 1}), frozenset({1, 2, 3}), frozenset()]:
-        sub = g.subgroup(nodes)
+        sub = g.coset_table(nodes).subgroup
         want = group_order(d.induced(sorted(nodes))) if nodes else 1
         assert len(sub.elements) == want
+
+
+def test_enumeration_peak_stays_near_the_kept_tables(shared):
+    # B6: perms (18 int16 columns) and rmult (6 int32 rows) are kept; the
+    # search tree and the reindexing are dropped before rmult is filled, so
+    # only the sorted keys (8 bytes an element) and one block of lookups
+    # remain beside them
+    d = parse("x4o3o3o3o3o")
+    shared.group(d)
+    tracemalloc.start()
+    try:
+        g = enumerate_group(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * (g.perms.nbytes + g.rmult.nbytes)
 
 
 def test_budget_exceeded():
@@ -269,9 +288,9 @@ def test_non_definite_gram_rejected():
 def _enumerate_by_dict(d):
     """Element-by-element BFS keyed by full permutation bytes: the group oracle.
 
-    Returns perms in lex order of the rows, the row -> index dict, the BFS
-    parent and generator of every element, rmult (g -> g s_i), the element
-    indices of the generators and the generator permutations.
+    Returns perms in lex order of the rows, the row -> index dict, rmult
+    (g -> g s_i), the element indices of the generators and the generator
+    permutations.
     """
     normals = simple_normals(d)
     roots = root_system(normals)
@@ -279,38 +298,28 @@ def _enumerate_by_dict(d):
     ident = np.arange(roots.count, dtype=gen_perms[0].dtype)
     rows = [ident]
     index = {ident.tobytes(): 0}
-    parent, gen_of = [-1], [-1]
     frontier = [0]
     while frontier:
         arr = np.array([rows[i] for i in frontier])
         nxt = []
         for gi, gp in enumerate(gen_perms):
-            prod = gp[arr]
-            for k, src in enumerate(frontier):
-                b = prod[k].tobytes()
+            for row in gp[arr]:
+                b = row.tobytes()
                 if b not in index:
                     index[b] = len(rows)
-                    rows.append(prod[k].copy())
-                    parent.append(src)
-                    gen_of.append(gi)
+                    rows.append(row.copy())
                     nxt.append(index[b])
         frontier = nxt
     perms = np.array(rows)
-    order = np.lexsort(perms.T[::-1])
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    perms = perms[order]
+    perms = perms[np.lexsort(perms.T[::-1])]
     index = {perms[i].tobytes(): i for i in range(len(perms))}
-    parent = np.array(parent)[order]
-    parent = np.where(parent >= 0, inv[np.maximum(parent, 0)], -1)
-    gen_of = np.array(gen_of)[order]
     rmult = np.empty((len(gen_perms), len(perms)), dtype=np.int32)
     for gi, gp in enumerate(gen_perms):
         prod = perms[:, gp]
         for e in range(len(perms)):
             rmult[gi, e] = index[prod[e].tobytes()]
     gen_elements = np.array([index[p.tobytes()] for p in gen_perms], dtype=np.int32)
-    return perms, index, parent, gen_of, rmult, gen_elements, gen_perms
+    return perms, index, rmult, gen_elements, gen_perms
 
 
 def _subgroup_by_dict(perms, index, gen_perms, nodes):
@@ -344,14 +353,6 @@ def _coset_table_by_dict(perms, index, sub_elements):
     return coset_id, np.array(reps, dtype=np.int64)
 
 
-def _word_by_tree(parent, gen_of, a):
-    out = []
-    while parent[a] != -1:
-        out.append(int(gen_of[a]))
-        a = int(parent[a])
-    return tuple(out)
-
-
 def _same(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -365,12 +366,11 @@ def _same(a, b):
 )
 def test_group_and_coset_tables_match_dict_oracle(shared, diagram):
     g = shared.group(diagram)
-    perms, index, parent, gen_of, rmult, gen_elements, gen_perms = _enumerate_by_dict(diagram)
+    perms, index, rmult, gen_elements, gen_perms = _enumerate_by_dict(diagram)
     assert _same(full_rows(g), perms)
     assert _same(g.perms, perms[:, : g.perms.shape[1]])
     assert _same(g.rmult, rmult)
     assert _same(g.rmult[:, 0], gen_elements)
-    assert all(g.word(a) == _word_by_tree(parent, gen_of, a) for a in range(g.order))
     n = diagram.rank
     for nodes in (frozenset(c) for r in range(n + 1) for c in combinations(range(n), r)):
         table = g.coset_table(nodes)
@@ -446,9 +446,13 @@ def test_keys_number_elements_in_row_order(d):
 def test_walks_multiply_like_permutation_rows(shared, diagram):
     g = shared.group(diagram)
     rows = full_rows(g)
+    # every entry of rmult, not only the search tree full_rows is filled
+    # along: g s_i has the full row of g read at s_i's permutation
+    for i, gp in enumerate(g.roots.perms):
+        assert np.array_equal(rows[g.rmult[i]], rows[:, gp]), i
     rng = np.random.default_rng(3)
     for a, b in rng.integers(0, g.order, size=(20, 2)).tolist():
-        assert np.array_equal(rows[g.walk(a, g.word(b))], rows[a][rows[b]])
+        assert np.array_equal(rows[walk(g, a, word(g, b))], rows[a][rows[b]])
     for h in rng.integers(0, g.order, size=3).tolist():
         by_rows = [element_index(g, row) for row in rows[:, rows[h]]]
-        assert np.array_equal(g.walk(np.arange(g.order), g.word(h)), by_rows)
+        assert np.array_equal(walk(g, np.arange(g.order), word(g, h)), by_rows)
