@@ -29,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import sorted_unique
 from .decoration import (
     Decoration,
     face_types,
@@ -178,7 +179,7 @@ def _compute_covers(slots_by_rank) -> np.ndarray:
                 if not lo.selection < hi.selection:
                     continue
                 hi_ids = hi.table.coset_id.astype(np.int64) + hi.offset
-                key = np.unique(lo_ids * total + hi_ids)
+                key = sorted_unique(lo_ids * total + hi_ids)
                 pairs.append(np.stack([key // total, key % total], axis=1))
     if not pairs:
         return np.empty((0, 2), dtype=np.int64)
@@ -313,7 +314,8 @@ def _flag_moves(lat: FaceLattice) -> dict | None:
     Returns {(c, k): (i, c')}: the rank-k neighbor of (c, identity) is
     (c', s_i), or (c', identity) when i is None.  The rank-k faces between
     the flag's rank-(k-1) and rank-(k+1) faces are read from the coset
-    tables: those whose coset meets both identity cosets.  None when some
+    tables: those whose coset meets both identity cosets, marked over the
+    slot's cosets by each identity coset in turn.  None when some
     flag does not have exactly two faces there, its own and one other.
 
     The other face gives the move.  Let J_j be the stabilizer nodes of the
@@ -347,11 +349,13 @@ def _flag_moves(lat: FaceLattice) -> dict | None:
                 continue
             if upper is not None and not s.selection < upper.selection:
                 continue
-            here = np.arange(s.count)
+            here = np.ones(s.count, dtype=bool)
             for bound in (lower, upper):
                 if bound is not None:
-                    here = np.intersect1d(here, s.table.coset_id[bound.table.subgroup.elements])
-            out.extend((si, int(c)) for c in here)
+                    mark = np.zeros(s.count, dtype=bool)
+                    mark[s.table.coset_id[bound.table.subgroup.elements]] = True
+                    here &= mark
+            out.extend((si, int(c)) for c in np.flatnonzero(here))
         between[(k, lo, hi)] = out
         return out
 
@@ -467,18 +471,13 @@ def vertex_figure(lat: FaceLattice) -> VertexFigure:
     stabilizer orbit shows up, e.g. 3 edges + 3 squares for the cube.
     """
     stab = lat.slots_by_rank[0][0].table.subgroup.elements
-    ids = []
-    for k in range(1, lat.n):
-        level = []
-        for s in lat.slots_by_rank[k]:
-            level.extend(
-                int(c) + s.offset for c in np.unique(s.table.coset_id[stab])
-            )
-        level.sort()
-        ids.append(level)
+    mark = np.zeros(lat.face_total, dtype=bool)
+    for sl in lat.slots_by_rank[1 : lat.n]:
+        for s in sl:
+            mark[s.table.coset_id[stab] + s.offset] = True
+    ids = [np.flatnonzero(mark & (lat.face_rank == k)).tolist() for k in range(1, lat.n)]
     cov = lat.covers
-    keep = [f for level in ids for f in level]
-    return VertexFigure(ids, cov[np.isin(cov, keep).all(axis=1)])
+    return VertexFigure(ids, cov[mark[cov].all(axis=1)])
 
 
 # -- lattice isomorphism ---------------------------------------------------

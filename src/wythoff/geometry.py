@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import match_rows, min_pairwise_distance
+from ._kernels import match_rows, min_pairwise_distance, sorted_unique
 from .decoration import RING
 from .errors import (
     DedupCollision,
@@ -70,6 +70,7 @@ class Realization:
     base_point: np.ndarray
     points: np.ndarray            # (V, dim); row i = rank-0 face with id i
     _face_vertex: dict            # slot offset -> (count, m) vertex indices
+    deviation: float              # largest |g x - its vertex's point| coordinate
 
     @property
     def dim(self) -> int:
@@ -110,13 +111,13 @@ def realize(src, group=None, budget=None) -> Realization:
     face_vertex = {}
     for sl in lat.slots_by_rank:
         for s in sl:
-            key = np.unique(s.table.coset_id.astype(np.int64) * total + vof)
+            key = sorted_unique(s.table.coset_id.astype(np.int64) * total + vof)
             counts = np.bincount(key // total, minlength=s.count)
             m = int(counts[0])
             if not np.all(counts == m):
                 raise WythoffError("conjugate faces with unequal vertex counts")
             face_vertex[s.offset] = (key % total).reshape(s.count, m).astype(np.int32)
-    return Realization(lat, x, points, face_vertex)
+    return Realization(lat, x, points, face_vertex, float(deviation))
 
 
 # -- verification reports ----------------------------------------------------
@@ -135,25 +136,57 @@ def centroid_check(real: Realization) -> CheckReport:
 
 
 def affine_rank_check(real: Realization) -> CheckReport:
-    """Affine dimension of each face's vertex set equals its lattice rank."""
+    """Affine dimension of each face's vertex set equals its lattice rank.
+
+    One SVD per slot, on its base face W_J (coset 0), decides every face of
+    the slot.  Face g W_J holds the vertices of the g h, h in W_J, and
+    vertex(h) -> vertex(g h) maps the base face onto it.  realize audits
+    every image w x against its vertex's point to within deviation per
+    coordinate, so both the point of vertex(g h) and g times the point of
+    vertex(h) lie within sqrt(dim) deviation of g h x (g is orthogonal).
+    So face g W_J's points are g times the base face's, rows paired by that
+    map, plus an error E with rows of norm at most 2 sqrt(dim) deviation.
+    g and the row order keep singular values and centering does not raise
+    ||E||, so by Weyl's inequality each moves by at most ||E||_2 <= ||E||_F
+    <= 2 sqrt(m dim) deviation, the slack, for m vertices per face.  The
+    base verdict holds for the whole slot when every base singular value
+    is farther than the slack from AFFINE_RANK_TOL; a slot with a thinner
+    margin runs the same SVD over all of its faces.
+
+    detail: faces and the first violating ids per slot; margin, the least
+    distance of a base singular value from AFFINE_RANK_TOL minus its slot's
+    slack; per_face_slots, the slots whose margin was not positive.
+    """
     lat = real.lattice
     checked = 0
     bad = []
+    margin = np.inf
+    per_face_slots = 0
+
+    def singular_values(rows):
+        pts = real.points[rows]
+        return np.linalg.svd(pts - pts.mean(axis=1, keepdims=True), compute_uv=False)
+
     for sl in lat.slots_by_rank:
         for s in sl:
-            if s.rank == 0:
-                checked += s.count
-                continue
-            pts = real.points[real.slot_vertices(s)]
-            centered = pts - pts.mean(axis=1, keepdims=True)
-            sv = np.linalg.svd(centered, compute_uv=False)
-            ranks = (sv > AFFINE_RANK_TOL).sum(axis=1)
             checked += s.count
+            if s.rank == 0:
+                continue
+            fv = real.slot_vertices(s)
+            base = singular_values(fv[:1])
+            slack = 2.0 * np.sqrt(fv.shape[1] * real.dim) * real.deviation
+            slot_margin = float(np.abs(base - AFFINE_RANK_TOL).min()) - slack
+            margin = min(margin, slot_margin)
+            if slot_margin > 0:
+                ranks = np.repeat((base > AFFINE_RANK_TOL).sum(axis=1), s.count)
+            else:
+                per_face_slots += 1
+                ranks = (singular_values(fv) > AFFINE_RANK_TOL).sum(axis=1)
             wrong = np.flatnonzero(ranks != s.rank)
             bad.extend(int(w) + s.offset for w in wrong[:10])
-    return CheckReport(
-        "affine_rank", not bad, {"faces": checked, "violations": bad}
-    )
+    detail = {"faces": checked, "violations": bad}
+    detail.update(margin=float(margin), per_face_slots=per_face_slots)
+    return CheckReport("affine_rank", not bad, detail)
 
 
 def containment_check(real: Realization) -> CheckReport:
@@ -161,6 +194,13 @@ def containment_check(real: Realization) -> CheckReport:
 
     Every (face, vertex) incidence becomes one integer key; each cover's
     (upper face, lower-face vertex) keys are looked up in the sorted keys.
+
+    It ties every face's vertex list to the covers in integers.
+    affine_rank_check measures each slot's base face only and carries the
+    verdict to face g W_J by g, within the Weyl bound 2 sqrt(m dim)
+    deviation; a list that is not the g-image of the base face's list,
+    such as one with a vertex swapped out, misses a face below it and fails
+    here.
     """
     lat = real.lattice
     nv = len(real.points)

@@ -14,7 +14,10 @@ library reads and no words; full_rows rebuilds every column along a
 search tree of rmult, word and walk give words and products along that
 tree, and element_index, compose and inverse multiply by composing
 permutation rows.  The minimum separation by a walk along one sorted
-projection is the point kernel's route before its cell grid.
+projection is the point kernel's route before its cell grid.  The cover
+pairs and the face-vertex lists by np.unique, and the affine rank check
+with one SVD per face, are the routes before sorted_unique and the one SVD
+per slot.
 """
 
 import functools
@@ -27,7 +30,7 @@ from wythoff import _kernels
 from wythoff.diagram import gram_matrix
 from wythoff.errors import ToleranceCollision, WythoffError
 from wythoff.face_lattice import DiamondReport, FaceLattice, FlagReport, _walk_code
-from wythoff.geometry import CheckReport
+from wythoff.geometry import AFFINE_RANK_TOL, CheckReport
 from wythoff.reflection_group import ROOT_MATCH_TOL, RootSystem
 
 
@@ -548,3 +551,48 @@ def min_pairwise_by_projection(points) -> float:
         i = i[i + k < len(points)]
         i = i[p[i + k] - p[i] <= np.sqrt(best2) + pad]
     return float(np.sqrt(best2))
+
+
+def covers_by_unique(lat: FaceLattice) -> np.ndarray:
+    """The cover pairs, one np.unique over |G| keys per nested slot pair."""
+    total = lat.face_total
+    pairs = []
+    for k in range(lat.n):
+        for lo in lat.slots_by_rank[k]:
+            lo_ids = lo.table.coset_id.astype(np.int64) + lo.offset
+            for hi in lat.slots_by_rank[k + 1]:
+                if lo.selection < hi.selection:
+                    hi_ids = hi.table.coset_id.astype(np.int64) + hi.offset
+                    key = np.unique(lo_ids * total + hi_ids)
+                    pairs.append(np.stack([key // total, key % total], axis=1))
+    return np.vstack(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
+
+
+def face_vertex_by_unique(real) -> dict:
+    """Each slot's (count, m) vertex lists, one np.unique over |G| keys per slot."""
+    lat = real.lattice
+    vof = lat.slots_by_rank[0][0].table.coset_id.astype(np.int64)
+    total = len(real.points)
+    out = {}
+    for sl in lat.slots_by_rank:
+        for s in sl:
+            key = np.unique(s.table.coset_id.astype(np.int64) * total + vof)
+            out[s.offset] = (key % total).reshape(s.count, -1).astype(np.int32)
+    return out
+
+
+def affine_rank_per_face(real) -> CheckReport:
+    """The affine rank check with one SVD per face of every slot."""
+    checked = 0
+    bad = []
+    for sl in real.lattice.slots_by_rank:
+        for s in sl:
+            checked += s.count
+            if s.rank == 0:
+                continue
+            pts = real.points[real.slot_vertices(s)]
+            centered = pts - pts.mean(axis=1, keepdims=True)
+            sv = np.linalg.svd(centered, compute_uv=False)
+            wrong = np.flatnonzero((sv > AFFINE_RANK_TOL).sum(axis=1) != s.rank)
+            bad.extend(int(w) + s.offset for w in wrong[:10])
+    return CheckReport("affine_rank", not bad, {"faces": checked, "violations": bad})

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,3 +280,16 @@ def test_realize_builds_no_array_of_every_image(shared, text, kept):
     finally:
         tracemalloc.stop()
     assert peak < 2 * g.order * g.roots.roots.shape[1] * 8
+
+
+@pytest.mark.parametrize("text", ["x3x4o", "o5o3x3o", "x4o3o3o3o3o"])
+def test_a_wrong_vertex_on_a_non_base_face_fails(shared, text):
+    # affine_rank measures each slot's base face only; containment ties
+    # every other face's list to the covers
+    real = shared.realization(parse(text))
+    for k in range(1, real.lattice.n):
+        s = real.lattice.slots_by_rank[k][0]
+        fv = real.slot_vertices(s).copy()
+        fv[1, 0] = np.setdiff1d(np.arange(len(real.points)), fv[1])[0]
+        bad = replace(real, _face_vertex={**real._face_vertex, s.offset: fv})
+        assert not verify_realization(bad)["containment"].ok, (text, k)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import min_pairwise_by_projection
-from wythoff._kernels import match_rows, min_pairwise_distance
+from wythoff._kernels import match_rows, min_pairwise_distance, sorted_unique
 from wythoff.diagram import family_diagram, parse
 from wythoff.reflection_group import root_system, simple_normals
 
@@ -200,3 +200,25 @@ def test_min_pairwise_tiny_pair_in_a_huge_extent():
         got = min_pairwise_distance(pts)
         assert got == _brute_min(pts)
         assert got < 1.5e-3
+
+
+@st.composite
+def _integer_keys(draw):
+    """uint32 or int64 keys, from a narrow range (many repeats) or a wide one."""
+    dtype = draw(st.sampled_from([np.uint32, np.int64]))
+    lo, hi = (0, 2**32 - 1) if dtype == np.uint32 else (-(2**62), 2**62)
+    if draw(st.booleans()):
+        lo = draw(st.integers(lo, hi))
+        hi = min(hi, lo + draw(st.integers(0, 5)))
+    return np.array(draw(st.lists(st.integers(lo, hi), max_size=300)), dtype=dtype)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_integer_keys())
+@example(np.array([], dtype=np.int64))
+@example(np.array([7], dtype=np.uint32))
+@example(np.full(50, 2**62, dtype=np.int64))
+@example(np.array([[3, 1], [3, 2**62]], dtype=np.int64))
+def test_sorted_unique_is_numpy_unique(keys):
+    got, want = sorted_unique(keys), np.unique(keys)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -1,5 +1,6 @@
-"""The library's flag, transitivity, diamond, containment and isomorphism
-answers agree with the routes in oracles.py on every input set below."""
+"""The library's flag, transitivity, diamond, containment, affine rank and
+isomorphism answers, and its covers and face-vertex lists, agree with the
+routes in oracles.py on every input set below."""
 
 from dataclasses import replace
 from itertools import combinations
@@ -13,6 +14,9 @@ from oracles import (
     _flag_graph_direct,
     _is_flag_transitive_by_orbit,
     _lattices_isomorphic_per_flag,
+    affine_rank_per_face,
+    covers_by_unique,
+    face_vertex_by_unique,
     flag_moves_by_search,
     flag_partners_by_rows,
     flag_report_by_holonomy,
@@ -34,7 +38,7 @@ from wythoff.face_lattice import (
     flag_report,
     lattices_isomorphic,
 )
-from wythoff.geometry import containment_check
+from wythoff.geometry import affine_rank_check, containment_check
 from wythoff.regular import is_flag_transitive
 
 # beyond this many flags the explicit flag graph costs the suite too much
@@ -100,6 +104,64 @@ def test_diamond_and_containment_match_sparse_products(shared, name):
         assert diamond_report(lat) == _diamond_by_sparse(lat), d
         real = shared.realization(d)
         assert containment_check(real) == _containment_by_sparse(real), d
+
+
+AFFINE_ITEMS = {
+    **INPUT_SETS,
+    "i2_999": lambda: [parse(t) for t in ("x999o", "o999x", "x999x")],
+}
+
+
+def _same_affine_report(real):
+    new, old = affine_rank_check(real), affine_rank_per_face(real)
+    return new.ok == old.ok and {k: new.detail[k] for k in old.detail} == old.detail
+
+
+@pytest.mark.parametrize("name", AFFINE_ITEMS)
+def test_affine_rank_matches_per_face_svd(shared, name):
+    for d in AFFINE_ITEMS[name]():
+        real = shared.realization(d)
+        assert _same_affine_report(real), d
+        # every slot's margin clears its slack, so one SVD per slot decides
+        assert affine_rank_check(real).detail["per_face_slots"] == 0, d
+
+
+def test_affine_rank_without_margin_runs_every_face(shared):
+    for text in ("x3x4o", "o5o3x3o", "x999o"):
+        # a deviation this large leaves no slot a margin over its slack
+        real = replace(shared.realization(parse(text)), deviation=1.0)
+        detail = affine_rank_check(real).detail
+        assert detail["margin"] < 0
+        assert detail["per_face_slots"] == sum(
+            len(sl) for sl in real.lattice.slots_by_rank[1:]
+        )
+        assert _same_affine_report(real), text
+    # a hexagon of the truncated octahedron, not its slot's base face, with
+    # one vertex swapped for one off its plane: only an SVD of that face
+    # sees the rank, and containment_check catches the list either way
+    real = shared.realization(parse("x3x4o"))
+    s = next(s for s in real.lattice.slots_by_rank[2] if real.slot_vertices(s).shape[1] == 6)
+    fv = real.slot_vertices(s).copy()
+    fv[1, 0] = np.setdiff1d(np.arange(len(real.points)), fv[1])[0]
+    bad = replace(real, _face_vertex={**real._face_vertex, s.offset: fv})
+    assert affine_rank_check(bad).ok and not containment_check(bad).ok
+    bad = replace(bad, deviation=1.0)
+    report = affine_rank_check(bad)
+    assert report.detail["violations"] == [s.offset + 1]
+    assert _same_affine_report(bad)
+
+
+@pytest.mark.parametrize("name", ["orbit", "big_group"])
+def test_covers_and_face_vertices_match_unique_route(shared, name):
+    for d in INPUT_SETS[name]():
+        real = shared.realization(d)
+        covers, want = real.lattice.covers, covers_by_unique(real.lattice)
+        assert covers.dtype == want.dtype and np.array_equal(covers, want), d
+        lists = face_vertex_by_unique(real)
+        assert real._face_vertex.keys() == lists.keys()
+        for offset, want in lists.items():
+            got = real._face_vertex[offset]
+            assert got.dtype == want.dtype and np.array_equal(got, want), (d, offset)
 
 
 def _corrupted_cube(shared):
