@@ -65,20 +65,21 @@ def require_nondegenerate(d: DecoratedDiagram):
         raise Degenerate("every component needs at least one ringed node")
 
 
+def _select(d: DecoratedDiagram, values: tuple, w: int) -> tuple:
+    """The rewrite step on values: w becomes 2, crossed neighbors of w become 1."""
+    new = list(values)
+    new[w] = SELECTED
+    for u in d.neighbors(w):
+        if new[u] == CROSSED:
+            new[u] = ACTIVE
+    return tuple(new)
+
+
 def select_node(dec: Decoration, w: int) -> Decoration:
     """Select active node w: w becomes 2, crossed neighbors of w become 1."""
     if dec.values[w] != ACTIVE:
         raise NotApplicable("node %d has value %d, not 1" % (w, dec.values[w]))
-    adj = set(dec.diagram.neighbors(w))
-    new = []
-    for v, val in enumerate(dec.values):
-        if val == SELECTED or v == w:
-            new.append(SELECTED)
-        elif val == ACTIVE or (val == CROSSED and v in adj):
-            new.append(ACTIVE)
-        else:
-            new.append(CROSSED)
-    return Decoration(dec.diagram, tuple(new))
+    return Decoration(dec.diagram, _select(dec.diagram, dec.values, w))
 
 
 def reachable_decorations(start: Decoration, k: int) -> frozenset:
@@ -172,24 +173,17 @@ def selection_orderings(start: Decoration) -> list[tuple[int, ...]]:
     selections of the faces along one maximal chain of the face lattice.
     """
     d = start.diagram
-    n = d.rank
     out = []
-    vals = list(start.values)
 
     def rec(vals, prefix):
-        if len(prefix) == n:
+        if len(prefix) == d.rank:
             out.append(tuple(prefix))
             return
-        for w in range(n):
-            if vals[w] == ACTIVE:
-                nxt = vals[:]
-                nxt[w] = SELECTED
-                for u in d.neighbors(w):
-                    if nxt[u] == CROSSED:
-                        nxt[u] = ACTIVE
-                rec(nxt, prefix + [w])
+        for w, val in enumerate(vals):
+            if val == ACTIVE:
+                rec(_select(d, vals, w), prefix + [w])
 
-    rec(vals, [])
+    rec(start.values, [])
     return out
 
 

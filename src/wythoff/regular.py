@@ -2,10 +2,11 @@
 
 Two independent notions are implemented.  ruled_verdict applies a closed
 position table on the decorated diagram (which families and ring positions
-yield regular polytopes).  is_flag_transitive decides transitivity of the
-generating reflection group on flags from the flag structure (one orbit
-per selection ordering).  They can disagree only when a polytope is regular
-but its full symmetry group is strictly larger than the generating group;
+yield regular polytopes); the same rule gives the gap reasons and the
+catalog.  is_flag_transitive decides transitivity of the generating
+reflection group on flags from the flag structure (one orbit per selection
+ordering).  They can disagree only when a polytope is regular but its full
+symmetry group is strictly larger than the generating group;
 oracle_gap_reason enumerates exactly those constructions.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .decoration import (
@@ -84,7 +84,7 @@ def known_f_vector(name: str) -> tuple[int, ...]:
         if name == poly:
             return (k, k)
     m = re.fullmatch(r"(\d+)-(simplex|hypercube|hyperoctahedron|gon)", name)
-    if not m:
+    if not m or int(m.group(1)) < (3 if m.group(2) == "gon" else 1):
         raise UnknownName(name)
     n, kind = int(m.group(1)), m.group(2)
     if kind == "gon":
@@ -96,12 +96,74 @@ def known_f_vector(name: str) -> tuple[int, ...]:
     return tuple(2 ** (k + 1) * comb(n, k + 1) for k in range(n))
 
 
-def _is_box_factor(d: DecoratedDiagram, tag) -> bool:
-    """Segment, or a 4-3-...-3 chain ringed exactly at the 4 end."""
+# The regular single-ring positions on connected diagrams of rank >= 3, in
+# catalog order: (family, rank or None for every rank, layout position with
+# -1 for the last node, name, gap).  The gap, when set, says why the
+# generating group is not flag-transitive on that regular polytope.
+_DEMICUBE_GAP = "16-cell from the demihypercube group (index 2)"
+_REGULAR_POSITIONS = (
+    ("A", None, 0, "{n}-simplex", None),
+    ("A", None, -1, "{n}-simplex", None),
+    ("B", None, 0, "{n}-hypercube", None),
+    ("B", None, -1, "{n}-hyperoctahedron", None),
+    ("A", 3, 1, "3-hyperoctahedron", "octahedron from the tetrahedral group (index 2)"),
+    ("H", 3, -1, "icosahedron", None),
+    ("H", 3, 0, "dodecahedron", None),
+    ("D", 4, 0, "4-hyperoctahedron", _DEMICUBE_GAP),
+    ("D", 4, 2, "4-hyperoctahedron", _DEMICUBE_GAP),
+    ("D", 4, -1, "4-hyperoctahedron", _DEMICUBE_GAP),
+    ("F", 4, 0, "24-cell", None),
+    ("F", 4, -1, "24-cell", None),
+    ("B", 4, 2, "24-cell", "24-cell from the hyperoctahedral group (index 3)"),
+    ("D", 4, 1, "24-cell", "24-cell from the D4 group (index 6)"),
+    ("H", 4, -1, "600-cell", None),
+    ("H", 4, 0, "120-cell", None),
+    ("D", None, 0, "{n}-hyperoctahedron", None),
+)
+
+
+def _hypercube_name(n: int) -> str:
+    return {1: "segment", 2: polygon_name(4)}.get(n, f"{n}-hypercube")
+
+
+def _classify(d: DecoratedDiagram) -> tuple[str | None, str, str | None]:
+    """(name or None, reason, gap or None) of a non-degenerate diagram.
+
+    A product is a hypercube exactly when each factor on its own is the
+    hypercube of its rank.
+    """
+    tags = classify_components(d)
+    if len(tags) == 1:
+        return _classify_component(d, tags[0])
+    if all(_classify_component(d, t)[0] == _hypercube_name(t.rank) for t in tags):
+        return (
+            _hypercube_name(d.rank),
+            "every factor is a segment or an end-ringed 4-chain",
+            "box product: generating group is a proper subgroup of the hypercube group",
+        )
+    return None, "product with a factor that is not a box", None
+
+
+def _classify_component(d: DecoratedDiagram, tag) -> tuple[str | None, str, str | None]:
+    """_classify of the connected component tag of d, read on its own."""
+    n = tag.rank
     rings = [pos for pos, v in enumerate(tag.nodes) if d.marks[v] == RING]
+    if n == 1:
+        return "segment", "one mirror, one ringed node", None
+    if n == 2:
+        k = d.label(*tag.nodes)
+        return (
+            polygon_name(k * len(rings)),
+            f"one ring gives a {k}-gon, two give a {2 * k}-gon",
+            "doubled polygon: both nodes ringed halves the symmetry" if len(rings) == 2 else None,
+        )
     if len(rings) != 1:
-        return False
-    return tag.rank == 1 or (tag.family, tag.k) == ("I2", 4) or (tag.family, rings) == ("B", [0])
+        return None, "more than one ring on a connected diagram of dimension >= 3", None
+    for family, rank, pos, name, gap in _REGULAR_POSITIONS:
+        if (family, rank or n, pos % n) == (tag.family, n, rings[0]):
+            name = name.format(n=n)
+            return name, f"ring position on {tag} listed as {name}", gap
+    return None, f"ring position on {tag} is not a regular one", None
 
 
 @dataclass(frozen=True)
@@ -116,91 +178,16 @@ def ruled_verdict(d: DecoratedDiagram) -> RuledVerdict:
     """Position-table classification of the construction.
 
     Regular cases: any non-degenerate 2-node diagram (polygons); products
-    whose every factor is a box factor (hypercubes); and the single-ring
-    positions on A, B, D, H, F diagrams listed in _connected_single_ring.
-    Everything else is not regular; when two distinct face shapes exist at
-    some rank the verdict carries one such witness.
+    whose every factor is the hypercube of its rank; and the single-ring
+    positions listed in _REGULAR_POSITIONS.  Everything else is not
+    regular; when two distinct face shapes exist at some rank the verdict
+    carries one such witness.
     """
     require_nondegenerate(d)
-    tags = classify_components(d)
-    n = d.rank
-    if len(tags) > 1:
-        if all(_is_box_factor(d, t) for t in tags):
-            return RuledVerdict(
-                True,
-                _dim_adjusted_name(n, "hypercube"),
-                "every factor is a segment or an end-ringed 4-chain",
-            )
-        return RuledVerdict(
-            False,
-            None,
-            "product with a factor that is not a box",
-            regularity_witness(d),
-        )
-    tag = tags[0]
-    rings = sorted(d.ringed_nodes())
-    if n == 1:
-        return RuledVerdict(True, "segment", "one mirror, one ringed node")
-    if n == 2:
-        k = d.label(0, 1)
-        gon = k if len(rings) == 1 else 2 * k
-        return RuledVerdict(
-            True, polygon_name(gon), f"one ring gives a {k}-gon, two give a {2 * k}-gon"
-        )
-    if len(rings) != 1:
-        return RuledVerdict(
-            False,
-            None,
-            "more than one ring on a connected diagram of dimension >= 3",
-            regularity_witness(d),
-        )
-    name = _connected_single_ring(tag, tag.nodes.index(rings[0]))
-    if name is not None:
-        return RuledVerdict(True, name, f"ring position on {tag} listed as {name}")
-    return RuledVerdict(
-        False,
-        None,
-        f"ring position on {tag} is not a regular one",
-        regularity_witness(d),
-    )
-
-
-def _dim_adjusted_name(n: int, kind: str) -> str:
-    if n == 1:
-        return "segment"
-    if n == 2:
-        return polygon_name(3) if kind == "simplex" else polygon_name(4)
-    return f"{n}-{kind}"
-
-
-def _connected_single_ring(tag, pos) -> str | None:
-    """The regular polytope ringed at position pos of tag's layout, or None."""
-    n = tag.rank
-    if tag.family == "A":
-        if pos in (0, n - 1):
-            return f"{n}-simplex"
-        if n == 3 and pos == 1:
-            return "3-hyperoctahedron"
-    if tag.family == "B":
-        if pos == 0:
-            return f"{n}-hypercube"
-        if pos == n - 1:
-            return f"{n}-hyperoctahedron"
-        if n == 4 and pos == 2:
-            return "24-cell"
-    if tag.family == "H":
-        if pos == n - 1:
-            return "icosahedron" if n == 3 else "600-cell"
-        if pos == 0:
-            return "dodecahedron" if n == 3 else "120-cell"
-    if tag.family == "F" and pos in (0, n - 1):
-        return "24-cell"
-    if tag.family == "D":
-        if n == 4:
-            return "24-cell" if pos == 1 else "4-hyperoctahedron"
-        if pos == 0:
-            return f"{n}-hyperoctahedron"
-    return None
+    name, reason, _ = _classify(d)
+    if name is None:
+        return RuledVerdict(False, None, reason, regularity_witness(d))
+    return RuledVerdict(True, name, reason)
 
 
 # -- face-shape signatures and non-regularity witnesses -----------------------
@@ -280,28 +267,8 @@ def oracle_gap_reason(d: DecoratedDiagram) -> str | None:
     larger than the generating group; geometric regularity still holds and
     the test suite verifies it by ridge reflections.
     """
-    verdict = ruled_verdict(d)
-    if not verdict.regular:
-        return None
-    tags = classify_components(d)
-    if len(tags) > 1:
-        return "box product: generating group is a proper subgroup of the hypercube group"
-    tag = tags[0]
-    rings = sorted(d.ringed_nodes())
-    if d.rank == 2 and len(rings) == 2:
-        return "doubled polygon: both nodes ringed halves the symmetry"
-    if len(rings) != 1:
-        return None
-    pos = tag.nodes.index(rings[0])
-    if tag.family == "A" and tag.rank == 3 and pos == 1:
-        return "octahedron from the tetrahedral group (index 2)"
-    if tag.family == "D" and tag.rank == 4:
-        if pos == 1:
-            return "24-cell from the D4 group (index 6)"
-        return "16-cell from the demihypercube group (index 2)"
-    if tag.family == "B" and tag.rank == 4 and pos == 2:
-        return "24-cell from the hyperoctahedral group (index 3)"
-    return None
+    require_nondegenerate(d)
+    return _classify(d)[2]
 
 
 # -- catalog -------------------------------------------------------------------
@@ -323,15 +290,10 @@ def _box_partitions(n: int):
 
 
 def _box_diagram(parts) -> DecoratedDiagram:
-    factors = []
-    for p in parts:
-        if p == 1:
-            factors.append(family_diagram("A", 1, ringed=(0,)))
-        elif p == 2:
-            factors.append(family_diagram("I2", 2, k=4, ringed=(0,)))
-        else:
-            factors.append(family_diagram("B", p, ringed=(0,)))
-    return disjoint_union(*factors)
+    """Product of the hypercubes of the given ranks (B2 is the square I2(4))."""
+    return disjoint_union(
+        *(family_diagram("A" if p == 1 else "B", p, ringed=(0,)) for p in parts)
+    )
 
 
 def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]:
@@ -353,32 +315,17 @@ def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]
 
     if n == 1:
         add("segment", family_diagram("A", 1, ringed=(0,)))
-        return catalog
-    if n == 2:
+    elif n == 2:
         for k in range(3, kmax + 1):
             add(polygon_name(k), family_diagram("I2", 2, k=k, ringed=(0,)))
             if k % 2 == 0 and k // 2 >= 3:
                 add(polygon_name(k), family_diagram("I2", 2, k=k // 2, ringed=(0, 1)))
-        add(polygon_name(4), _box_diagram((1, 1)))
-        return catalog
-    add(f"{n}-simplex", family_diagram("A", n, ringed=(0,)))
-    add(f"{n}-hypercube", family_diagram("B", n, ringed=(0,)))
+    else:
+        for family, rank, pos, name, _ in _REGULAR_POSITIONS:
+            if rank in (None, n) and not (family == "D" and n < 4):  # D starts at 4
+                add(name.format(n=n), family_diagram(family, n, ringed=(pos % n,)))
     for parts in _box_partitions(n):
-        add(f"{n}-hypercube", _box_diagram(parts))
-    add(f"{n}-hyperoctahedron", family_diagram("B", n, ringed=(n - 1,)))
-    if n == 3:
-        add("3-hyperoctahedron", family_diagram("A", 3, ringed=(1,)))
-        add("icosahedron", family_diagram("H", 3, ringed=(2,)))
-        add("dodecahedron", family_diagram("H", 3, ringed=(0,)))
-    if n == 4:
-        add("4-hyperoctahedron", family_diagram("D", 4, ringed=(0,)))
-        add("24-cell", family_diagram("F", 4, ringed=(0,)))
-        add("24-cell", family_diagram("B", 4, ringed=(2,)))
-        add("24-cell", family_diagram("D", 4, ringed=(1,)))
-        add("600-cell", family_diagram("H", 4, ringed=(3,)))
-        add("120-cell", family_diagram("H", 4, ringed=(0,)))
-    if n >= 5:
-        add(f"{n}-hyperoctahedron", family_diagram("D", n, ringed=(0,)))
+        add(_hypercube_name(n), _box_diagram(parts))
     return catalog
 
 
