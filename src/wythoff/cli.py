@@ -4,6 +4,11 @@ Diagrams are given inline (``x4o3o``) or as ``@file`` pointing at an inline
 string or a JSON document.  Every subcommand takes ``--json`` for a
 machine-readable envelope.  Exit codes: 0 success, 1 a verification or
 classification came out negative, 2 bad input.
+
+The commands that enumerate (``check``, ``lattice``, ``vertices``,
+``export`` and ``fvector`` with an enumerated method) import the
+numpy-backed layers inside themselves, so the formula commands never load
+numpy.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import sys
 
 from . import __version__
 from .decoration import (
+    f_vector_formula,
     face_types,
     is_degenerate,
     orbit_size,
@@ -35,22 +41,6 @@ from .errors import (
     UnknownName,
     UnsupportedDimension,
     WythoffError,
-)
-from .face_lattice import (
-    build_lattice,
-    diamond_report,
-    euler_ok,
-    f_vector_formula,
-    flag_report,
-    lattice_document,
-)
-from .geometry import (
-    off_document,
-    polar_dual_check,
-    realization_document,
-    realize,
-    ridge_reflection_check,
-    verify_realization,
 )
 from .regular import (
     is_flag_transitive,
@@ -163,6 +153,8 @@ def _cmd_fvector(args) -> int:
         payload["formula"] = list(fv)
         lines.append("formula:    " + " ".join(map(str, fv)))
     if args.method in ("enum", "both"):
+        from .face_lattice import build_lattice
+
         lat = build_lattice(d, budget=args.budget)
         fv = lat.f_vector
         payload["enumerated"] = list(fv)
@@ -174,6 +166,8 @@ def _cmd_fvector(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from .face_lattice import build_lattice, lattice_document
+
     d = _load_diagram(args.diagram)
     doc = lattice_document(build_lattice(d, budget=args.budget))
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
@@ -181,6 +175,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
+    from .geometry import realize
+
     d = _load_diagram(args.diagram)
     real = realize(d, budget=args.budget)
     lines = [
@@ -193,6 +189,8 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .geometry import off_document, realization_document, realize
+
     d = _load_diagram(args.diagram)
     real = realize(d, budget=args.budget)
     if args.format == "off":
@@ -203,6 +201,9 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .face_lattice import build_lattice, diamond_report, euler_ok, flag_report
+    from .geometry import realize, verify_realization
+
     d = _load_diagram(args.diagram)
     lat = build_lattice(d, budget=args.budget)
     results = {}

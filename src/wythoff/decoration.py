@@ -166,6 +166,21 @@ def orbit_size(dec: Decoration, order: int) -> int:
     return order // group_order(d.induced(stab)) if stab else order
 
 
+def f_vector_formula(d: DecoratedDiagram) -> tuple[int, ...]:
+    """Face counts by orbit-stabilizer arithmetic only (no enumeration).
+
+    f_k sums group_order(d) / group_order(stabilizer subdiagram) over the
+    rank-k selections, so it works for groups far beyond any enumeration
+    budget.
+    """
+    require_nondegenerate(d)
+    total = group_order(d)
+    out = [0] * d.rank
+    for k, _, dec in face_types(start_decoration(d), range(d.rank)):
+        out[k] += orbit_size(dec, total)
+    return tuple(out)
+
+
 def selection_orderings(start: Decoration) -> list[tuple[int, ...]]:
     """All full selection orders (maximal rewrite chains) from start.
 

@@ -15,8 +15,6 @@ import math
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import NotFiniteType, ParseError
 
 RING = 1
@@ -351,20 +349,6 @@ def classify_components(d: DecoratedDiagram) -> tuple[FamilyTag, ...]:
 def group_order(d: DecoratedDiagram) -> int:
     """Order of the reflection group: product of component family orders."""
     return math.prod(tag.order for tag in classify_components(d))
-
-
-def coxeter_matrix(d: DecoratedDiagram) -> np.ndarray:
-    n = d.rank
-    m = np.full((n, n), 2, dtype=np.int64)
-    np.fill_diagonal(m, 1)
-    for i, j, lab in d.edges:
-        m[i, j] = m[j, i] = lab
-    return m
-
-
-def gram_matrix(d: DecoratedDiagram) -> np.ndarray:
-    """Bilinear form B_ij = -cos(pi / m_ij); identity diagonal."""
-    return -np.cos(np.pi / coxeter_matrix(d))
 
 
 def canonical_certificate(d: DecoratedDiagram):

@@ -33,7 +33,6 @@ from ._kernels import sorted_unique
 from .decoration import (
     Decoration,
     face_types,
-    orbit_size,
     require_nondegenerate,
     selection_orderings,
     start_decoration,
@@ -184,21 +183,6 @@ def _compute_covers(slots_by_rank) -> np.ndarray:
     if not pairs:
         return np.empty((0, 2), dtype=np.int64)
     return np.vstack(pairs)
-
-
-def f_vector_formula(d: DecoratedDiagram) -> tuple[int, ...]:
-    """Face counts by orbit-stabilizer arithmetic only (no enumeration).
-
-    f_k sums group_order(d) / group_order(stabilizer subdiagram) over the
-    rank-k selections, so it works for groups far beyond any enumeration
-    budget.
-    """
-    require_nondegenerate(d)
-    total = group_order(d)
-    out = [0] * d.rank
-    for k, _, dec in face_types(start_decoration(d), range(d.rank)):
-        out[k] += orbit_size(dec, total)
-    return tuple(out)
 
 
 def euler_ok(lat: FaceLattice) -> bool:

@@ -222,17 +222,25 @@ def containment_check(real: Realization) -> CheckReport:
 
 
 def distinct_faces_check(real: Realization) -> CheckReport:
-    """No two faces of the same rank share their whole vertex set."""
-    lat = real.lattice
+    """No two faces of the same rank share their whole vertex set.
+
+    Each face's vertex list is sorted, so two faces share their vertex set
+    exactly when their rows are equal.  The rows of one rank and one width
+    are put in lexicographic order, and every row equal to its predecessor
+    is a duplicate.
+    """
     dup = 0
-    for sl in lat.slots_by_rank:
-        seen = set()
-        count = 0
+    for sl in real.lattice.slots_by_rank:
+        by_width = {}
         for s in sl:
             fv = real.slot_vertices(s)
-            count += s.count
-            seen.update(row.tobytes() for row in fv)
-        dup += count - len(seen)
+            by_width.setdefault(fv.shape[1], []).append(fv)
+        for blocks in by_width.values():
+            rows = np.concatenate(blocks)
+            if len(rows) < 2:
+                continue
+            rows = rows[np.lexsort(rows.T[::-1])]
+            dup += int(np.count_nonzero((rows[1:] == rows[:-1]).all(axis=1)))
     return CheckReport("distinct_faces", dup == 0, {"duplicates": dup})
 
 

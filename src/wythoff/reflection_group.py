@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .diagram import DecoratedDiagram, gram_matrix, group_order
+from .diagram import DecoratedDiagram, group_order
 from .errors import (
     BudgetExceeded,
     NotFiniteType,
@@ -85,6 +85,20 @@ def enumeration_budget() -> int:
         except ValueError:
             raise ParseError("WYTHOFF_BUDGET must be an integer, got %r" % raw) from None
     return DEFAULT_BUDGET
+
+
+def coxeter_matrix(d: DecoratedDiagram) -> np.ndarray:
+    n = d.rank
+    m = np.full((n, n), 2, dtype=np.int64)
+    np.fill_diagonal(m, 1)
+    for i, j, lab in d.edges:
+        m[i, j] = m[j, i] = lab
+    return m
+
+
+def gram_matrix(d: DecoratedDiagram) -> np.ndarray:
+    """Bilinear form B_ij = -cos(pi / m_ij); identity diagonal."""
+    return -np.cos(np.pi / coxeter_matrix(d))
 
 
 def simple_normals(d: DecoratedDiagram) -> np.ndarray:

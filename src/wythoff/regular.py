@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .decoration import (
+    f_vector_formula,
     face_restriction,
     face_types,
     orbit_size,
@@ -34,7 +35,6 @@ from .diagram import (
     group_order,
 )
 from .errors import UnknownName
-from .face_lattice import FaceLattice, f_vector_formula
 
 _POLYGON_NAMES = {
     3: "triangle",
@@ -252,11 +252,11 @@ def is_flag_transitive(src) -> bool:
     ordering.  src is a diagram or a FaceLattice; nothing is enumerated, so
     the answer holds beyond any enumeration budget.
     """
-    if isinstance(src, FaceLattice):
-        start = src.start
-    else:
+    if isinstance(src, DecoratedDiagram):
         require_nondegenerate(src)
         start = start_decoration(src)
+    else:
+        start = src.start
     return len(selection_orderings(start)) == 1
 
 
@@ -333,8 +333,8 @@ def constructions_of(name: str, kmax: int = 12) -> list[DecoratedDiagram]:
     """Constructions of a named regular polytope (aliases accepted)."""
     cname = canonical_name(name)
     fv = known_f_vector(cname)  # validates the name
-    if cname == "segment":
-        return regular_catalog(1)[cname]
+    if len(fv) == 1:
+        return regular_catalog(1)["segment"]
     if len(fv) == 2:
         k = fv[0]
         catalog = regular_catalog(2, kmax=max(kmax, k))

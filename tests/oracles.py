@@ -27,11 +27,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from wythoff import _kernels
-from wythoff.diagram import gram_matrix
 from wythoff.errors import ToleranceCollision, WythoffError
 from wythoff.face_lattice import DiamondReport, FaceLattice, FlagReport, _walk_code
 from wythoff.geometry import AFFINE_RANK_TOL, CheckReport
-from wythoff.reflection_group import ROOT_MATCH_TOL, RootSystem
+from wythoff.reflection_group import ROOT_MATCH_TOL, RootSystem, gram_matrix
 
 
 @functools.cache

@@ -13,6 +13,7 @@ import pytest
 from sweep import decorated_variants, rank_34_diagrams, sweep_diagrams
 from wythoff.decoration import (
     decoration_from_selection,
+    f_vector_formula,
     reachable_decorations,
     start_decoration,
     valid_selection_sets,
@@ -22,7 +23,6 @@ from wythoff.face_lattice import (
     build_lattice,
     diamond_report,
     euler_ok,
-    f_vector_formula,
     flag_report,
     lattices_isomorphic,
 )

@@ -8,6 +8,14 @@ import pytest
 
 from wythoff.cli import main
 
+E8_DOC = json.dumps(
+    {
+        "nodes": [{"id": f"v{i}", "mark": "cross" if i else "ring"} for i in range(8)],
+        "edges": [{"a": f"v{i}", "b": f"v{i+1}", "m": 3} for i in range(6)]
+        + [{"a": "v2", "b": "v7", "m": 3}],
+    }
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -28,16 +36,7 @@ def test_validate_json(capsys):
 
 
 def test_order_formula_only_for_e8(capsys):
-    import json as j
-
-    doc = j.dumps(
-        {
-            "nodes": [{"id": f"v{i}", "mark": "cross" if i else "ring"} for i in range(8)],
-            "edges": [{"a": f"v{i}", "b": f"v{i+1}", "m": 3} for i in range(6)]
-            + [{"a": "v2", "b": "v7", "m": 3}],
-        }
-    )
-    code, out, _ = run(capsys, "order", doc)
+    code, out, _ = run(capsys, "order", E8_DOC)
     assert code == 0 and out.strip() == "696729600"
 
 
@@ -108,24 +107,54 @@ def test_is_regular_oracle_beyond_the_budget(capsys):
     assert code == 0 and data["name"] == "8-hypercube" and data["flag_transitive"]
 
 
-def test_check_loads_no_scipy():
+# the benchmark's cold commands, the catalog and the oracle: (argv, exit code)
+COLD_COMMANDS = {
+    "version": (["--version"], 0),
+    "validate": (["validate", "x3x4o", "--json"], 0),
+    "order": (["order", E8_DOC, "--json"], 0),
+    "faces": (["faces", "x3x4o", "--rank", "2", "--json"], 0),
+    "fvector": (["fvector", "x5o3o3o", "--method", "formula", "--json"], 0),
+    "is_regular": (["is-regular", "o3x4o", "--json"], 1),
+    "is_regular_oracle": (["is-regular", "x3o3o", "--oracle", "--json"], 0),
+    "classify": (["classify", "--dim", "4", "--json"], 0),
+    "check": (["check", "x3x4o", "--json"], 0),
+}
+ENUMERATION_MODULES = {
+    "numpy", "wythoff.reflection_group", "wythoff.face_lattice", "wythoff.geometry",
+    "wythoff._kernels",
+}
+
+
+@pytest.mark.parametrize("name", list(COLD_COMMANDS))
+def test_cold_process_imports(name):
+    # a fresh interpreter runs the console entry point and reports which of
+    # numpy, scipy and the wythoff modules it loaded
+    argv, want = COLD_COMMANDS[name]
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "from wythoff.cli import main\n"
-        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "after_import = scipy()\n"
-        "code = main(['check', 'x3x4o', '--json'])\n"
-        "print(code, after_import, scipy(), file=sys.stderr)\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as e:\n"
+        "    code = e.code\n"
+        "seen = {m for m in sys.modules if m in ('numpy', 'scipy') or m.startswith('wythoff.')}\n"
+        "print(json.dumps([code, sorted(seen)]), file=sys.stderr)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+        timeout=120,
     )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["ok"]
-    assert done.stderr.split() == ["0", "[]", "[]"]
+    code, seen = json.loads(done.stderr.splitlines()[-1])
+    assert code == want, done.stderr
+    assert "scipy" not in seen
+    if name == "check":
+        assert json.loads(done.stdout)["ok"]
+        assert ENUMERATION_MODULES <= set(seen)
+    else:
+        assert not ENUMERATION_MODULES & set(seen), seen
 
 
 def test_classify_json(capsys):

@@ -10,13 +10,13 @@ from wythoff.diagram import (
     diagram_from_document,
     disjoint_union,
     family_diagram,
-    gram_matrix,
     group_order,
     parse,
     serialize_document,
     serialize_inline,
 )
 from wythoff.errors import NotFiniteType, ParseError
+from wythoff.reflection_group import gram_matrix
 
 
 def test_inline_round_trip():

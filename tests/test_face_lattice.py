@@ -12,7 +12,7 @@ from oracles import (
 )
 from wythoff import face_lattice
 from wythoff.cli import main
-from wythoff.decoration import start_decoration
+from wythoff.decoration import f_vector_formula, start_decoration
 from wythoff.diagram import disjoint_union, family_diagram, parse
 from wythoff.errors import Degenerate, WythoffError
 from wythoff.face_lattice import (
@@ -20,7 +20,6 @@ from wythoff.face_lattice import (
     build_lattice,
     diamond_report,
     euler_ok,
-    f_vector_formula,
     flag_partners,
     flag_report,
     lattice_document,

@@ -293,3 +293,20 @@ def test_a_wrong_vertex_on_a_non_base_face_fails(shared, text):
         fv[1, 0] = np.setdiff1d(np.arange(len(real.points)), fv[1])[0]
         bad = replace(real, _face_vertex={**real._face_vertex, s.offset: fv})
         assert not verify_realization(bad)["containment"].ok, (text, k)
+
+
+@pytest.mark.parametrize("text", ["x3x4o", "x4x3x"])
+def test_a_copied_face_is_one_duplicate(shared, text):
+    # the vertex row of a rank's first face overwrites the last face of the
+    # same width, across slots where the rank has several of that width
+    real = shared.realization(parse(text))
+    assert geometry.distinct_faces_check(real).detail["duplicates"] == 0
+    for k in range(real.lattice.n):
+        slots = real.lattice.slots_by_rank[k]
+        src = real.slot_vertices(slots[0])
+        dst = [s for s in slots if real.slot_vertices(s).shape[1] == src.shape[1]][-1]
+        fv = real.slot_vertices(dst).copy()
+        fv[-1] = src[0]
+        bad = replace(real, _face_vertex={**real._face_vertex, dst.offset: fv})
+        report = geometry.distinct_faces_check(bad)
+        assert not report.ok and report.detail["duplicates"] == 1, (text, k)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wythoff.decoration import face_restriction, start_decoration
+from wythoff.decoration import f_vector_formula, face_restriction, start_decoration
 from wythoff.diagram import (
     DecoratedDiagram,
     canonical_certificate,
@@ -11,7 +11,6 @@ from wythoff.diagram import (
     parse,
 )
 from wythoff.errors import Degenerate, UnknownName
-from wythoff.face_lattice import f_vector_formula
 from wythoff.regular import (
     canonical_name,
     constructions_of,
@@ -246,6 +245,12 @@ def test_constructions_of_accepts_aliases():
     assert len(constructions_of("hexagon")) == 2
     with pytest.raises(UnknownName):
         constructions_of("klein bottle")
+
+
+@pytest.mark.parametrize("name", ["1-simplex", "1-hypercube", "1-hyperoctahedron"])
+def test_rank_one_names_are_the_segment(name):
+    assert known_f_vector(name) == (2,)
+    assert constructions_of(name) == constructions_of("segment")
 
 
 def test_polygon_catalog():
