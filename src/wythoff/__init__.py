@@ -37,7 +37,7 @@ _EXPORTS = {
     """,
     "face_lattice": """
         FaceLattice build_lattice diamond_report euler_ok flag_report
-        lattice_document lattices_isomorphic vertex_figure
+        lattice_document lattices_isomorphic
     """,
     "geometry": """
         Realization off_document polar_dual_check realization_document

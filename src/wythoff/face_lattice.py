@@ -433,37 +433,6 @@ def flag_partners(lat: FaceLattice) -> np.ndarray:
     return out
 
 
-# -- vertex figure ----------------------------------------------------------
-
-
-@dataclass
-class VertexFigure:
-    face_ids: list          # per rank 1..n-1, sorted global ids
-    covers: np.ndarray
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.face_ids)
-
-
-def vertex_figure(lat: FaceLattice) -> VertexFigure:
-    """Faces through the base vertex: cosets meeting its stabilizer.
-
-    The base vertex is the rank-0 face whose coset contains the identity;
-    a face contains it exactly when its coset meets the vertex stabilizer
-    (the parabolic on the crossed nodes), so one coset per decoration per
-    stabilizer orbit shows up, e.g. 3 edges + 3 squares for the cube.
-    """
-    stab = lat.slots_by_rank[0][0].table.subgroup.elements
-    mark = np.zeros(lat.face_total, dtype=bool)
-    for sl in lat.slots_by_rank[1 : lat.n]:
-        for s in sl:
-            mark[s.table.coset_id[stab] + s.offset] = True
-    ids = [np.flatnonzero(mark & (lat.face_rank == k)).tolist() for k in range(1, lat.n)]
-    cov = lat.covers
-    return VertexFigure(ids, cov[mark[cov].all(axis=1)])
-
-
 # -- lattice isomorphism ---------------------------------------------------
 
 

@@ -45,6 +45,11 @@ least member in one routine, _coset_minima.  Over rmult restricted to J it
 labels the left cosets g W_J, and the identity's coset is W_J itself, so a
 coset table also gives its subgroup.  Over the generator permutations of
 the roots it gives the root orbits behind the keys.
+
+The group depends on the diagram only through its Coxeter matrix, so
+enumerate_group keeps the last group it built, with its coset tables, for
+every decoration of that matrix.  Its arrays are read-only, so no caller
+can change what later callers read.
 """
 
 from __future__ import annotations
@@ -211,13 +216,14 @@ class Group:
     search tree exist only inside enumerate_group.
     """
 
-    def __init__(self, diagram, normals, roots, perms, rmult):
-        self.diagram = diagram
+    def __init__(self, normals, roots, perms, rmult):
+        for a in (normals, roots.roots, roots.simple, roots.perms, perms, rmult):
+            a.setflags(write=False)
         self.normals = normals
         self.roots = roots
         self.perms = perms
         self.rmult = rmult
-        self.n_gens = diagram.rank
+        self.n_gens = len(normals)
         self._cosets: dict = {}
 
     @property
@@ -236,6 +242,8 @@ class Group:
         coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
         sub = Subgroup(key, np.flatnonzero(label == 0))
         table = CosetTable(sub, coset_id, np.flatnonzero(is_rep))
+        for a in (sub.elements, coset_id, table.reps):
+            a.setflags(write=False)
         self._cosets[key] = table
         return table
 
@@ -317,12 +325,18 @@ def _row_keys(key_table: np.ndarray, rows: np.ndarray, cols=None) -> np.ndarray:
     return keys
 
 
+# the last group enumerate_group built, keyed by its Coxeter matrix's bytes
+_held: dict[bytes, Group] = {}
+
+
 def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
     """Enumerate the reflection group of a finite-type diagram.
 
     Checks the formula order against the budget before doing any work, so
     oversized groups (e.g. rank-7/8 E families) fail fast and callers fall
-    back to formula-based counting.
+    back to formula-based counting.  The last group built is returned again
+    for the same Coxeter matrix in node order (element numbering follows
+    node order), whatever the marks.
     """
     if budget is None:
         budget = enumeration_budget()
@@ -331,6 +345,11 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
         raise BudgetExceeded(
             "group order %d exceeds budget %d" % (expected, budget)
         )
+    key = coxeter_matrix(d).tobytes()
+    held = _held.get(key)
+    if held is not None:
+        return held
+    _held.clear()  # never hold two groups: drop the old one before building
     normals = simple_normals(d)
     roots = root_system(normals)
     gens = roots.perms
@@ -409,7 +428,8 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
             if not _found(keys, want, pos).all():
                 raise KeyError("permutation is not a group element")
             rmult[i, lo : lo + len(rows)] = pos
-    return Group(d, normals, roots, perms, rmult)
+    _held[key] = group = Group(normals, roots, perms, rmult)
+    return group
 
 
 def _found(sorted_keys: np.ndarray, keys: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -7,20 +7,21 @@ assert that both routes agree.  The flag routes list every flag
 subgroup and decide connectivity from the holonomy of the graph of
 orderings (flag_moves_by_search, flag_report_by_holonomy), where the
 library reads each move as the identity or one simple reflection.  These
-are the only users of scipy.  The element matrices, the reflection count
-and the Gram definiteness test are independent views of the group and the
-diagram that only tests read.  The group keeps only the root columns the
-library reads and no words; full_rows rebuilds every column along a
-search tree of rmult, word and walk give words and products along that
-tree, and element_index, compose and inverse multiply by composing
-permutation rows.  The minimum separation by a walk along one sorted
-projection is the point kernel's route before its cell grid.  The cover
-pairs and the face-vertex lists by np.unique, and the affine rank check
-with one SVD per face, are the routes before sorted_unique and the one SVD
-per slot.
+are the only users of scipy.  The element matrices, the reflection count,
+the Gram definiteness test and the vertex figure are independent views of
+the group, the diagram and the lattice that only tests read.  The group
+keeps only the root columns the library reads and no words; full_rows
+rebuilds every column along a search tree of rmult, word and walk give
+words and products along that tree, and element_index, compose and inverse
+multiply by composing permutation rows.  The minimum separation by a walk
+along one sorted projection is the point kernel's route before its cell
+grid.  The cover pairs and the face-vertex lists by np.unique, and the
+affine rank check with one SVD per face, are the routes before
+sorted_unique and the one SVD per slot.
 """
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -393,6 +394,34 @@ def generator_face_actions(lat: FaceLattice) -> np.ndarray:
                 new = s.table.coset_id[images]
                 out[gi, s.offset : s.offset + s.count] = new + s.offset
     return out
+
+
+@dataclass
+class VertexFigure:
+    face_ids: list          # per rank 1..n-1, sorted global ids
+    covers: np.ndarray
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(len(f) for f in self.face_ids)
+
+
+def vertex_figure(lat: FaceLattice) -> VertexFigure:
+    """Faces through the base vertex: cosets meeting its stabilizer.
+
+    The base vertex is the rank-0 face whose coset contains the identity;
+    a face contains it exactly when its coset meets the vertex stabilizer
+    (the parabolic on the crossed nodes), so one coset per decoration per
+    stabilizer orbit shows up, e.g. 3 edges + 3 squares for the cube.
+    """
+    stab = lat.slots_by_rank[0][0].table.subgroup.elements
+    mark = np.zeros(lat.face_total, dtype=bool)
+    for sl in lat.slots_by_rank[1 : lat.n]:
+        for s in sl:
+            mark[s.table.coset_id[stab] + s.offset] = True
+    ids = [np.flatnonzero(mark & (lat.face_rank == k)).tolist() for k in range(1, lat.n)]
+    cov = lat.covers
+    return VertexFigure(ids, cov[mark[cov].all(axis=1)])
 
 
 def _is_flag_transitive_by_orbit(lat: FaceLattice) -> bool:

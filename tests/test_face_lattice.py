@@ -9,6 +9,7 @@ from oracles import (
     flag_moves_by_search,
     flag_rows,
     generator_face_actions,
+    vertex_figure,
 )
 from wythoff import face_lattice
 from wythoff.cli import main
@@ -24,7 +25,6 @@ from wythoff.face_lattice import (
     flag_report,
     lattice_document,
     lattices_isomorphic,
-    vertex_figure,
 )
 from wythoff.reflection_group import _coset_minima
 

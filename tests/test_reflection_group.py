@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -18,8 +20,11 @@ from oracles import (
     word,
 )
 from sweep import sweep_diagrams, sweep_products
+from wythoff import reflection_group
 from wythoff._kernels import match_rows, min_pairwise_distance
+from wythoff.cli import main
 from wythoff.diagram import (
+    DecoratedDiagram,
     classify_components,
     disjoint_union,
     family_diagram,
@@ -27,10 +32,12 @@ from wythoff.diagram import (
     parse,
 )
 from wythoff.errors import BudgetExceeded, ToleranceCollision
+from wythoff.face_lattice import build_lattice
 from wythoff.reflection_group import (
     ROOT_MATCH_TOL,
     ROOT_SEPARATION,
     enumerate_group,
+    gram_matrix,
     key_layout,
     root_system,
     simple_normals,
@@ -249,14 +256,94 @@ def test_enumeration_peak_stays_near_the_kept_tables(shared):
     # only the sorted keys (8 bytes an element) and one block of lookups
     # remain beside them
     d = parse("x4o3o3o3o3o")
-    shared.group(d)
+    warm = shared.group(d)
+    reflection_group._held.clear()  # else the call below returns the held group
     tracemalloc.start()
     try:
         g = enumerate_group(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert g is not warm
     assert peak < 1.6 * (g.perms.nbytes + g.rmult.nbytes)
+
+
+def _group_arrays(g):
+    tables = [g.coset_table(nodes) for nodes in ({0}, {0, 1}, {1, 2})]
+    return [g.normals, g.roots.roots, g.roots.perms, g.perms, g.rmult] + [
+        a for t in tables for a in (t.coset_id, t.reps, t.subgroup.elements)
+    ]
+
+
+def test_a_held_group_is_read_only(shared):
+    for a in _group_arrays(shared.group(parse("x4o3o"))):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+def test_a_held_group_equals_a_fresh_enumeration():
+    held = enumerate_group(parse("o5x3x"))
+    d = parse("x5o3o")
+    assert enumerate_group(d) is held
+    reflection_group._held.clear()
+    fresh = enumerate_group(d)
+    assert fresh is not held
+    for a, b in zip(_group_arrays(held), _group_arrays(fresh), strict=True):
+        assert np.array_equal(a, b)
+    lat_held, lat_fresh = build_lattice(d, held), build_lattice(d, fresh)
+    assert np.array_equal(lat_held.covers, lat_fresh.covers)
+    assert lat_held.f_vector == lat_fresh.f_vector
+
+
+def test_check_after_another_decoration_matches_check_alone(capsys):
+    def check(text):
+        assert main(["check", text, "--json"]) == 0
+        (held,) = reflection_group._held.values()
+        return capsys.readouterr().out, held
+
+    reflection_group._held.clear()
+    _, first = check("x5o3o3x")
+    after, held = check("o5x3x3x")
+    assert held is first
+    reflection_group._held.clear()
+    alone, built = check("o5x3x3x")
+    assert built is not first
+    assert after == alone
+
+
+@pytest.mark.parametrize(
+    "a, b", [("x3o3o", "x4o3o"), ("x3o4o", "x4o3o")], ids=["labels", "node-order"]
+)
+def test_another_coxeter_matrix_misses(a, b):
+    ga = enumerate_group(parse(a))
+    gb = enumerate_group(parse(b))
+    assert gb is not ga
+    assert np.allclose(gb.normals @ gb.normals.T, gram_matrix(parse(b)))
+
+
+def test_a_reversed_edge_hits():
+    g = enumerate_group(parse("x4o3o"))
+    d = DecoratedDiagram(("a", "b", "c"), (0, 0, 1), ((1, 0, 4), (2, 1, 3)))
+    assert enumerate_group(d) is g
+
+
+def test_a_hit_still_respects_the_budget(monkeypatch):
+    d = parse("x4o3o")
+    g = enumerate_group(d)
+    with pytest.raises(BudgetExceeded):
+        enumerate_group(d, budget=47)
+    monkeypatch.setenv("WYTHOFF_BUDGET", "47")
+    with pytest.raises(BudgetExceeded):
+        enumerate_group(d)
+    assert enumerate_group(d, budget=48) is g
+
+
+def test_a_miss_lets_the_held_group_go():
+    reflection_group._held.clear()
+    ref = weakref.ref(enumerate_group(parse("x3o3o")))
+    enumerate_group(parse("x4o3o"))
+    gc.collect()
+    assert ref() is None
 
 
 def test_budget_exceeded():
@@ -277,7 +364,6 @@ def test_budget_env_override(monkeypatch):
 
 def test_non_definite_gram_rejected():
     # built directly, so classification never sees this hyperbolic diagram
-    from wythoff.diagram import DecoratedDiagram
     from wythoff.errors import NotFiniteType
 
     bad = DecoratedDiagram(("a", "b", "c"), (1, 0, 0), ((0, 1, 5), (1, 2, 5)))
