@@ -49,7 +49,8 @@ the roots it gives the root orbits behind the keys.
 The group depends on the diagram only through its Coxeter matrix, so
 enumerate_group keeps the last group it built, with its coset tables, for
 every decoration of that matrix.  Its arrays are read-only, so no caller
-can change what later callers read.
+can change what later callers read.  A group of more than HOLD_LIMIT
+elements is not kept, so what a process holds between calls stays small.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ KEY_LIMIT = 2**64
 ROW_BLOCK = 8192
 ROOT_MATCH_TOL = 1e-6
 ROOT_SEPARATION = 1e-3
+# largest group enumerate_group keeps for later calls.  With the coset
+# tables of a full check a group takes 100 to 170 bytes an element (H4,
+# 14400 elements: 2.5 MB), so at most about 5 MB stays held; A7 (40320),
+# B6 (46080) and E6 (51840) are not kept
+HOLD_LIMIT = 32_768
 
 
 def enumeration_budget() -> int:
@@ -325,7 +331,8 @@ def _row_keys(key_table: np.ndarray, rows: np.ndarray, cols=None) -> np.ndarray:
     return keys
 
 
-# the last group enumerate_group built, keyed by its Coxeter matrix's bytes
+# the last group enumerate_group built, if within HOLD_LIMIT, keyed by its
+# Coxeter matrix's bytes
 _held: dict[bytes, Group] = {}
 
 
@@ -334,9 +341,9 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
 
     Checks the formula order against the budget before doing any work, so
     oversized groups (e.g. rank-7/8 E families) fail fast and callers fall
-    back to formula-based counting.  The last group built is returned again
-    for the same Coxeter matrix in node order (element numbering follows
-    node order), whatever the marks.
+    back to formula-based counting.  The last group built, if it has at
+    most HOLD_LIMIT elements, is returned again for the same Coxeter matrix
+    in node order (element numbering follows node order), whatever the marks.
     """
     if budget is None:
         budget = enumeration_budget()
@@ -428,7 +435,9 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
             if not _found(keys, want, pos).all():
                 raise KeyError("permutation is not a group element")
             rmult[i, lo : lo + len(rows)] = pos
-    _held[key] = group = Group(normals, roots, perms, rmult)
+    group = Group(normals, roots, perms, rmult)
+    if expected <= HOLD_LIMIT:
+        _held[key] = group
     return group
 
 

@@ -346,6 +346,21 @@ def test_a_miss_lets_the_held_group_go():
     assert ref() is None
 
 
+def test_a_group_over_the_hold_limit_is_not_kept(monkeypatch):
+    reflection_group._held.clear()
+    ref = weakref.ref(enumerate_group(parse("x3o3o")))
+    monkeypatch.setattr(reflection_group, "HOLD_LIMIT", 47)
+    d = parse("x4o3o")  # order 48
+    g = enumerate_group(d)
+    assert enumerate_group(d) is not g
+    assert not reflection_group._held
+    gc.collect()
+    assert ref() is None
+    monkeypatch.setattr(reflection_group, "HOLD_LIMIT", 48)
+    g = enumerate_group(d)
+    assert enumerate_group(d) is g
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         enumerate_group(family_diagram("E", 7))
