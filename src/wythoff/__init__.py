@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "decoration": """
         Decoration decoration_from_selection f_vector_formula face_restriction
-        is_degenerate reachable_decorations select_node selection_orderings
-        start_decoration valid_selection_sets
+        is_degenerate selection_orderings start_decoration valid_selection_sets
     """,
     "diagram": """
         DecoratedDiagram classify_components diagram_from_document
@@ -31,9 +30,9 @@ _EXPORTS = {
         serialize_inline
     """,
     "errors": """
-        BudgetExceeded DedupCollision Degenerate InvalidS NotApplicable
-        NotFiniteType ParseError SingularSystem SpanDeficient
-        ToleranceCollision UnknownName UnsupportedDimension WythoffError
+        BudgetExceeded DedupCollision Degenerate InvalidS NotFiniteType
+        ParseError SingularSystem SpanDeficient ToleranceCollision UnknownName
+        UnsupportedDimension WythoffError
     """,
     "face_lattice": """
         FaceLattice build_lattice diamond_report euler_ok flag_report
@@ -45,8 +44,8 @@ _EXPORTS = {
     """,
     "reflection_group": "Group enumerate_group gram_matrix root_system simple_normals",
     "regular": """
-        constructions_of is_flag_transitive known_f_vector oracle_gap_reason
-        regular_catalog ruled_verdict
+        is_flag_transitive known_f_vector oracle_gap_reason regular_catalog
+        ruled_verdict
     """,
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -8,7 +8,7 @@ classification came out negative, 2 bad input.
 The commands that enumerate (``check``, ``lattice``, ``vertices``,
 ``export`` and ``fvector`` with an enumerated method) import the
 numpy-backed layers inside themselves, so the formula commands never load
-numpy.
+numpy.  Their group size limit is the WYTHOFF_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def _cmd_fvector(args) -> int:
     if args.method in ("enum", "both"):
         from .face_lattice import build_lattice
 
-        lat = build_lattice(d, budget=args.budget)
+        lat = build_lattice(d)
         fv = lat.f_vector
         payload["enumerated"] = list(fv)
         lines.append("enumerated: " + " ".join(map(str, fv)))
@@ -169,16 +169,17 @@ def _cmd_lattice(args) -> int:
     from .face_lattice import build_lattice, lattice_document
 
     d = _load_diagram(args.diagram)
-    doc = lattice_document(build_lattice(d, budget=args.budget))
+    doc = lattice_document(build_lattice(d))
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
 def _cmd_vertices(args) -> int:
+    from .face_lattice import build_lattice
     from .geometry import realize
 
     d = _load_diagram(args.diagram)
-    real = realize(d, budget=args.budget)
+    real = realize(build_lattice(d))
     lines = [
         " ".join(f"{v: .12f}" for v in p) for p in real.points
     ]
@@ -189,10 +190,11 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .face_lattice import build_lattice
     from .geometry import off_document, realization_document, realize
 
     d = _load_diagram(args.diagram)
-    real = realize(d, budget=args.budget)
+    real = realize(build_lattice(d))
     if args.format == "off":
         _write_text(args.out, off_document(real))
     else:
@@ -205,7 +207,7 @@ def _cmd_check(args) -> int:
     from .geometry import realize, verify_realization
 
     d = _load_diagram(args.diagram)
-    lat = build_lattice(d, budget=args.budget)
+    lat = build_lattice(d)
     results = {}
     fv_formula = f_vector_formula(d)
     results["f_vector"] = lat.f_vector == fv_formula
@@ -274,18 +276,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, diagram=True, budget=False):
+    def add(name, fn, help_, diagram=True):
         sp = sub.add_parser(name, help=help_)
         if diagram:
             sp.add_argument("diagram", help="inline diagram like x4o3o, or @file")
         sp.add_argument("--json", action="store_true", help="JSON output envelope")
-        if budget:
-            sp.add_argument(
-                "--budget",
-                type=int,
-                default=None,
-                help="group enumeration cap (default WYTHOFF_BUDGET or 2000000)",
-            )
         sp.set_defaults(fn=fn)
         return sp
 
@@ -293,15 +288,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add("order", _cmd_order, "reflection group order by formula")
     sp = add("faces", _cmd_faces, "face types and counts by formula")
     sp.add_argument("--rank", type=int, default=None)
-    sp = add("fvector", _cmd_fvector, "f-vector", budget=True)
+    sp = add("fvector", _cmd_fvector, "f-vector")
     sp.add_argument("--method", choices=("enum", "formula", "both"), default="both")
-    sp = add("lattice", _cmd_lattice, "full face lattice as JSON", budget=True)
+    sp = add("lattice", _cmd_lattice, "full face lattice as JSON")
     sp.add_argument("--out", default=None)
-    add("vertices", _cmd_vertices, "vertex coordinates", budget=True)
-    sp = add("export", _cmd_export, "geometry export", budget=True)
+    add("vertices", _cmd_vertices, "vertex coordinates")
+    sp = add("export", _cmd_export, "geometry export")
     sp.add_argument("--format", choices=("off", "json"), default="json")
     sp.add_argument("--out", default=None)
-    add("check", _cmd_check, "run all structural and numeric checks", budget=True)
+    add("check", _cmd_check, "run all structural and numeric checks")
     sp = add("is-regular", _cmd_is_regular, "regularity classification")
     sp.add_argument("--oracle", action="store_true", help="also run the flag-transitivity oracle")
     sp = add("classify", _cmd_classify, "catalog of regular polytopes", diagram=False)

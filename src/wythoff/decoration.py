@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .diagram import CROSS, RING, DecoratedDiagram, group_order
-from .errors import Degenerate, InvalidS, NotApplicable
+from .errors import Degenerate, InvalidS
 
 CROSSED = 0
 ACTIVE = 1
@@ -75,31 +75,12 @@ def _select(d: DecoratedDiagram, values: tuple, w: int) -> tuple:
     return tuple(new)
 
 
-def select_node(dec: Decoration, w: int) -> Decoration:
-    """Select active node w: w becomes 2, crossed neighbors of w become 1."""
-    if dec.values[w] != ACTIVE:
-        raise NotApplicable("node %d has value %d, not 1" % (w, dec.values[w]))
-    return Decoration(dec.diagram, _select(dec.diagram, dec.values, w))
-
-
-def reachable_decorations(start: Decoration, k: int) -> frozenset:
-    """All decorations reachable from start by exactly k selections (BFS)."""
-    level = {start}
-    for _ in range(k):
-        nxt = set()
-        for dec in level:
-            for w, val in enumerate(dec.values):
-                if val == ACTIVE:
-                    nxt.add(select_node(dec, w))
-        level = nxt
-    return frozenset(level)
-
-
 def valid_selection_sets(start: Decoration, k: int) -> list[frozenset]:
     """Size-k node sets whose induced components each contain a ring.
 
-    Closed-form counterpart of reachable_decorations: the reachable rank-k
-    decorations are exactly decoration_from_selection over these sets.
+    Closed-form counterpart of the rewrite BFS (reachable_decorations in
+    tests/oracles.py): the rank-k decorations reachable by k selections
+    are exactly decoration_from_selection over these sets.
     """
     d = start.diagram
     ringed = {v for v, val in enumerate(start.values) if val == ACTIVE}

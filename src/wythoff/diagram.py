@@ -157,9 +157,6 @@ class DecoratedDiagram:
             out.append(tuple(sorted(comp)))
         return tuple(out)
 
-    def ringed_nodes(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.marks) if m == RING)
-
 
 def parse(text: str) -> DecoratedDiagram:
     """Parse inline notation or a structured JSON document.
@@ -191,10 +188,7 @@ def parse_inline(text: str) -> DecoratedDiagram:
     labels = [int(s) for s in re.findall(r"\d+", text)]
     if any(m < 3 for m in labels):
         raise ParseError("inline labels must be >= 3 (2 means no edge)")
-    n = len(marks)
-    ids = tuple("v%d" % (i + 1) for i in range(n))
-    edges = tuple((i, i + 1, labels[i]) for i in range(n - 1))
-    return DecoratedDiagram(ids, tuple(marks), edges)
+    return _path(labels, marks)
 
 
 def serialize_inline(d: DecoratedDiagram) -> str:

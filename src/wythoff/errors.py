@@ -21,10 +21,6 @@ class Degenerate(WythoffError):
     """A decoration has a component with no ringed node."""
 
 
-class NotApplicable(WythoffError):
-    """Node-selection rewrite applied to a node whose value is not 1."""
-
-
 class InvalidS(WythoffError):
     """A selection set has a component with no ringed node."""
 

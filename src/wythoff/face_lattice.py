@@ -39,7 +39,7 @@ from .decoration import (
 )
 from .diagram import DecoratedDiagram, group_order
 from .errors import WythoffError
-from .reflection_group import Group, enumerate_group
+from .reflection_group import Group, coxeter_matrix, enumerate_group
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,6 @@ class Slot:
     @property
     def count(self) -> int:
         return self.table.count
-
-
-@dataclass(frozen=True)
-class Face:
-    id: int
-    rank: int
-    selection: tuple[int, ...]
-    rep: int                 # canonical coset representative (element index)
 
 
 class FaceLattice:
@@ -100,32 +92,6 @@ class FaceLattice:
             sum(s.count for s in self.slots_by_rank[k]) for k in range(self.n)
         )
 
-    def faces(self):
-        for sl in self.slots_by_rank:
-            for s in sl:
-                sel = tuple(sorted(s.selection))
-                for c in range(s.count):
-                    yield Face(s.offset + c, s.rank, sel, int(s.table.reps[c]))
-
-    @cached_property
-    def _slots(self) -> tuple[list, np.ndarray]:
-        """Every slot in face-id order, and the id of each slot's first face."""
-        slots = [s for sl in self.slots_by_rank for s in sl]
-        return slots, np.array([s.offset for s in slots])
-
-    def slot_of(self, face_id: int) -> Slot:
-        if not 0 <= face_id < self.face_total:
-            raise IndexError(
-                "face id %d out of range 0..%d" % (face_id, self.face_total - 1)
-            )
-        slots, starts = self._slots
-        return slots[int(np.searchsorted(starts, face_id, side="right")) - 1]
-
-    def face(self, face_id: int) -> Face:
-        s = self.slot_of(face_id)
-        c = face_id - s.offset
-        return Face(face_id, s.rank, tuple(sorted(s.selection)), int(s.table.reps[c]))
-
     # -- flags -----------------------------------------------------------
 
     @cached_property
@@ -149,16 +115,18 @@ class FaceLattice:
         return len(self.chains) * self.group.order
 
 
-def build_lattice(
-    d: DecoratedDiagram,
-    group: Group | None = None,
-    budget: int | None = None,
-) -> FaceLattice:
-    """Enumerate all faces of the polytope of d; covers follow on first use."""
+def build_lattice(d: DecoratedDiagram, group: Group | None = None) -> FaceLattice:
+    """Enumerate all faces of the polytope of d; covers follow on first use.
+
+    group, when given, must be the group of d's Coxeter matrix in node
+    order (ValueError otherwise); by default it is enumerate_group(d).
+    """
     require_nondegenerate(d)
     start = start_decoration(d)
     if group is None:
-        group = enumerate_group(d, budget)
+        group = enumerate_group(d)
+    elif not np.array_equal(group.coxeter, coxeter_matrix(d)):
+        raise ValueError("the group belongs to another Coxeter matrix")
     slots_by_rank = [[] for _ in range(d.rank + 1)]
     offset = 0
     for k, sel, dec in face_types(start, range(d.rank + 1)):
@@ -251,7 +219,7 @@ def diamond_report(lat: FaceLattice) -> DiamondReport:
 
 
 def _cover_count_mismatches(lat: FaceLattice) -> list:
-    slots, _ = lat._slots
+    slots = [s for sl in lat.slots_by_rank for s in sl]
     ranks = np.array([s.rank for s in slots])
     pair = np.repeat(np.arange(len(slots)), [s.count for s in slots])[lat.covers]
     found = np.bincount(pair[:, 0] * len(slots) + pair[:, 1], minlength=len(slots) ** 2)
@@ -488,12 +456,14 @@ def lattice_document(lat: FaceLattice) -> dict:
         "f_vector": list(lat.f_vector),
         "faces": [
             {
-                "id": f.id,
-                "rank": f.rank,
-                "selection": [d.node_ids[v] for v in f.selection],
-                "coset_rep": f.rep,
+                "id": s.offset + c,
+                "rank": s.rank,
+                "selection": [d.node_ids[v] for v in sorted(s.selection)],
+                "coset_rep": int(rep),
             }
-            for f in lat.faces()
+            for sl in lat.slots_by_rank
+            for s in sl
+            for c, rep in enumerate(s.table.reps)
         ],
         "covers": [[int(a), int(b)] for a, b in lat.covers],
         "top": lat.top_id,

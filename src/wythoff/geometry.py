@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedDimension,
     WythoffError,
 )
-from .face_lattice import FaceLattice, build_lattice
+from .face_lattice import FaceLattice
 from .reflection_group import ROW_BLOCK, simple_normals
 
 POINT_MATCH_TOL = 1e-7       # image-vs-representative agreement
@@ -79,14 +79,9 @@ class Realization:
     def slot_vertices(self, slot) -> np.ndarray:
         return self._face_vertex[slot.offset]
 
-    def vertices_of(self, face_id: int) -> np.ndarray:
-        s = self.lattice.slot_of(face_id)
-        return self._face_vertex[s.offset][face_id - s.offset]
 
-
-def realize(src, group=None, budget=None) -> Realization:
-    """Coordinates plus per-face vertex lists for a diagram or built lattice."""
-    lat = src if isinstance(src, FaceLattice) else build_lattice(src, group, budget)
+def realize(lat: FaceLattice) -> Realization:
+    """Coordinates plus per-face vertex lists for a built lattice."""
     g = lat.group
     x = wythoff_point(lat.diagram, g.normals)
     vt = lat.slots_by_rank[0][0].table

@@ -219,12 +219,14 @@ class Group:
     one Cayley table kept: (g s_i)(a) = g(s_i a).  The generators themselves
     are rmult[:, 0].  Joining g to g s_j for j in J gives the left cosets
     g W_J (coset_table).  No element keys or words are kept: the keys and the
-    search tree exist only inside enumerate_group.
+    search tree exist only inside enumerate_group.  coxeter is the Coxeter
+    matrix in node order, which fixes the group and its element numbering.
     """
 
-    def __init__(self, normals, roots, perms, rmult):
-        for a in (normals, roots.roots, roots.simple, roots.perms, perms, rmult):
+    def __init__(self, coxeter, normals, roots, perms, rmult):
+        for a in (coxeter, normals, roots.roots, roots.simple, roots.perms, perms, rmult):
             a.setflags(write=False)
+        self.coxeter = coxeter
         self.normals = normals
         self.roots = roots
         self.perms = perms
@@ -336,23 +338,24 @@ def _row_keys(key_table: np.ndarray, rows: np.ndarray, cols=None) -> np.ndarray:
 _held: dict[bytes, Group] = {}
 
 
-def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
+def enumerate_group(d: DecoratedDiagram) -> Group:
     """Enumerate the reflection group of a finite-type diagram.
 
-    Checks the formula order against the budget before doing any work, so
-    oversized groups (e.g. rank-7/8 E families) fail fast and callers fall
-    back to formula-based counting.  The last group built, if it has at
-    most HOLD_LIMIT elements, is returned again for the same Coxeter matrix
-    in node order (element numbering follows node order), whatever the marks.
+    Checks the formula order against enumeration_budget() before doing any
+    work, so oversized groups (e.g. rank-7/8 E families) fail fast and
+    callers fall back to formula-based counting.  The last group built, if
+    it has at most HOLD_LIMIT elements, is returned again for the same
+    Coxeter matrix in node order (element numbering follows node order),
+    whatever the marks.
     """
-    if budget is None:
-        budget = enumeration_budget()
+    budget = enumeration_budget()
     expected = group_order(d)
     if expected > budget:
         raise BudgetExceeded(
             "group order %d exceeds budget %d" % (expected, budget)
         )
-    key = coxeter_matrix(d).tobytes()
+    coxeter = coxeter_matrix(d)
+    key = coxeter.tobytes()
     held = _held.get(key)
     if held is not None:
         return held
@@ -435,7 +438,7 @@ def enumerate_group(d: DecoratedDiagram, budget: int | None = None) -> Group:
             if not _found(keys, want, pos).all():
                 raise KeyError("permutation is not a group element")
             rmult[i, lo : lo + len(rows)] = pos
-    group = Group(normals, roots, perms, rmult)
+    group = Group(coxeter, normals, roots, perms, rmult)
     if expected <= HOLD_LIMIT:
         _held[key] = group
     return group

@@ -328,19 +328,3 @@ def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]
         add(_hypercube_name(n), _box_diagram(parts))
     return catalog
 
-
-def constructions_of(name: str, kmax: int = 12) -> list[DecoratedDiagram]:
-    """Constructions of a named regular polytope (aliases accepted)."""
-    cname = canonical_name(name)
-    fv = known_f_vector(cname)  # validates the name
-    if len(fv) == 1:
-        return regular_catalog(1)["segment"]
-    if len(fv) == 2:
-        k = fv[0]
-        catalog = regular_catalog(2, kmax=max(kmax, k))
-        return catalog[polygon_name(k)]
-    n = len(fv)
-    catalog = regular_catalog(n, kmax=kmax)
-    if cname not in catalog:
-        raise UnknownName(name)
-    return catalog[cname]

@@ -17,7 +17,11 @@ multiply by composing permutation rows.  The minimum separation by a walk
 along one sorted projection is the point kernel's route before its cell
 grid.  The cover pairs and the face-vertex lists by np.unique, and the
 affine rank check with one SVD per face, are the routes before
-sorted_unique and the one SVD per slot.
+sorted_unique and the one SVD per slot.  The node-selection rewrite
+(select_node, which raises NotApplicable on a node not valued 1, and the
+BFS reachable_decorations) is the route that valid_selection_sets gives in
+closed form.  constructions_of looks a named regular polytope up in the
+regular catalog.
 """
 
 import functools
@@ -28,10 +32,12 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from wythoff import _kernels
-from wythoff.errors import ToleranceCollision, WythoffError
+from wythoff.decoration import ACTIVE, Decoration, _select
+from wythoff.errors import ToleranceCollision, UnknownName, WythoffError
 from wythoff.face_lattice import DiamondReport, FaceLattice, FlagReport, _walk_code
 from wythoff.geometry import AFFINE_RANK_TOL, CheckReport
 from wythoff.reflection_group import ROOT_MATCH_TOL, RootSystem, gram_matrix
+from wythoff.regular import canonical_name, known_f_vector, polygon_name, regular_catalog
 
 
 @functools.cache
@@ -624,3 +630,44 @@ def affine_rank_per_face(real) -> CheckReport:
             wrong = np.flatnonzero((sv > AFFINE_RANK_TOL).sum(axis=1) != s.rank)
             bad.extend(int(w) + s.offset for w in wrong[:10])
     return CheckReport("affine_rank", not bad, {"faces": checked, "violations": bad})
+
+
+class NotApplicable(WythoffError):
+    """Node-selection rewrite applied to a node whose value is not 1."""
+
+
+def select_node(dec: Decoration, w: int) -> Decoration:
+    """Select active node w: w becomes 2, crossed neighbors of w become 1."""
+    if dec.values[w] != ACTIVE:
+        raise NotApplicable("node %d has value %d, not 1" % (w, dec.values[w]))
+    return Decoration(dec.diagram, _select(dec.diagram, dec.values, w))
+
+
+def reachable_decorations(start: Decoration, k: int) -> frozenset:
+    """All decorations reachable from start by exactly k selections (BFS)."""
+    level = {start}
+    for _ in range(k):
+        nxt = set()
+        for dec in level:
+            for w, val in enumerate(dec.values):
+                if val == ACTIVE:
+                    nxt.add(select_node(dec, w))
+        level = nxt
+    return frozenset(level)
+
+
+def constructions_of(name: str, kmax: int = 12) -> list:
+    """Constructions of a named regular polytope (aliases accepted)."""
+    cname = canonical_name(name)
+    fv = known_f_vector(cname)  # validates the name
+    if len(fv) == 1:
+        return regular_catalog(1)["segment"]
+    if len(fv) == 2:
+        k = fv[0]
+        catalog = regular_catalog(2, kmax=max(kmax, k))
+        return catalog[polygon_name(k)]
+    n = len(fv)
+    catalog = regular_catalog(n, kmax=kmax)
+    if cname not in catalog:
+        raise UnknownName(name)
+    return catalog[cname]

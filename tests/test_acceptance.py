@@ -10,11 +10,11 @@ from itertools import chain, combinations
 
 import pytest
 
+from oracles import reachable_decorations
 from sweep import decorated_variants, rank_34_diagrams, sweep_diagrams
 from wythoff.decoration import (
     decoration_from_selection,
     f_vector_formula,
-    reachable_decorations,
     start_decoration,
     valid_selection_sets,
 )

@@ -67,17 +67,28 @@ def test_fvector_both_methods(capsys):
     assert out.count("24 36 14") == 2 and "agreement: yes" in out
 
 
-def test_fvector_budget_exceeded(capsys):
-    code, _, err = run(capsys, "fvector", "x3o3o3o", "--method", "enum", "--budget", "10")
+def test_fvector_budget_exceeded(capsys, monkeypatch):
+    monkeypatch.setenv("WYTHOFF_BUDGET", "10")
+    code, _, err = run(capsys, "fvector", "x3o3o3o", "--method", "enum")
     assert code == 2
     assert "budget" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["check", "lattice", "vertices", "export"])
+def test_budget_variable_caps_every_enumerating_command(capsys, monkeypatch, command):
+    monkeypatch.setenv("WYTHOFF_BUDGET", "10")
+    code, out, err = run(capsys, command, "x3o3o3o")
+    assert code == 2 and not out
+    assert "budget" in err.lower()
+
+
 def test_budget_is_refused_where_nothing_is_enumerated(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["order", "x4o3o", "--budget", "10"])
-    assert exc.value.code == 2
-    assert "--budget" in capsys.readouterr().err
+    # the budget has one setting, WYTHOFF_BUDGET; no command takes it as an option
+    for command in ("order", "check"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "x4o3o", "--budget", "10"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
 
 
 def test_check_all_green(capsys):

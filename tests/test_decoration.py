@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import NotApplicable, reachable_decorations, select_node
 from wythoff.decoration import (
     ACTIVE,
     CROSSED,
@@ -8,15 +9,13 @@ from wythoff.decoration import (
     decoration_from_selection,
     face_restriction,
     is_degenerate,
-    reachable_decorations,
     require_nondegenerate,
-    select_node,
     selection_orderings,
     start_decoration,
     valid_selection_sets,
 )
 from wythoff.diagram import disjoint_union, family_diagram, parse
-from wythoff.errors import Degenerate, InvalidS, NotApplicable
+from wythoff.errors import Degenerate, InvalidS
 
 
 def test_start_decoration_reads_marks():

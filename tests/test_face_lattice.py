@@ -254,22 +254,6 @@ def test_lattice_document_shape(shared):
     assert len(doc["covers"]) == 24 + 24 + 6
 
 
-def test_face_lookup_round_trip(shared):
-    lat = shared.lattice(parse("o3x4x"))
-    for f in lat.faces():
-        again = lat.face(f.id)
-        assert again == f
-
-
-def test_out_of_range_face_ids_are_named(shared):
-    real = shared.realization(parse("x4o3o"))
-    lat = real.lattice
-    for lookup, face_id in ((lat.face, -1), (lat.face, lat.bottom_id), (real.vertices_of, -1)):
-        with pytest.raises(IndexError, match=r"face id %d out of range 0\.\.26$" % face_id):
-            lookup(face_id)
-    assert lat.face(lat.top_id).rank == 3
-
-
 def test_chains_match_selection_orderings(shared):
     from wythoff.decoration import selection_orderings
 

@@ -164,6 +164,15 @@ def test_covers_and_face_vertices_match_unique_route(shared, name):
             assert got.dtype == want.dtype and np.array_equal(got, want), (d, offset)
 
 
+def _face_vertices(real, face_id: int) -> set:
+    """Vertex ids of one face, read from its slot's vertex lists."""
+    for sl in real.lattice.slots_by_rank:
+        for s in sl:
+            if s.offset <= face_id < s.offset + s.count:
+                return set(real.slot_vertices(s)[face_id - s.offset].tolist())
+    raise IndexError(face_id)
+
+
 def _corrupted_cube(shared):
     """The cube with a cover dropped, one duplicated and two moved.
 
@@ -176,10 +185,10 @@ def _corrupted_cube(shared):
     rank = lat.face_rank
     for k, i in ((0, 3), (1, 0)):
         i = np.flatnonzero(rank[cov[:, 0]] == k)[i]
-        lower = set(real.vertices_of(int(cov[i, 0])).tolist())
+        lower = _face_vertices(real, int(cov[i, 0]))
         cov[i, 1] = next(
             f for f in np.flatnonzero(rank == k + 1)
-            if len(lower & set(real.vertices_of(int(f)).tolist())) == k
+            if len(lower & _face_vertices(real, int(f))) == k
         )
     cov = np.vstack([cov[1:], cov[-10:-9]])
     bad = FaceLattice(lat.diagram, lat.start, lat.group, lat.slots_by_rank)

@@ -31,7 +31,7 @@ from wythoff.diagram import (
     group_order,
     parse,
 )
-from wythoff.errors import BudgetExceeded, ToleranceCollision
+from wythoff.errors import BudgetExceeded, SubgroupNotContained, ToleranceCollision
 from wythoff.face_lattice import build_lattice
 from wythoff.reflection_group import (
     ROOT_MATCH_TOL,
@@ -270,7 +270,7 @@ def test_enumeration_peak_stays_near_the_kept_tables(shared):
 
 def _group_arrays(g):
     tables = [g.coset_table(nodes) for nodes in ({0}, {0, 1}, {1, 2})]
-    return [g.normals, g.roots.roots, g.roots.perms, g.perms, g.rmult] + [
+    return [g.coxeter, g.normals, g.roots.roots, g.roots.perms, g.perms, g.rmult] + [
         a for t in tables for a in (t.coset_id, t.reps, t.subgroup.elements)
     ]
 
@@ -330,12 +330,30 @@ def test_a_reversed_edge_hits():
 def test_a_hit_still_respects_the_budget(monkeypatch):
     d = parse("x4o3o")
     g = enumerate_group(d)
-    with pytest.raises(BudgetExceeded):
-        enumerate_group(d, budget=47)
     monkeypatch.setenv("WYTHOFF_BUDGET", "47")
     with pytest.raises(BudgetExceeded):
         enumerate_group(d)
-    assert enumerate_group(d, budget=48) is g
+    monkeypatch.setenv("WYTHOFF_BUDGET", "48")
+    assert enumerate_group(d) is g
+
+
+@pytest.mark.parametrize("other", ["x3o3o", "x3o4o"], ids=["labels", "node-order"])
+def test_build_lattice_refuses_the_group_of_another_coxeter_matrix(other):
+    with pytest.raises(ValueError, match="another Coxeter matrix"):
+        build_lattice(parse(other), enumerate_group(parse("x4o3o")))
+
+
+def test_build_lattice_takes_the_group_of_its_coxeter_matrix():
+    cube = parse("x4o3o")
+    assert build_lattice(cube, enumerate_group(cube)).f_vector == (8, 12, 6)
+    reversed_edges = DecoratedDiagram(("a", "b", "c"), (1, 0, 0), ((1, 0, 4), (2, 1, 3)))
+    assert build_lattice(reversed_edges, enumerate_group(cube)).f_vector == (8, 12, 6)
+
+
+@pytest.mark.parametrize("nodes", [[3], [-1]])
+def test_coset_table_refuses_nodes_outside_the_group(shared, nodes):
+    with pytest.raises(SubgroupNotContained, match="out of range"):
+        shared.group(parse("x4o3o")).coset_table(nodes)
 
 
 def test_a_miss_lets_the_held_group_go():
@@ -361,11 +379,12 @@ def test_a_group_over_the_hold_limit_is_not_kept(monkeypatch):
     assert enumerate_group(d) is g
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
     with pytest.raises(BudgetExceeded):
         enumerate_group(family_diagram("E", 7))
+    monkeypatch.setenv("WYTHOFF_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
-        enumerate_group(parse("x3o3o"), budget=10)
+        enumerate_group(parse("x3o3o"))
 
 
 def test_budget_env_override(monkeypatch):

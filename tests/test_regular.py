@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import constructions_of
 from wythoff.decoration import f_vector_formula, face_restriction, start_decoration
 from wythoff.diagram import (
     DecoratedDiagram,
@@ -13,7 +14,6 @@ from wythoff.diagram import (
 from wythoff.errors import Degenerate, UnknownName
 from wythoff.regular import (
     canonical_name,
-    constructions_of,
     is_flag_transitive,
     known_f_vector,
     oracle_gap_reason,
