@@ -33,7 +33,7 @@ sorted_unique is the one integer dedup: np.sort, then a mask of the rows
 that differ from their predecessor.  It returns what np.unique returns on
 integer keys.  np.unique (and np.intersect1d, which calls it) builds a hash
 set before it sorts, several times the cost of the sort alone on the
-coset-id keys of the lattice and of realize.
+coset-pair keys of face_lattice.coset_pairs.
 """
 
 import functools

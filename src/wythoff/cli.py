@@ -185,7 +185,7 @@ def _cmd_vertices(args) -> int:
     ]
     return _emit(
         args,
-        {"vertices": [[float(v) for v in p] for p in real.points], "lines": lines},
+        {"vertices": real.points.tolist(), "lines": lines},
     )
 
 

@@ -173,9 +173,8 @@ def parse(text: str) -> DecoratedDiagram:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError("bad JSON: %s" % e) from None
-        d = diagram_from_document(doc)
-    else:
-        d = parse_inline(text)
+        return diagram_from_document(doc)
+    d = parse_inline(text)
     classify_components(d)
     return d
 

@@ -3,10 +3,10 @@
 A rank-k face is a pair (left coset of the face stabilizer, rank-k
 decoration); the stabilizer is the parabolic subgroup generated by the
 nodes not valued 1.  Faces of consecutive rank are in a cover relation
-exactly when their selections nest and their cosets intersect.  The
-whole-polytope face (all nodes selected, a single coset) serves as the top
-of the lattice; a synthetic bottom sits below the vertices.  The cover
-pairs are derived from the coset tables when first read, so a lattice used
+exactly when their selections nest and their cosets intersect
+(coset_pairs).  The whole-polytope face (all nodes selected, a single
+coset) serves as the top of the lattice; a synthetic bottom sits below the
+vertices.  The cover pairs are derived when first read, so a lattice used
 only for its f-vector never builds them.
 
 Flags are maximal chains.  They factor exactly as (selection ordering c,
@@ -136,20 +136,24 @@ def build_lattice(d: DecoratedDiagram, group: Group | None = None) -> FaceLattic
     return FaceLattice(d, start, group, slots_by_rank)
 
 
+def coset_pairs(a, b) -> np.ndarray:
+    """Sorted keys i * b.count + j of the cosets i of a and j of b that meet.
+
+    a and b are coset tables of one group; cosets meet exactly when they
+    share an element, so one key per element, deduplicated, lists every
+    meeting pair.  Faces are cosets, so this is the one incidence rule.
+    """
+    return sorted_unique(a.coset_id.astype(np.int64) * b.count + b.coset_id)
+
+
 def _compute_covers(slots_by_rank) -> np.ndarray:
-    total = sum(s.count for sl in slots_by_rank for s in sl)
     pairs = []
     for k in range(len(slots_by_rank) - 1):
         for lo in slots_by_rank[k]:
-            lo_ids = lo.table.coset_id.astype(np.int64) + lo.offset
             for hi in slots_by_rank[k + 1]:
-                if not lo.selection < hi.selection:
-                    continue
-                hi_ids = hi.table.coset_id.astype(np.int64) + hi.offset
-                key = sorted_unique(lo_ids * total + hi_ids)
-                pairs.append(np.stack([key // total, key % total], axis=1))
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
+                if lo.selection < hi.selection:
+                    i, j = np.divmod(coset_pairs(lo.table, hi.table), hi.count)
+                    pairs.append(np.stack([i + lo.offset, j + hi.offset], axis=1))
     return np.vstack(pairs)
 
 
@@ -287,6 +291,7 @@ def _flag_moves(lat: FaceLattice) -> dict | None:
     n = lat.n
     chain_idx = {c: i for i, c in enumerate(lat.chains)}
     slots = lat.slots_by_rank
+    stabilizers = [[frozenset(s.decoration.stabilizer_nodes()) for s in sl] for sl in slots]
     between = {}
 
     def faces_between(k, lo, hi):
@@ -305,7 +310,7 @@ def _flag_moves(lat: FaceLattice) -> dict | None:
             for bound in (lower, upper):
                 if bound is not None:
                     mark = np.zeros(s.count, dtype=bool)
-                    mark[s.table.coset_id[bound.table.subgroup.elements]] = True
+                    mark[s.table.coset_id[bound.table.subgroup]] = True
                     here &= mark
             out.extend((si, int(c)) for c in np.flatnonzero(here))
         between[(k, lo, hi)] = out
@@ -322,9 +327,7 @@ def _flag_moves(lat: FaceLattice) -> dict | None:
             other_slot, other_coset = next(m for m in mids if m != (chain[k], 0))
             node = None
             if other_slot == chain[k]:
-                others = [
-                    slots[j][chain[j]].table.subgroup.generator_nodes for j in range(n) if j != k
-                ]
+                others = [stabilizers[j][chain[j]] for j in range(n) if j != k]
                 inter = frozenset.intersection(*others) if others else frozenset(range(n))
                 node = min(inter) if len(inter) == 1 else None
             # the other face must be the coset of the move's element
@@ -459,12 +462,12 @@ def lattice_document(lat: FaceLattice) -> dict:
                 "id": s.offset + c,
                 "rank": s.rank,
                 "selection": [d.node_ids[v] for v in sorted(s.selection)],
-                "coset_rep": int(rep),
+                "coset_rep": rep,
             }
             for sl in lat.slots_by_rank
             for s in sl
-            for c, rep in enumerate(s.table.reps)
+            for c, rep in enumerate(s.table.reps.tolist())
         ],
-        "covers": [[int(a), int(b)] for a, b in lat.covers],
+        "covers": lat.covers.tolist(),
         "top": lat.top_id,
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import match_rows, min_pairwise_distance, sorted_unique
+from ._kernels import match_rows, min_pairwise_distance
 from .decoration import RING
 from .errors import (
     DedupCollision,
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedDimension,
     WythoffError,
 )
-from .face_lattice import FaceLattice
+from .face_lattice import FaceLattice, coset_pairs
 from .reflection_group import ROW_BLOCK, simple_normals
 
 POINT_MATCH_TOL = 1e-7       # image-vs-representative agreement
@@ -40,10 +40,9 @@ FACET_NORM_TOL = 1e-9        # relative spread of facet centroid norms
 WITNESS_ROWS = 1 << 14
 
 
-def wythoff_point(d, normals=None) -> np.ndarray:
+def wythoff_point(d) -> np.ndarray:
     """Unit-norm base point: on every crossed mirror, off every ringed one."""
-    if normals is None:
-        normals = simple_normals(d)
+    normals = simple_normals(d)
     rhs = np.array([1.0 if m == RING else 0.0 for m in d.marks])
     try:
         x = np.linalg.solve(normals, rhs)
@@ -83,7 +82,7 @@ class Realization:
 def realize(lat: FaceLattice) -> Realization:
     """Coordinates plus per-face vertex lists for a built lattice."""
     g = lat.group
-    x = wythoff_point(lat.diagram, g.normals)
+    x = wythoff_point(lat.diagram)
     vt = lat.slots_by_rank[0][0].table
     points = g.point_images(x, vt.reps)
     # every image is audited against its representative by blocks of
@@ -97,21 +96,18 @@ def realize(lat: FaceLattice) -> Realization:
         raise DedupCollision(
             f"orbit image differs from its representative by {deviation:.2e}"
         )
-    if len(points) > 1:
-        gap = min_pairwise_distance(points)
-        if gap < POINT_SEPARATION:
-            raise DedupCollision(f"distinct vertices only {gap:.2e} apart")
-    vof = vt.coset_id.astype(np.int64)
-    total = len(points)
+    gap = min_pairwise_distance(points)
+    if gap < POINT_SEPARATION:
+        raise DedupCollision(f"distinct vertices only {gap:.2e} apart")
     face_vertex = {}
     for sl in lat.slots_by_rank:
         for s in sl:
-            key = sorted_unique(s.table.coset_id.astype(np.int64) * total + vof)
-            counts = np.bincount(key // total, minlength=s.count)
+            face, vertex = np.divmod(coset_pairs(s.table, vt), vt.count)
+            counts = np.bincount(face, minlength=s.count)
             m = int(counts[0])
             if not np.all(counts == m):
                 raise WythoffError("conjugate faces with unequal vertex counts")
-            face_vertex[s.offset] = (key % total).reshape(s.count, m).astype(np.int32)
+            face_vertex[s.offset] = vertex.reshape(s.count, m).astype(np.int32)
     return Realization(lat, x, points, face_vertex, float(deviation))
 
 
@@ -242,7 +238,7 @@ def distinct_faces_check(real: Realization) -> CheckReport:
 def edge_uniformity_check(real: Realization) -> CheckReport:
     lat = real.lattice
     lengths = []
-    for s in lat.slots_by_rank[1] if lat.n >= 1 else []:
+    for s in lat.slots_by_rank[1]:
         fv = real.slot_vertices(s)
         seg = real.points[fv]
         lengths.append(np.linalg.norm(seg[:, 0] - seg[:, 1], axis=1))
@@ -388,18 +384,13 @@ def realization_document(real: Realization) -> dict:
     faces = []
     for sl in lat.slots_by_rank[1:]:
         for s in sl:
-            fv = real.slot_vertices(s)
             faces.extend(
-                {
-                    "id": int(s.offset + i),
-                    "rank": s.rank,
-                    "vertices": [int(v) for v in fv[i]],
-                }
-                for i in range(s.count)
+                {"id": s.offset + i, "rank": s.rank, "vertices": row}
+                for i, row in enumerate(real.slot_vertices(s).tolist())
             )
     return {
         "dimension": lat.n,
         "f_vector": list(lat.f_vector),
-        "vertices": [[float(v) for v in p] for p in real.points],
+        "vertices": real.points.tolist(),
         "faces": faces,
     }

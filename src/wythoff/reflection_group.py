@@ -1,11 +1,11 @@
 """Finite reflection groups enumerated as permutations of their root set.
 
 Simple mirror normals come from the Cholesky factor of the diagram's Gram
-matrix.  The root set is the closure of the normals under the generating
-reflections; every group element permutes the root list, and all later
-combinatorics (subgroups, cosets, face counting) is exact integer work.
-One tolerance-bearing step remains: matching reflected roots back into the
-root list (dedup 1e-6, separation floor 1e-3).
+matrix.  The root set is their closure under the generating reflections,
+listing them first; every group element permutes the root list, and all
+later combinatorics (subgroups, cosets, face counting) is exact integer
+work.  One tolerance-bearing step remains: matching reflected roots back
+into the root list (dedup 1e-6, separation floor 1e-3).
 
 An element w is kept as its images of a few roots only, the columns
 C = {a_j} u {s_i a_j}, which the root closure lists first.  The images of
@@ -43,8 +43,8 @@ One Cayley table is kept, right multiplication by the generators (rmult).
 Components of a graph of element (or root) maps are labelled by their
 least member in one routine, _coset_minima.  Over rmult restricted to J it
 labels the left cosets g W_J, and the identity's coset is W_J itself, so a
-coset table also gives its subgroup.  Over the generator permutations of
-the roots it gives the root orbits behind the keys.
+coset table also gives its subgroup, coset 0.  Over the generator
+permutations of the roots it gives the root orbits behind the keys.
 
 The group depends on the diagram only through its Coxeter matrix, so
 enumerate_group keeps the last group it built, with its coset tables, for
@@ -126,8 +126,7 @@ def simple_normals(d: DecoratedDiagram) -> np.ndarray:
 class RootSystem:
     """Closure of the simple normals under the generating reflections."""
 
-    roots: np.ndarray          # (count, dim) unit vectors
-    simple: np.ndarray         # indices of the simple normals in roots
+    roots: np.ndarray          # (count, dim) unit vectors, the n simple normals first
     perms: np.ndarray          # (n, count): perms[i][a] is the index of s_i(root a)
 
     @property
@@ -171,19 +170,7 @@ def root_system(normals: np.ndarray) -> RootSystem:
     perms = np.hstack(blocks).astype(np.int16 if len(roots) < 2**15 else np.int32)
     if not (np.sort(perms, axis=1) == np.arange(len(roots))).all():
         raise ToleranceCollision("root reflection is not a permutation")
-    return RootSystem(roots, np.arange(n), perms)
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A parabolic subgroup: generated by a subset of the simple mirrors."""
-
-    generator_nodes: frozenset
-    elements: np.ndarray       # sorted element indices
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    return RootSystem(roots, perms)
 
 
 @dataclass(frozen=True)
@@ -195,10 +182,10 @@ class CosetTable:
     canonical representative).  The coset g W_J is the connected component
     of g under right multiplication by the s_j, j in J, labelled with its
     least member by _coset_minima; cosets are numbered in increasing order
-    of their representatives, and the identity's coset 0 is W_J itself.
+    of their representatives; subgroup is W_J itself, the identity's coset 0.
     """
 
-    subgroup: Subgroup
+    subgroup: np.ndarray       # sorted element indices of W_J
     coset_id: np.ndarray
     reps: np.ndarray
 
@@ -215,23 +202,23 @@ class Group:
     canonical.  perms[g, c] is the index of g(root c) for the roots the
     library reads: the simple roots and their images under the generators,
     which the root closure lists first, so perms holds the first columns of
-    the full permutation rows.  rmult[i] maps each element g to g s_i, the
-    one Cayley table kept: (g s_i)(a) = g(s_i a).  The generators themselves
-    are rmult[:, 0].  Joining g to g s_j for j in J gives the left cosets
-    g W_J (coset_table).  No element keys or words are kept: the keys and the
-    search tree exist only inside enumerate_group.  coxeter is the Coxeter
-    matrix in node order, which fixes the group and its element numbering.
+    the full permutation rows.  The simple roots are roots.roots[:n_gens].
+    rmult[i] maps each element g to g s_i, the one Cayley table kept:
+    (g s_i)(a) = g(s_i a).  The generators themselves are rmult[:, 0].
+    Joining g to g s_j for j in J gives the left cosets g W_J (coset_table).
+    No element keys or words are kept: the keys and the search tree exist
+    only inside enumerate_group.  coxeter is the Coxeter matrix in node
+    order, which fixes the group and its element numbering.
     """
 
-    def __init__(self, coxeter, normals, roots, perms, rmult):
-        for a in (coxeter, normals, roots.roots, roots.simple, roots.perms, perms, rmult):
+    def __init__(self, coxeter, roots, perms, rmult):
+        for a in (coxeter, roots.roots, roots.perms, perms, rmult):
             a.setflags(write=False)
         self.coxeter = coxeter
-        self.normals = normals
         self.roots = roots
         self.perms = perms
         self.rmult = rmult
-        self.n_gens = len(normals)
+        self.n_gens = len(rmult)
         self._cosets: dict = {}
 
     @property
@@ -248,9 +235,8 @@ class Group:
         label = _coset_minima(self.order, list(self.rmult[sorted(key)]))
         is_rep = label == np.arange(self.order)
         coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
-        sub = Subgroup(key, np.flatnonzero(label == 0))
-        table = CosetTable(sub, coset_id, np.flatnonzero(is_rep))
-        for a in (sub.elements, coset_id, table.reps):
+        table = CosetTable(np.flatnonzero(label == 0), coset_id, np.flatnonzero(is_rep))
+        for a in (table.subgroup, coset_id, table.reps):
             a.setflags(write=False)
         self._cosets[key] = table
         return table
@@ -262,7 +248,7 @@ class Group:
         root at a time so that no (elements, n, dim) array is built.
         """
         roots = self.roots.roots
-        y = np.linalg.solve(roots[self.roots.simple].T, np.asarray(x, dtype=np.float64))
+        y = np.linalg.solve(roots[: self.n_gens].T, np.asarray(x, dtype=np.float64))
         rows = self.perms[elements]
         out = roots[rows[:, 0]] * y[0]
         for j in range(1, len(y)):
@@ -360,8 +346,7 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     if held is not None:
         return held
     _held.clear()  # never hold two groups: drop the old one before building
-    normals = simple_normals(d)
-    roots = root_system(normals)
+    roots = root_system(simple_normals(d))
     gens = roots.perms
     n = d.rank
     key_table = key_layout(gens)
@@ -416,7 +401,7 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     # w = s_i p sends root c to s_i(p(c)), so its row is s_i applied to the
     # row of p, one layer before it, column by column; the search tree is
     # read one layer at a time and dropped
-    kept = int(gens[:, roots.simple].max()) + 1
+    kept = int(gens[:, :n].max()) + 1
     perms = np.empty((total, kept), dtype=gens.dtype)
     perms[0] = np.arange(kept)
     layers = zip(itertools.pairwise(np.cumsum(sizes)), parents, gens_of)
@@ -438,7 +423,7 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
             if not _found(keys, want, pos).all():
                 raise KeyError("permutation is not a group element")
             rmult[i, lo : lo + len(rows)] = pos
-    group = Group(coxeter, normals, roots, perms, rmult)
+    group = Group(coxeter, roots, perms, rmult)
     if expected <= HOLD_LIMIT:
         _held[key] = group
     return group

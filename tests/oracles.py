@@ -110,8 +110,8 @@ def full_rows(g) -> np.ndarray:
 
 def group_matrices(g) -> np.ndarray:
     """Orthogonal matrix of every element of g, batched (order, n, n)."""
-    s_inv = np.linalg.inv(g.roots.roots[g.roots.simple].T)
-    t = g.roots.roots[full_rows(g)[:, g.roots.simple]]
+    s_inv = np.linalg.inv(g.roots.roots[: g.n_gens].T)
+    t = g.roots.roots[full_rows(g)[:, : g.n_gens]]
     return np.einsum("gdj,je->gde", t.transpose(0, 2, 1), s_inv)
 
 
@@ -305,7 +305,7 @@ def flag_moves_by_search(lat: FaceLattice) -> dict | None:
                 here = np.arange(s.count)
                 for bound in (lower, upper):
                     if bound is not None:
-                        meets = s.table.coset_id[bound.table.subgroup.elements]
+                        meets = s.table.coset_id[bound.table.subgroup]
                         here = np.intersect1d(here, meets)
                 mids.extend((si, int(c)) for c in here)
             base_face = (chain[k], int(slots[k][chain[k]].table.coset_id[0]))
@@ -313,7 +313,9 @@ def flag_moves_by_search(lat: FaceLattice) -> dict | None:
                 return None
             other_slot, other_coset = next(m for m in mids if m != base_face)
             others = [
-                slots[j][chain[j]].table.subgroup.generator_nodes for j in range(n) if j != k
+                frozenset(slots[j][chain[j]].decoration.stabilizer_nodes())
+                for j in range(n)
+                if j != k
             ]
             inter = frozenset.intersection(*others) if others else frozenset(range(n))
             if inter not in parabolics:
@@ -420,7 +422,7 @@ def vertex_figure(lat: FaceLattice) -> VertexFigure:
     (the parabolic on the crossed nodes), so one coset per decoration per
     stabilizer orbit shows up, e.g. 3 edges + 3 squares for the cube.
     """
-    stab = lat.slots_by_rank[0][0].table.subgroup.elements
+    stab = lat.slots_by_rank[0][0].table.subgroup
     mark = np.zeros(lat.face_total, dtype=bool)
     for sl in lat.slots_by_rank[1 : lat.n]:
         for s in sl:

@@ -269,7 +269,7 @@ def test_audit_reaches_the_last_partial_block(shared, monkeypatch):
 def test_realize_builds_no_array_of_every_image(shared, text, kept):
     lat = shared.lattice(parse(text))
     g = lat.group
-    simple = g.roots.simple
+    simple = np.arange(g.n_gens)
     assert g.perms.shape[1] == len(np.union1d(simple, g.roots.perms[:, simple])) == kept
     # one (|G|, dim) float array of images is 1x; gathering every simple
     # root's image of every element before adding them up is n times that

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -222,3 +225,46 @@ def _integer_keys(draw):
 def test_sorted_unique_is_numpy_unique(keys):
     got, want = sorted_unique(keys), np.unique(keys)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# sorted_unique is the one integer dedup in the library: these numpy calls
+# build a hash set before they sort
+NUMPY_DEDUP = {"unique", "intersect1d", "isin"}
+
+
+def _numpy_dedup_calls(source: str) -> list:
+    """(line, name) of every numpy dedup call or import in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, a.name) for a in node.names if a.name in NUMPY_DEDUP]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in NUMPY_DEDUP
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        ):
+            found.append((node.lineno, node.func.attr))
+    return sorted(found)
+
+
+def test_the_scan_sees_calls_and_not_text():
+    source = (
+        '"""np.unique(keys) in a docstring."""\n'
+        "import numpy\n"
+        "from numpy import isin\n"
+        "a = numpy.unique(b)  # np.intersect1d in a comment\n"
+        "c = np.intersect1d(a, b)\n"
+    )
+    assert _numpy_dedup_calls(source) == [(3, "isin"), (4, "unique"), (5, "intersect1d")]
+
+
+def test_no_library_module_calls_a_numpy_dedup():
+    src = Path(__file__).resolve().parents[1] / "src" / "wythoff"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 10
+    found = {
+        p.name: calls for p in modules if (calls := _numpy_dedup_calls(p.read_text("utf-8")))
+    }
+    assert found == {}

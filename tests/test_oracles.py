@@ -151,7 +151,7 @@ def test_affine_rank_without_margin_runs_every_face(shared):
     assert _same_affine_report(bad)
 
 
-@pytest.mark.parametrize("name", ["orbit", "big_group"])
+@pytest.mark.parametrize("name", ["orbit", "big_group", "products", "rank_34"])
 def test_covers_and_face_vertices_match_unique_route(shared, name):
     for d in INPUT_SETS[name]():
         real = shared.realization(d)
