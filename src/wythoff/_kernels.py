@@ -33,7 +33,8 @@ sorted_unique is the one integer dedup: np.sort, then a mask of the rows
 that differ from their predecessor.  It returns what np.unique returns on
 integer keys.  np.unique (and np.intersect1d, which calls it) builds a hash
 set before it sorts, several times the cost of the sort alone on the
-coset-pair keys of face_lattice.coset_pairs.
+coset-pair keys of face_lattice.coset_pairs.  found_at is the one test of
+membership in such sorted keys, read at their searchsorted positions.
 """
 
 import functools
@@ -72,6 +73,13 @@ def sorted_unique(keys):
     keep = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
+
+
+def found_at(sorted_keys, keys, pos):
+    """Which keys sit at their searchsorted positions pos in sorted_keys."""
+    if not len(sorted_keys):
+        return np.zeros(np.shape(keys), dtype=bool)
+    return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
 
 
 def _pad(*arrays):

@@ -214,6 +214,8 @@ def diagram_from_document(doc: dict) -> DecoratedDiagram:
         raise ParseError("document must have 'nodes' and 'edges'") from None
     if not isinstance(nodes, list) or not nodes:
         raise ParseError("'nodes' must be a non-empty list")
+    if not isinstance(edges, list):
+        raise ParseError("'edges' must be a list")
     ids, marks = [], []
     for item in nodes:
         try:

@@ -6,8 +6,9 @@ nodes not valued 1.  Faces of consecutive rank are in a cover relation
 exactly when their selections nest and their cosets intersect
 (coset_pairs).  The whole-polytope face (all nodes selected, a single
 coset) serves as the top of the lattice; a synthetic bottom sits below the
-vertices.  The cover pairs are derived when first read, so a lattice used
-only for its f-vector never builds them.
+vertices.  The covers are kept by nested slot pair (cover_blocks) and
+built when first read, so a lattice used only for its f-vector never
+builds them; their flat id pairs (covers) are built only when read.
 
 Flags are maximal chains.  They factor exactly as (selection ordering c,
 group element g), and the group acts on them by left translation of g
@@ -18,8 +19,8 @@ The flag checks (flag_report) and the partner table (flag_partners) both
 read the moves, with no group products and no subgroup closures, and no
 flag is ever listed.  Lattice isomorphism needs one walk start per
 ordering (lattices_isomorphic).  The diamond property is checked by
-joining the integer cover pairs of adjacent ranks, and the covers of each
-slot pair are counted against |G| / |W_(J_lo n J_hi)|.
+joining the cover blocks of adjacent ranks on their shared slot, and the
+covers of each block are counted against |G| / |W_(J_lo n J_hi)|.
 """
 
 from __future__ import annotations
@@ -65,25 +66,31 @@ class FaceLattice:
         self.n = diagram.rank
         self.slots_by_rank = slots_by_rank
         self.face_total = sum(s.count for sl in slots_by_rank for s in sl)
-        self.bottom_id = self.face_total  # synthetic, rank -1
         self.top_id = slots_by_rank[self.n][0].offset
 
     @cached_property
+    def cover_blocks(self) -> list:
+        """(lower slot, upper slot, i, j) per nested slot pair of consecutive ranks.
+
+        Coset i of the lower slot is covered by coset j of the upper one;
+        the pairs of each block are sorted by i, then j.
+        """
+        blocks = []
+        for k in range(self.n):
+            for lo in self.slots_by_rank[k]:
+                for hi in self.slots_by_rank[k + 1]:
+                    if lo.selection < hi.selection:
+                        i, j = np.divmod(coset_pairs(lo.table, hi.table), hi.count)
+                        blocks.append((lo, hi, i, j))
+        return blocks
+
+    @cached_property
     def covers(self) -> np.ndarray:
-        """(pairs, 2) cover pairs, lower id then upper id."""
-        return _compute_covers(self.slots_by_rank)
-
-    @cached_property
-    def face_rank(self) -> np.ndarray:
-        """Rank of every face id; ids are numbered rank by rank."""
-        sizes = [sum(s.count for s in sl) for sl in self.slots_by_rank]
-        return np.repeat(np.arange(self.n + 1), sizes)
-
-    @cached_property
-    def covers_by_lower(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cover pairs as (lower ids, upper ids), sorted by lower id."""
-        order = np.argsort(self.covers[:, 0], kind="stable")
-        return self.covers[order, 0], self.covers[order, 1]
+        """(pairs, 2) cover pairs, lower id then upper id, block by block."""
+        return np.vstack([
+            np.stack([i + lo.offset, j + hi.offset], axis=1)
+            for lo, hi, i, j in self.cover_blocks
+        ])
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -146,17 +153,6 @@ def coset_pairs(a, b) -> np.ndarray:
     return sorted_unique(a.coset_id.astype(np.int64) * b.count + b.coset_id)
 
 
-def _compute_covers(slots_by_rank) -> np.ndarray:
-    pairs = []
-    for k in range(len(slots_by_rank) - 1):
-        for lo in slots_by_rank[k]:
-            for hi in slots_by_rank[k + 1]:
-                if lo.selection < hi.selection:
-                    i, j = np.divmod(coset_pairs(lo.table, hi.table), hi.count)
-                    pairs.append(np.stack([i + lo.offset, j + hi.offset], axis=1))
-    return np.vstack(pairs)
-
-
 def euler_ok(lat: FaceLattice) -> bool:
     n = lat.n
     total = sum((-1) ** k * f for k, f in enumerate(lat.f_vector))
@@ -180,71 +176,68 @@ class DiamondReport:
 def diamond_report(lat: FaceLattice) -> DiamondReport:
     """Every (rank k-1, rank k+1) incident pair has exactly 2 faces between.
 
-    For each rank k the covers into rank k are joined on their rank-k face
-    with the covers out of it; the number of joined rows per (lower, upper)
-    pair is the number of faces between them.  The bottom sentinel lies
-    below every vertex, so the k = 0 case (each edge has two vertices) and
-    the k = n-1 case (each ridge lies in two facets) are included.  At most
-    ten violations per rank are listed, as (lower, upper, count) in
-    (lower, upper) order, with lower None for the bottom.
+    For each rank-k slot the cover blocks into it are joined with each block
+    out of it on the middle coset, which every block is sorted by; the
+    number of joined rows per (lower, upper) pair is the number of faces
+    between them.  The bottom sentinel lies below every vertex, so the
+    k = 0 case (each edge has two vertices) and the k = n-1 case (each
+    ridge lies in two facets) are included.  At most ten violations per
+    rank are listed, as (lower, upper, count) in (lower, upper) order, with
+    lower None for the bottom.
 
     A missing rank of covers forms no such pair, so the covers are also
-    counted per nested slot pair of consecutive ranks: faces gW_lo and gW_hi
-    meet in one cover per coset of W_lo n W_hi = W_(J_lo n J_hi), so there
-    are |G| / |W_(J_lo n J_hi)| of them, both orders by formula.  Every slot
-    pair off that count is listed as (lower selection, upper selection,
-    found, expected).
+    counted per block: faces gW_lo and gW_hi meet in one cover per coset of
+    W_lo n W_hi = W_(J_lo n J_hi), so there are |G| / |W_(J_lo n J_hi)| of
+    them, both orders by formula.  Every block off that count is listed as
+    (lower selection, upper selection, found, expected).
     """
-    lo, hi = lat.covers_by_lower
-    bounds = np.searchsorted(lat.face_rank[lo], np.arange(lat.n + 1))
-    sizes = np.bincount(lat.face_rank)
-    offsets = np.cumsum(sizes) - sizes
-    width = lat.face_total + 1
-    below, mid = np.full(sizes[0], lat.bottom_id), np.arange(sizes[0])
+    v = lat.slots_by_rank[0][0]
+    # the bottom's pseudo-block: lower id 0 below every vertex
+    into = {v.offset: [(v, v, np.zeros(v.count, dtype=np.int64), np.arange(v.count))]}
+    out_of = {}
+    for b in lat.cover_blocks:
+        out_of.setdefault(b[0].offset, []).append(b)
+        into.setdefault(b[1].offset, []).append(b)
+    width = lat.face_total
     checked = 0
     violations = []
     for k in range(lat.n):
-        up_mid, up_hi = lo[bounds[k] : bounds[k + 1]], hi[bounds[k] : bounds[k + 1]]
-        per_mid = np.bincount(up_mid - offsets[k], minlength=sizes[k])
-        # below row i joins the per_mid[mid[i]] up rows from first[i] on
-        reps = per_mid[mid - offsets[k]]
-        first = (np.cumsum(per_mid) - per_mid)[mid - offsets[k]]
-        ends = np.cumsum(reps)
-        rows = np.arange(reps.sum()) + np.repeat(first - ends + reps, reps)
-        keys = np.sort(np.repeat(below, reps) * width + up_hi[rows])
+        keys = []
+        for mid in lat.slots_by_rank[k]:
+            ins = into[mid.offset]
+            below = np.concatenate([(i + lo.offset) * width for lo, _, i, _ in ins])
+            m = np.concatenate([j for _, _, _, j in ins])
+            for _, hi, i, j in out_of.get(mid.offset, ()):
+                per_mid = np.bincount(i, minlength=mid.count)
+                # in-row r joins the per_mid[m[r]] out rows from start[m[r]] on
+                start = np.cumsum(per_mid) - per_mid
+                reps = per_mid[m]
+                rows = np.arange(reps.sum()) + np.repeat(start[m] - np.cumsum(reps) + reps, reps)
+                keys.append(np.repeat(below, reps) + (j + hi.offset)[rows])
+        keys = np.sort(np.concatenate(keys))
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         counts = np.diff(np.append(starts, len(keys)))
         checked += len(starts)
-        for i in np.flatnonzero(counts != 2)[:10].tolist():
-            lower, upper = divmod(int(keys[starts[i]]), width)
-            violations.append((None if k == 0 else lower, upper, int(counts[i])))
-        below, mid = up_mid, up_hi
+        for r in np.flatnonzero(counts != 2)[:10].tolist():
+            lower, upper = divmod(int(keys[starts[r]]), width)
+            violations.append((None if k == 0 else lower, upper, int(counts[r])))
     return DiamondReport(checked, violations, _cover_count_mismatches(lat))
 
 
 def _cover_count_mismatches(lat: FaceLattice) -> list:
-    slots = [s for sl in lat.slots_by_rank for s in sl]
-    ranks = np.array([s.rank for s in slots])
-    pair = np.repeat(np.arange(len(slots)), [s.count for s in slots])[lat.covers]
-    found = np.bincount(pair[:, 0] * len(slots) + pair[:, 1], minlength=len(slots) ** 2)
-    found = found.reshape(len(slots), len(slots))
     d = lat.diagram
     total = group_order(d)
     orders = {(): 1}
     out = []
-    for a, lo in enumerate(slots):
-        for b in np.flatnonzero(ranks == lo.rank + 1).tolist():
-            hi = slots[b]
-            if not lo.selection < hi.selection:
-                continue
-            common = tuple(sorted(
-                set(lo.decoration.stabilizer_nodes()) & set(hi.decoration.stabilizer_nodes())
-            ))
-            if common not in orders:
-                orders[common] = group_order(d.induced(common))
-            want = total // orders[common]
-            if found[a, b] != want:
-                out.append((sorted(lo.selection), sorted(hi.selection), int(found[a, b]), want))
+    for lo, hi, i, _ in lat.cover_blocks:
+        common = tuple(sorted(
+            set(lo.decoration.stabilizer_nodes()) & set(hi.decoration.stabilizer_nodes())
+        ))
+        if common not in orders:
+            orders[common] = group_order(d.induced(common))
+        want = total // orders[common]
+        if len(i) != want:
+            out.append((sorted(lo.selection), sorted(hi.selection), len(i), want))
     return out
 
 

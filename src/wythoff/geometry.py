@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import match_rows, min_pairwise_distance
+from ._kernels import found_at, match_rows, min_pairwise_distance
 from .decoration import RING
 from .errors import (
     DedupCollision,
@@ -183,8 +183,10 @@ def affine_rank_check(real: Realization) -> CheckReport:
 def containment_check(real: Realization) -> CheckReport:
     """Vertex set of the lower face of each cover lies inside the upper's.
 
-    Every (face, vertex) incidence becomes one integer key; each cover's
-    (upper face, lower-face vertex) keys are looked up in the sorted keys.
+    Every (face, vertex) incidence of a slot becomes one integer key,
+    face * V + vertex, sorted as built since each face's vertex list is
+    sorted; each cover block's (upper face, lower-face vertex) keys are
+    looked up in its upper slot's keys.
 
     It ties every face's vertex list to the covers in integers.
     affine_rank_check measures each slot's base face only and carries the
@@ -193,22 +195,19 @@ def containment_check(real: Realization) -> CheckReport:
     such as one with a vertex swapped out, misses a face below it and fails
     here.
     """
-    lat = real.lattice
     nv = len(real.points)
-    slots = [s for sl in lat.slots_by_rank for s in sl]
-    keys = np.sort(np.concatenate([
-        ((np.arange(s.count) + s.offset)[:, None] * nv + real.slot_vertices(s)).ravel()
-        for s in slots
-    ]))
-    lo, hi = lat.covers_by_lower
-    violations = 0
-    for s in slots:
-        a, b = np.searchsorted(lo, [s.offset, s.offset + s.count])
-        want = hi[a:b, None] * nv + real.slot_vertices(s)[lo[a:b] - s.offset]
-        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        violations += int(np.count_nonzero((keys[pos] != want).any(axis=1)))
+    keys = {}
+    covers = violations = 0
+    for lo, hi, i, j in real.lattice.cover_blocks:
+        if hi.offset not in keys:
+            keys[hi.offset] = (np.arange(hi.count)[:, None] * nv + real.slot_vertices(hi)).ravel()
+        have = keys[hi.offset]
+        want = j[:, None] * nv + real.slot_vertices(lo)[i]
+        hit = found_at(have, want, np.searchsorted(have, want))
+        violations += int(np.count_nonzero(~hit.all(axis=1)))
+        covers += len(i)
     return CheckReport(
-        "containment", violations == 0, {"covers": len(lo), "violations": violations}
+        "containment", violations == 0, {"covers": covers, "violations": violations}
     )
 
 

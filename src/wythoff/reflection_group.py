@@ -372,7 +372,7 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
         starts = np.flatnonzero(step)
         uniq, first = cand[starts], np.minimum.reduceat(by_key, starts)
         pos = np.searchsorted(below, uniq)
-        new = ~_found(below, uniq, pos)
+        new = ~_kernels.found_at(below, uniq, pos)
         gen, src = np.divmod(first[new], len(frontier))
         if total + len(gen) > budget:
             raise BudgetExceeded("enumeration exceeded budget %d" % budget)
@@ -420,17 +420,10 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
         for i, gp in enumerate(gens):
             want = _row_keys(key_table, rows, gp)
             pos = np.searchsorted(keys, want)
-            if not _found(keys, want, pos).all():
+            if not _kernels.found_at(keys, want, pos).all():
                 raise KeyError("permutation is not a group element")
             rmult[i, lo : lo + len(rows)] = pos
     group = Group(coxeter, roots, perms, rmult)
     if expected <= HOLD_LIMIT:
         _held[key] = group
     return group
-
-
-def _found(sorted_keys: np.ndarray, keys: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Which keys sit at their searchsorted positions pos in sorted_keys."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
-    return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys

@@ -299,12 +299,14 @@ def _box_diagram(parts) -> DecoratedDiagram:
 def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]:
     """All regular polytopes of dimension n with their constructions.
 
-    Polygon entries run through edge label kmax.  Every construction the
-    position table accepts appears, deduplicated up to decorated-diagram
-    isomorphism; hypercubes include all box products.
+    Polygon entries run through edge label kmax, at least 3.  Every
+    construction the position table accepts appears, deduplicated up to
+    decorated-diagram isomorphism; hypercubes include all box products.
     """
     if n < 1:
         raise UnknownName(f"no polytopes of dimension {n}")
+    if kmax < 3:
+        raise UnknownName(f"kmax {kmax} is below 3, the fewest edges of a polygon")
     catalog: dict[str, list[DecoratedDiagram]] = {}
 
     def add(name, diagram):

@@ -9,8 +9,9 @@ orderings (flag_moves_by_search, flag_report_by_holonomy), where the
 library reads each move as the identity or one simple reflection.  These
 are the only users of scipy.  The element matrices, the reflection count,
 the Gram definiteness test and the vertex figure are independent views of
-the group, the diagram and the lattice that only tests read.  The group
-keeps only the root columns the library reads and no words; full_rows
+the group, the diagram and the lattice that only tests read, and so is
+face_rank, the rank of every face id.  The group keeps only the root
+columns the library reads and no words; full_rows
 rebuilds every column along a search tree of rmult, word and walk give
 words and products along that tree, and element_index, compose and inverse
 multiply by composing permutation rows.  The minimum separation by a walk
@@ -387,6 +388,12 @@ def flag_partners_by_rows(lat: FaceLattice, moves: dict) -> np.ndarray:
     return out
 
 
+def face_rank(lat: FaceLattice) -> np.ndarray:
+    """Rank of every face id; ids are numbered rank by rank."""
+    sizes = [sum(s.count for s in sl) for sl in lat.slots_by_rank]
+    return np.repeat(np.arange(lat.n + 1), sizes)
+
+
 def generator_face_actions(lat: FaceLattice) -> np.ndarray:
     """(n_gens, face_total) table: face id -> image face id under r_i.
 
@@ -427,7 +434,7 @@ def vertex_figure(lat: FaceLattice) -> VertexFigure:
     for sl in lat.slots_by_rank[1 : lat.n]:
         for s in sl:
             mark[s.table.coset_id[stab] + s.offset] = True
-    ids = [np.flatnonzero(mark & (lat.face_rank == k)).tolist() for k in range(1, lat.n)]
+    ids = [np.flatnonzero(mark & (face_rank(lat) == k)).tolist() for k in range(1, lat.n)]
     cov = lat.covers
     return VertexFigure(ids, cov[mark[cov].all(axis=1)])
 

@@ -168,6 +168,23 @@ def test_cold_process_imports(name):
         assert not ENUMERATION_MODULES & set(seen), seen
 
 
+def test_classify_kmax_below_3_is_a_usage_error(capsys):
+    for kmax in ("2", "-5"):
+        code, out, err = run(capsys, "classify", "--dim", "2", "--kmax", kmax)
+        assert code == 2 and not out, kmax
+        assert "below 3" in err, kmax
+    code, out, _ = run(capsys, "classify", "--dim", "2", "--kmax", "3")
+    assert code == 0 and out.startswith("triangle")
+
+
+def test_document_edges_that_are_not_a_list_are_a_usage_error(capsys):
+    for edges in ("null", "5", "{}"):
+        doc = '{"nodes": [{"id": "a", "mark": "ring"}], "edges": %s}' % edges
+        code, out, err = run(capsys, "validate", doc)
+        assert code == 2 and not out, edges
+        assert "'edges' must be a list" in err, edges
+
+
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", "--dim", "4", "--json")
     data = json.loads(out)

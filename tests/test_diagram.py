@@ -54,6 +54,13 @@ def test_document_rejects_duplicate_ids():
         diagram_from_document(doc)
 
 
+@pytest.mark.parametrize("edges", [None, 5, {}, "ab"])
+def test_document_rejects_edges_that_are_not_a_list(edges):
+    doc = {"nodes": [{"id": "a", "mark": "ring"}], "edges": edges}
+    with pytest.raises(ParseError, match="'edges' must be a list"):
+        diagram_from_document(doc)
+
+
 def test_document_rejects_unknown_edge_endpoint():
     doc = {
         "nodes": [{"id": "a", "mark": "ring"}],

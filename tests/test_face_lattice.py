@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     _flag_graph_direct,
     compose,
+    face_rank,
     flag_moves_by_search,
     flag_rows,
     generator_face_actions,
@@ -87,7 +88,11 @@ def test_diamond_counts_covers_per_slot_pair(shared):
     # every edge -> square cover dropped: no (vertex, square) pair is left
     # to count faces between, so only the per-slot-pair count sees it
     bad = FaceLattice(lat.diagram, lat.start, lat.group, lat.slots_by_rank)
-    bad.covers = lat.covers[lat.face_rank[lat.covers[:, 0]] != 1]
+    none = np.empty(0, dtype=np.int64)
+    bad.cover_blocks = [
+        (lo, hi, none, none) if lo.rank == 1 else (lo, hi, i, j)
+        for lo, hi, i, j in lat.cover_blocks
+    ]
     rep = diamond_report(bad)
     assert rep.violations == []
     assert rep.cover_mismatches == [([0], [0, 1], 0, 24)]
@@ -197,7 +202,7 @@ def test_flag_partners_form_matchings(shared):
 def test_generator_actions_preserve_rank(shared):
     lat = shared.lattice(parse("x4o3o"))
     acts = generator_face_actions(lat)
-    ranks = lat.face_rank
+    ranks = face_rank(lat)
     assert np.array_equal(np.bincount(ranks), list(lat.f_vector) + [1])
     for gi in range(acts.shape[0]):
         assert np.array_equal(np.sort(acts[gi]), np.arange(lat.face_total))
@@ -261,19 +266,35 @@ def test_chains_match_selection_orderings(shared):
     assert len(lat.chains) == len(selection_orderings(start_decoration(lat.diagram)))
 
 
-def test_covers_are_computed_on_first_read(monkeypatch, capsys):
+def _count_block_builds(monkeypatch) -> list:
+    """Record one entry per cover block the lattice layer builds."""
     calls = []
-    compute = face_lattice._compute_covers
+    pairs = face_lattice.coset_pairs
 
-    def counted(slots_by_rank):
+    def counted(a, b):
         calls.append(1)
-        return compute(slots_by_rank)
+        return pairs(a, b)
 
-    monkeypatch.setattr(face_lattice, "_compute_covers", counted)
+    monkeypatch.setattr(face_lattice, "coset_pairs", counted)
+    return calls
+
+
+def test_covers_are_computed_on_first_read(monkeypatch, capsys):
+    calls = _count_block_builds(monkeypatch)
     lat = build_lattice(parse("o3x4x"))
     assert not calls
     assert len(lat.covers) == len(lat.covers) == 36 * 2 + 36 * 2 + 14
-    assert len(calls) == 1
+    # {} < {1}, {2}; {1} < {0,1}, {1,2}; {2} < {1,2}; {0,1}, {1,2} < top
+    assert len(calls) == len(lat.cover_blocks) == 7
     assert main(["fvector", "o3x4x", "--method", "both"]) == 0
     assert "agreement: yes" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert len(calls) == 7
+
+
+def test_check_reads_the_blocks_not_the_flat_covers(monkeypatch, capsys):
+    calls = _count_block_builds(monkeypatch)
+    reads = []
+    monkeypatch.setattr(FaceLattice, "covers", property(lambda lat: reads.append(lat)))
+    assert main(["check", "x4o3o"]) == 0
+    assert "overall: ok" in capsys.readouterr().out
+    assert len(calls) == 3 and not reads

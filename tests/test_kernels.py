@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import min_pairwise_by_projection
-from wythoff._kernels import match_rows, min_pairwise_distance, sorted_unique
+from wythoff._kernels import found_at, match_rows, min_pairwise_distance, sorted_unique
 from wythoff.diagram import family_diagram, parse
 from wythoff.reflection_group import root_system, simple_normals
 
@@ -225,6 +225,17 @@ def _integer_keys(draw):
 def test_sorted_unique_is_numpy_unique(keys):
     got, want = sorted_unique(keys), np.unique(keys)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_integer_keys(), _integer_keys())
+@example(np.array([], dtype=np.int64), np.array([[1, 2]], dtype=np.int64))
+@example(np.array([5, 9], dtype=np.int64), np.array([[9, 4], [5, 10]], dtype=np.int64))
+def test_found_at_is_membership(ref, keys):
+    ref = sorted_unique(ref)
+    got = found_at(ref, keys, np.searchsorted(ref, keys))
+    assert got.shape == keys.shape and np.array_equal(got, np.isin(keys, ref))
+    assert found_at(ref, ref, np.arange(len(ref))).all()
 
 
 # sorted_unique is the one integer dedup in the library: these numpy calls

@@ -16,6 +16,7 @@ from oracles import (
     _lattices_isomorphic_per_flag,
     affine_rank_per_face,
     covers_by_unique,
+    face_rank,
     face_vertex_by_unique,
     flag_moves_by_search,
     flag_partners_by_rows,
@@ -177,22 +178,25 @@ def _corrupted_cube(shared):
     """The cube with a cover dropped, one duplicated and two moved.
 
     A vertex moves to an edge without it (a total miss for containment) and
-    an edge to a square sharing one of its vertices (a partial miss).
+    an edge to a square sharing one of its vertices (a partial miss).  Each
+    cover block stays sorted by its lower face, as the readers expect.
     """
     real = shared.realization(parse("x4o3o"))
     lat = real.lattice
-    cov = lat.covers.copy()
-    rank = lat.face_rank
-    for k, i in ((0, 3), (1, 0)):
-        i = np.flatnonzero(rank[cov[:, 0]] == k)[i]
-        lower = _face_vertices(real, int(cov[i, 0]))
-        cov[i, 1] = next(
-            f for f in np.flatnonzero(rank == k + 1)
-            if len(lower & _face_vertices(real, int(f))) == k
+    (v, e, i0, j0), (_, sq, i1, j1), top = lat.cover_blocks
+    j0, j1 = j0.copy(), j1.copy()
+    for lo, hi, i, j, r in ((v, e, i0, j0, 3), (e, sq, i1, j1, 0)):
+        lower = _face_vertices(real, lo.offset + int(i[r]))
+        j[r] = next(
+            f for f in range(hi.count)
+            if len(lower & _face_vertices(real, hi.offset + f)) == lo.rank
         )
-    cov = np.vstack([cov[1:], cov[-10:-9]])
     bad = FaceLattice(lat.diagram, lat.start, lat.group, lat.slots_by_rank)
-    bad.covers = cov
+    bad.cover_blocks = [
+        (v, e, i0[1:], j0[1:]),
+        (e, sq, np.insert(i1, 20, i1[20]), np.insert(j1, 20, j1[20])),
+        top,
+    ]
     return bad, replace(real, lattice=bad)
 
 
@@ -202,7 +206,8 @@ def test_corrupted_lattice_reports_agree(shared):
     assert new.pairs_checked == old.pairs_checked
     # the sparse product lists the columns of one row in its own order
     assert sorted(new.violations, key=repr) == sorted(old.violations, key=repr)
-    lower_rank = [0 if lo is None else bad.face_rank[lo] + 1 for lo, _, _ in new.violations]
+    rank = face_rank(bad)
+    lower_rank = [0 if lo is None else rank[lo] + 1 for lo, _, _ in new.violations]
     assert new.violations and max(np.bincount(lower_rank)) < 10
     bottom_first = sorted(new.violations, key=lambda v: (-1 if v[0] is None else v[0], v[1]))
     assert new.violations == bottom_first
