@@ -1,38 +1,40 @@
 """Face lattices of Wythoff polytopes.
 
-A rank-k face is a pair (left coset of the face stabilizer, rank-k
-decoration); the stabilizer is the parabolic subgroup generated by the
-nodes not valued 1.  Faces of consecutive rank are in a cover relation
-exactly when their selections nest and their cosets intersect
-(coset_pairs).  The whole-polytope face (all nodes selected, a single
-coset) serves as the top of the lattice; a synthetic bottom sits below the
-vertices.  The covers are kept by nested slot pair (cover_blocks) and
-built when first read, so a lattice used only for its f-vector never
-builds them; their flat id pairs (covers) are built only when read.
+A rank-k face is a left coset of the face stabilizer W_J, J the nodes not
+valued 1 in its rank-k decoration.  Each slot keeps one selection, its
+node set J and the coset table of W_J, whose cosets are its faces.  Faces
+of consecutive rank are in a cover relation exactly when their selections
+nest and their cosets intersect (coset_pairs).  The whole-polytope face
+(all nodes selected, a single coset) serves as the top of the lattice; a
+synthetic bottom sits below the vertices.  The covers are kept by nested
+slot pair (cover_blocks) and built when first read, so a lattice used
+only for its f-vector never builds them; their flat id pairs (covers) are
+built only when read.
 
 Flags are maximal chains.  They factor exactly as (selection ordering c,
 group element g), and the group acts on them by left translation of g
 alone, freely.  So the moves of one flag per ordering (_flag_moves) give
 the whole flag graph, and each move either changes the ordering and keeps
 the element or keeps the ordering and multiplies by one simple reflection.
-The flag checks (flag_report) and the partner table (flag_partners) both
-read the moves, with no group products and no subgroup closures, and no
-flag is ever listed.  Lattice isomorphism needs one walk start per
-ordering (lattices_isomorphic).  The diamond property is checked by
-joining the cover blocks of adjacent ranks on their shared slot, and the
-covers of each block are counted against |G| / |W_(J_lo n J_hi)|.
+The moves are two (orderings, n) integer tables: the node of the move's
+reflection (-1 for none) and the neighbor's ordering.  The flag checks
+(flag_report) and the partner table (flag_partners) both read them, with
+no group products and no subgroup closures, and no flag is ever listed.
+Lattice isomorphism needs one walk start per ordering
+(lattices_isomorphic).  The diamond property is checked by joining the
+cover blocks of adjacent ranks on their shared slot, and the covers of
+each block are counted against |G| / |W_(J_lo n J_hi)|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from ._kernels import sorted_unique
 from .decoration import (
-    Decoration,
     face_types,
     require_nondegenerate,
     selection_orderings,
@@ -40,17 +42,17 @@ from .decoration import (
 )
 from .diagram import DecoratedDiagram, group_order
 from .errors import WythoffError
-from .reflection_group import Group, coxeter_matrix, enumerate_group
+from .reflection_group import Group, _coset_minima, coxeter_matrix, enumerate_group
 
 
 @dataclass(frozen=True)
 class Slot:
-    """All faces sharing one decoration: a block of coset ids."""
+    """All faces of one selection: the cosets of W_J, J the stabilizer nodes."""
 
     rank: int
     selection: frozenset
-    decoration: Decoration
-    table: object            # CosetTable
+    nodes: frozenset         # J
+    table: object            # CosetTable of W_J
     offset: int              # global face id of coset 0
 
     @property
@@ -137,8 +139,9 @@ def build_lattice(d: DecoratedDiagram, group: Group | None = None) -> FaceLattic
     slots_by_rank = [[] for _ in range(d.rank + 1)]
     offset = 0
     for k, sel, dec in face_types(start, range(d.rank + 1)):
-        table = group.coset_table(dec.stabilizer_nodes())
-        slots_by_rank[k].append(Slot(k, sel, dec, table, offset))
+        nodes = frozenset(dec.stabilizer_nodes())
+        table = group.coset_table(nodes)
+        slots_by_rank[k].append(Slot(k, sel, nodes, table, offset))
         offset += table.count
     return FaceLattice(d, start, group, slots_by_rank)
 
@@ -230,9 +233,7 @@ def _cover_count_mismatches(lat: FaceLattice) -> list:
     orders = {(): 1}
     out = []
     for lo, hi, i, _ in lat.cover_blocks:
-        common = tuple(sorted(
-            set(lo.decoration.stabilizer_nodes()) & set(hi.decoration.stabilizer_nodes())
-        ))
+        common = tuple(sorted(lo.nodes & hi.nodes))
         if common not in orders:
             orders[common] = group_order(d.induced(common))
         want = total // orders[common]
@@ -247,7 +248,6 @@ def _cover_count_mismatches(lat: FaceLattice) -> list:
 @dataclass
 class FlagReport:
     count: int
-    chain_count: int
     degree_ok: bool
     connected: bool
     method: str = "covering"
@@ -257,11 +257,12 @@ class FlagReport:
         return self.degree_ok and self.connected
 
 
-def _flag_moves(lat: FaceLattice) -> dict | None:
+def _flag_moves(lat: FaceLattice) -> tuple[np.ndarray, np.ndarray] | None:
     """The move of flag (c, identity) at every rank k, for every ordering c.
 
-    Returns {(c, k): (i, c')}: the rank-k neighbor of (c, identity) is
-    (c', s_i), or (c', identity) when i is None.  The rank-k faces between
+    Returns (gen, nxt), two (orderings, n) integer tables: the rank-k
+    neighbor of (c, identity) is (nxt[c, k], s_i) with i = gen[c, k], or
+    (nxt[c, k], identity) when gen[c, k] is -1.  The rank-k faces between
     the flag's rank-(k-1) and rank-(k+1) faces are read from the coset
     tables: those whose coset meets both identity cosets, marked over the
     slot's cosets by each identity coset in turn.  None when some
@@ -284,13 +285,10 @@ def _flag_moves(lat: FaceLattice) -> dict | None:
     n = lat.n
     chain_idx = {c: i for i, c in enumerate(lat.chains)}
     slots = lat.slots_by_rank
-    stabilizers = [[frozenset(s.decoration.stabilizer_nodes()) for s in sl] for sl in slots]
-    between = {}
 
+    @cache
     def faces_between(k, lo, hi):
         """Rank-k faces meeting the identity cosets of slots lo and hi."""
-        if (k, lo, hi) in between:
-            return between[(k, lo, hi)]
         lower = slots[k - 1][lo] if lo is not None else None
         upper = slots[k + 1][hi] if hi is not None else None
         out = []
@@ -306,10 +304,10 @@ def _flag_moves(lat: FaceLattice) -> dict | None:
                     mark[s.table.coset_id[bound.table.subgroup]] = True
                     here &= mark
             out.extend((si, int(c)) for c in np.flatnonzero(here))
-        between[(k, lo, hi)] = out
         return out
 
-    moves = {}
+    gen = np.full((len(chain_idx), n), -1, dtype=np.int64)
+    nxt = np.empty_like(gen)
     for ci, chain in enumerate(lat.chains):
         for k in range(n):
             mids = faces_between(
@@ -318,43 +316,35 @@ def _flag_moves(lat: FaceLattice) -> dict | None:
             if len(mids) != 2 or (chain[k], 0) not in mids:
                 return None
             other_slot, other_coset = next(m for m in mids if m != (chain[k], 0))
-            node = None
             if other_slot == chain[k]:
-                others = [stabilizers[j][chain[j]] for j in range(n) if j != k]
+                others = [slots[j][chain[j]].nodes for j in range(n) if j != k]
                 inter = frozenset.intersection(*others) if others else frozenset(range(n))
-                node = min(inter) if len(inter) == 1 else None
+                if len(inter) == 1:
+                    gen[ci, k] = min(inter)
             # the other face must be the coset of the move's element
-            h = 0 if node is None else rmult[node, 0]
+            h = 0 if gen[ci, k] < 0 else rmult[gen[ci, k], 0]
             if slots[k][other_slot].table.coset_id[h] != other_coset:
                 raise WythoffError("flag move is not unique")
-            new_chain = chain[:k] + (other_slot,) + chain[k + 1 :]
-            moves[(ci, k)] = (node, chain_idx[new_chain])
-    return moves
+            nxt[ci, k] = chain_idx[chain[:k] + (other_slot,) + chain[k + 1 :]]
+    return gen, nxt
 
 
-def _flags_connected(moves: dict, orderings: int, n: int) -> bool:
+def _flags_connected(gen: np.ndarray, nxt: np.ndarray) -> bool:
     """Whether the flag graph of these moves of (c, identity) is connected.
 
-    moves is _flag_moves' table over orderings 0..orderings-1.  A move that
-    changes the ordering keeps the element, and one that keeps it
-    multiplies the element by s_i on the right.  So from (0, identity) the
-    walk reaches (c, g) for exactly the orderings c of its component in the
-    graph of orderings and the g in W_I, I the nodes that the ordering
-    keeping moves of those orderings name.  W_I = W only when I is every
-    node (Humphreys, Reflection Groups and Coxeter Groups, 5.5), so the
-    graph is connected exactly when every ordering is reached and the moves
-    name all n nodes.
+    gen and nxt are _flag_moves' tables.  A move that changes the ordering
+    keeps the element, and one that keeps it multiplies the element by s_i
+    on the right.  So from (0, identity) the walk reaches (c, g) for
+    exactly the orderings c of its component in the graph of orderings (the
+    columns of nxt) and the g in W_I, I the nodes that the moves of those
+    orderings name.  W_I = W only when I is every node (Humphreys,
+    Reflection Groups and Coxeter Groups, 5.5), so the graph is connected
+    exactly when the orderings form one component and the moves name all
+    n nodes.
     """
-    reached, queue = {0}, [0]
-    while queue:
-        c = queue.pop()
-        for k in range(n):
-            cj = moves[(c, k)][1]
-            if cj not in reached:
-                reached.add(cj)
-                queue.append(cj)
-    named = {i for i, _ in moves.values() if i is not None}
-    return len(reached) == orderings and named == set(range(n))
+    orderings, n = nxt.shape
+    one_component = not _coset_minima(orderings, list(nxt.T)).any()
+    return one_component and set(gen.ravel().tolist()) >= set(range(n))
 
 
 def flag_report(lat: FaceLattice) -> FlagReport:
@@ -364,16 +354,13 @@ def flag_report(lat: FaceLattice) -> FlagReport:
     commutes with left translation, exactly in integers: if the rank-k
     neighbor of (c, identity) is (c', h), that of (c, g) is (c', g h).  So
     the degree check needs the n moves of one flag per ordering
-    (_flag_moves), and connectivity is one search over the orderings
+    (_flag_moves), and connectivity is one labelling of the orderings
     (_flags_connected).  No flag is listed.
     """
-    chains = lat.chains
     moves = _flag_moves(lat)
     if moves is None:
-        return FlagReport(lat.flag_count(), len(chains), False, False)
-    return FlagReport(
-        lat.flag_count(), len(chains), True, _flags_connected(moves, len(chains), lat.n)
-    )
+        return FlagReport(lat.flag_count(), False, False)
+    return FlagReport(lat.flag_count(), True, _flags_connected(*moves))
 
 
 def flag_partners(lat: FaceLattice) -> np.ndarray:
@@ -387,13 +374,14 @@ def flag_partners(lat: FaceLattice) -> np.ndarray:
     moves = _flag_moves(lat)
     if moves is None:
         raise WythoffError("flag graph is not a matching per rank")
+    gen, nxt = moves
     order = lat.group.order
     identity = np.arange(order)
     out = np.empty((lat.n, lat.flag_count()), dtype=np.int64)
-    for (c, k), (i, cj) in moves.items():
+    for (c, k), i in np.ndenumerate(gen):
         block = out[k, c * order : (c + 1) * order]
-        block[:] = identity if i is None else lat.group.rmult[i]
-        block += cj * order
+        block[:] = identity if i < 0 else lat.group.rmult[i]
+        block += nxt[c, k] * order
     return out
 
 

@@ -66,7 +66,6 @@ def wythoff_point(d) -> np.ndarray:
 @dataclass
 class Realization:
     lattice: FaceLattice
-    base_point: np.ndarray
     points: np.ndarray            # (V, dim); row i = rank-0 face with id i
     _face_vertex: dict            # slot offset -> (count, m) vertex indices
     deviation: float              # largest |g x - its vertex's point| coordinate
@@ -108,7 +107,7 @@ def realize(lat: FaceLattice) -> Realization:
             if not np.all(counts == m):
                 raise WythoffError("conjugate faces with unequal vertex counts")
             face_vertex[s.offset] = vertex.reshape(s.count, m).astype(np.int32)
-    return Realization(lat, x, points, face_vertex, float(deviation))
+    return Realization(lat, points, face_vertex, float(deviation))
 
 
 # -- verification reports ----------------------------------------------------

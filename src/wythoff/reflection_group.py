@@ -44,7 +44,8 @@ Components of a graph of element (or root) maps are labelled by their
 least member in one routine, _coset_minima.  Over rmult restricted to J it
 labels the left cosets g W_J, and the identity's coset is W_J itself, so a
 coset table also gives its subgroup, coset 0.  Over the generator
-permutations of the roots it gives the root orbits behind the keys.
+permutations of the roots it gives the root orbits behind the keys, and
+over the flag moves' ordering table, the components of the orderings.
 
 The group depends on the diagram only through its Coxeter matrix, so
 enumerate_group keeps the last group it built, with its coset tables, for
@@ -261,7 +262,11 @@ def _coset_minima(count: int, tables: list) -> np.ndarray:
 
     With the rows of rmult for the generators in J the components are the
     left cosets x W_J (coset_table); with the generator permutations of the
-    roots they are the root orbits (key_layout).  They are found by hooking
+    roots they are the root orbits (key_layout); with the columns of the
+    flag moves' ordering table they are the components of the graph of
+    selection orderings (face_lattice._flags_connected).  Each table must
+    be a permutation, so that every edge lies on a cycle of t and the least
+    label of a cycle is hooked along it.  They are found by hooking
     and pointer jumping: each round hooks the root of x's tree onto the
     root of t[x]'s tree when that is smaller, then points every member at
     its root.  Whole trees merge at once, so a long cycle closes in a

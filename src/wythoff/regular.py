@@ -249,15 +249,14 @@ def is_flag_transitive(src) -> bool:
     left translation of g alone.  That action is free and keeps the
     ordering, so the flags of one ordering form exactly one orbit.  The
     group is therefore flag-transitive exactly when there is one selection
-    ordering.  src is a diagram or a FaceLattice; nothing is enumerated, so
-    the answer holds beyond any enumeration budget.
+    ordering.  src is a diagram or a FaceLattice, whose orderings are its
+    chains; nothing is enumerated, so the answer holds beyond any
+    enumeration budget.
     """
     if isinstance(src, DecoratedDiagram):
         require_nondegenerate(src)
-        start = start_decoration(src)
-    else:
-        start = src.start
-    return len(selection_orderings(start)) == 1
+        return len(selection_orderings(start_decoration(src))) == 1
+    return len(src.chains) == 1
 
 
 def oracle_gap_reason(d: DecoratedDiagram) -> str | None:

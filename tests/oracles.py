@@ -3,11 +3,14 @@
 Each flag, diamond, containment and root-permutation function here is the
 route the library took before it switched to a cheaper exact one; tests
 assert that both routes agree.  The flag routes list every flag
-(flag_rows), or find each flag move by searching a whole parabolic
-subgroup and decide connectivity from the holonomy of the graph of
-orderings (flag_moves_by_search, flag_report_by_holonomy), where the
-library reads each move as the identity or one simple reflection.  These
-are the only users of scipy.  The element matrices, the reflection count,
+(flag_rows), or find each flag move by searching the whole parabolic
+subgroup on the nodes common to the other slots' node sets and decide
+connectivity from the holonomy of the graph of orderings
+(flag_moves_by_search, a {(c, k): (h, c')} dict with h an element, and
+flag_report_by_holonomy), where the library reads each move as the
+identity or one simple reflection and keeps the moves as two integer
+tables, the reflection's node and the next ordering.  These are the only
+users of scipy.  The element matrices, the reflection count,
 the Gram definiteness test and the vertex figure are independent views of
 the group, the diagram and the lattice that only tests read, and so is
 face_rank, the rank of every face id.  The group keeps only the root
@@ -249,7 +252,7 @@ def _flag_graph_direct(lat: FaceLattice):
     count, n = rows.shape
     per_rank = _flag_pairings(rows)
     if per_rank is None:
-        return FlagReport(count, len(lat.chains), False, False, "direct"), None
+        return FlagReport(count, False, False, "direct"), None
     partners = np.empty((n, count), dtype=np.int64)
     for k, edges in enumerate(per_rank):
         partners[k, edges[:, 0]] = edges[:, 1]
@@ -259,7 +262,7 @@ def _flag_graph_direct(lat: FaceLattice):
         shape=(count, count),
     )
     ncomp, _ = connected_components(graph, directed=False)
-    return FlagReport(count, len(lat.chains), True, ncomp == 1, "direct"), partners
+    return FlagReport(count, True, ncomp == 1, "direct"), partners
 
 
 def _parabolic(g, nodes) -> np.ndarray:
@@ -313,11 +316,7 @@ def flag_moves_by_search(lat: FaceLattice) -> dict | None:
             if len(mids) != 2 or base_face not in mids:
                 return None
             other_slot, other_coset = next(m for m in mids if m != base_face)
-            others = [
-                frozenset(slots[j][chain[j]].decoration.stabilizer_nodes())
-                for j in range(n)
-                if j != k
-            ]
+            others = [slots[j][chain[j]].nodes for j in range(n) if j != k]
             inter = frozenset.intersection(*others) if others else frozenset(range(n))
             if inter not in parabolics:
                 parabolics[inter] = _parabolic(g, inter)
@@ -348,9 +347,9 @@ def flag_report_by_holonomy(lat: FaceLattice, moves: dict | None) -> FlagReport:
     for the holonomy elements w, connects the group.
     """
     g = lat.group
-    count, chains = lat.flag_count(), len(lat.chains)
+    count = lat.flag_count()
     if moves is None:
-        return FlagReport(count, chains, False, False, "holonomy")
+        return FlagReport(count, False, False, "holonomy")
     p = {0: 0}
     queue = [0]
     holonomy = set()
@@ -365,8 +364,8 @@ def flag_report_by_holonomy(lat: FaceLattice, moves: dict | None) -> FlagReport:
                 w = compose(g, compose(g, p[ci], h), inverse(g, p[cj]))
                 if w:
                     holonomy.add(w)
-    if len(p) != chains:
-        return FlagReport(count, chains, True, False, "holonomy")
+    if len(p) != len(lat.chains):
+        return FlagReport(count, True, False, "holonomy")
     ends = [_right_table(g, w) for w in sorted(holonomy)]
     graph = sp.coo_matrix(
         (
@@ -376,7 +375,7 @@ def flag_report_by_holonomy(lat: FaceLattice, moves: dict | None) -> FlagReport:
         shape=(g.order, g.order),
     )
     ncomp, _ = connected_components(graph, directed=False)
-    return FlagReport(count, chains, True, ncomp == 1, "holonomy")
+    return FlagReport(count, True, ncomp == 1, "holonomy")
 
 
 def flag_partners_by_rows(lat: FaceLattice, moves: dict) -> np.ndarray:

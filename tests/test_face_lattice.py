@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -121,31 +122,32 @@ def test_flag_methods_agree(shared):
 
 def test_flags_connected_needs_every_node_named():
     # two orderings joined at rank 0; at rank 1 each keeps its ordering
-    moves = {(0, 0): (None, 1), (1, 0): (None, 0), (0, 1): (0, 0), (1, 1): (1, 1)}
-    assert face_lattice._flags_connected(moves, 2, 2)
+    gen = np.array([[-1, 0], [-1, 1]])
+    nxt = np.array([[1, 0], [0, 1]])
+    assert face_lattice._flags_connected(gen, nxt)
     # node 1 named by no move: the flags reached from (0, identity) are
     # every ordering times W_{0}, half of them
-    moves[(1, 1)] = (0, 1)
-    assert not face_lattice._flags_connected(moves, 2, 2)
+    gen[1, 1] = 0
+    assert not face_lattice._flags_connected(gen, nxt)
 
 
 def test_flags_connected_needs_every_ordering_reached():
     # orderings {0, 1} and {2, 3} joined at rank 0 only, with both nodes named
-    moves = {}
-    for c, other in ((0, 1), (1, 0), (2, 3), (3, 2)):
-        moves[(c, 0)] = (None, other)
-        moves[(c, 1)] = (c % 2, c)
-    assert not face_lattice._flags_connected(moves, 4, 2)
+    gen = np.array([[-1, 0], [-1, 1], [-1, 0], [-1, 1]])
+    nxt = np.array([[1, 0], [0, 1], [3, 2], [2, 3]])
+    assert not face_lattice._flags_connected(gen, nxt)
     # join orderings 1 and 2 at rank 1; orderings 0 and 3 still name both nodes
-    moves[(1, 1)], moves[(2, 1)] = (None, 2), (None, 1)
-    assert face_lattice._flags_connected(moves, 4, 2)
+    gen[1, 1] = gen[2, 1] = -1
+    nxt[1, 1], nxt[2, 1] = 2, 1
+    assert face_lattice._flags_connected(gen, nxt)
 
 
 def test_flag_move_off_its_reflection_is_refused(shared):
     lat = shared.lattice(parse("x3x4o"))
     s0 = int(lat.group.rmult[0, 0])
     # the rank-0 move of (0, identity) keeps its ordering: it is s_0
-    assert face_lattice._flag_moves(lat)[(0, 0)] == (0, 0)
+    gen, nxt = face_lattice._flag_moves(lat)
+    assert (gen[0, 0], nxt[0, 0]) == (0, 0)
     assert flag_moves_by_search(lat)[(0, 0)] == (s0, 0)
     # relabel the element s_0 alone into the base vertex's coset: the other
     # vertex of the base edge, still reached through s_0 s_2, is no longer
@@ -197,6 +199,22 @@ def test_flag_partners_form_matchings(shared):
         p = partners[k]
         assert (p != np.arange(count)).all()
         assert np.array_equal(p[p], np.arange(count))
+
+
+def test_flag_report_lists_no_flag(shared):
+    # 720 orderings of 5040 elements: listing the flags would take bytes
+    # per flag, the move tables take a few per ordering and rank
+    lat = shared.lattice(parse("x3x3x3x3x3x"))
+    assert lat.flag_count() == 3_628_800
+    flag_report(lat)
+    tracemalloc.start()
+    try:
+        report = flag_report(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < lat.flag_count() // 2
 
 
 def test_generator_actions_preserve_rank(shared):

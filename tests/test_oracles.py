@@ -77,10 +77,11 @@ def test_flag_moves_match_subgroup_search(shared, name):
         lat = shared.lattice(d)
         g = lat.group
         old = flag_moves_by_search(lat)
-        # the library names each move's element by its node, s_i or None
+        # the library names each move's element by its node, s_i or -1
+        gen, nxt = face_lattice._flag_moves(lat)
         moves = {
-            key: (0 if i is None else int(g.rmult[i, 0]), cj)
-            for key, (i, cj) in face_lattice._flag_moves(lat).items()
+            (c, k): (0 if i < 0 else int(g.rmult[i, 0]), int(nxt[c, k]))
+            for (c, k), i in np.ndenumerate(gen)
         }
         assert moves == old, d
         by_holonomy = flag_report_by_holonomy(lat, old)
