@@ -9,14 +9,15 @@ nest and their cosets intersect (coset_pairs).  The whole-polytope face
 synthetic bottom sits below the vertices.  The covers are kept by nested
 slot pair (cover_blocks) and built when first read, so a lattice used
 only for its f-vector never builds them; their flat id pairs (covers) are
-built only when read.
+built only when read, and so are each face's vertices (face_vertices).
 
 Flags are maximal chains.  They factor exactly as (selection ordering c,
 group element g), and the group acts on them by left translation of g
 alone, freely.  So the moves of one flag per ordering (_flag_moves) give
 the whole flag graph, and each move either changes the ordering and keeps
 the element or keeps the ordering and multiplies by one simple reflection.
-The moves are two (orderings, n) integer tables: the node of the move's
+The faces between a flag's neighbors are read from the cover blocks.  The
+moves are two (orderings, n) integer tables: the node of the move's
 reflection (-1 for none) and the neighbor's ordering.  The flag checks
 (flag_report) and the partner table (flag_partners) both read them, with
 no group products and no subgroup closures, and no flag is ever listed.
@@ -33,7 +34,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from ._kernels import sorted_unique
+from ._kernels import found_at, sorted_unique
 from .decoration import (
     face_types,
     require_nondegenerate,
@@ -94,6 +95,25 @@ class FaceLattice:
             for lo, hi, i, j in self.cover_blocks
         ])
 
+    @cached_property
+    def face_vertices(self) -> dict:
+        """Slot offset -> (count, m) int32 sorted vertex ids of each face.
+
+        A face holds the vertices whose cosets its coset meets (coset_pairs).
+        The faces of one slot are conjugate, so each has the same number m.
+        """
+        vt = self.slots_by_rank[0][0].table
+        out = {}
+        for sl in self.slots_by_rank:
+            for s in sl:
+                face, vertex = np.divmod(coset_pairs(s.table, vt), vt.count)
+                counts = np.bincount(face, minlength=s.count)
+                m = int(counts[0])
+                if not np.all(counts == m):
+                    raise WythoffError("conjugate faces with unequal vertex counts")
+                out[s.offset] = vertex.reshape(s.count, m).astype(np.int32)
+        return out
+
     @property
     def f_vector(self) -> tuple[int, ...]:
         """Face counts for ranks 0..n-1 (top face excluded)."""
@@ -121,7 +141,7 @@ class FaceLattice:
         return chains
 
     def flag_count(self) -> int:
-        return len(self.chains) * self.group.order
+        return len(self.chains) * group_order(self.diagram)
 
 
 def build_lattice(d: DecoratedDiagram, group: Group | None = None) -> FaceLattice:
@@ -263,10 +283,10 @@ def _flag_moves(lat: FaceLattice) -> tuple[np.ndarray, np.ndarray] | None:
     Returns (gen, nxt), two (orderings, n) integer tables: the rank-k
     neighbor of (c, identity) is (nxt[c, k], s_i) with i = gen[c, k], or
     (nxt[c, k], identity) when gen[c, k] is -1.  The rank-k faces between
-    the flag's rank-(k-1) and rank-(k+1) faces are read from the coset
-    tables: those whose coset meets both identity cosets, marked over the
-    slot's cosets by each identity coset in turn.  None when some
-    flag does not have exactly two faces there, its own and one other.
+    the flag's rank-(k-1) and rank-(k+1) faces are read from the cover
+    blocks: those covering the face below, which every vertex does for the
+    bottom, and covered by the face above.  None when some flag does not
+    have exactly two faces there, its own and one other.
 
     The other face gives the move.  Let J_j be the stabilizer nodes of the
     flag's rank-j face and K the nodes in every J_j but J_k.  Every h in W_K
@@ -285,34 +305,31 @@ def _flag_moves(lat: FaceLattice) -> tuple[np.ndarray, np.ndarray] | None:
     n = lat.n
     chain_idx = {c: i for i, c in enumerate(lat.chains)}
     slots = lat.slots_by_rank
+    # per (lower, upper) slot offsets: the upper faces over the lower coset 0,
+    # a prefix of the block sorted by i, and the lower faces under the upper
+    # coset 0.  The bottom, offset -1, is below every vertex
+    v = slots[0][0]
+    over, under = {(-1, v.offset): np.arange(v.count)}, {}
+    for lo, hi, i, j in lat.cover_blocks:
+        over[lo.offset, hi.offset] = j[: np.searchsorted(i, 1)]
+        under[lo.offset, hi.offset] = i[j == 0]
 
     @cache
-    def faces_between(k, lo, hi):
-        """Rank-k faces meeting the identity cosets of slots lo and hi."""
-        lower = slots[k - 1][lo] if lo is not None else None
-        upper = slots[k + 1][hi] if hi is not None else None
+    def faces_between(k, lower, upper):
+        """Rank-k faces over coset 0 of slot offset lower and under that of upper."""
         out = []
         for si, s in enumerate(slots[k]):
-            if lower is not None and not lower.selection < s.selection:
-                continue
-            if upper is not None and not s.selection < upper.selection:
-                continue
-            here = np.ones(s.count, dtype=bool)
-            for bound in (lower, upper):
-                if bound is not None:
-                    mark = np.zeros(s.count, dtype=bool)
-                    mark[s.table.coset_id[bound.table.subgroup]] = True
-                    here &= mark
-            out.extend((si, int(c)) for c in np.flatnonzero(here))
+            a, b = over.get((lower, s.offset)), under.get((s.offset, upper))
+            if a is not None and b is not None:  # else the selections do not nest
+                out.extend((si, c) for c in a[found_at(b, a, np.searchsorted(b, a))].tolist())
         return out
 
     gen = np.full((len(chain_idx), n), -1, dtype=np.int64)
     nxt = np.empty_like(gen)
     for ci, chain in enumerate(lat.chains):
+        bounds = [-1] + [slots[k][c].offset for k, c in enumerate(chain)] + [lat.top_id]
         for k in range(n):
-            mids = faces_between(
-                k, chain[k - 1] if k > 0 else None, chain[k + 1] if k + 1 < n else None
-            )
+            mids = faces_between(k, bounds[k], bounds[k + 2])
             if len(mids) != 2 or (chain[k], 0) not in mids:
                 return None
             other_slot, other_coset = next(m for m in mids if m != (chain[k], 0))

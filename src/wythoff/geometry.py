@@ -6,7 +6,8 @@ of the Gram matrix), rescaled to unit norm.  Vertices are its images under
 the group; since vertices correspond to cosets of the point stabilizer,
 coordinates are computed once per coset representative and every remaining
 image is only audited against its representative, so no tolerance-driven
-deduplication ever decides combinatorics.
+deduplication ever decides combinatorics.  The checks, the witnesses and
+the exports read each face's vertices from the lattice (face_vertices).
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from .errors import (
     SingularSystem,
     SpanDeficient,
     UnsupportedDimension,
-    WythoffError,
 )
-from .face_lattice import FaceLattice, coset_pairs
+from .face_lattice import FaceLattice
 from .reflection_group import ROW_BLOCK, simple_normals
 
 POINT_MATCH_TOL = 1e-7       # image-vs-representative agreement
@@ -67,7 +67,6 @@ def wythoff_point(d) -> np.ndarray:
 class Realization:
     lattice: FaceLattice
     points: np.ndarray            # (V, dim); row i = rank-0 face with id i
-    _face_vertex: dict            # slot offset -> (count, m) vertex indices
     deviation: float              # largest |g x - its vertex's point| coordinate
 
     @property
@@ -75,11 +74,11 @@ class Realization:
         return self.points.shape[1]
 
     def slot_vertices(self, slot) -> np.ndarray:
-        return self._face_vertex[slot.offset]
+        return self.lattice.face_vertices[slot.offset]
 
 
 def realize(lat: FaceLattice) -> Realization:
-    """Coordinates plus per-face vertex lists for a built lattice."""
+    """Vertex coordinates of a built lattice, every image audited."""
     g = lat.group
     x = wythoff_point(lat.diagram)
     vt = lat.slots_by_rank[0][0].table
@@ -98,16 +97,7 @@ def realize(lat: FaceLattice) -> Realization:
     gap = min_pairwise_distance(points)
     if gap < POINT_SEPARATION:
         raise DedupCollision(f"distinct vertices only {gap:.2e} apart")
-    face_vertex = {}
-    for sl in lat.slots_by_rank:
-        for s in sl:
-            face, vertex = np.divmod(coset_pairs(s.table, vt), vt.count)
-            counts = np.bincount(face, minlength=s.count)
-            m = int(counts[0])
-            if not np.all(counts == m):
-                raise WythoffError("conjugate faces with unequal vertex counts")
-            face_vertex[s.offset] = vertex.reshape(s.count, m).astype(np.int32)
-    return Realization(lat, points, face_vertex, float(deviation))
+    return Realization(lat, points, float(deviation))
 
 
 # -- verification reports ----------------------------------------------------
@@ -162,7 +152,7 @@ def affine_rank_check(real: Realization) -> CheckReport:
             checked += s.count
             if s.rank == 0:
                 continue
-            fv = real.slot_vertices(s)
+            fv = lat.face_vertices[s.offset]
             base = singular_values(fv[:1])
             slack = 2.0 * np.sqrt(fv.shape[1] * real.dim) * real.deviation
             slot_margin = float(np.abs(base - AFFINE_RANK_TOL).min()) - slack
@@ -194,14 +184,15 @@ def containment_check(real: Realization) -> CheckReport:
     such as one with a vertex swapped out, misses a face below it and fails
     here.
     """
+    fv = real.lattice.face_vertices
     nv = len(real.points)
     keys = {}
     covers = violations = 0
     for lo, hi, i, j in real.lattice.cover_blocks:
         if hi.offset not in keys:
-            keys[hi.offset] = (np.arange(hi.count)[:, None] * nv + real.slot_vertices(hi)).ravel()
+            keys[hi.offset] = (np.arange(hi.count)[:, None] * nv + fv[hi.offset]).ravel()
         have = keys[hi.offset]
-        want = j[:, None] * nv + real.slot_vertices(lo)[i]
+        want = j[:, None] * nv + fv[lo.offset][i]
         hit = found_at(have, want, np.searchsorted(have, want))
         violations += int(np.count_nonzero(~hit.all(axis=1)))
         covers += len(i)
@@ -222,7 +213,7 @@ def distinct_faces_check(real: Realization) -> CheckReport:
     for sl in real.lattice.slots_by_rank:
         by_width = {}
         for s in sl:
-            fv = real.slot_vertices(s)
+            fv = real.lattice.face_vertices[s.offset]
             by_width.setdefault(fv.shape[1], []).append(fv)
         for blocks in by_width.values():
             rows = np.concatenate(blocks)
@@ -237,8 +228,7 @@ def edge_uniformity_check(real: Realization) -> CheckReport:
     lat = real.lattice
     lengths = []
     for s in lat.slots_by_rank[1]:
-        fv = real.slot_vertices(s)
-        seg = real.points[fv]
+        seg = real.points[lat.face_vertices[s.offset]]
         lengths.append(np.linalg.norm(seg[:, 0] - seg[:, 1], axis=1))
     lengths = np.concatenate(lengths)
     mean = float(lengths.mean())
@@ -278,7 +268,7 @@ def _ridge_normals(real: Realization) -> np.ndarray:
         raise UnsupportedDimension("ridges need dimension >= 2")
     out = []
     for s in lat.slots_by_rank[n - 2]:
-        pts = real.points[real.slot_vertices(s)]
+        pts = real.points[lat.face_vertices[s.offset]]
         u_, sv, vt = np.linalg.svd(pts, full_matrices=True)
         ranks = (sv > AFFINE_RANK_TOL).sum(axis=1)
         if np.any(ranks != n - 1):
@@ -335,7 +325,7 @@ def polar_dual_check(real: Realization) -> CheckReport:
     lat = real.lattice
     cents = []
     for s in lat.slots_by_rank[lat.n - 1]:
-        cents.append(real.points[real.slot_vertices(s)].mean(axis=1))
+        cents.append(real.points[lat.face_vertices[s.offset]].mean(axis=1))
     cents = np.vstack(cents)
     norms = np.linalg.norm(cents, axis=1)
     spread = float((norms.max() - norms.min()) / norms.mean())
@@ -358,7 +348,7 @@ def off_document(real: Realization) -> str:
     pts = real.points
     faces = []
     for s in lat.slots_by_rank[2]:
-        for row in real.slot_vertices(s):
+        for row in lat.face_vertices[s.offset]:
             p = pts[row]
             c = p.mean(axis=0)
             _, _, vt = np.linalg.svd(p - c)
@@ -384,7 +374,7 @@ def realization_document(real: Realization) -> dict:
         for s in sl:
             faces.extend(
                 {"id": s.offset + i, "rank": s.rank, "vertices": row}
-                for i, row in enumerate(real.slot_vertices(s).tolist())
+                for i, row in enumerate(lat.face_vertices[s.offset].tolist())
             )
     return {
         "dimension": lat.n,

@@ -42,8 +42,7 @@ element-by-element search in that order finds, whatever the frontier order.
 One Cayley table is kept, right multiplication by the generators (rmult).
 Components of a graph of element (or root) maps are labelled by their
 least member in one routine, _coset_minima.  Over rmult restricted to J it
-labels the left cosets g W_J, and the identity's coset is W_J itself, so a
-coset table also gives its subgroup, coset 0.  Over the generator
+labels the left cosets g W_J, the faces of the lattice.  Over the generator
 permutations of the roots it gives the root orbits behind the keys, and
 over the flag moves' ordering table, the components of the orderings.
 
@@ -183,10 +182,9 @@ class CosetTable:
     canonical representative).  The coset g W_J is the connected component
     of g under right multiplication by the s_j, j in J, labelled with its
     least member by _coset_minima; cosets are numbered in increasing order
-    of their representatives; subgroup is W_J itself, the identity's coset 0.
+    of their representatives, so coset 0 is W_J itself.
     """
 
-    subgroup: np.ndarray       # sorted element indices of W_J
     coset_id: np.ndarray
     reps: np.ndarray
 
@@ -236,8 +234,8 @@ class Group:
         label = _coset_minima(self.order, list(self.rmult[sorted(key)]))
         is_rep = label == np.arange(self.order)
         coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
-        table = CosetTable(np.flatnonzero(label == 0), coset_id, np.flatnonzero(is_rep))
-        for a in (table.subgroup, coset_id, table.reps):
+        table = CosetTable(coset_id, np.flatnonzero(is_rep))
+        for a in (coset_id, table.reps):
             a.setflags(write=False)
         self._cosets[key] = table
         return table

@@ -284,11 +284,13 @@ def flag_moves_by_search(lat: FaceLattice) -> dict | None:
 
     Returns {(c, k): (h, c')}, h an element index: the rank-k neighbor of
     (c, identity) is (c', h).  The two faces between the flag's rank-(k-1)
-    and rank-(k+1) faces are found as in the library; h is the one element
-    of W_K, K the nodes in every stabilizer of the flag's other faces, that
-    carries the flag's face to the other one, found by searching the whole
-    of W_K.  None when some flag does not have exactly two faces there;
-    WythoffError when h is not unique.
+    and rank-(k+1) faces are the cosets of nested slots that meet both of
+    their subgroups W_J, the elements of coset 0, where the library reads
+    its cover blocks; h is the one element of W_K, K the nodes in every
+    stabilizer of the flag's other faces, that carries the flag's face to
+    the other one, found by searching the whole of W_K.  None when some
+    flag does not have exactly two faces there; WythoffError when h is not
+    unique.
     """
     g = lat.group
     n = lat.n
@@ -309,7 +311,7 @@ def flag_moves_by_search(lat: FaceLattice) -> dict | None:
                 here = np.arange(s.count)
                 for bound in (lower, upper):
                     if bound is not None:
-                        meets = s.table.coset_id[bound.table.subgroup]
+                        meets = s.table.coset_id[np.flatnonzero(bound.table.coset_id == 0)]
                         here = np.intersect1d(here, meets)
                 mids.extend((si, int(c)) for c in here)
             base_face = (chain[k], int(slots[k][chain[k]].table.coset_id[0]))
@@ -428,7 +430,7 @@ def vertex_figure(lat: FaceLattice) -> VertexFigure:
     (the parabolic on the crossed nodes), so one coset per decoration per
     stabilizer orbit shows up, e.g. 3 edges + 3 squares for the cube.
     """
-    stab = lat.slots_by_rank[0][0].table.subgroup
+    stab = np.flatnonzero(lat.slots_by_rank[0][0].table.coset_id == 0)
     mark = np.zeros(lat.face_total, dtype=bool)
     for sl in lat.slots_by_rank[1 : lat.n]:
         for s in sl:

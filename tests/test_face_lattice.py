@@ -1,5 +1,9 @@
+import ast
+import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,13 +288,14 @@ def test_chains_match_selection_orderings(shared):
     assert len(lat.chains) == len(selection_orderings(start_decoration(lat.diagram)))
 
 
-def _count_block_builds(monkeypatch) -> list:
-    """Record one entry per cover block the lattice layer builds."""
+def _count_coset_pairs(monkeypatch) -> list:
+    """Record the caller of every coset_pairs call: cover_blocks builds a
+    cover block, face_vertices one slot's vertex lists."""
     calls = []
     pairs = face_lattice.coset_pairs
 
     def counted(a, b):
-        calls.append(1)
+        calls.append(sys._getframe(1).f_code.co_name)
         return pairs(a, b)
 
     monkeypatch.setattr(face_lattice, "coset_pairs", counted)
@@ -298,21 +303,80 @@ def _count_block_builds(monkeypatch) -> list:
 
 
 def test_covers_are_computed_on_first_read(monkeypatch, capsys):
-    calls = _count_block_builds(monkeypatch)
+    calls = _count_coset_pairs(monkeypatch)
     lat = build_lattice(parse("o3x4x"))
     assert not calls
     assert len(lat.covers) == len(lat.covers) == 36 * 2 + 36 * 2 + 14
     # {} < {1}, {2}; {1} < {0,1}, {1,2}; {2} < {1,2}; {0,1}, {1,2} < top
-    assert len(calls) == len(lat.cover_blocks) == 7
+    assert len(calls) == len(lat.cover_blocks) == 7 and set(calls) == {"cover_blocks"}
     assert main(["fvector", "o3x4x", "--method", "both"]) == 0
     assert "agreement: yes" in capsys.readouterr().out
     assert len(calls) == 7
 
 
 def test_check_reads_the_blocks_not_the_flat_covers(monkeypatch, capsys):
-    calls = _count_block_builds(monkeypatch)
+    calls = _count_coset_pairs(monkeypatch)
     reads = []
     monkeypatch.setattr(FaceLattice, "covers", property(lambda lat: reads.append(lat)))
     assert main(["check", "x4o3o"]) == 0
     assert "overall: ok" in capsys.readouterr().out
-    assert len(calls) == 3 and not reads
+    # 3 cover blocks, and the vertex lists of the 4 slots, top included
+    assert Counter(calls) == {"cover_blocks": 3, "face_vertices": 4} and not reads
+
+
+# per-element arrays of the group: one entry per element of W
+ELEMENT_ARRAYS = {"coset_id", "rmult", "subgroup"}
+
+
+def _element_array_readers(source: str) -> set:
+    """Names of the innermost functions that read an element array attribute."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ELEMENT_ARRAYS
+            and isinstance(node.ctx, ast.Load)
+        ):
+            found.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_reader_scan_sees_reads_in_the_innermost_function():
+    source = (
+        "def outer(t):\n"
+        '    """t.rmult in a docstring."""\n'
+        "    def inner(u):\n"
+        "        return u.coset_id\n"
+        "    t.subgroup = 0  # a store, not a read of t.rmult\n"
+        "    return inner\n"
+        "def other(g):\n"
+        "    return g.rmult[0]\n"
+    )
+    assert _element_array_readers(source) == {"inner", "other"}
+
+
+def test_only_the_named_readers_take_per_element_arrays():
+    # the lattice's other readers take faces, cover blocks and vertex lists;
+    # these are the group's own readers, the one incidence rule, the move
+    # check, the partner table and the realization's audit
+    src = Path(__file__).resolve().parents[1] / "src" / "wythoff"
+    found = {
+        (p.stem, f)
+        for p in sorted(src.glob("*.py"))
+        for f in _element_array_readers(p.read_text("utf-8"))
+    }
+    assert found == {
+        ("reflection_group", "order"),
+        ("reflection_group", "coset_table"),
+        ("face_lattice", "coset_pairs"),
+        ("face_lattice", "_flag_moves"),
+        ("face_lattice", "flag_partners"),
+        ("geometry", "realize"),
+    }

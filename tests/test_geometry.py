@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from dataclasses import replace
 
@@ -282,6 +283,16 @@ def test_realize_builds_no_array_of_every_image(shared, text, kept):
     assert peak < 2 * g.order * g.roots.roots.shape[1] * 8
 
 
+def _with_face_vertices(real, slot, fv):
+    """real on a shallow copy of its lattice whose slot has the vertex lists fv.
+
+    The copy gets a dict of its own, so the shared lattice keeps its lists.
+    """
+    lat = copy.copy(real.lattice)
+    lat.face_vertices = {**real.lattice.face_vertices, slot.offset: fv}
+    return replace(real, lattice=lat)
+
+
 @pytest.mark.parametrize("text", ["x3x4o", "o5o3x3o", "x4o3o3o3o3o"])
 def test_a_wrong_vertex_on_a_non_base_face_fails(shared, text):
     # affine_rank measures each slot's base face only; containment ties
@@ -291,7 +302,7 @@ def test_a_wrong_vertex_on_a_non_base_face_fails(shared, text):
         s = real.lattice.slots_by_rank[k][0]
         fv = real.slot_vertices(s).copy()
         fv[1, 0] = np.setdiff1d(np.arange(len(real.points)), fv[1])[0]
-        bad = replace(real, _face_vertex={**real._face_vertex, s.offset: fv})
+        bad = _with_face_vertices(real, s, fv)
         assert not verify_realization(bad)["containment"].ok, (text, k)
 
 
@@ -307,6 +318,6 @@ def test_a_copied_face_is_one_duplicate(shared, text):
         dst = [s for s in slots if real.slot_vertices(s).shape[1] == src.shape[1]][-1]
         fv = real.slot_vertices(dst).copy()
         fv[-1] = src[0]
-        bad = replace(real, _face_vertex={**real._face_vertex, dst.offset: fv})
+        bad = _with_face_vertices(real, dst, fv)
         report = geometry.distinct_faces_check(bad)
         assert not report.ok and report.detail["duplicates"] == 1, (text, k)

@@ -2,6 +2,7 @@
 isomorphism answers, and its covers and face-vertex lists, agree with the
 routes in oracles.py on every input set below."""
 
+import copy
 from dataclasses import replace
 from itertools import combinations
 
@@ -71,9 +72,17 @@ def test_flag_report_matches_direct_graph(shared, name):
     assert compared
 
 
-@pytest.mark.parametrize("name", ["rank_34", "products", "orbit", "big_group"])
+MOVE_ITEMS = {
+    **{name: INPUT_SETS[name] for name in ("rank_34", "products", "orbit", "big_group")},
+    # rank 1, I2(k) and the many-slot lattices; rank 6 would add about 24 s
+    # of subgroup search
+    "sweep_rank_5": lambda: [d for d in INPUT_SETS["sweep"]() if d.rank <= 5],
+}
+
+
+@pytest.mark.parametrize("name", MOVE_ITEMS)
 def test_flag_moves_match_subgroup_search(shared, name):
-    for d in INPUT_SETS[name]():
+    for d in MOVE_ITEMS[name]():
         lat = shared.lattice(d)
         g = lat.group
         old = flag_moves_by_search(lat)
@@ -145,7 +154,9 @@ def test_affine_rank_without_margin_runs_every_face(shared):
     s = next(s for s in real.lattice.slots_by_rank[2] if real.slot_vertices(s).shape[1] == 6)
     fv = real.slot_vertices(s).copy()
     fv[1, 0] = np.setdiff1d(np.arange(len(real.points)), fv[1])[0]
-    bad = replace(real, _face_vertex={**real._face_vertex, s.offset: fv})
+    lat = copy.copy(real.lattice)  # the shared lattice keeps its own lists
+    lat.face_vertices = {**real.lattice.face_vertices, s.offset: fv}
+    bad = replace(real, lattice=lat)
     assert affine_rank_check(bad).ok and not containment_check(bad).ok
     bad = replace(bad, deviation=1.0)
     report = affine_rank_check(bad)
@@ -160,9 +171,9 @@ def test_covers_and_face_vertices_match_unique_route(shared, name):
         covers, want = real.lattice.covers, covers_by_unique(real.lattice)
         assert covers.dtype == want.dtype and np.array_equal(covers, want), d
         lists = face_vertex_by_unique(real)
-        assert real._face_vertex.keys() == lists.keys()
+        assert real.lattice.face_vertices.keys() == lists.keys()
         for offset, want in lists.items():
-            got = real._face_vertex[offset]
+            got = real.lattice.face_vertices[offset]
             assert got.dtype == want.dtype and np.array_equal(got, want), (d, offset)
 
 
