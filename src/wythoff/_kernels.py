@@ -22,7 +22,9 @@ along that axis hold a run of sorted rows.  Each row is compared with the
 later rows of its own and the next cell along the first axis, and with one
 such run per forward offset on the other axes (one of each opposite pair);
 one searchsorted finds all of them.  On a vertex orbit delta is the answer,
-and a cell holds about one row.
+and a cell holds about one row.  Its one caller in the package is
+reflection_group.root_system, on the roots; realize reads the vertices'
+separation off the edges instead (geometry).
 
 The worst case of both is rows that crowd one window or a few cells: ties in
 projection, a delta far above the answer, or a side raised so that the cell

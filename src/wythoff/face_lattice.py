@@ -9,7 +9,8 @@ nest and their cosets intersect (coset_pairs).  The whole-polytope face
 synthetic bottom sits below the vertices.  The covers are kept by nested
 slot pair (cover_blocks) and built when first read, so a lattice used
 only for its f-vector never builds them; their flat id pairs (covers) are
-built only when read, and so are each face's vertices (face_vertices).
+built only when read, and so are each slot's face vertex lists
+(face_vertices).
 
 Flags are maximal chains.  They factor exactly as (selection ordering c,
 group element g), and the group acts on them by left translation of g
@@ -29,6 +30,7 @@ each block are counted against |G| / |W_(J_lo n J_hi)|.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -59,6 +61,26 @@ class Slot:
     @property
     def count(self) -> int:
         return self.table.count
+
+
+class _BuiltOnRead(Mapping):
+    """Slot offset -> build(slot), each value built on its first read and kept."""
+
+    def __init__(self, slots: dict, build):
+        self._slots = slots
+        self._build = build
+        self._built = {}
+
+    def __getitem__(self, offset):
+        if offset not in self._built:
+            self._built[offset] = self._build(self._slots[offset])
+        return self._built[offset]
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
 
 
 class FaceLattice:
@@ -96,23 +118,27 @@ class FaceLattice:
         ])
 
     @cached_property
-    def face_vertices(self) -> dict:
+    def face_vertices(self) -> Mapping:
         """Slot offset -> (count, m) int32 sorted vertex ids of each face.
 
         A face holds the vertices whose cosets its coset meets (coset_pairs).
         The faces of one slot are conjugate, so each has the same number m.
+        Each slot's lists are built on their first read, so a reader of one
+        rank (realize reads the edges) builds only that rank's.
         """
         vt = self.slots_by_rank[0][0].table
-        out = {}
-        for sl in self.slots_by_rank:
-            for s in sl:
-                face, vertex = np.divmod(coset_pairs(s.table, vt), vt.count)
-                counts = np.bincount(face, minlength=s.count)
-                m = int(counts[0])
-                if not np.all(counts == m):
-                    raise WythoffError("conjugate faces with unequal vertex counts")
-                out[s.offset] = vertex.reshape(s.count, m).astype(np.int32)
-        return out
+
+        def face_vertices(s):
+            face, vertex = np.divmod(coset_pairs(s.table, vt), vt.count)
+            counts = np.bincount(face, minlength=s.count)
+            m = int(counts[0])
+            if not np.all(counts == m):
+                raise WythoffError("conjugate faces with unequal vertex counts")
+            return vertex.reshape(s.count, m).astype(np.int32)
+
+        return _BuiltOnRead(
+            {s.offset: s for sl in self.slots_by_rank for s in sl}, face_vertices
+        )
 
     @property
     def f_vector(self) -> tuple[int, ...]:

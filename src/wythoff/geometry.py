@@ -8,6 +8,11 @@ coordinates are computed once per coset representative and every remaining
 image is only audited against its representative, so no tolerance-driven
 deduplication ever decides combinatorics.  The checks, the witnesses and
 the exports read each face's vertices from the lattice (face_vertices).
+
+The vertices' separation is read off the shortest edge: on a sphere the
+closest pair is a hull edge (Matula and Sokal, 1980; Brown, 1979), and
+distinct cosets are distinct points (Humphreys, Reflection Groups and
+Coxeter Groups, 1.12).  See realize.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import found_at, match_rows, min_pairwise_distance
+from ._kernels import found_at, match_rows
 from .decoration import RING
 from .errors import (
     DedupCollision,
@@ -77,8 +82,30 @@ class Realization:
         return self.lattice.face_vertices[slot.offset]
 
 
+def _shortest_edge(lat: FaceLattice, points: np.ndarray) -> float:
+    """Length of the shortest rank-1 face, computed as min_pairwise_distance
+    computes a pair's distance, so that the two agree to the bit."""
+    best2 = np.inf
+    for s in lat.slots_by_rank[1]:
+        ends = points[lat.face_vertices[s.offset]]
+        best2 = min(best2, float(((ends[:, 0] - ends[:, 1]) ** 2).sum(axis=1).min()))
+    return float(np.sqrt(best2))
+
+
 def realize(lat: FaceLattice) -> Realization:
-    """Vertex coordinates of a built lattice, every image audited."""
+    """Vertex coordinates of a built lattice, every image audited.
+
+    Distinct vertices must lie POINT_SEPARATION apart, and the closest
+    pair is an edge, so only the edges' vertex lists are read.  Every
+    vertex lies on the unit sphere, and distinct cosets are distinct
+    points: the base point's stabilizer is exactly W_J (Humphreys, 1.12).
+    Let p, q be a closest pair and C the cap of the sphere within half
+    their angle of their arc's midpoint.  A vertex in C other than p and q
+    would lie nearer to p than q does, so the plane bounding C meets the
+    hull in the segment pq alone.  This is the Gabriel property of the
+    closest pair (Matula and Sokal, 1980), on a sphere, whose Delaunay
+    cells are the hull's facets (Brown, 1979).
+    """
     g = lat.group
     x = wythoff_point(lat.diagram)
     vt = lat.slots_by_rank[0][0].table
@@ -94,7 +121,7 @@ def realize(lat: FaceLattice) -> Realization:
         raise DedupCollision(
             f"orbit image differs from its representative by {deviation:.2e}"
         )
-    gap = min_pairwise_distance(points)
+    gap = _shortest_edge(lat, points)
     if gap < POINT_SEPARATION:
         raise DedupCollision(f"distinct vertices only {gap:.2e} apart")
     return Realization(lat, points, float(deviation))
@@ -192,7 +219,9 @@ def containment_check(real: Realization) -> CheckReport:
         if hi.offset not in keys:
             keys[hi.offset] = (np.arange(hi.count)[:, None] * nv + fv[hi.offset]).ravel()
         have = keys[hi.offset]
-        want = j[:, None] * nv + fv[lo.offset][i]
+        # by upper face, so the keys reach searchsorted nearly sorted
+        order = np.argsort(j, kind="stable")
+        want = j[order, None] * nv + fv[lo.offset][i[order]]
         hit = found_at(have, want, np.searchsorted(have, want))
         violations += int(np.count_nonzero(~hit.all(axis=1)))
         covers += len(i)

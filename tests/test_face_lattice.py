@@ -324,6 +324,14 @@ def test_check_reads_the_blocks_not_the_flat_covers(monkeypatch, capsys):
     assert Counter(calls) == {"cover_blocks": 3, "face_vertices": 4} and not reads
 
 
+def test_vertices_builds_the_edge_lists_only(monkeypatch, capsys):
+    calls = _count_coset_pairs(monkeypatch)
+    assert main(["vertices", "x4o3o"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+    # realize reads the separation off the one edge slot's vertex lists
+    assert calls == ["face_vertices"]
+
+
 # per-element arrays of the group: one entry per element of W
 ELEMENT_ARRAYS = {"coset_id", "rmult", "subgroup"}
 

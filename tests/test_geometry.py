@@ -1,13 +1,15 @@
 import copy
+import importlib.util
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sweep import decorated_variants, sweep_diagrams, sweep_products
 from wythoff import geometry
-from wythoff._kernels import match_rows
+from wythoff._kernels import match_rows, min_pairwise_distance
 from wythoff.diagram import disjoint_union, family_diagram, parse
 from wythoff.errors import DedupCollision, UnsupportedDimension
 from wythoff.geometry import (
@@ -15,6 +17,7 @@ from wythoff.geometry import (
     FACET_NORM_TOL,
     RIDGE_MATCH_TOL,
     _ridge_normals,
+    _shortest_edge,
     off_document,
     polar_dual_check,
     realization_document,
@@ -263,6 +266,38 @@ def test_audit_reaches_the_last_partial_block(shared, monkeypatch):
 
     monkeypatch.setattr(g, "point_images", perturbed)
     with pytest.raises(DedupCollision, match="representative"):
+        realize(lat)
+
+
+def _benchmark_workloads():
+    """The benchmark's workload module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shortest_edge_is_the_closest_pair(shared):
+    # realize reads the separation off the edges; the cell-grid search over
+    # all vertices is the independent route, and the two agree to the bit
+    wl = _benchmark_workloads()
+    texts = wl.sweep_items(1) + sorted(wl.KNOWN_DEFECTS_I2) + list(wl.ORBIT_ITEMS)
+    texts += wl.big_group_items() + ["x3x3x3x3x3x", "x5o3o3o"]
+    for text in dict.fromkeys(texts):
+        real = shared.realization(parse(text))
+        assert _shortest_edge(real.lattice, real.points) == min_pairwise_distance(
+            real.points
+        ), text
+
+
+def test_vertices_closer_than_the_separation_are_refused(shared, monkeypatch):
+    # the cube's edge is 2 / sqrt(3) on the unit sphere
+    lat = shared.lattice(parse("x4o3o"))
+    monkeypatch.setattr(geometry, "POINT_SEPARATION", 2 / np.sqrt(3) - 1e-9)
+    assert realize(lat).points.shape == (8, 3)
+    monkeypatch.setattr(geometry, "POINT_SEPARATION", 2 / np.sqrt(3) + 1e-9)
+    with pytest.raises(DedupCollision, match=r"distinct vertices only 1\.15e\+00 apart"):
         realize(lat)
 
 
