@@ -22,9 +22,11 @@ along that axis hold a run of sorted rows.  Each row is compared with the
 later rows of its own and the next cell along the first axis, and with one
 such run per forward offset on the other axes (one of each opposite pair);
 one searchsorted finds all of them.  On a vertex orbit delta is the answer,
-and a cell holds about one row.  Its one caller in the package is
-reflection_group.root_system, on the roots; realize reads the vertices'
-separation off the edges instead (geometry).
+and a cell holds about one row.  No module of the package calls it: the
+root closure deduplicates exact integer roots (reflection_group), and
+realize reads the vertices' separation off the edges (geometry).  It stays
+because the benchmark's kernel timing (perfbench/pipeline.py, time_kernels)
+calls it.
 
 The worst case of both is rows that crowd one window or a few cells: ties in
 projection, a delta far above the answer, or a side raised so that the cell

@@ -30,7 +30,7 @@ class BudgetExceeded(WythoffError):
 
 
 class ToleranceCollision(WythoffError):
-    """Two points fall between the dedup and separation tolerances."""
+    """Float results disagree with exact counts (a group's order, a vertex audit)."""
 
 
 class DedupCollision(ToleranceCollision):

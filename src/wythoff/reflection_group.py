@@ -2,10 +2,12 @@
 
 Simple mirror normals come from the Cholesky factor of the diagram's Gram
 matrix.  The root set is their closure under the generating reflections,
-listing them first; every group element permutes the root list, and all
-later combinatorics (subgroups, cosets, face counting) is exact integer
-work.  One tolerance-bearing step remains: matching reflected roots back
-into the root list (dedup 1e-6, separation floor 1e-3).
+listing them first; every group element permutes the root list.  The
+closure decides which reflected root is new on an exact integer form of
+the roots (the geometric representation, Humphreys 5.3), so no step of
+this layer rests on a tolerance: roots, elements and cosets are all
+deduplicated as exact integers, and the float roots are only carried along
+for the points of the geometry layer.
 
 An element w is kept as its images of a few roots only, the columns
 C = {a_j} u {s_i a_j}, which the root closure lists first.  The images of
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .diagram import DecoratedDiagram, group_order
+from .diagram import DecoratedDiagram, classify_components, group_order
 from .errors import (
     BudgetExceeded,
     NotFiniteType,
@@ -75,8 +77,8 @@ from .errors import (
 DEFAULT_BUDGET = 2_000_000
 KEY_LIMIT = 2**64
 ROW_BLOCK = 8192
-ROOT_MATCH_TOL = 1e-6
-ROOT_SEPARATION = 1e-3
+# c^2 = alpha + beta c for c = 2cos(pi/m), m the label > 3 of a component
+_C_SQUARED = {4: (2, 0), 5: (1, 1), 6: (3, 0)}
 # largest group enumerate_group keeps for later calls.  With the coset
 # tables of a full check a group takes 100 to 170 bytes an element (H4,
 # 14400 elements: 2.5 MB), so at most about 5 MB stays held; A7 (40320),
@@ -134,43 +136,78 @@ class RootSystem:
         return len(self.roots)
 
 
-def root_system(normals: np.ndarray) -> RootSystem:
-    """Close the normals under their reflections, recording the root permutations.
+def _exact_form(d: DecoratedDiagram):
+    """Exact simple roots, generator matrices and wrapped columns of the root form.
+
+    A root sum_j v_j a_j is a row of 2n integers (p_j, q_j), v_j = p_j + q_j c,
+    where c = 2cos(pi/m) for the one label m > 3 of the root's component, and
+    s_i(v) = v - (sum_j 2B_ij v_j) a_i with 2B_ij in {2, -1, 0, -c}: row @ moves[i].
+    In I2(k), k > 6, c has degree above 2; there the root at angle j pi/k is
+    (j, 1) in its first node's column pair, the simple roots are j = 0 and
+    j = k - 1, and s_r sends j to 2r + k - j, mod 2k (the wrapped columns).
+    """
+    n = d.rank
+    start = np.zeros((n, 2 * n), dtype=np.int64)
+    moves = np.tile(np.eye(2 * n, dtype=np.int64), (n, 1, 1))
+    wrap_cols, wrap_mods = [], []
+    for tag in classify_components(d):
+        if tag.family == "I2" and tag.k > 6:
+            u, k = 2 * tag.nodes[0], tag.k
+            for node, r in zip(tag.nodes, (0, k - 1)):
+                start[node, u : u + 2] = (r, 1)
+                moves[node, u : u + 2, u] = (-1, 2 * r + k)
+            wrap_cols.append(u)
+            wrap_mods.append(2 * k)
+            continue
+        m = max(d.label(i, j) for i in tag.nodes for j in tag.nodes)
+        blocks = {1: [[2, 0], [0, 2]], 2: 0, 3: [[-1, 0], [0, -1]]}
+        if m > 3:
+            # (p, q) @ block = (-alpha q, -p - beta q), which is -c (p + q c)
+            alpha, beta = _C_SQUARED[m]
+            blocks[m] = [[0, -1], [-alpha, -beta]]
+        for i in tag.nodes:
+            start[i, 2 * i] = 1
+            for j in tag.nodes:
+                moves[i, 2 * j : 2 * j + 2, 2 * i : 2 * i + 2] -= blocks[d.label(i, j)]
+    return start, moves, wrap_cols, np.array(wrap_mods, dtype=np.int64)
+
+
+def root_system(d: DecoratedDiagram) -> RootSystem:
+    """Close the simple normals under their reflections, recording the root permutations.
 
     Every root lies in exactly one closure frontier, so the closure reflects
     each root by each generator exactly once, and the permutations are read
-    off the two matches it makes anyway.  The roots are listed by frontier:
-    the simple normals, then the new images s_i(a_j), and so on.
+    off the ids it gives the images anyway.  The roots are listed by
+    frontier: the simple normals, then the new images s_i(a_j), and so on.
+    Which image is new is decided on its exact row (_exact_form), by a dict
+    keyed by the rows' bytes; the float roots are the same rows of the
+    stacked products of the float frontier.
     """
+    normals = simple_normals(d)
     n = len(normals)
     refl = [np.eye(n) - 2.0 * np.outer(v, v) for v in normals]
-    roots = np.array(normals, dtype=np.float64)
-    frontier = roots
-    blocks = []
+    exact, moves, wrap_cols, wrap_mods = _exact_form(d)
+    index = {bytes(row): a for a, row in enumerate(exact)}
+    frontier = normals
+    layers, blocks = [normals], []
     while len(frontier):
         # one closure layer: every generator's images of the frontier, in
-        # generator order; an image is new unless it matches a known root or
-        # an earlier image (match_rows returns the lowest matching index)
-        images = np.vstack([frontier @ r.T for r in refl])
-        ids = _kernels.match_rows(images, roots, ROOT_MATCH_TOL)
-        new = ids < 0
-        images = images[new]
-        first_of = _kernels.match_rows(images, images, ROOT_MATCH_TOL)
-        first = first_of == np.arange(len(images))
-        # a new image is numbered by the rank of its first occurrence
-        ids[new] = len(roots) + (np.cumsum(first) - 1)[first_of]
-        blocks.append(ids.reshape(n, -1))
-        frontier = images[first]
-        roots = np.vstack([roots, frontier])
-    sep = _kernels.min_pairwise_distance(roots)
-    if sep < ROOT_SEPARATION:
-        raise ToleranceCollision(
-            "distinct roots only %.3g apart (floor %.3g)" % (sep, ROOT_SEPARATION)
-        )
-    perms = np.hstack(blocks).astype(np.int16 if len(roots) < 2**15 else np.int32)
-    if not (np.sort(perms, axis=1) == np.arange(len(roots))).all():
-        raise ToleranceCollision("root reflection is not a permutation")
-    return RootSystem(roots, perms)
+        # generator order; an image is new unless its exact row is a known
+        # root or an earlier image, and is numbered by its first occurrence
+        exact = np.vstack([exact @ g for g in moves])
+        exact[:, wrap_cols] %= wrap_mods
+        ids, first = [], []
+        for p, key in enumerate(map(bytes, exact)):
+            if key not in index:
+                index[key] = len(index)
+                first.append(p)
+            ids.append(index[key])
+        blocks.append(np.reshape(ids, (n, -1)))
+        frontier = np.vstack([frontier @ r.T for r in refl])[first]
+        exact = exact[first]
+        layers.append(frontier)
+    perms = np.hstack(blocks).astype(np.int16 if len(index) < 2**15 else np.int32)
+    return RootSystem(np.vstack(layers), perms)
 
 
 @dataclass(frozen=True)
@@ -349,7 +386,7 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     if held is not None:
         return held
     _held.clear()  # never hold two groups: drop the old one before building
-    roots = root_system(simple_normals(d))
+    roots = root_system(d)
     gens = roots.perms
     n = d.rank
     key_table = key_layout(gens)

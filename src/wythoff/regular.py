@@ -306,13 +306,10 @@ def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]
         raise UnknownName(f"no polytopes of dimension {n}")
     if kmax < 3:
         raise UnknownName(f"kmax {kmax} is below 3, the fewest edges of a polygon")
-    catalog: dict[str, list[DecoratedDiagram]] = {}
+    catalog: dict[str, dict] = {}  # name -> certificate -> first construction
 
     def add(name, diagram):
-        entry = catalog.setdefault(name, [])
-        cert = canonical_certificate(diagram)
-        if all(canonical_certificate(e) != cert for e in entry):
-            entry.append(diagram)
+        catalog.setdefault(name, {}).setdefault(canonical_certificate(diagram), diagram)
 
     if n == 1:
         add("segment", family_diagram("A", 1, ringed=(0,)))
@@ -327,5 +324,5 @@ def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]
                 add(name.format(n=n), family_diagram(family, n, ringed=(pos % n,)))
     for parts in _box_partitions(n):
         add(_hypercube_name(n), _box_diagram(parts))
-    return catalog
+    return {name: list(entry.values()) for name, entry in catalog.items()}
 

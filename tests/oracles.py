@@ -40,8 +40,14 @@ from wythoff.decoration import ACTIVE, Decoration, _select
 from wythoff.errors import ToleranceCollision, UnknownName, WythoffError
 from wythoff.face_lattice import DiamondReport, FaceLattice, FlagReport, _walk_code
 from wythoff.geometry import AFFINE_RANK_TOL, CheckReport
-from wythoff.reflection_group import ROOT_MATCH_TOL, RootSystem, gram_matrix
+from wythoff.reflection_group import RootSystem, gram_matrix
 from wythoff.regular import canonical_name, known_f_vector, polygon_name, regular_catalog
+
+# the float root oracles' own tolerances: reflected roots match within
+# ROOT_MATCH_TOL, and a root set with two roots closer than ROOT_SEPARATION
+# is refused, since matching could no longer tell them apart
+ROOT_MATCH_TOL = 1e-6
+ROOT_SEPARATION = 1e-3
 
 
 @functools.cache
@@ -184,8 +190,8 @@ def is_positive_definite_gram(d, tol: float = 1e-9) -> bool:
 def perms_of_generators(roots: RootSystem, normals: np.ndarray) -> list[np.ndarray]:
     """Permutation each generating reflection induces on the root list.
 
-    Every root is reflected and matched again after the closure; root_system
-    records the same permutations while it closes.
+    Every float root is reflected and matched back within ROOT_MATCH_TOL;
+    root_system reads the same permutations off its exact closure.
     """
     dtype = np.int16 if roots.count < 2**15 else np.int32
     out = []

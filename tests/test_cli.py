@@ -67,6 +67,13 @@ def test_fvector_both_methods(capsys):
     assert out.count("24 36 14") == 2 and "agreement: yes" in out
 
 
+def test_fvector_of_a_3999_gon_enumerates_its_group(capsys):
+    # roots 2 sin(pi / 7998) apart: the group is closed on exact roots
+    code, out, _ = run(capsys, "fvector", "x3999o", "--method", "both")
+    assert code == 0
+    assert out.count("3999 3999") == 2 and "agreement: yes" in out
+
+
 def test_fvector_budget_exceeded(capsys, monkeypatch):
     monkeypatch.setenv("WYTHOFF_BUDGET", "10")
     code, _, err = run(capsys, "fvector", "x3o3o3o", "--method", "enum")

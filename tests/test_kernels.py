@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import min_pairwise_by_projection
 from wythoff._kernels import found_at, match_rows, min_pairwise_distance, sorted_unique
 from wythoff.diagram import family_diagram, parse
-from wythoff.reflection_group import root_system, simple_normals
+from wythoff.reflection_group import root_system
 
 ORBIT_RING_SETS = ("o5o3x3o", "o5x3o3o", "o5o3x3x", "x5x3o3o", "x5o3o3x", "o5x3o3x", "o5x3x3x")
 
@@ -152,7 +152,7 @@ def test_min_pairwise_equals_projection_walk_on_vertices(shared, text):
     "family,rank", [("E", 6), ("E", 7), ("E", 8), ("B", 8), ("D", 8), ("H", 4), ("F", 4)]
 )
 def test_min_pairwise_equals_projection_walk_on_roots(family, rank):
-    roots = root_system(simple_normals(family_diagram(family, rank))).roots
+    roots = root_system(family_diagram(family, rank)).roots
     assert min_pairwise_distance(roots) == min_pairwise_by_projection(roots)
 
 
@@ -279,3 +279,38 @@ def test_no_library_module_calls_a_numpy_dedup():
         p.name: calls for p in modules if (calls := _numpy_dedup_calls(p.read_text("utf-8")))
     }
     assert found == {}
+
+
+# the group layer decides which roots are equal on their exact integer form,
+# so it reads no point kernel
+POINT_KERNELS = {"match_rows", "min_pairwise_distance"}
+
+
+def _point_kernel_references(source: str) -> list:
+    """(line, name) of every name, attribute or import of a point kernel in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in POINT_KERNELS]
+        elif isinstance(node, ast.Attribute) and node.attr in POINT_KERNELS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in POINT_KERNELS:
+            found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+def test_the_kernel_scan_sees_references_and_not_text():
+    source = (
+        '"""match_rows in a docstring."""\n'
+        "from ._kernels import match_rows\n"
+        "a = _kernels.min_pairwise_distance(b)  # match_rows in a comment\n"
+        "c = match_rows\n"
+    )
+    assert _point_kernel_references(source) == [
+        (2, "match_rows"), (3, "min_pairwise_distance"), (4, "match_rows")
+    ]
+
+
+def test_group_layer_references_no_point_kernel():
+    path = Path(__file__).resolve().parents[1] / "src" / "wythoff" / "reflection_group.py"
+    assert _point_kernel_references(path.read_text("utf-8")) == []

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ROOT_MATCH_TOL,
+    ROOT_SEPARATION,
     compose,
     element_index,
     full_rows,
@@ -26,6 +28,7 @@ from wythoff.cli import main
 from wythoff.diagram import (
     DecoratedDiagram,
     classify_components,
+    diagram_from_document,
     disjoint_union,
     family_diagram,
     group_order,
@@ -34,8 +37,6 @@ from wythoff.diagram import (
 from wythoff.errors import BudgetExceeded, SubgroupNotContained, ToleranceCollision
 from wythoff.face_lattice import build_lattice
 from wythoff.reflection_group import (
-    ROOT_MATCH_TOL,
-    ROOT_SEPARATION,
     enumerate_group,
     gram_matrix,
     key_layout,
@@ -106,16 +107,13 @@ def test_word_reconstructs_element(shared):
     [("x3o3o", 12), ("x4o3o", 18), ("x5o3o", 30), ("x3o4o3o", 48), ("x5o3o3o", 120)],
 )
 def test_root_counts(text, count):
-    d = parse(text)
-    rs = root_system(simple_normals(d))
-    assert rs.count == count
+    assert root_system(parse(text)).count == count
 
 
 def test_roots_closed_under_simple_reflections():
     d = parse("x4o3o")
-    normals = simple_normals(d)
-    rs = root_system(normals)
-    for n in normals:
+    rs = root_system(d)
+    for n in simple_normals(d):
         reflected = rs.roots - 2.0 * np.outer(rs.roots @ n, n)
         assert (match_rows(reflected, rs.roots, 1e-8) >= 0).all()
 
@@ -151,14 +149,27 @@ def _closure_per_row(normals):
     return roots
 
 
+def _interleaved():
+    """B3, H3 and I2(7) with their nodes interleaved in the document's node order."""
+    doc = {
+        "nodes": [{"id": v, "mark": "ring"} for v in "b1 i1 h1 b2 h2 i2 h3 b3".split()],
+        "edges": [
+            {"a": "b2", "b": "b1", "m": 4}, {"a": "b2", "b": "b3", "m": 3},
+            {"a": "h3", "b": "h2", "m": 5}, {"a": "h2", "b": "h1", "m": 3},
+            {"a": "i2", "b": "i1", "m": 7},
+        ],
+    }
+    return diagram_from_document(doc)
+
+
 @pytest.mark.parametrize(
     "diagram",
-    sweep_diagrams() + [family_diagram("E", 8), family_diagram("I2", 2, k=999)],
+    sweep_diagrams() + [family_diagram("E", 8), family_diagram("I2", 2, k=999), _interleaved()],
     ids=lambda d: "+".join(str(t) for t in classify_components(d)),
 )
 def test_root_closure_matches_per_row_oracle(diagram):
     normals = simple_normals(diagram)
-    rs = root_system(normals)
+    rs = root_system(diagram)
     assert np.array_equal(rs.roots, _closure_per_row(normals))
     assert np.array_equal(rs.roots[: len(normals)], normals)
 
@@ -167,32 +178,40 @@ def test_root_closure_matches_per_row_oracle(diagram):
     "diagram",
     sweep_diagrams()
     + [family_diagram("E", n) for n in (6, 7, 8)]
-    + [family_diagram("B", 8), family_diagram("D", 8), family_diagram("I2", 2, k=999)],
+    + [family_diagram("B", 8), family_diagram("D", 8), family_diagram("I2", 2, k=999)]
+    + [_interleaved()],
     ids=lambda d: "+".join(str(t) for t in classify_components(d)),
 )
 def test_closure_permutations_match_rematching(diagram):
-    normals = simple_normals(diagram)
-    rs = root_system(normals)
-    after = np.stack(perms_of_generators(rs, normals))
+    rs = root_system(diagram)
+    after = np.stack(perms_of_generators(rs, simple_normals(diagram)))
     assert rs.perms.dtype == after.dtype
     assert np.array_equal(rs.perms, after)
 
 
 def test_root_closure_collision_matches_per_row_oracle():
-    normals = simple_normals(family_diagram("I2", 2, k=3999))
-    with pytest.raises(ToleranceCollision) as batched:
-        root_system(normals)
-    with pytest.raises(ToleranceCollision) as per_row:
-        _closure_per_row(normals)
-    assert str(batched.value) == str(per_row.value)
+    # I2(3999): the float oracle refuses roots 2 sin(pi / 7998) apart, and
+    # the exact closure sends the root at angle j pi/k to angle 2r + k - j
+    # under the simple reflection whose root is at angle r pi/k
+    k = 3999
+    d = family_diagram("I2", 2, k=k)
+    rs = root_system(d)
+    x, y = rs.roots.T
+    j = np.rint(np.arctan2(y, x) / (np.pi / k)).astype(np.int64) % (2 * k)
+    assert np.array_equal(np.sort(j), np.arange(2 * k))
+    for perm, r in zip(rs.perms, (0, k - 1)):
+        assert np.array_equal(j[perm], (2 * r + k - j) % (2 * k))
+    with pytest.raises(ToleranceCollision, match="distinct roots only"):
+        _closure_per_row(simple_normals(d))
 
 
 def test_root_separation_floor():
-    rs = root_system(simple_normals(parse("x5o3o3o")))
+    # the least angle between two H4 roots is pi/5
+    rs = root_system(parse("x5o3o3o"))
     diffs = rs.roots[:, None, :] - rs.roots[None, :, :]
     d = np.linalg.norm(diffs, axis=2)
     np.fill_diagonal(d, np.inf)
-    assert d.min() >= ROOT_SEPARATION
+    assert d.min() == pytest.approx(2 * np.sin(np.pi / 10), rel=1e-12)
 
 
 def test_matrices_orthogonal_with_unit_determinant(shared):
@@ -413,9 +432,8 @@ def _enumerate_by_dict(d):
     (g -> g s_i), the element indices of the generators and the generator
     permutations.
     """
-    normals = simple_normals(d)
-    roots = root_system(normals)
-    gen_perms = perms_of_generators(roots, normals)
+    roots = root_system(d)
+    gen_perms = perms_of_generators(roots, simple_normals(d))
     ident = np.arange(roots.count, dtype=gen_perms[0].dtype)
     rows = [ident]
     index = {ident.tobytes(): 0}
@@ -503,8 +521,7 @@ def test_group_and_coset_tables_match_dict_oracle(shared, diagram):
 
 
 def _generator_perms(d):
-    normals = simple_normals(d)
-    return perms_of_generators(root_system(normals), normals)
+    return perms_of_generators(root_system(d), simple_normals(d))
 
 
 def test_a1_power_24_has_a_key_space_of_2_to_the_24():

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import constructions_of
+from wythoff import regular
 from wythoff.decoration import f_vector_formula, face_restriction, start_decoration
 from wythoff.diagram import (
     DecoratedDiagram,
@@ -236,6 +237,21 @@ def test_catalog_construction_counts():
     assert canonical_certificate(first_24_cell) == canonical_certificate(parse("x3o4o3o"))
     assert len(cat4["4-hypercube"]) == 5
     assert len(cat4["4-hyperoctahedron"]) == 2
+
+
+def test_catalog_certifies_each_construction_once(monkeypatch):
+    offered = []
+
+    def certificate(d):
+        offered.append(d)
+        return canonical_certificate(d)
+
+    monkeypatch.setattr(regular, "canonical_certificate", certificate)
+    cat = regular_catalog(12)
+    # five constructions from the position table and the 76 box products
+    # (the partitions of 12 into at least two ranks), each certified once
+    assert len(offered) == 5 + 76
+    assert len(cat["12-hypercube"]) == 1 + 76
 
 
 def test_constructions_of_accepts_aliases():
