@@ -30,7 +30,12 @@ class BudgetExceeded(WythoffError):
 
 
 class ToleranceCollision(WythoffError):
-    """Float results disagree with exact counts (a group's order, a vertex audit)."""
+    """A result disagrees with an exact count.
+
+    The group search checks the elements it finds against the order formula
+    in exact integers; DedupCollision checks float vertices against the
+    coset partition within a tolerance.
+    """
 
 
 class DedupCollision(ToleranceCollision):

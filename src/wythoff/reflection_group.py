@@ -29,24 +29,39 @@ is the lexicographic order of the full permutations.  Keys are uint64 and
 the key space is the product of the n orbit sizes: 2^49.4 for A8, 2^63.3
 for E8.  A group whose key space exceeds 2^64 is refused (BudgetExceeded)
 before any per-element array is built.  The keys exist only inside
-enumerate_group: they deduplicate the search and, by ``searchsorted`` in
-the sorted key array, build the Cayley table.
+enumerate_group: a sort of them deduplicates each layer of the search, and
+one more fixes the element order.  No element is looked up by its key.
 
 The enumeration is a breadth-first search by layers, and layer k holds the
-elements of length k.  Every generator s is a reflection (det -1), so
-l(sw) = l(w) +- 1: the products of layer k lie in layer k-1 or layer k+1.
-Only the sorted keys of layer k-1 are searched to drop old elements; the
-new ones are deduplicated among themselves by a sort.  A new element
-w' keeps its first occurrence in generator-major order, s_i w with the least
-i; no other s_i w equals w', so this is the parent and generator an
-element-by-element search in that order finds, whatever the frontier order.
+elements of length k.  Every generator s_i is a reflection, so
+l(s_i w) = l(w) +- 1: s_i w lies in layer k-1 exactly when i is a left
+descent of w, and then w was found as s_i (s_i w).  Each product found,
+s_i w = w', sets lmult[i, w] = w' and, s_i being an involution,
+lmult[i, w'] = w; so once a layer is expanded its row of the left table is
+complete, and an unset entry of the frontier marks an ascent.  Only the
+ascents are keyed: all of them are new, and the equal ones among them are
+found by sorting their keys.  Each layer is numbered in key order.
 
-One Cayley table is kept, right multiplication by the generators (rmult).
-Components of a graph of element (or root) maps are labelled by their
-least member in one routine, _coset_minima.  Over rmult restricted to J it
-labels the left cosets g W_J, the faces of the lattice.  Over the generator
-permutations of the roots it gives the root orbits behind the keys, and
-over the flag moves' ordering table, the components of the orderings.
+One Cayley table is kept, right multiplication by the generators (rmult),
+and it comes from the search with no lookup: w = s_k p, with p a layer
+below w, gives w s_i = s_k (p s_i), the left table read at a right product
+of p, so the right products fill in layer after layer.  With them come the
+right descents: bit i of descents[w] is set when w s_i lies in a lower
+layer, which holds exactly when w(a_i) is a negative root.  Only the images
+of the simple roots are carried through the search; the column of the root
+s_i(a_j) is column a_j of w s_i.
+
+The faces of the lattice are the left cosets g W_J.  Each has exactly one
+element with no right descent in J, its least in length, and every other
+member g has a right descent j in J with g s_j one step shorter in the
+same coset (Humphreys, Reflection Groups and Coxeter Groups, 1.10;
+Bjorner-Brenti 2.4).  coset_table points every element one such step down
+and follows the pointers to that element by pointer jumping.
+
+Components of a graph of root or ordering maps are labelled by their least
+member in one routine, _coset_minima.  Over the generator permutations of
+the roots it gives the root orbits behind the keys, and over the flag
+moves' ordering table, the components of the orderings.
 
 The group depends on the diagram only through its Coxeter matrix, so
 enumerate_group keeps the last group it built, with its coset tables, for
@@ -64,7 +79,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .diagram import DecoratedDiagram, classify_components, group_order
 from .errors import (
     BudgetExceeded,
@@ -79,10 +93,12 @@ KEY_LIMIT = 2**64
 ROW_BLOCK = 8192
 # c^2 = alpha + beta c for c = 2cos(pi/m), m the label > 3 of a component
 _C_SQUARED = {4: (2, 0), 5: (1, 1), 6: (3, 0)}
-# largest group enumerate_group keeps for later calls.  With the coset
-# tables of a full check a group takes 100 to 170 bytes an element (H4,
-# 14400 elements: 2.5 MB), so at most about 5 MB stays held; A7 (40320),
-# B6 (46080) and E6 (51840) are not kept
+# largest group enumerate_group keeps for later calls.  Its own tables take
+# 2 bytes a kept root column, 4 a generator and 1 for the descent bits per
+# element (H4: 41), and each coset table 4 more and 8 a coset; with the
+# tables of a full check that is 75 to 390 bytes an element (H4 all ringed:
+# 2.0 MB), so at most about 9 MB stays held (D6 all ringed, 64 tables);
+# A7 (40320), B6 (46080) and E6 (51840) are not kept
 HOLD_LIMIT = 32_768
 
 
@@ -216,10 +232,10 @@ class CosetTable:
 
     coset_id maps element index -> coset number; reps[c] is the coset's
     minimal element index, its lexicographically minimal permutation (the
-    canonical representative).  The coset g W_J is the connected component
-    of g under right multiplication by the s_j, j in J, labelled with its
-    least member by _coset_minima; cosets are numbered in increasing order
-    of their representatives, so coset 0 is W_J itself.
+    canonical representative).  Every element of the coset g W_J reaches
+    the coset's shortest element by right descents in J (Group.coset_table);
+    cosets are numbered in increasing order of their representatives, so
+    coset 0 is W_J itself.
     """
 
     coset_id: np.ndarray
@@ -241,19 +257,23 @@ class Group:
     the full permutation rows.  The simple roots are roots.roots[:n_gens].
     rmult[i] maps each element g to g s_i, the one Cayley table kept:
     (g s_i)(a) = g(s_i a).  The generators themselves are rmult[:, 0].
-    Joining g to g s_j for j in J gives the left cosets g W_J (coset_table).
-    No element keys or words are kept: the keys and the search tree exist
-    only inside enumerate_group.  coxeter is the Coxeter matrix in node
-    order, which fixes the group and its element numbering.
+    descents[g] holds g's right descents as bits: bit i is set when
+    l(g s_i) < l(g), that is when g(a_i) is a negative root, in the least
+    unsigned dtype with n_gens bits.  Following right descents in J from g
+    leads to the shortest element of g W_J (coset_table).  No element keys
+    or words are kept: the keys and the search tree exist only inside
+    enumerate_group.  coxeter is the Coxeter matrix in node order, which
+    fixes the group and its element numbering.
     """
 
-    def __init__(self, coxeter, roots, perms, rmult):
-        for a in (coxeter, roots.roots, roots.perms, perms, rmult):
+    def __init__(self, coxeter, roots, perms, rmult, descents):
+        for a in (coxeter, roots.roots, roots.perms, perms, rmult, descents):
             a.setflags(write=False)
         self.coxeter = coxeter
         self.roots = roots
         self.perms = perms
         self.rmult = rmult
+        self.descents = descents
         self.n_gens = len(rmult)
         self._cosets: dict = {}
 
@@ -268,8 +288,22 @@ class Group:
         table = self._cosets.get(key)
         if table is not None:
             return table
-        label = _coset_minima(self.order, list(self.rmult[sorted(key)]))
-        is_rep = label == np.arange(self.order)
+        # every element points one step down its coset, at g s_j for a right
+        # descent j in J; pointer jumping reaches the coset's one element
+        # with no descent in J, and the coset's least index is read there
+        index = np.arange(self.order, dtype=np.int32)
+        ptr = index
+        for j in sorted(key):
+            ptr = np.where(self.descents & (1 << j), self.rmult[j], ptr)
+        while True:
+            nxt = ptr[ptr]
+            if np.array_equal(nxt, ptr):
+                break
+            ptr = nxt
+        least = index.copy()
+        np.minimum.at(least, ptr, index)
+        label = least[ptr]
+        is_rep = label == index
         coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
         table = CosetTable(coset_id, np.flatnonzero(is_rep))
         for a in (coset_id, table.reps):
@@ -295,11 +329,10 @@ class Group:
 def _coset_minima(count: int, tables: list) -> np.ndarray:
     """Least member of each component of the graph x -- t[x] on 0..count-1.
 
-    With the rows of rmult for the generators in J the components are the
-    left cosets x W_J (coset_table); with the generator permutations of the
-    roots they are the root orbits (key_layout); with the columns of the
-    flag moves' ordering table they are the components of the graph of
-    selection orderings (face_lattice._flags_connected).  Each table must
+    With the generator permutations of the roots the components are the
+    root orbits (key_layout); with the columns of the flag moves' ordering
+    table they are the components of the graph of selection orderings
+    (face_lattice._flags_connected).  Each table must
     be a permutation, so that every edge lies on a cycle of t and the least
     label of a cycle is hooked along it.  They are found by hooking
     and pointer jumping: each round hooks the root of x's tree onto the
@@ -347,18 +380,6 @@ def key_layout(gen_perms) -> np.ndarray:
     return places[:, None] * digit
 
 
-def _row_keys(key_table: np.ndarray, rows: np.ndarray, cols=None) -> np.ndarray:
-    """uint64 keys of rows whose image of a_j sits in column cols[j] (default j).
-
-    Accumulated column by column, so no (rows, n) array of key terms is built.
-    """
-    cols = range(len(key_table)) if cols is None else cols
-    keys = key_table[0][rows[:, cols[0]]]
-    for j in range(1, len(key_table)):
-        keys += key_table[j][rows[:, cols[j]]]
-    return keys
-
-
 # the last group enumerate_group built, if within HOLD_LIMIT, keyed by its
 # Coxeter matrix's bytes
 _held: dict[bytes, Group] = {}
@@ -372,7 +393,8 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     callers fall back to formula-based counting.  The last group built, if
     it has at most HOLD_LIMIT elements, is returned again for the same
     Coxeter matrix in node order (element numbering follows node order),
-    whatever the marks.
+    whatever the marks.  ToleranceCollision if the search does not find
+    exactly the formula's number of elements.
     """
     budget = enumeration_budget()
     expected = group_order(d)
@@ -390,80 +412,97 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     gens = roots.perms
     n = d.rank
     key_table = key_layout(gens)
-    # gen_table[i, j, a]: key term of s_i w for an element w with w(a_j) = a
-    gen_table = key_table[np.arange(n)[:, None], gens[:, None, :]]
-    # the search holds each layer's images of the simple roots only; full
-    # rows are filled in afterwards, in element order
-    frontier = np.arange(n, dtype=gens.dtype)[None, :]
-    here = _row_keys(key_table, frontier)   # keys of the frontier, which is kept sorted
-    below = here[:0]                        # sorted keys of the layer before it
-    sizes, keys, parents, gens_of = [1], [here], [], []
-    total, offset = 1, 0
-    while len(frontier):
-        cand = gen_table[:, 0, frontier[:, 0]]
+    count = gens.shape[1]
+    # at i * count + a: moves holds s_i(a), and tables[j] the key term of
+    # s_i w for an element w with w(a_j) = a
+    moves = gens.ravel()
+    tables = [row[gens].ravel() for row in key_table]
+    # the search, in search numbering: layer after layer, each in key order.
+    # simple holds the images of the simple roots, lmult[i, w] is s_i w
+    # (-1 until found) and w = s_(gen_of[w]) parent[w]
+    simple = np.empty((expected, n), dtype=gens.dtype)
+    keys = np.empty(expected, dtype=np.uint64)
+    lmult = np.full((n, expected), -1, dtype=np.int32)
+    parent = np.empty(expected, dtype=np.int32)
+    gen_of = np.empty(expected, dtype=np.int8)
+    simple[0] = np.arange(n)
+    keys[0] = key_table[np.arange(n), np.arange(n)].sum()
+    bounds = [0, 1]
+    while bounds[-1] > bounds[-2]:
+        lo, hi = bounds[-2:]
+        # s_i w lies a layer down exactly when it reached w by s_i, which
+        # set lmult[i, w]; the other products are all new, and the equal
+        # ones among them are found by sorting their keys
+        gen, src = np.divmod((lmult[:, lo:hi] < 0).ravel().nonzero()[0], hi - lo)
+        src += lo
+        rows, base = simple[src], gen * count
+        cand = tables[0][base + rows[:, 0]]
         for j in range(1, n):
-            cand += gen_table[:, j, frontier[:, j]]
-        # distinct candidates in key order, each at its first position
-        cand = cand.ravel()
-        by_key = np.argsort(cand)
+            cand += tables[j][base + rows[:, j]]
+        by_key = cand.argsort()
         cand = cand[by_key]
-        step = np.ones(len(cand), dtype=bool)
-        step[1:] = cand[1:] != cand[:-1]
-        starts = np.flatnonzero(step)
-        uniq, first = cand[starts], np.minimum.reduceat(by_key, starts)
-        pos = np.searchsorted(below, uniq)
-        new = ~_kernels.found_at(below, uniq, pos)
-        gen, src = np.divmod(first[new], len(frontier))
-        if total + len(gen) > budget:
-            raise BudgetExceeded("enumeration exceeded budget %d" % budget)
-        nxt = gens[gen[:, None], frontier[src]]
-        sizes.append(len(nxt))
-        parents.append((offset + src).astype(np.int32))
-        gens_of.append(gen.astype(np.int8))
-        total += len(nxt)
-        offset += len(frontier)
-        below, here, frontier = here, uniq[new], nxt
-        keys.append(here)
+        step = np.empty(len(cand), dtype=bool)
+        step[:1] = True
+        np.not_equal(cand[1:], cand[:-1], out=step[1:])
+        heads = step.nonzero()[0]
+        top = hi + len(heads)
+        bounds.append(top)
+        if top > expected:
+            break
+        ids = step.cumsum(dtype=np.int32)
+        ids += hi - 1
+        gen_k, src_k = gen[by_key], src[by_key]
+        lmult[gen_k, src_k] = ids
+        lmult[gen_k, ids] = src_k
+        first = by_key[heads]
+        parent[hi:top] = src[first]
+        gen_of[hi:top] = gen[first]
+        keys[hi:top] = cand[heads]
+        simple[hi:top] = moves[base[first, None] + rows[first]]
+    total = bounds[-1]
     if total != expected:
         raise ToleranceCollision(
             "enumerated %d elements, formula says %d" % (total, expected)
         )
-    # reindex so element order is key order (= lex order of the rows)
-    keys = np.concatenate(keys)
+    # g = s_k p gives g s_i = s_k (p s_i): each layer's right products are
+    # read off the layer before it through lmult
+    rmult = np.empty((n, total), dtype=np.int32)
+    rmult[:, 0] = lmult[:, 0]
+    flat = lmult.ravel()
+    for lo, hi in itertools.pairwise(bounds[1:-1]):
+        rmult[:, lo:hi] = flat[gen_of[lo:hi] * np.int64(total) + rmult[:, parent[lo:hi]]]
+    del lmult, flat, parent, gen_of
+    # bit i: g s_i lies in a lower layer, which ends where g's layer starts
+    start = np.repeat(np.array(bounds[:-2], dtype=np.int32), np.diff(bounds[:-1]))
+    descents = np.zeros(total, dtype=np.min_scalar_type(2**n - 1))
+    for i, row in enumerate(rmult):
+        descents |= (row < start).astype(descents.dtype) << i
+    del start
+    # renumber so element order is key order (= lex order of the rows)
     order = np.argsort(keys)
-    keys = keys[order]
-    inv = np.empty(total, dtype=np.int32)
-    inv[order] = np.arange(total, dtype=np.int32)
+    del keys
+    identity = np.arange(total, dtype=np.int32)
+    inv = np.empty_like(identity)
+    inv[order] = identity
+    for i, row in enumerate(rmult):
+        row[:] = inv[row[order]]
+        if not np.array_equal(row[row], identity):
+            raise ToleranceCollision("right multiplication by s_%d is not an involution" % i)
+    del inv, identity
+    descents, simple = descents[order], simple[order]
     del order
-    assert inv[0] == 0
     # the kept columns are the simple roots and their images under the
     # generators, which the root closure lists first: roots 0..kept-1.
-    # w = s_i p sends root c to s_i(p(c)), so its row is s_i applied to the
-    # row of p, one layer before it, column by column; the search tree is
-    # read one layer at a time and dropped
+    # (g s_i)(a_j) = g(s_i a_j), so root s_i(a_j)'s column is column a_j
+    # of g s_i
     kept = int(gens[:, :n].max()) + 1
     perms = np.empty((total, kept), dtype=gens.dtype)
-    perms[0] = np.arange(kept)
-    layers = zip(itertools.pairwise(np.cumsum(sizes)), parents, gens_of)
-    for (lo, hi), parent, gen in layers:
-        idx, parent = inv[lo:hi], inv[parent]
-        for i, gp in enumerate(gens):
-            sel = gen == i
-            perms[idx[sel]] = np.take(gp, perms[parent[sel]])
-    del inv, parents, gens_of
-    # rmult by blocks of rows, which stay in cache while every generator
-    # reads them; row g s_i reads g's row at the columns s_i sends the
-    # simple roots to, and its key is looked up among the sorted keys
-    rmult = np.empty((n, total), dtype=np.int32)
-    for lo in range(0, total, ROW_BLOCK):
-        rows = perms[lo : lo + ROW_BLOCK]
-        for i, gp in enumerate(gens):
-            want = _row_keys(key_table, rows, gp)
-            pos = np.searchsorted(keys, want)
-            if not _kernels.found_at(keys, want, pos).all():
-                raise KeyError("permutation is not a group element")
-            rmult[i, lo : lo + len(rows)] = pos
-    group = Group(coxeter, roots, perms, rmult)
+    perms[:, :n] = simple
+    del simple
+    for c in range(n, kept):
+        i, j = np.argwhere(gens[:, :n] == c)[0]
+        perms[:, c] = perms[rmult[i], j]
+    group = Group(coxeter, roots, perms, rmult, descents)
     if expected <= HOLD_LIMIT:
         _held[key] = group
     return group

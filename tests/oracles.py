@@ -17,7 +17,10 @@ face_rank, the rank of every face id.  The group keeps only the root
 columns the library reads and no words; full_rows
 rebuilds every column along a search tree of rmult, word and walk give
 words and products along that tree, and element_index, compose and inverse
-multiply by composing permutation rows.  The minimum separation by a walk
+multiply by composing permutation rows.  rmult_by_key_lookup (each g s_i
+found by its element key) and coset_table_by_hooking (the components of
+rmult restricted to J, by _coset_minima) are the group tables' routes
+before the library read them off the search and its descent bits.  The minimum separation by a walk
 along one sorted projection is the point kernel's route before its cell
 grid.  The cover pairs and the face-vertex lists by np.unique, and the
 affine rank check with one SVD per face, are the routes before
@@ -40,7 +43,7 @@ from wythoff.decoration import ACTIVE, Decoration, _select
 from wythoff.errors import ToleranceCollision, UnknownName, WythoffError
 from wythoff.face_lattice import DiamondReport, FaceLattice, FlagReport, _walk_code
 from wythoff.geometry import AFFINE_RANK_TOL, CheckReport
-from wythoff.reflection_group import RootSystem, gram_matrix
+from wythoff.reflection_group import CosetTable, RootSystem, _coset_minima, gram_matrix, key_layout
 from wythoff.regular import canonical_name, known_f_vector, polygon_name, regular_catalog
 
 # the float root oracles' own tolerances: reflected roots match within
@@ -206,6 +209,51 @@ def perms_of_generators(roots: RootSystem, normals: np.ndarray) -> list[np.ndarr
             raise ToleranceCollision("root reflection is not a permutation")
         out.append(perm)
     return out
+
+
+def _row_keys(key_table: np.ndarray, rows: np.ndarray, cols=None) -> np.ndarray:
+    """uint64 keys of rows whose image of a_j sits in column cols[j] (default j).
+
+    Accumulated column by column, so no (rows, n) array of key terms is built.
+    """
+    cols = range(len(key_table)) if cols is None else cols
+    keys = key_table[0][rows[:, cols[0]]]
+    for j in range(1, len(key_table)):
+        keys += key_table[j][rows[:, cols[j]]]
+    return keys
+
+
+def rmult_by_key_lookup(g) -> np.ndarray:
+    """rmult with every g s_i looked up by its key; KeyError if one is missing.
+
+    The element keys of the library's key_layout, read off g.perms, are
+    sorted in element order.  Row g s_i reads g's row at the columns s_i
+    sends the simple roots to, and its key is searched among them.
+    """
+    gens = g.roots.perms
+    key_table = key_layout(gens)
+    keys = _row_keys(key_table, g.perms)
+    assert (keys[1:] > keys[:-1]).all(), "elements are not in key order"
+    rmult = np.empty((g.n_gens, g.order), dtype=np.int32)
+    for i, gp in enumerate(gens):
+        want = _row_keys(key_table, g.perms, gp)
+        pos = np.searchsorted(keys, want)
+        if not _kernels.found_at(keys, want, pos).all():
+            raise KeyError("permutation is not a group element")
+        rmult[i] = pos
+    return rmult
+
+
+def coset_table_by_hooking(g, nodes) -> CosetTable:
+    """The left cosets g W_J as the components of g -- g s_j, j in J, over rmult.
+
+    Each component is labelled with its least member by _coset_minima's
+    hooking rounds over all |G| elements, and numbered in order of it.
+    """
+    label = _coset_minima(g.order, list(g.rmult[sorted(nodes)]))
+    is_rep = label == np.arange(g.order)
+    coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
+    return CosetTable(coset_id, np.flatnonzero(is_rep))
 
 
 def flag_rows(lat: FaceLattice) -> np.ndarray:

@@ -1,8 +1,19 @@
 """Shared diagram sweep for the structural test batteries."""
 
+import importlib.util
 from itertools import chain, combinations
+from pathlib import Path
 
 from wythoff.diagram import disjoint_union, family_diagram, parse
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def sweep_diagrams():

@@ -333,7 +333,7 @@ def test_vertices_builds_the_edge_lists_only(monkeypatch, capsys):
 
 
 # per-element arrays of the group: one entry per element of W
-ELEMENT_ARRAYS = {"coset_id", "rmult", "subgroup"}
+ELEMENT_ARRAYS = {"coset_id", "descents", "rmult", "subgroup"}
 
 
 def _element_array_readers(source: str) -> set:

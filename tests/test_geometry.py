@@ -1,13 +1,11 @@
 import copy
-import importlib.util
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sweep import decorated_variants, sweep_diagrams, sweep_products
+from sweep import benchmark_workloads, decorated_variants, sweep_diagrams, sweep_products
 from wythoff import geometry
 from wythoff._kernels import match_rows, min_pairwise_distance
 from wythoff.diagram import disjoint_union, family_diagram, parse
@@ -269,19 +267,10 @@ def test_audit_reaches_the_last_partial_block(shared, monkeypatch):
         realize(lat)
 
 
-def _benchmark_workloads():
-    """The benchmark's workload module, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_shortest_edge_is_the_closest_pair(shared):
     # realize reads the separation off the edges; the cell-grid search over
     # all vertices is the independent route, and the two agree to the bit
-    wl = _benchmark_workloads()
+    wl = benchmark_workloads()
     texts = wl.sweep_items(1) + sorted(wl.KNOWN_DEFECTS_I2) + list(wl.ORBIT_ITEMS)
     texts += wl.big_group_items() + ["x3x3x3x3x3x", "x5o3o3o"]
     for text in dict.fromkeys(texts):

@@ -314,3 +314,47 @@ def test_the_kernel_scan_sees_references_and_not_text():
 def test_group_layer_references_no_point_kernel():
     path = Path(__file__).resolve().parents[1] / "src" / "wythoff" / "reflection_group.py"
     assert _point_kernel_references(path.read_text("utf-8")) == []
+
+
+# the group layer's one dedup is the sort of each search layer: no element
+# is looked up after it, and no coset is labelled by hooking rounds
+GROUP_LOOKUPS = {"searchsorted", "found_at", "_coset_minima"}
+
+
+def _lookup_references(source: str, scope: str) -> list:
+    """(line, name) of every lookup referenced in one function, "f" or "Class.f"."""
+    *owners, name = scope.split(".")
+    body = ast.parse(source).body
+    for owner in owners:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == owner).body
+    func = next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Attribute) and node.attr in GROUP_LOOKUPS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in GROUP_LOOKUPS:
+            found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+def test_the_lookup_scan_reads_only_the_named_function():
+    source = (
+        "def enumerate_group(d):\n"
+        '    """searchsorted in a docstring."""\n'
+        "    pos = np.searchsorted(keys, want)  # found_at in a comment\n"
+        "    return _kernels.found_at(keys, want, pos)\n"
+        "class Group:\n"
+        "    def coset_table(self, nodes):\n"
+        "        return _coset_minima(self.order, tables)\n"
+        "def key_layout(perms):\n"
+        "    return _coset_minima(len(perms[0]), list(perms))\n"
+    )
+    assert _lookup_references(source, "enumerate_group") == [(3, "searchsorted"), (4, "found_at")]
+    assert _lookup_references(source, "Group.coset_table") == [(7, "_coset_minima")]
+
+
+def test_the_group_tables_come_from_the_search_without_a_lookup():
+    path = Path(__file__).resolve().parents[1] / "src" / "wythoff" / "reflection_group.py"
+    source = path.read_text("utf-8")
+    assert _lookup_references(source, "enumerate_group") == []
+    assert _lookup_references(source, "Group.coset_table") == []

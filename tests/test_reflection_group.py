@@ -1,4 +1,5 @@
 import gc
+import random
 import tracemalloc
 import weakref
 from itertools import combinations
@@ -12,19 +13,22 @@ from oracles import (
     ROOT_MATCH_TOL,
     ROOT_SEPARATION,
     compose,
+    coset_table_by_hooking,
     element_index,
     full_rows,
     group_matrices,
     inverse,
     perms_of_generators,
     reflection_count,
+    rmult_by_key_lookup,
     walk,
     word,
 )
-from sweep import sweep_diagrams, sweep_products
+from sweep import benchmark_workloads, decorated_variants, sweep_diagrams, sweep_products
 from wythoff import reflection_group
 from wythoff._kernels import match_rows, min_pairwise_distance
 from wythoff.cli import main
+from wythoff.decoration import decoration_from_selection, start_decoration, valid_selection_sets
 from wythoff.diagram import (
     DecoratedDiagram,
     classify_components,
@@ -36,7 +40,9 @@ from wythoff.diagram import (
 )
 from wythoff.errors import BudgetExceeded, SubgroupNotContained, ToleranceCollision
 from wythoff.face_lattice import build_lattice
+from wythoff.geometry import wythoff_point
 from wythoff.reflection_group import (
+    coxeter_matrix,
     enumerate_group,
     gram_matrix,
     key_layout,
@@ -270,10 +276,11 @@ def test_parabolic_subgroup_orders(shared):
 
 
 def test_enumeration_peak_stays_near_the_kept_tables(shared):
-    # B6: perms (18 int16 columns) and rmult (6 int32 rows) are kept; the
-    # search tree and the reindexing are dropped before rmult is filled, so
-    # only the sorted keys (8 bytes an element) and one block of lookups
-    # remain beside them
+    # B6: perms (18 int16 columns) and rmult (6 int32 rows) are kept.  The
+    # peak is where rmult is read off the left table: both tables (24 bytes
+    # an element each), the search's simple-root rows, keys and tree (12, 8
+    # and 5) are held then, and the left table is dropped before perms is
+    # filled
     d = parse("x4o3o3o3o3o")
     warm = shared.group(d)
     reflection_group._held.clear()  # else the call below returns the held group
@@ -289,7 +296,7 @@ def test_enumeration_peak_stays_near_the_kept_tables(shared):
 
 def _group_arrays(g):
     tables = [g.coset_table(nodes) for nodes in ({0}, {0, 1}, {1, 2})]
-    return [g.coxeter, g.roots.roots, g.roots.perms, g.perms, g.rmult] + [
+    return [g.coxeter, g.roots.roots, g.roots.perms, g.perms, g.rmult, g.descents] + [
         a for t in tables for a in (t.coset_id, t.reps)
     ]
 
@@ -524,12 +531,16 @@ def _generator_perms(d):
     return perms_of_generators(root_system(d), simple_normals(d))
 
 
+def _a1_power(k):
+    d = parse("x")
+    for _ in range(k - 1):
+        d = disjoint_union(d, parse("x"))
+    return d
+
+
 def test_a1_power_24_has_a_key_space_of_2_to_the_24():
     # A1^24: 24 orbits {a_j, -a_j}, so one binary digit per simple root
-    d = parse("x")
-    for _ in range(23):
-        d = disjoint_union(d, parse("x"))
-    table = key_layout(_generator_perms(d))
+    table = key_layout(_generator_perms(_a1_power(24)))
     cols = np.arange(24)
     # the root list is the simple roots, then their negatives in order: the
     # identity has the least key and -1, the longest element, the greatest
@@ -594,3 +605,89 @@ def test_walks_multiply_like_permutation_rows(shared, diagram):
     for h in rng.integers(0, g.order, size=3).tolist():
         by_rows = [element_index(g, row) for row in rows[:, rows[h]]]
         assert np.array_equal(walk(g, np.arange(g.order), word(g, h)), by_rows)
+
+
+def _stabilizers(d):
+    """Node sets of the stabilizers of every decoration reached from d's start."""
+    start = start_decoration(d)
+    return {
+        frozenset(decoration_from_selection(start, sel).stabilizer_nodes())
+        for k in range(d.rank + 1)
+        for sel in valid_selection_sets(start, k)
+    }
+
+
+def _table_matrices():
+    """The decorations of each Coxeter matrix the group tables are compared on.
+
+    The groups of the benchmark's seed-1 sweep, orbit and big_group items;
+    x3x3x3x3x3x, B7, A8, I2(999) and I2(3999); every ring set of D6, D7,
+    F4, H3 and E6; and (A1)^14.
+    """
+    wl = benchmark_workloads()
+    texts = wl.sweep_items(1) + list(wl.ORBIT_ITEMS) + wl.big_group_items()
+    texts += ["x3x3x3x3x3x", "x4o3o3o3o3o3o", "x3o3o3o3o3o3o3o", "x999x", "x3999o"]
+    diagrams = [parse(t) for t in texts]
+    for family, n in (("D", 6), ("D", 7), ("F", 4), ("H", 3), ("E", 6)):
+        diagrams += decorated_variants(family_diagram(family, n))
+    diagrams.append(_a1_power(14))
+    by_matrix = {}
+    for d in diagrams:
+        by_matrix.setdefault(coxeter_matrix(d).tobytes(), []).append(d)
+    return list(by_matrix.values())
+
+
+@pytest.mark.parametrize(
+    "decorations",
+    _table_matrices(),
+    ids=lambda ds: "+".join(str(t) for t in classify_components(ds[0])),
+)
+def test_group_tables_match_the_lookup_and_hooking_routes(decorations):
+    # rmult read off the search equals every g s_i looked up by its key, and
+    # each coset table by descent pointers equals the components of rmult
+    # restricted to J; on every stabilizer, the trivial group and W itself
+    d = decorations[0]
+    g = enumerate_group(d)
+    assert _same(g.rmult, rmult_by_key_lookup(g))
+    nodes = sorted(set().union(*map(_stabilizers, decorations)), key=sorted)
+    if len(nodes) > 256:
+        # (A1)^14 reaches all 2^14 node sets; a seeded sample keeps the run short
+        nodes = random.Random(14).sample(nodes, 256)
+    nodes = set(nodes) | {frozenset(), frozenset(range(d.rank))}
+    for J in sorted(nodes, key=sorted):
+        table, want = g.coset_table(J), coset_table_by_hooking(g, J)
+        assert _same(table.coset_id, want.coset_id), sorted(J)
+        assert _same(table.reps, want.reps), sorted(J)
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    sweep_diagrams() + sweep_products() + [_a1_power(9)],
+    ids=lambda d: "+".join(str(t) for t in classify_components(d)),
+)
+def test_descent_bits_mark_the_negative_simple_images(shared, diagram):
+    # bit i of g: g(a_i) is a negative root, one on the far side of a point
+    # inside the fundamental chamber, the base point of the all-ringed diagram
+    g = shared.group(diagram)
+    n = g.n_gens
+    inside = wythoff_point(diagram.with_marks((1,) * n))
+    height = g.roots.roots @ inside
+    assert np.abs(height).min() > 1e-9
+    bits = (g.descents[:, None] >> np.arange(n, dtype=g.descents.dtype)) & 1
+    assert np.array_equal(bits == 1, height[g.perms[:, :n]] < 0)
+    assert g.descents.dtype == (np.uint8 if n <= 8 else np.uint16)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_an_order_formula_off_by_one_is_an_order_mismatch(monkeypatch, capsys, shift):
+    # one element short, the last layer overflows the preallocated tables;
+    # one over, the search ends early.  Both are domain errors, so the cli
+    # reports them and exits 1
+    d = parse("x4o3o")
+    formula = group_order(d) + shift
+    monkeypatch.setattr(reflection_group, "group_order", lambda _: formula)
+    reflection_group._held.clear()
+    with pytest.raises(ToleranceCollision, match="enumerated 48 elements, formula says %d" % formula):
+        enumerate_group(d)
+    assert main(["check", "x4o3o"]) == 1
+    assert "formula says %d" % formula in capsys.readouterr().err
