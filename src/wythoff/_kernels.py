@@ -33,12 +33,11 @@ projection, a delta far above the answer, or a side raised so that the cell
 keys fit in int64.  Those rows are compared pairwise, O(V^2) like a full
 distance matrix, in memory bounded by _BLOCK pairs at a time.
 
-sorted_unique is the one integer dedup: np.sort, then a mask of the rows
-that differ from their predecessor.  It returns what np.unique returns on
-integer keys.  np.unique (and np.intersect1d, which calls it) builds a hash
-set before it sorts, several times the cost of the sort alone on the
-coset-pair keys of face_lattice.coset_pairs.  found_at is the one test of
-membership in such sorted keys, read at their searchsorted positions.
+found_at is the one test of membership in sorted integer keys, read at
+their searchsorted positions.  The library calls no numpy dedup:
+np.unique (and np.intersect1d, which calls it) builds a hash set before it
+sorts, and face_lattice.coset_pairs needs no dedup, since it keys one
+element of each coset pair.
 """
 
 import functools
@@ -69,14 +68,6 @@ def _forward_offsets(r):
     offsets = offsets.reshape(3**r, r)[3**r // 2 :]
     offsets.setflags(write=False)
     return offsets
-
-
-def sorted_unique(keys):
-    """The distinct values of an integer array, sorted: np.unique(keys)."""
-    keys = np.sort(keys, axis=None)
-    keep = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
 
 
 def found_at(sorted_keys, keys, pos):

@@ -4,13 +4,17 @@ A rank-k face is a left coset of the face stabilizer W_J, J the nodes not
 valued 1 in its rank-k decoration.  Each slot keeps one selection, its
 node set J and the coset table of W_J, whose cosets are its faces.  Faces
 of consecutive rank are in a cover relation exactly when their selections
-nest and their cosets intersect (coset_pairs).  The whole-polytope face
-(all nodes selected, a single coset) serves as the top of the lattice; a
-synthetic bottom sits below the vertices.  The covers are kept by nested
-slot pair (cover_blocks) and built when first read, so a lattice used
-only for its f-vector never builds them; their flat id pairs (covers) are
-built only when read, and so are each slot's face vertex lists
-(face_vertices).
+nest and their cosets intersect (coset_pairs).  The meeting pairs of two
+slots are in bijection with the cosets of W_K, K the nodes both slots
+share (W_A n W_B = W_(A n B), Humphreys 5.5), and each such coset has
+exactly one element with no right descent in K (Humphreys 1.10;
+Bjorner-Brenti 2.4), so coset_pairs reads only those |G| / |W_K|
+elements.  The whole-polytope face (all nodes selected, a single coset)
+serves as the top of the lattice; a synthetic bottom sits below the
+vertices.  The covers are kept by nested slot pair (cover_blocks) and
+built when first read, so a lattice used only for its f-vector never
+builds them; their flat id pairs (covers) are built only when read, and
+so are each slot's face vertex lists (face_vertices).
 
 Flags are maximal chains.  They factor exactly as (selection ordering c,
 group element g), and the group acts on them by left translation of g
@@ -36,7 +40,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from ._kernels import found_at, sorted_unique
+from ._kernels import found_at
 from .decoration import (
     face_types,
     require_nondegenerate,
@@ -105,7 +109,7 @@ class FaceLattice:
             for lo in self.slots_by_rank[k]:
                 for hi in self.slots_by_rank[k + 1]:
                     if lo.selection < hi.selection:
-                        i, j = np.divmod(coset_pairs(lo.table, hi.table), hi.count)
+                        i, j = np.divmod(coset_pairs(self.group, lo, hi), hi.count)
                         blocks.append((lo, hi, i, j))
         return blocks
 
@@ -126,10 +130,10 @@ class FaceLattice:
         Each slot's lists are built on their first read, so a reader of one
         rank (realize reads the edges) builds only that rank's.
         """
-        vt = self.slots_by_rank[0][0].table
+        vs = self.slots_by_rank[0][0]
 
         def face_vertices(s):
-            face, vertex = np.divmod(coset_pairs(s.table, vt), vt.count)
+            face, vertex = np.divmod(coset_pairs(self.group, s, vs), vs.count)
             counts = np.bincount(face, minlength=s.count)
             m = int(counts[0])
             if not np.all(counts == m):
@@ -192,14 +196,26 @@ def build_lattice(d: DecoratedDiagram, group: Group | None = None) -> FaceLattic
     return FaceLattice(d, start, group, slots_by_rank)
 
 
-def coset_pairs(a, b) -> np.ndarray:
+def coset_pairs(group: Group, a: Slot, b: Slot) -> np.ndarray:
     """Sorted keys i * b.count + j of the cosets i of a and j of b that meet.
 
-    a and b are coset tables of one group; cosets meet exactly when they
-    share an element, so one key per element, deduplicated, lists every
-    meeting pair.  Faces are cosets, so this is the one incidence rule.
+    Faces are cosets, so this is the one incidence rule.  Cosets g W_A and
+    h W_B meet exactly when they share an element x, and W_A n W_B = W_K
+    for K = A n B (Humphreys, Reflection Groups and Coxeter Groups, 5.5),
+    so x W_K -> (x W_A, x W_B) is a bijection from the cosets of W_K onto
+    the meeting pairs.  Each coset of W_K has exactly one element with no
+    right descent in K (Humphreys 1.10; Bjorner-Brenti 2.4), so those
+    elements give every pair once, and no two give the same key; equal
+    keys mean the coset tables disagree with the descent bits, and raise
+    WythoffError.
     """
-    return sorted_unique(a.coset_id.astype(np.int64) * b.count + b.coset_id)
+    mask = sum(1 << v for v in a.nodes & b.nodes)
+    reps = np.flatnonzero((group.descents & mask) == 0)
+    keys = a.table.coset_id[reps].astype(np.int64) * b.count + b.table.coset_id[reps]
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        raise WythoffError("two minimal coset representatives give one coset pair")
+    return keys
 
 
 def euler_ok(lat: FaceLattice) -> bool:

@@ -9,12 +9,10 @@ this layer rests on a tolerance: roots, elements and cosets are all
 deduplicated as exact integers, and the float roots are only carried along
 for the points of the geometry layer.
 
-An element w is kept as its images of a few roots only, the columns
-C = {a_j} u {s_i a_j}, which the root closure lists first.  The images of
-the simple roots a_j fix w: it is linear and the simple roots are a basis.
-The images of the roots s_i(a_j) are the images of the simple roots under
-w s_i, which is all right multiplication needs.  C is 18 of 72 roots on B6
-and 21 of 98 on B7; no per-element array of every root is built.
+An element w is kept as its images of the n simple roots a_j only.  These
+fix w, since w is linear and the simple roots are a basis.  The geometry
+layer reads its point images off them, and right multiplication comes from
+the search (rmult), so no per-element array of any other root is built.
 
 Elements are found as whole arrays, keyed by their images of the n simple
 roots.  The image w(a_j) lies in the W-orbit of a_j, so it is written as
@@ -48,8 +46,8 @@ below w, gives w s_i = s_k (p s_i), the left table read at a right product
 of p, so the right products fill in layer after layer.  With them come the
 right descents: bit i of descents[w] is set when w s_i lies in a lower
 layer, which holds exactly when w(a_i) is a negative root.  Only the images
-of the simple roots are carried through the search; the column of the root
-s_i(a_j) is column a_j of w s_i.
+of the simple roots are carried through the search, and they are the only
+root images kept.
 
 The faces of the lattice are the left cosets g W_J.  Each has exactly one
 element with no right descent in J, its least in length, and every other
@@ -94,11 +92,12 @@ ROW_BLOCK = 8192
 # c^2 = alpha + beta c for c = 2cos(pi/m), m the label > 3 of a component
 _C_SQUARED = {4: (2, 0), 5: (1, 1), 6: (3, 0)}
 # largest group enumerate_group keeps for later calls.  Its own tables take
-# 2 bytes a kept root column, 4 a generator and 1 for the descent bits per
-# element (H4: 41), and each coset table 4 more and 8 a coset; with the
-# tables of a full check that is 75 to 390 bytes an element (H4 all ringed:
-# 2.0 MB), so at most about 9 MB stays held (D6 all ringed, 64 tables);
-# A7 (40320), B6 (46080) and E6 (51840) are not kept
+# 2 bytes a simple root, 4 a generator and 1 for the descent bits per
+# element (H4: 25), and each coset table 4 more and 8 a coset; with the
+# tables of one decoration's lattice that is 27 to 368 bytes an element
+# over the sweep families (H4 all ringed: 1.8 MB), so at most about 8.5 MB
+# stays held (D6 all ringed, 64 tables); A7 (40320), B6 (46080) and E6
+# (51840) are not kept
 HOLD_LIMIT = 32_768
 
 
@@ -251,10 +250,9 @@ class Group:
 
     Element indices are assigned in lexicographic order of the permutations
     of the root list, so index 0 is the identity and coset minima are
-    canonical.  perms[g, c] is the index of g(root c) for the roots the
-    library reads: the simple roots and their images under the generators,
-    which the root closure lists first, so perms holds the first columns of
-    the full permutation rows.  The simple roots are roots.roots[:n_gens].
+    canonical.  perms[g, j] is the index of g(a_j) for the simple roots
+    a_j = roots.roots[j], j < n_gens, which the root closure lists first,
+    so perms holds the first n_gens columns of the full permutation rows.
     rmult[i] maps each element g to g s_i, the one Cayley table kept:
     (g s_i)(a) = g(s_i a).  The generators themselves are rmult[:, 0].
     descents[g] holds g's right descents as bits: bit i is set when
@@ -489,19 +487,8 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
         if not np.array_equal(row[row], identity):
             raise ToleranceCollision("right multiplication by s_%d is not an involution" % i)
     del inv, identity
-    descents, simple = descents[order], simple[order]
-    del order
-    # the kept columns are the simple roots and their images under the
-    # generators, which the root closure lists first: roots 0..kept-1.
-    # (g s_i)(a_j) = g(s_i a_j), so root s_i(a_j)'s column is column a_j
-    # of g s_i
-    kept = int(gens[:, :n].max()) + 1
-    perms = np.empty((total, kept), dtype=gens.dtype)
-    perms[:, :n] = simple
-    del simple
-    for c in range(n, kept):
-        i, j = np.argwhere(gens[:, :n] == c)[0]
-        perms[:, c] = perms[rmult[i], j]
+    descents, perms = descents[order], simple[order]
+    del order, simple
     group = Group(coxeter, roots, perms, rmult, descents)
     if expected <= HOLD_LIMIT:
         _held[key] = group

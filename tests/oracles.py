@@ -13,22 +13,25 @@ tables, the reflection's node and the next ordering.  These are the only
 users of scipy.  The element matrices, the reflection count,
 the Gram definiteness test and the vertex figure are independent views of
 the group, the diagram and the lattice that only tests read, and so is
-face_rank, the rank of every face id.  The group keeps only the root
-columns the library reads and no words; full_rows
-rebuilds every column along a search tree of rmult, word and walk give
-words and products along that tree, and element_index, compose and inverse
-multiply by composing permutation rows.  rmult_by_key_lookup (each g s_i
-found by its element key) and coset_table_by_hooking (the components of
-rmult restricted to J, by _coset_minima) are the group tables' routes
-before the library read them off the search and its descent bits.  The minimum separation by a walk
-along one sorted projection is the point kernel's route before its cell
-grid.  The cover pairs and the face-vertex lists by np.unique, and the
-affine rank check with one SVD per face, are the routes before
-sorted_unique and the one SVD per slot.  The node-selection rewrite
-(select_node, which raises NotApplicable on a node not valued 1, and the
-BFS reachable_decorations) is the route that valid_selection_sets gives in
-closed form.  constructions_of looks a named regular polytope up in the
-regular catalog.
+face_rank, the rank of every face id.  The group keeps only the images
+of the simple roots and no words; full_rows rebuilds every column along a
+search tree of rmult, word and walk give words and products along that
+tree, and element_index, compose and inverse multiply by composing
+permutation rows.  rmult_by_key_lookup (each g s_i found by its element
+key, its images of the simple roots matched from float combinations of
+the kept ones) and coset_table_by_hooking (the components of rmult
+restricted to J, by _coset_minima) are the group tables' routes before
+the library read them off the search and its descent bits.  The minimum
+separation by a walk along one sorted projection is the point kernel's
+route before its cell grid.  coset_pairs_by_sort (one key per element of
+G, deduplicated by sorted_unique) is the incidence rule's route before it
+read only the minimal coset representatives.  The cover pairs and the
+face-vertex lists by np.unique, and the affine rank check with one SVD
+per face, are the routes before a sorted dedup and the one SVD per slot.
+The node-selection rewrite (select_node, which raises NotApplicable on a
+node not valued 1, and the BFS reachable_decorations) is the route that
+valid_selection_sets gives in closed form.  constructions_of looks a named
+regular polytope up in the regular catalog.
 """
 
 import functools
@@ -227,16 +230,29 @@ def rmult_by_key_lookup(g) -> np.ndarray:
     """rmult with every g s_i looked up by its key; KeyError if one is missing.
 
     The element keys of the library's key_layout, read off g.perms, are
-    sorted in element order.  Row g s_i reads g's row at the columns s_i
-    sends the simple roots to, and its key is searched among them.
+    sorted in element order.  Row g s_i sends a_j to g(s_i a_j) =
+    g(a_j) - 2 (a_i . a_j) g(a_i), a float combination of two kept images
+    that is matched back to a root; its key is searched among them.  Each
+    distinct pair of images is matched once.
     """
-    gens = g.roots.perms
-    key_table = key_layout(gens)
+    roots = g.roots.roots
+    n = g.n_gens
+    key_table = key_layout(g.roots.perms)
     keys = _row_keys(key_table, g.perms)
     assert (keys[1:] > keys[:-1]).all(), "elements are not in key order"
-    rmult = np.empty((g.n_gens, g.order), dtype=np.int32)
-    for i, gp in enumerate(gens):
-        want = _row_keys(key_table, g.perms, gp)
+    rmult = np.empty((n, g.order), dtype=np.int32)
+    for i in range(n):
+        images = np.empty_like(g.perms)
+        for j in range(n):
+            pair = g.perms[:, j].astype(np.int64) * g.roots.count + g.perms[:, i]
+            pair, where = np.unique(pair, return_inverse=True)
+            a, b = np.divmod(pair, g.roots.count)
+            combo = roots[a] - 2.0 * (roots[i] @ roots[j]) * roots[b]
+            hits = _kernels.match_rows(combo, roots, ROOT_MATCH_TOL)
+            if (hits < 0).any():
+                raise ToleranceCollision("reflected root image missing from root set")
+            images[:, j] = hits[where]
+        want = _row_keys(key_table, images)
         pos = np.searchsorted(keys, want)
         if not _kernels.found_at(keys, want, pos).all():
             raise KeyError("permutation is not a group element")
@@ -649,6 +665,28 @@ def min_pairwise_by_projection(points) -> float:
         i = i[i + k < len(points)]
         i = i[p[i + k] - p[i] <= np.sqrt(best2) + pad]
     return float(np.sqrt(best2))
+
+
+def sorted_unique(keys):
+    """The distinct values of an integer array, sorted: np.unique(keys).
+
+    np.sort, then a mask of the rows that differ from their predecessor.
+    """
+    keys = np.sort(keys, axis=None)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def coset_pairs_by_sort(a, b) -> np.ndarray:
+    """face_lattice.coset_pairs over every element: one key per element of G.
+
+    a and b are coset tables of one group; the cosets that share an
+    element meet, so the distinct keys i * b.count + j, sorted, list every
+    meeting pair.  The library reads only the elements with no right
+    descent in the shared nodes.
+    """
+    return sorted_unique(a.coset_id.astype(np.int64) * b.count + b.coset_id)
 
 
 def covers_by_unique(lat: FaceLattice) -> np.ndarray:

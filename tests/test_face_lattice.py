@@ -11,17 +11,19 @@ import pytest
 from oracles import (
     _flag_graph_direct,
     compose,
+    coset_pairs_by_sort,
     face_rank,
     flag_moves_by_search,
     flag_rows,
     generator_face_actions,
     vertex_figure,
 )
+from sweep import benchmark_workloads, sweep_products
 from wythoff import face_lattice
 from wythoff.cli import main
 from wythoff.decoration import f_vector_formula, start_decoration
-from wythoff.diagram import disjoint_union, family_diagram, parse
-from wythoff.errors import Degenerate, WythoffError
+from wythoff.diagram import disjoint_union, family_diagram, group_order, parse
+from wythoff.errors import DedupCollision, Degenerate, WythoffError
 from wythoff.face_lattice import (
     FaceLattice,
     build_lattice,
@@ -32,7 +34,8 @@ from wythoff.face_lattice import (
     lattice_document,
     lattices_isomorphic,
 )
-from wythoff.reflection_group import _coset_minima
+from wythoff.geometry import realize
+from wythoff.reflection_group import Group, _coset_minima
 
 KNOWN_F_VECTORS = {
     "x": (2,),
@@ -148,24 +151,38 @@ def test_flags_connected_needs_every_ordering_reached():
 
 def test_flag_move_off_its_reflection_is_refused(shared):
     lat = shared.lattice(parse("x3x4o"))
-    s0 = int(lat.group.rmult[0, 0])
+    g = lat.group
+    s0 = int(g.rmult[0, 0])
     # the rank-0 move of (0, identity) keeps its ordering: it is s_0
     gen, nxt = face_lattice._flag_moves(lat)
     assert (gen[0, 0], nxt[0, 0]) == (0, 0)
     assert flag_moves_by_search(lat)[(0, 0)] == (s0, 0)
-    # relabel the element s_0 alone into the base vertex's coset: the other
-    # vertex of the base edge, still reached through s_0 s_2, is no longer
-    # the coset of s_0
+    # a right table whose row for s_0 sends the identity to s_2: the move's
+    # element is no longer the reflection that carries the base vertex to
+    # the other vertex of the base edge
+    rmult = g.rmult.copy()
+    rmult[0, 0] = g.rmult[2, 0]
+    off = Group(g.coxeter, g.roots, g.perms, rmult, g.descents)
+    with pytest.raises(WythoffError, match="flag move is not unique"):
+        flag_report(FaceLattice(lat.diagram, lat.start, off, lat.slots_by_rank))
+    # relabel the element s_0 alone into the base vertex's coset.  Its one
+    # right descent, 0, is not in K = {2}, the nodes the vertex and base
+    # edge slots share, so it is the minimal representative of its W_K
+    # coset, and coset_pairs reads it next to the identity: one key twice
     slots = [list(sl) for sl in lat.slots_by_rank]
     vertices = slots[0][0]
+    assert sorted(vertices.nodes & slots[1][0].nodes) == [2] and g.descents[s0] == 1
     coset_id = vertices.table.coset_id.copy()
     coset_id[s0] = 0
     slots[0][0] = replace(vertices, table=replace(vertices.table, coset_id=coset_id))
-    bad = FaceLattice(lat.diagram, lat.start, lat.group, slots)
-    with pytest.raises(WythoffError, match="flag move is not unique"):
+    bad = FaceLattice(lat.diagram, lat.start, g, slots)
+    with pytest.raises(WythoffError, match="two minimal coset representatives"):
         flag_report(bad)
     with pytest.raises(WythoffError, match="flag move is not unique"):
         flag_moves_by_search(bad)
+    # realize's audit refuses it too: s_0 x is not the base point
+    with pytest.raises(DedupCollision, match="orbit image differs"):
+        realize(bad)
 
 
 def test_coset_minima_are_least_elements_of_left_cosets(shared):
@@ -294,9 +311,9 @@ def _count_coset_pairs(monkeypatch) -> list:
     calls = []
     pairs = face_lattice.coset_pairs
 
-    def counted(a, b):
+    def counted(group, a, b):
         calls.append(sys._getframe(1).f_code.co_name)
-        return pairs(a, b)
+        return pairs(group, a, b)
 
     monkeypatch.setattr(face_lattice, "coset_pairs", counted)
     return calls
@@ -330,6 +347,54 @@ def test_vertices_builds_the_edge_lists_only(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 8
     # realize reads the separation off the one edge slot's vertex lists
     assert calls == ["face_vertices"]
+
+
+def _incidence_diagrams():
+    """The benchmark's seed-1 sweep, orbit and big_group items, the three
+    I2(999) decorations and the sweep products."""
+    wl = benchmark_workloads()
+    texts = wl.sweep_items(1) + sorted(wl.KNOWN_DEFECTS_I2) + list(wl.ORBIT_ITEMS)
+    texts += wl.big_group_items()
+    return [parse(t) for t in dict.fromkeys(texts)] + sweep_products()
+
+
+def test_coset_pairs_match_the_sort_over_every_element(shared):
+    # the minimal representatives of the cosets of W_K, K the shared nodes,
+    # give each meeting pair once: the same sorted keys as one key per
+    # element of G, deduplicated, on every ordered slot pair, nested or not
+    for d in _incidence_diagrams():
+        lat = shared.lattice(d)
+        total = group_order(d)
+        slots = [s for sl in lat.slots_by_rank for s in sl]
+        for a in slots:
+            for b in slots:
+                got = face_lattice.coset_pairs(lat.group, a, b)
+                want = coset_pairs_by_sort(a.table, b.table)
+                assert got.dtype == want.dtype, (d, a.selection, b.selection)
+                assert np.array_equal(got, want), (d, a.selection, b.selection)
+                common = sorted(a.nodes & b.nodes)
+                assert len(got) == total // (group_order(d.induced(common)) if common else 1)
+
+
+@pytest.mark.parametrize("text", ["x4o3o3o3o3o", "x3o3o3o3o3o3o"])
+def test_coset_pairs_build_no_array_over_every_element(shared, text):
+    # B6 and A7: the vertices against the edges share K, all but two
+    # nodes.  Keying every element takes |G| int64 keys and their product
+    # and sum; the minimal representatives take a byte and a bool an
+    # element, and one key per pair
+    lat = shared.lattice(parse(text))
+    g = lat.group
+    vertices, edges = lat.slots_by_rank[0][0], lat.slots_by_rank[1][0]
+    assert len(vertices.nodes & edges.nodes) == g.n_gens - 2
+    face_lattice.coset_pairs(g, vertices, edges)
+    tracemalloc.start()
+    try:
+        keys = face_lattice.coset_pairs(g, vertices, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == edges.count * 2
+    assert peak < g.order * 8
 
 
 # per-element arrays of the group: one entry per element of W

@@ -290,12 +290,12 @@ def test_vertices_closer_than_the_separation_are_refused(shared, monkeypatch):
         realize(lat)
 
 
-@pytest.mark.parametrize("text,kept", [("x4o3o3o3o3o", 18), ("x3o3o3o3o3o3o", 20)])
-def test_realize_builds_no_array_of_every_image(shared, text, kept):
+@pytest.mark.parametrize("text", ["x4o3o3o3o3o", "x3o3o3o3o3o3o"])
+def test_realize_builds_no_array_of_every_image(shared, text):
     lat = shared.lattice(parse(text))
     g = lat.group
-    simple = np.arange(g.n_gens)
-    assert g.perms.shape[1] == len(np.union1d(simple, g.roots.perms[:, simple])) == kept
+    # the group keeps each element's images of the n simple roots only
+    assert g.perms.shape == (g.order, g.n_gens)
     # one (|G|, dim) float array of images is 1x; gathering every simple
     # root's image of every element before adding them up is n times that
     tracemalloc.start()

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import min_pairwise_by_projection
-from wythoff._kernels import found_at, match_rows, min_pairwise_distance, sorted_unique
+from oracles import min_pairwise_by_projection, sorted_unique
+from wythoff._kernels import found_at, match_rows, min_pairwise_distance
 from wythoff.diagram import family_diagram, parse
 from wythoff.reflection_group import root_system
 
@@ -238,8 +238,8 @@ def test_found_at_is_membership(ref, keys):
     assert found_at(ref, ref, np.arange(len(ref))).all()
 
 
-# sorted_unique is the one integer dedup in the library: these numpy calls
-# build a hash set before they sort
+# the library calls no numpy dedup: these numpy calls build a hash set
+# before they sort
 NUMPY_DEDUP = {"unique", "intersect1d", "isin"}
 
 
