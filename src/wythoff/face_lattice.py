@@ -27,9 +27,12 @@ reflection (-1 for none) and the neighbor's ordering.  The flag checks
 (flag_report) and the partner table (flag_partners) both read them, with
 no group products and no subgroup closures, and no flag is ever listed.
 Lattice isomorphism needs one walk start per ordering
-(lattices_isomorphic).  The diamond property is checked by joining the
-cover blocks of adjacent ranks on their shared slot, and the covers of
-each block are counted against |G| / |W_(J_lo n J_hi)|.
+(lattices_isomorphic).  The diamond property reads each cover block as a
+table of the upper faces of each lower face: the tables of adjacent ranks
+are chained through each middle slot into one short row per lower face,
+and each sorted row must hold every value exactly twice.  The covers of
+each block are counted against T = |G| / |W_(J_lo n J_hi)|, and those of
+each face against T over its slot's face count.
 """
 
 from __future__ import annotations
@@ -232,76 +235,136 @@ class DiamondReport:
     pairs_checked: int
     violations: list
     cover_mismatches: list = field(default_factory=list)
+    face_mismatches: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.cover_mismatches
+        return not (self.violations or self.cover_mismatches or self.face_mismatches)
 
 
 def diamond_report(lat: FaceLattice) -> DiamondReport:
     """Every (rank k-1, rank k+1) incident pair has exactly 2 faces between.
 
-    For each rank-k slot the cover blocks into it are joined with each block
-    out of it on the middle coset, which every block is sorted by; the
-    number of joined rows per (lower, upper) pair is the number of faces
-    between them.  The bottom sentinel lies below every vertex, so the
-    k = 0 case (each edge has two vertices) and the k = n-1 case (each
-    ridge lies in two facets) are included.  At most ten violations per
-    rank are listed, as (lower, upper, count) in (lower, upper) order, with
-    lower None for the bottom.
+    Each cover block is read as an up-table, one row of upper faces per
+    lower face (_up_tables).  For each pair of a lower and an upper slot
+    the tables are chained through each middle slot between them,
+    up[mid -> hi][up[lo -> mid]], and joined into one short row per lower
+    face, in which each upper face appears once per face between.  A
+    sorted row passes when its values come in equal pairs and no pair
+    equals the next; only the rows that fail are read run by run.  The
+    bottom lies below every vertex, so the k = 0 case (each edge has two
+    vertices) is the per-edge count of the vertex -> edge blocks; the
+    k = n-1 case (each ridge lies in two facets) chains into the top.  At
+    most ten violations per rank are listed, as (lower, upper, count) in
+    (lower, upper) order, with lower None for the bottom.
 
     A missing rank of covers forms no such pair, so the covers are also
-    counted per block: faces gW_lo and gW_hi meet in one cover per coset of
-    W_lo n W_hi = W_(J_lo n J_hi), so there are |G| / |W_(J_lo n J_hi)| of
-    them, both orders by formula.  Every block off that count is listed as
-    (lower selection, upper selection, found, expected).
+    counted.  Faces gW_lo and gW_hi meet in one cover per coset of
+    W_lo n W_hi = W_(J_lo n J_hi), so a block has T = |G| / |W_(J_lo n J_hi)|
+    covers: every lower face T / lo.count of them and every upper face
+    T / hi.count.  Each block off the total is listed in cover_mismatches
+    as (lower selection, upper selection, found, T), and each block with a
+    face off its count in face_mismatches as (lower selection, upper
+    selection, lower faces off, upper faces off).
     """
-    v = lat.slots_by_rank[0][0]
-    # the bottom's pseudo-block: lower id 0 below every vertex
-    into = {v.offset: [(v, v, np.zeros(v.count, dtype=np.int64), np.arange(v.count))]}
-    out_of = {}
-    for b in lat.cover_blocks:
-        out_of.setdefault(b[0].offset, []).append(b)
-        into.setdefault(b[1].offset, []).append(b)
-    width = lat.face_total
+    blocks = lat.cover_blocks
+    ups, per_edge, cover_mismatches, face_mismatches = _up_tables(lat)
     checked = 0
-    violations = []
-    for k in range(lat.n):
-        keys = []
-        for mid in lat.slots_by_rank[k]:
-            ins = into[mid.offset]
-            below = np.concatenate([(i + lo.offset) * width for lo, _, i, _ in ins])
-            m = np.concatenate([j for _, _, _, j in ins])
-            for _, hi, i, j in out_of.get(mid.offset, ()):
-                per_mid = np.bincount(i, minlength=mid.count)
-                # in-row r joins the per_mid[m[r]] out rows from start[m[r]] on
-                start = np.cumsum(per_mid) - per_mid
-                reps = per_mid[m]
-                rows = np.arange(reps.sum()) + np.repeat(start[m] - np.cumsum(reps) + reps, reps)
-                keys.append(np.repeat(below, reps) + (j + hi.offset)[rows])
-        keys = np.sort(np.concatenate(keys))
+    found = [[] for _ in range(lat.n)]
+    for hi, counts in per_edge:
+        checked += int(np.count_nonzero(counts))
+        bad = np.flatnonzero((counts != 0) & (counts != 2))[:10]
+        found[0] += [(None, hi.offset + e, c) for e, c in zip(bad.tolist(), counts[bad].tolist())]
+    # (lower slot, upper slot) -> the (lower -> middle, middle -> upper)
+    # block pairs, one per middle slot between them
+    into = {}
+    for a, (_, mid, _, _) in enumerate(blocks):
+        into.setdefault(mid.offset, []).append(a)
+    paths = {}
+    for b, (mid, hi, _, _) in enumerate(blocks):
+        for a in into.get(mid.offset, ()):
+            paths.setdefault((blocks[a][0].offset, hi.offset), []).append((a, b))
+    for chain in paths.values():
+        (lo, mid, _, _), (_, hi, _, _) = blocks[chain[0][0]], blocks[chain[0][1]]
+        rows = [_chain(ups[a], ups[b]) for a, b in chain]
+        rows = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+        w = rows.shape[1]
+        if w == 0:
+            continue
+        # most rows hold two values, which pass when equal in either order
+        if w > 2:
+            rows.sort(axis=1)
+        if w % 2 or any(ups[a][1] or ups[b][1] for a, b in chain):
+            bad = np.arange(lo.count)
+        else:
+            pairs, steps = rows[:, 0::2] == rows[:, 1::2], rows[:, 1:-1:2] != rows[:, 2::2]
+            if pairs.all() and steps.all():
+                checked += lo.count * (w // 2)
+                continue
+            bad = np.flatnonzero(~(pairs.all(axis=1) & steps.all(axis=1)))
+            checked += (lo.count - len(bad)) * (w // 2)
+        sub = rows[bad]
+        keys = np.sort((bad[:, None] * hi.count + sub)[sub >= 0])
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         counts = np.diff(np.append(starts, len(keys)))
         checked += len(starts)
         for r in np.flatnonzero(counts != 2)[:10].tolist():
-            lower, upper = divmod(int(keys[starts[r]]), width)
-            violations.append((None if k == 0 else lower, upper, int(counts[r])))
-    return DiamondReport(checked, violations, _cover_count_mismatches(lat))
+            lower, upper = divmod(int(keys[starts[r]]), hi.count)
+            found[mid.rank].append((lo.offset + lower, hi.offset + upper, int(counts[r])))
+    violations = [v for f in found for v in sorted(f, key=lambda v: (v[0] or 0, v[1]))[:10]]
+    return DiamondReport(checked, violations, cover_mismatches, face_mismatches)
 
 
-def _cover_count_mismatches(lat: FaceLattice) -> list:
+def _up_tables(lat: FaceLattice) -> tuple:
+    """Each cover block as a table of the upper faces of each lower face.
+
+    Returns (ups, per_edge, cover_mismatches, face_mismatches), the last two
+    as diamond_report lists them.  ups[b] is (table, padded) for block b:
+    row i holds the upper faces of lower face i.  When every lower face has
+    the T / lo.count covers of a valid lattice, the block, sorted by i, is
+    that table reshaped; otherwise the rows are padded with -1 and padded
+    is True.  per_edge holds (edge slot, vertices of each edge) for the
+    vertex -> edge blocks.
+    """
     d = lat.diagram
     total = group_order(d)
     orders = {(): 1}
-    out = []
-    for lo, hi, i, _ in lat.cover_blocks:
+    ups, per_edge, totals, faces = [], [], [], []
+    for lo, hi, i, j in lat.cover_blocks:
         common = tuple(sorted(lo.nodes & hi.nodes))
         if common not in orders:
             orders[common] = group_order(d.induced(common))
         want = total // orders[common]
         if len(i) != want:
-            out.append((sorted(lo.selection), sorted(hi.selection), len(i), want))
-    return out
+            totals.append((sorted(lo.selection), sorted(hi.selection), len(i), want))
+        per_lo = np.bincount(i, minlength=lo.count)
+        per_hi = np.bincount(j, minlength=hi.count)
+        lo_off = int(np.count_nonzero(per_lo != want // lo.count))
+        hi_off = int(np.count_nonzero(per_hi != want // hi.count))
+        if lo_off or hi_off:
+            faces.append((sorted(lo.selection), sorted(hi.selection), lo_off, hi_off))
+        if lo.rank == 0:
+            per_edge.append((hi, per_hi))
+        if lo_off:
+            up = np.full((lo.count, per_lo.max()), -1, dtype=j.dtype)
+            up[i, np.arange(len(i)) - (np.cumsum(per_lo) - per_lo)[i]] = j
+            ups.append((up, True))
+        else:
+            ups.append((j.reshape(lo.count, want // lo.count), False))
+    return ups, per_edge, totals, faces
+
+
+def _chain(lower: tuple, upper: tuple) -> np.ndarray:
+    """(lower count, d1 * d2) upper faces of lower faces over one middle slot.
+
+    lower and upper are _up_tables entries of a lower -> middle and a
+    middle -> upper block; a -1 in a padded lower table stays -1.
+    """
+    (lm, padded), (mh, _) = lower, upper
+    out = mh[lm]
+    if padded:
+        out[lm < 0] = -1
+    return out.reshape(len(lm), lm.shape[1] * mh.shape[1])
 
 
 # -- flag graph ------------------------------------------------------------

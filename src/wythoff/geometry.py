@@ -216,12 +216,14 @@ def containment_check(real: Realization) -> CheckReport:
     keys = {}
     covers = violations = 0
     for lo, hi, i, j in real.lattice.cover_blocks:
+        dtype = np.int32 if hi.count * nv < 2**31 else np.int64
         if hi.offset not in keys:
-            keys[hi.offset] = (np.arange(hi.count)[:, None] * nv + fv[hi.offset]).ravel()
+            keys[hi.offset] = (np.arange(hi.count, dtype=dtype)[:, None] * nv + fv[hi.offset]).ravel()
         have = keys[hi.offset]
-        # by upper face, so the keys reach searchsorted nearly sorted
-        order = np.argsort(j, kind="stable")
-        want = j[order, None] * nv + fv[lo.offset][i[order]]
+        # by upper face, so the keys reach searchsorted nearly sorted; a
+        # stable sort of 8- or 16-bit integers is a radix sort
+        order = np.argsort(j.astype(np.min_scalar_type(hi.count)), kind="stable")
+        want = j[order].astype(dtype)[:, None] * nv + fv[lo.offset][i[order]]
         hit = found_at(have, want, np.searchsorted(have, want))
         violations += int(np.count_nonzero(~hit.all(axis=1)))
         covers += len(i)

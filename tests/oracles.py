@@ -540,7 +540,8 @@ def _is_flag_transitive_by_orbit(lat: FaceLattice) -> bool:
 def _diamond_by_sparse(lat: FaceLattice) -> DiamondReport:
     """Diamond report from sparse cover-matrix products.
 
-    Within one lower face the violations come in scipy's product order.
+    Each product's columns are sorted, so the violations come in (lower,
+    upper) order.
     """
     n = lat.n
     counts = [sum(s.count for s in sl) for sl in lat.slots_by_rank]
@@ -566,7 +567,9 @@ def _diamond_by_sparse(lat: FaceLattice) -> DiamondReport:
     checked = 0
     violations = []
     for k in range(n):
-        prod = (mats[k] @ mats[k + 1]).tocoo()
+        prod = mats[k] @ mats[k + 1]
+        prod.sort_indices()
+        prod = prod.tocoo()
         checked += prod.nnz
         bad = prod.data != 2
         if bad.any():

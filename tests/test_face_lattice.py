@@ -107,6 +107,39 @@ def test_diamond_counts_covers_per_slot_pair(shared):
     assert not rep.ok
 
 
+def test_diamond_counts_covers_per_face(shared):
+    lat = shared.lattice(parse("x4o3o"))
+    # one edge -> square cover moved onto another square: every block
+    # total stays right, and two squares have 3 and 5 edges
+    (v, e, i0, j0), (_, sq, i1, j1), top = lat.cover_blocks
+    j1 = j1.copy()
+    j1[0] = next(f for f in range(sq.count) if f not in j1[i1 == i1[0]])
+    order = np.lexsort((j1, i1))
+    bad = FaceLattice(lat.diagram, lat.start, lat.group, lat.slots_by_rank)
+    bad.cover_blocks = [(v, e, i0, j0), (e, sq, i1[order], j1[order]), top]
+    rep = diamond_report(bad)
+    assert rep.cover_mismatches == []
+    assert rep.face_mismatches == [([0], [0, 1], 0, 2)]
+    # the per-face counts fail it on their own
+    assert not replace(rep, violations=[]).ok
+    assert not rep.ok
+
+
+def test_diamond_report_peak_memory(shared):
+    # 14400 vertices: the up-tables of a valid lattice are its cover
+    # blocks reshaped, and the rows of one slot pair at a time are built
+    lat = shared.lattice(parse("x5x3x3x"))
+    diamond_report(lat)
+    tracemalloc.start()
+    try:
+        report = diamond_report(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2_000_000
+
+
 def test_flag_methods_agree(shared):
     for d in [
         parse("x4o3o"),

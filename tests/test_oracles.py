@@ -8,6 +8,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     _containment_by_sparse,
@@ -32,7 +34,7 @@ from sweep import (
     sweep_products,
 )
 from wythoff import face_lattice
-from wythoff.diagram import parse
+from wythoff.diagram import disjoint_union, parse
 from wythoff.face_lattice import (
     FaceLattice,
     diamond_report,
@@ -216,8 +218,7 @@ def test_corrupted_lattice_reports_agree(shared):
     bad, real = _corrupted_cube(shared)
     new, old = diamond_report(bad), _diamond_by_sparse(bad)
     assert new.pairs_checked == old.pairs_checked
-    # the sparse product lists the columns of one row in its own order
-    assert sorted(new.violations, key=repr) == sorted(old.violations, key=repr)
+    assert new.violations == old.violations
     rank = face_rank(bad)
     lower_rank = [0 if lo is None else rank[lo] + 1 for lo, _, _ in new.violations]
     assert new.violations and max(np.bincount(lower_rank)) < 10
@@ -226,6 +227,109 @@ def test_corrupted_lattice_reports_agree(shared):
     report = containment_check(real)
     assert report == _containment_by_sparse(real)
     assert report.detail == {"covers": len(bad.covers), "violations": 2}
+
+
+CORRUPTIBLE = {
+    "x4o3o": lambda: parse("x4o3o"),
+    "o3x3o": lambda: parse("o3x3o"),
+    "x3x4x": lambda: parse("x3x4x"),
+    "prism": lambda: disjoint_union(parse("x3o"), parse("x")),
+}
+
+
+def _with_blocks(lat, blocks):
+    """lat with its cover blocks replaced, each sorted by i, then j."""
+    bad = FaceLattice(lat.diagram, lat.start, lat.group, lat.slots_by_rank)
+    bad.cover_blocks = []
+    for lo, hi, i, j in blocks:
+        order = np.lexsort((j, i))
+        bad.cover_blocks.append((lo, hi, i[order], j[order]))
+    return bad
+
+
+def _assert_diamond_matches(lat, bad):
+    """bad's diamond report agrees with the sparse products and the blocks.
+
+    A block is in cover_mismatches when its total differs from lat's, and
+    in face_mismatches with the lower and upper faces whose cover counts
+    differ from lat's, every face of a valid block being at its count.
+    """
+    new, old = diamond_report(bad), _diamond_by_sparse(bad)
+    assert new.pairs_checked == old.pairs_checked
+    assert new.violations == old.violations
+    totals, faces = [], []
+    for (lo, hi, i, j), (_, _, i0, j0) in zip(bad.cover_blocks, lat.cover_blocks):
+        sel = (sorted(lo.selection), sorted(hi.selection))
+        if len(i) != len(i0):
+            totals.append((*sel, len(i), len(i0)))
+        lo_off, hi_off = (
+            int(np.count_nonzero(np.bincount(a, minlength=s.count) != np.bincount(a0, minlength=s.count)))
+            for a, a0, s in ((i, i0, lo), (j, j0, hi))
+        )
+        if lo_off or hi_off:
+            faces.append((*sel, lo_off, hi_off))
+    assert new.cover_mismatches == totals
+    assert new.face_mismatches == faces
+    return new
+
+
+@pytest.mark.parametrize("name", CORRUPTIBLE)
+def test_emptied_blocks_match_sparse_products(shared, name):
+    # a chain through an empty block has zero-width rows
+    lat = shared.lattice(CORRUPTIBLE[name]())
+    none = np.empty(0, dtype=np.int64)
+    for b, (lo, hi, _, _) in enumerate(lat.cover_blocks):
+        blocks = list(lat.cover_blocks)
+        blocks[b] = (lo, hi, none, none)
+        rep = _assert_diamond_matches(lat, _with_blocks(lat, blocks))
+        assert not rep.ok
+
+
+@st.composite
+def _corruptions(draw):
+    """(name, [(kind, block, cover or face, target)]) for one lattice."""
+    name = draw(st.sampled_from(sorted(CORRUPTIBLE)))
+    kinds = st.sampled_from(["drop", "duplicate", "move", "shift", "merge", "strip", "empty"])
+    ops = draw(st.lists(
+        st.tuples(kinds, st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
+        min_size=1, max_size=4,
+    ))
+    return name, ops
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_corruptions())
+def test_corrupted_diamond_matches_sparse_products(shared, corruption):
+    name, ops = corruption
+    lat = shared.lattice(CORRUPTIBLE[name]())
+    blocks = [(lo, hi, i.copy(), j.copy()) for lo, hi, i, j in lat.cover_blocks]
+    for kind, b, r, t in ops:
+        lo, hi, i, j = blocks[b % len(blocks)]
+        if kind == "empty":
+            i, j = i[:0], j[:0]
+        elif kind == "strip":
+            # every cover of one face of the block's lower slot, up and down
+            face = r % lo.count
+            for x, (l2, h2, i2, j2) in enumerate(blocks):
+                keep = ~(((i2 == face) & (l2 is lo)) | ((j2 == face) & (h2 is lo)))
+                blocks[x] = (l2, h2, i2[keep], j2[keep])
+            continue
+        elif len(i) == 0:
+            continue
+        elif kind == "drop":
+            i, j = np.delete(i, r % len(i)), np.delete(j, r % len(j))
+        elif kind == "duplicate":  # one or two more copies of a cover
+            at = [r % len(i)] * (1 + t % 2)
+            i, j = np.insert(i, at, i[at]), np.insert(j, at, j[at])
+        elif kind == "shift":  # every cover to the next upper face
+            j = (j + 1) % hi.count
+        elif kind == "merge":  # every cover of one upper face onto another
+            j = np.where(j == j[r % len(j)], j[t % len(j)], j)
+        elif hi.count > 1:  # move the cover to another upper face
+            j = j.copy()
+            j[r % len(j)] = (j[r % len(j)] + 1 + t % (hi.count - 1)) % hi.count
+        blocks[b % len(blocks)] = (lo, hi, i, j)
+    _assert_diamond_matches(lat, _with_blocks(lat, blocks))
 
 
 def test_isomorphism_matches_per_flag_starts(shared):
