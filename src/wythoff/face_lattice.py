@@ -555,7 +555,11 @@ def lattices_isomorphic(a: FaceLattice, b: FaceLattice) -> bool:
 
 
 def lattice_document(lat: FaceLattice) -> dict:
-    """JSON-ready dict: faces (rank, selection, rep) plus cover pairs."""
+    """JSON-ready dict: faces (rank, selection, coset_rep) plus cover pairs.
+
+    coset_rep is the index of the shortest element of the face's coset, the
+    canonical representative of Group.coset_table.
+    """
     d = lat.diagram
     return {
         "rank": lat.n,

@@ -19,16 +19,12 @@ roots.  The image w(a_j) lies in the W-orbit of a_j, so it is written as
 its digit, its rank within that orbit in root-index order, and the key is
 the mixed-radix number sum_j digit[w(a_j)] * place_j, where place_j is the
 product of the orbit sizes of a_(j+1), ..., a_n.  Distinct images give
-distinct digit strings, so the key is injective.  Digits grow with the root
-index within each orbit, so key order is the lexicographic order of the
-simple images; the root list starts with the simple roots, so two distinct
-permutations of it first differ within their first n roots, and key order
-is the lexicographic order of the full permutations.  Keys are uint64 and
-the key space is the product of the n orbit sizes: 2^49.4 for A8, 2^63.3
-for E8.  A group whose key space exceeds 2^64 is refused (BudgetExceeded)
+distinct digit strings, so the key is injective.  Keys are uint64 and the
+key space is the product of the n orbit sizes: 2^49.4 for A8, 2^63.3 for
+E8.  A group whose key space exceeds 2^64 is refused (BudgetExceeded)
 before any per-element array is built.  The keys exist only inside
-enumerate_group: a sort of them deduplicates each layer of the search, and
-one more fixes the element order.  No element is looked up by its key.
+enumerate_group, where a sort of them deduplicates each layer of the
+search.  No element is looked up by its key.
 
 The enumeration is a breadth-first search by layers, and layer k holds the
 elements of length k.  Every generator s_i is a reflection, so
@@ -38,7 +34,9 @@ s_i w = w', sets lmult[i, w] = w' and, s_i being an involution,
 lmult[i, w'] = w; so once a layer is expanded its row of the left table is
 complete, and an unset entry of the frontier marks an ascent.  Only the
 ascents are keyed: all of them are new, and the equal ones among them are
-found by sorting their keys.  Each layer is numbered in key order.
+found by sorting their keys.  Elements are numbered in the order the
+search finds them: by length, and within a length by key.  So index 0 is
+the identity, and a longer element always has a larger index.
 
 One Cayley table is kept, right multiplication by the generators (rmult),
 and it comes from the search with no lookup: w = s_k p, with p a layer
@@ -53,8 +51,10 @@ The faces of the lattice are the left cosets g W_J.  Each has exactly one
 element with no right descent in J, its least in length, and every other
 member g has a right descent j in J with g s_j one step shorter in the
 same coset (Humphreys, Reflection Groups and Coxeter Groups, 1.10;
-Bjorner-Brenti 2.4).  coset_table points every element one such step down
-and follows the pointers to that element by pointer jumping.
+Bjorner-Brenti 2.4).  That element is the coset's canonical
+representative, and since elements are numbered by length it is also the
+coset's least index.  coset_table points every element one such step
+down and follows the pointers to it by pointer jumping.
 
 Components of a graph of root or ordering maps are labelled by their least
 member in one routine, _coset_minima.  Over the generator permutations of
@@ -230,11 +230,11 @@ class CosetTable:
     """Left-coset partition of a group by a parabolic subgroup W_J.
 
     coset_id maps element index -> coset number; reps[c] is the coset's
-    minimal element index, its lexicographically minimal permutation (the
-    canonical representative).  Every element of the coset g W_J reaches
-    the coset's shortest element by right descents in J (Group.coset_table);
-    cosets are numbered in increasing order of their representatives, so
-    coset 0 is W_J itself.
+    canonical representative, its shortest element, the one with no right
+    descent in J and so its least index.  Every element of the coset g W_J
+    reaches it by right descents in J (Group.coset_table); cosets are
+    numbered in increasing order of their representatives, so coset 0 is
+    W_J itself.
     """
 
     coset_id: np.ndarray
@@ -248,20 +248,21 @@ class CosetTable:
 class Group:
     """A finite reflection group with its elements as root permutations.
 
-    Element indices are assigned in lexicographic order of the permutations
-    of the root list, so index 0 is the identity and coset minima are
-    canonical.  perms[g, j] is the index of g(a_j) for the simple roots
-    a_j = roots.roots[j], j < n_gens, which the root closure lists first,
-    so perms holds the first n_gens columns of the full permutation rows.
-    rmult[i] maps each element g to g s_i, the one Cayley table kept:
-    (g s_i)(a) = g(s_i a).  The generators themselves are rmult[:, 0].
-    descents[g] holds g's right descents as bits: bit i is set when
-    l(g s_i) < l(g), that is when g(a_i) is a negative root, in the least
-    unsigned dtype with n_gens bits.  Following right descents in J from g
-    leads to the shortest element of g W_J (coset_table).  No element keys
-    or words are kept: the keys and the search tree exist only inside
-    enumerate_group.  coxeter is the Coxeter matrix in node order, which
-    fixes the group and its element numbering.
+    Element indices follow the search: by length, and within a length by
+    key (enumerate_group), so index 0 is the identity and the least index
+    of each coset g W_J is its shortest element, the canonical
+    representative.  perms[g, j] is the index of g(a_j) for the simple
+    roots a_j = roots.roots[j], j < n_gens, which the root closure lists
+    first, so perms holds the first n_gens columns of the full permutation
+    rows.  rmult[i] maps each element g to g s_i, the one Cayley table
+    kept: (g s_i)(a) = g(s_i a).  The generators themselves are
+    rmult[:, 0].  descents[g] holds g's right descents as bits: bit i is
+    set when l(g s_i) < l(g), that is when g(a_i) is a negative root, in
+    the least unsigned dtype with n_gens bits.  Following right descents in
+    J from g leads to the shortest element of g W_J (coset_table).  No
+    element keys or words are kept: the keys and the search tree exist only
+    inside enumerate_group.  coxeter is the Coxeter matrix in node order,
+    which fixes the group and its element numbering.
     """
 
     def __init__(self, coxeter, roots, perms, rmult, descents):
@@ -287,10 +288,8 @@ class Group:
         if table is not None:
             return table
         # every element points one step down its coset, at g s_j for a right
-        # descent j in J; pointer jumping reaches the coset's one element
-        # with no descent in J, and the coset's least index is read there
-        index = np.arange(self.order, dtype=np.int32)
-        ptr = index
+        # descent j in J; pointer jumping reaches the coset's shortest element
+        ptr = np.arange(self.order, dtype=np.int32)
         for j in sorted(key):
             ptr = np.where(self.descents & (1 << j), self.rmult[j], ptr)
         while True:
@@ -298,11 +297,8 @@ class Group:
             if np.array_equal(nxt, ptr):
                 break
             ptr = nxt
-        least = index.copy()
-        np.minimum.at(least, ptr, index)
-        label = least[ptr]
-        is_rep = label == index
-        coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
+        is_rep = (self.descents & sum(1 << j for j in key)) == 0
+        coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[ptr]
         table = CosetTable(coset_id, np.flatnonzero(is_rep))
         for a in (coset_id, table.reps):
             a.setflags(write=False)
@@ -387,12 +383,14 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     """Enumerate the reflection group of a finite-type diagram.
 
     Checks the formula order against enumeration_budget() before doing any
-    work, so oversized groups (e.g. rank-7/8 E families) fail fast and
-    callers fall back to formula-based counting.  The last group built, if
-    it has at most HOLD_LIMIT elements, is returned again for the same
-    Coxeter matrix in node order (element numbering follows node order),
-    whatever the marks.  ToleranceCollision if the search does not find
-    exactly the formula's number of elements.
+    work, so an oversized group (e.g. rank-7/8 E families) fails fast with
+    BudgetExceeded naming the budget, a usage error for the cli.  Elements
+    are numbered in the order the search finds them: by length, and within
+    a length by key.  The last group built, if it has at most HOLD_LIMIT
+    elements, is returned again for the same Coxeter matrix in node order
+    (element numbering follows node order), whatever the marks.
+    ToleranceCollision if the search does not find exactly the formula's
+    number of elements, or if a row of rmult is not an involution.
     """
     budget = enumeration_budget()
     expected = group_order(d)
@@ -415,16 +413,14 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     # s_i w for an element w with w(a_j) = a
     moves = gens.ravel()
     tables = [row[gens].ravel() for row in key_table]
-    # the search, in search numbering: layer after layer, each in key order.
-    # simple holds the images of the simple roots, lmult[i, w] is s_i w
-    # (-1 until found) and w = s_(gen_of[w]) parent[w]
+    # the search, layer after layer, each in key order, numbers the elements:
+    # simple holds the images of the simple roots, lmult[i, w] is s_i w (-1
+    # until found) and w = s_(gen_of[w]) parent[w]
     simple = np.empty((expected, n), dtype=gens.dtype)
-    keys = np.empty(expected, dtype=np.uint64)
     lmult = np.full((n, expected), -1, dtype=np.int32)
     parent = np.empty(expected, dtype=np.int32)
     gen_of = np.empty(expected, dtype=np.int8)
     simple[0] = np.arange(n)
-    keys[0] = key_table[np.arange(n), np.arange(n)].sum()
     bounds = [0, 1]
     while bounds[-1] > bounds[-2]:
         lo, hi = bounds[-2:]
@@ -455,7 +451,6 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
         first = by_key[heads]
         parent[hi:top] = src[first]
         gen_of[hi:top] = gen[first]
-        keys[hi:top] = cand[heads]
         simple[hi:top] = moves[base[first, None] + rows[first]]
     total = bounds[-1]
     if total != expected:
@@ -476,20 +471,11 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     for i, row in enumerate(rmult):
         descents |= (row < start).astype(descents.dtype) << i
     del start
-    # renumber so element order is key order (= lex order of the rows)
-    order = np.argsort(keys)
-    del keys
     identity = np.arange(total, dtype=np.int32)
-    inv = np.empty_like(identity)
-    inv[order] = identity
     for i, row in enumerate(rmult):
-        row[:] = inv[row[order]]
         if not np.array_equal(row[row], identity):
             raise ToleranceCollision("right multiplication by s_%d is not an involution" % i)
-    del inv, identity
-    descents, perms = descents[order], simple[order]
-    del order, simple
-    group = Group(coxeter, roots, perms, rmult, descents)
+    group = Group(coxeter, roots, simple, rmult, descents)
     if expected <= HOLD_LIMIT:
         _held[key] = group
     return group

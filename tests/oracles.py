@@ -15,9 +15,9 @@ the Gram definiteness test and the vertex figure are independent views of
 the group, the diagram and the lattice that only tests read, and so is
 face_rank, the rank of every face id.  The group keeps only the images
 of the simple roots and no words; full_rows rebuilds every column along a
-search tree of rmult, word and walk give words and products along that
-tree, and element_index, compose and inverse multiply by composing
-permutation rows.  rmult_by_key_lookup (each g s_i found by its element
+search tree of rmult, word, lengths and walk give words, their lengths
+and products along that tree, and element_index, compose and inverse
+multiply by composing permutation rows.  rmult_by_key_lookup (each g s_i found by its element
 key, its images of the simple roots matched from float combinations of
 the kept ones) and coset_table_by_hooking (the components of rmult
 restricted to J, by _coset_minima) are the group tables' routes before
@@ -92,6 +92,14 @@ def word(g, a: int) -> tuple[int, ...]:
         out.append(int(gen[a]))
         a = int(parent[a])
     return tuple(out[::-1])
+
+
+def lengths(g) -> np.ndarray:
+    """len(word(g, a)) for every element a: its layer in the search tree."""
+    out = np.empty(g.order, dtype=np.int64)
+    for k, layer in enumerate(_search_tree(g)[2]):
+        out[layer] = k
+    return out
 
 
 def walk(g, start, gens):
@@ -230,7 +238,7 @@ def rmult_by_key_lookup(g) -> np.ndarray:
     """rmult with every g s_i looked up by its key; KeyError if one is missing.
 
     The element keys of the library's key_layout, read off g.perms, are
-    sorted in element order.  Row g s_i sends a_j to g(s_i a_j) =
+    sorted once and must be distinct.  Row g s_i sends a_j to g(s_i a_j) =
     g(a_j) - 2 (a_i . a_j) g(a_i), a float combination of two kept images
     that is matched back to a root; its key is searched among them.  Each
     distinct pair of images is matched once.
@@ -239,7 +247,9 @@ def rmult_by_key_lookup(g) -> np.ndarray:
     n = g.n_gens
     key_table = key_layout(g.roots.perms)
     keys = _row_keys(key_table, g.perms)
-    assert (keys[1:] > keys[:-1]).all(), "elements are not in key order"
+    order = np.argsort(keys)
+    keys = keys[order]
+    assert (keys[1:] > keys[:-1]).all(), "two elements have one key"
     rmult = np.empty((n, g.order), dtype=np.int32)
     for i in range(n):
         images = np.empty_like(g.perms)
@@ -256,7 +266,7 @@ def rmult_by_key_lookup(g) -> np.ndarray:
         pos = np.searchsorted(keys, want)
         if not _kernels.found_at(keys, want, pos).all():
             raise KeyError("permutation is not a group element")
-        rmult[i] = pos
+        rmult[i] = order[pos]
     return rmult
 
 

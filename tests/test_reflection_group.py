@@ -15,9 +15,11 @@ from oracles import (
     compose,
     coset_table_by_hooking,
     element_index,
+    element_indices,
     full_rows,
     group_matrices,
     inverse,
+    lengths,
     perms_of_generators,
     reflection_count,
     rmult_by_key_lookup,
@@ -278,8 +280,8 @@ def test_parabolic_subgroup_orders(shared):
 def test_enumeration_peak_stays_near_the_kept_tables(shared):
     # B6: perms (6 int16 columns) and rmult (6 int32 rows) are kept.  The
     # peak is where rmult is read off the left table: both tables (24 bytes
-    # an element each), the search's simple-root rows, keys and tree (12, 8
-    # and 5) are held then, about 82 bytes an element; the ceiling is 96
+    # an element each), the search's simple-root rows and tree (12 and 5)
+    # are held then, about 74 bytes an element; the ceiling is 88
     d = parse("x4o3o3o3o3o")
     warm = shared.group(d)
     reflection_group._held.clear()  # else the call below returns the held group
@@ -290,7 +292,7 @@ def test_enumeration_peak_stays_near_the_kept_tables(shared):
     finally:
         tracemalloc.stop()
     assert g is not warm
-    assert peak < 96 * g.order
+    assert peak < 88 * g.order
 
 
 def _group_arrays(g):
@@ -431,12 +433,14 @@ def test_non_definite_gram_rejected():
         simple_normals(bad)
 
 
-def _enumerate_by_dict(d):
+def _enumerate_by_dict(d, g):
     """Element-by-element BFS keyed by full permutation bytes: the group oracle.
 
-    Returns perms in lex order of the rows, the row -> index dict, rmult
-    (g -> g s_i), the element indices of the generators and the generator
-    permutations.
+    The elements it finds are numbered as g numbers them, each matched to
+    g's element with the same whole permutation row (element_indices); the
+    match must be a bijection.  Returns perms in that numbering, the row ->
+    index dict, rmult (g -> g s_i), the element indices of the generators
+    and the generator permutations.
     """
     roots = root_system(d)
     gen_perms = perms_of_generators(roots, simple_normals(d))
@@ -455,8 +459,11 @@ def _enumerate_by_dict(d):
                     rows.append(row.copy())
                     nxt.append(index[b])
         frontier = nxt
-    perms = np.array(rows)
-    perms = perms[np.lexsort(perms.T[::-1])]
+    found = np.array(rows)
+    lib = element_indices(g, found)
+    assert np.array_equal(np.sort(lib), np.arange(g.order)), "not a bijection onto g"
+    perms = np.empty_like(found)
+    perms[lib] = found
     index = {perms[i].tobytes(): i for i in range(len(perms))}
     rmult = np.empty((len(gen_perms), len(perms)), dtype=np.int32)
     for gi, gp in enumerate(gen_perms):
@@ -511,7 +518,7 @@ def _same(a, b):
 )
 def test_group_and_coset_tables_match_dict_oracle(shared, diagram):
     g = shared.group(diagram)
-    perms, index, rmult, gen_elements, gen_perms = _enumerate_by_dict(diagram)
+    perms, index, rmult, gen_elements, gen_perms = _enumerate_by_dict(diagram, g)
     assert _same(full_rows(g), perms)
     assert _same(g.perms, perms[:, : g.perms.shape[1]])
     assert _same(g.rmult, rmult)
@@ -578,10 +585,12 @@ def _small_groups(draw):
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(_small_groups())
-def test_keys_number_elements_in_row_order(d):
+def test_elements_are_numbered_by_length_then_key(d):
     g = enumerate_group(d)
+    table = key_layout(g.roots.perms)
+    keys = sum(table[j][g.perms[:, j]] for j in range(g.n_gens))
+    assert np.array_equal(np.lexsort((keys, lengths(g))), np.arange(g.order))
     rows = full_rows(g)
-    assert np.array_equal(np.lexsort(rows.T[::-1]), np.arange(g.order))
     for i, gp in enumerate(_generator_perms(d)):
         assert np.array_equal(rows[g.rmult[i]], rows[:, gp])
 
@@ -623,13 +632,23 @@ def _table_matrices():
     x3x3x3x3x3x, B7, A8, I2(999) and I2(3999); every ring set of D6, D7,
     F4, H3 and E6; and (A1)^14.
     """
-    wl = benchmark_workloads()
-    texts = wl.sweep_items(1) + list(wl.ORBIT_ITEMS) + wl.big_group_items()
-    texts += ["x3x3x3x3x3x", "x4o3o3o3o3o3o", "x3o3o3o3o3o3o3o", "x999x", "x3999o"]
-    diagrams = [parse(t) for t in texts]
+    texts = ["x3x3x3x3x3x", "x4o3o3o3o3o3o", "x3o3o3o3o3o3o3o", "x999x", "x3999o"]
+    diagrams = _benchmark_items() + [parse(t) for t in texts]
     for family, n in (("D", 6), ("D", 7), ("F", 4), ("H", 3), ("E", 6)):
         diagrams += decorated_variants(family_diagram(family, n))
     diagrams.append(_a1_power(14))
+    return _by_matrix(diagrams)
+
+
+def _benchmark_items():
+    """The diagrams of the benchmark's seed-1 sweep, orbit and big_group items."""
+    wl = benchmark_workloads()
+    texts = wl.sweep_items(1) + list(wl.ORBIT_ITEMS) + wl.big_group_items()
+    return [parse(t) for t in texts]
+
+
+def _by_matrix(diagrams):
+    """The diagrams grouped by Coxeter matrix, in order of first appearance."""
     by_matrix = {}
     for d in diagrams:
         by_matrix.setdefault(coxeter_matrix(d).tobytes(), []).append(d)
@@ -657,6 +676,27 @@ def test_group_tables_match_the_lookup_and_hooking_routes(decorations):
         table, want = g.coset_table(J), coset_table_by_hooking(g, J)
         assert _same(table.coset_id, want.coset_id), sorted(J)
         assert _same(table.reps, want.reps), sorted(J)
+
+
+@pytest.mark.parametrize(
+    "decorations",
+    _by_matrix(_benchmark_items()),
+    ids=lambda ds: "+".join(str(t) for t in classify_components(ds[0])),
+)
+def test_coset_reps_are_the_descent_free_shortest_elements(shared, decorations):
+    # the representative of g W_J is its one element with no right descent in
+    # J, the rule coset_pairs reads, and the one member of least length
+    g = shared.group(decorations[0])
+    length = lengths(g)
+    nodes = set().union(*map(_stabilizers, decorations))
+    nodes |= {frozenset(), frozenset(range(g.n_gens))}
+    for J in sorted(nodes, key=sorted):
+        table = g.coset_table(J)
+        mask = sum(1 << j for j in J)
+        assert _same(table.reps, np.flatnonzero((g.descents & mask) == 0)), sorted(J)
+        least = np.full(table.count, g.order)
+        np.minimum.at(least, table.coset_id, length)
+        assert _same(np.flatnonzero(length == least[table.coset_id]), table.reps), sorted(J)
 
 
 @pytest.mark.parametrize(
