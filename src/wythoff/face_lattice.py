@@ -327,8 +327,8 @@ def _up_tables(lat: FaceLattice) -> tuple:
     vertex -> edge blocks.
     """
     d = lat.diagram
-    total = group_order(d)
-    orders = {(): 1}
+    total = lat.group.order
+    orders = lat.group.parabolic_orders
     ups, per_edge, totals, faces = [], [], [], []
     for lo, hi, i, j in lat.cover_blocks:
         common = tuple(sorted(lo.nodes & hi.nodes))

@@ -62,10 +62,13 @@ the roots it gives the root orbits behind the keys, and over the flag
 moves' ordering table, the components of the orderings.
 
 The group depends on the diagram only through its Coxeter matrix, so
-enumerate_group keeps the last group it built, with its coset tables, for
-every decoration of that matrix.  Its arrays are read-only, so no caller
-can change what later callers read.  A group of more than HOLD_LIMIT
-elements is not kept, so what a process holds between calls stays small.
+enumerate_group keeps the groups it built most recently, with their coset
+tables, for every decoration of their matrices: a sweep that comes back to
+a matrix skips both the search and the coset tables.  The held groups have
+at most HOLD_LIMIT elements together, the least recently used are dropped
+first to make room, and a larger group is not kept, so what a process
+holds between calls stays small.  Their arrays are read-only, so no caller
+can change what later callers read.
 """
 
 from __future__ import annotations
@@ -91,13 +94,14 @@ KEY_LIMIT = 2**64
 ROW_BLOCK = 8192
 # c^2 = alpha + beta c for c = 2cos(pi/m), m the label > 3 of a component
 _C_SQUARED = {4: (2, 0), 5: (1, 1), 6: (3, 0)}
-# largest group enumerate_group keeps for later calls.  Its own tables take
-# 2 bytes a simple root, 4 a generator and 1 for the descent bits per
-# element (H4: 25), and each coset table 4 more and 8 a coset; with the
-# tables of one decoration's lattice that is 27 to 368 bytes an element
-# over the sweep families (H4 all ringed: 1.8 MB), so at most about 8.5 MB
-# stays held (D6 all ringed, 64 tables); A7 (40320), B6 (46080) and E6
-# (51840) are not kept
+# limit on the total elements of the groups enumerate_group keeps for later
+# calls.  A group's own tables take 2 bytes a simple root, 4 a generator
+# and 1 for the descent bits per element (H4: 25), and each coset table 4
+# more and 8 a coset; with the tables of its decorations' lattices that is
+# 27 to 368 bytes an element over the sweep families (H4 all ringed:
+# 1.8 MB), so at most about 12 MB stays held.  The 28 groups of one pass of
+# the benchmark's sweep hold 16460 elements in 3.0 MB.  A7 (40320), B6
+# (46080) and E6 (51840) are not kept
 HOLD_LIMIT = 32_768
 
 
@@ -262,7 +266,10 @@ class Group:
     J from g leads to the shortest element of g W_J (coset_table).  No
     element keys or words are kept: the keys and the search tree exist only
     inside enumerate_group.  coxeter is the Coxeter matrix in node order,
-    which fixes the group and its element numbering.
+    which fixes the group and its element numbering.  parabolic_orders
+    maps a sorted node tuple J to |W_J|; its reader (the cover counts of
+    face_lattice.diamond_report) fills it in, so a held group works each
+    one out once.
     """
 
     def __init__(self, coxeter, roots, perms, rmult, descents):
@@ -275,6 +282,7 @@ class Group:
         self.descents = descents
         self.n_gens = len(rmult)
         self._cosets: dict = {}
+        self.parabolic_orders: dict = {(): 1}
 
     @property
     def order(self) -> int:
@@ -374,8 +382,8 @@ def key_layout(gen_perms) -> np.ndarray:
     return places[:, None] * digit
 
 
-# the last group enumerate_group built, if within HOLD_LIMIT, keyed by its
-# Coxeter matrix's bytes
+# the groups enumerate_group holds, keyed by their Coxeter matrix's bytes,
+# from the least to the most recently used
 _held: dict[bytes, Group] = {}
 
 
@@ -386,9 +394,12 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     work, so an oversized group (e.g. rank-7/8 E families) fails fast with
     BudgetExceeded naming the budget, a usage error for the cli.  Elements
     are numbered in the order the search finds them: by length, and within
-    a length by key.  The last group built, if it has at most HOLD_LIMIT
-    elements, is returned again for the same Coxeter matrix in node order
-    (element numbering follows node order), whatever the marks.
+    a length by key.  A group is returned again for the same Coxeter
+    matrix in node order (element numbering follows node order), whatever
+    the marks, while it is held: the most recently used groups are held,
+    at most HOLD_LIMIT elements together, and a build drops the least
+    recently used ones until the new group fits.  A group of more than
+    HOLD_LIMIT elements is not kept, so it is built with nothing held.
     ToleranceCollision if the search does not find exactly the formula's
     number of elements, or if a row of rmult is not an involution.
     """
@@ -400,10 +411,14 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
         )
     coxeter = coxeter_matrix(d)
     key = coxeter.tobytes()
-    held = _held.get(key)
+    held = _held.pop(key, None)
     if held is not None:
+        _held[key] = held  # back in last, as the most recently used
         return held
-    _held.clear()  # never hold two groups: drop the old one before building
+    # drop the least recently used groups until the new one fits; one over
+    # HOLD_LIMIT is not kept, so it is built with nothing held
+    while _held and sum(g.order for g in _held.values()) + expected > HOLD_LIMIT:
+        del _held[next(iter(_held))]
     roots = root_system(d)
     gens = roots.perms
     n = d.rank

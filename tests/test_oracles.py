@@ -33,16 +33,18 @@ from sweep import (
     sweep_diagrams,
     sweep_products,
 )
-from wythoff import face_lattice
+from wythoff import face_lattice, reflection_group
 from wythoff.diagram import disjoint_union, parse
 from wythoff.face_lattice import (
     FaceLattice,
+    build_lattice,
     diamond_report,
     flag_partners,
     flag_report,
     lattices_isomorphic,
 )
 from wythoff.geometry import affine_rank_check, containment_check
+from wythoff.reflection_group import enumerate_group
 from wythoff.regular import is_flag_transitive
 
 # beyond this many flags the explicit flag graph costs the suite too much
@@ -227,6 +229,28 @@ def test_corrupted_lattice_reports_agree(shared):
     report = containment_check(real)
     assert report == _containment_by_sparse(real)
     assert report.detail == {"covers": len(bad.covers), "violations": 2}
+
+
+def test_a_held_group_works_out_each_parabolic_order_once(shared, monkeypatch):
+    calls = []
+    order = face_lattice.group_order
+    monkeypatch.setattr(face_lattice, "group_order", lambda d: calls.append(d.node_ids) or order(d))
+    reflection_group._held.clear()
+    lats = [build_lattice(parse(text)) for text in ("x3x4o", "o3x4x")]
+    assert lats[1].group is lats[0].group
+    reports = [diamond_report(lat) for lat in lats]
+    assert calls and len(set(calls)) == len(calls)
+    bad, _ = _corrupted_cube(shared)
+    lats.append(bad)
+    reports.append(diamond_report(bad))
+    assert reports[-1].cover_mismatches and reports[-1].face_mismatches
+    for lat, report in zip(lats, reports, strict=True):
+        reflection_group._held.clear()
+        fresh = enumerate_group(lat.diagram)
+        assert fresh is not lat.group and not fresh.parabolic_orders.keys() - {()}
+        again = FaceLattice(lat.diagram, lat.start, fresh, lat.slots_by_rank)
+        again.cover_blocks = lat.cover_blocks
+        assert diamond_report(again) == report
 
 
 CORRUPTIBLE = {

@@ -325,7 +325,7 @@ def test_a_held_group_equals_a_fresh_enumeration():
 def test_check_after_another_decoration_matches_check_alone(capsys):
     def check(text):
         assert main(["check", text, "--json"]) == 0
-        (held,) = reflection_group._held.values()
+        held = reflection_group._held[coxeter_matrix(parse(text)).tobytes()]
         return capsys.readouterr().out, held
 
     reflection_group._held.clear()
@@ -384,12 +384,33 @@ def test_coset_table_refuses_nodes_outside_the_group(shared, nodes):
         shared.group(parse("x4o3o")).coset_table(nodes)
 
 
-def test_a_miss_lets_the_held_group_go():
+def test_interleaved_matrices_hit_their_held_groups():
     reflection_group._held.clear()
-    ref = weakref.ref(enumerate_group(parse("x3o3o")))
-    enumerate_group(parse("x4o3o"))
+    a = enumerate_group(parse("x3o3o"))
+    b = enumerate_group(parse("x4o3o"))
+    assert enumerate_group(parse("o3x3o")) is a
+    assert enumerate_group(parse("o4o3x")) is b
+    reflection_group._held.clear()
+    fresh = enumerate_group(parse("x3o3o"))
+    assert fresh is not a
+    for x, y in zip(_group_arrays(a), _group_arrays(fresh), strict=True):
+        assert np.array_equal(x, y)
+
+
+def test_a_build_over_the_hold_limit_drops_the_least_recently_used_group(monkeypatch):
+    reflection_group._held.clear()
+    monkeypatch.setattr(reflection_group, "HOLD_LIMIT", 24 + 48)
+    a3 = weakref.ref(enumerate_group(parse("x3o3o")))  # order 24
+    b3 = weakref.ref(enumerate_group(parse("x4o3o")))  # order 48
+    assert enumerate_group(parse("o3o3x")) is a3()  # now the most recently used
+    a2 = enumerate_group(parse("x3o"))  # order 6: 78 > 72, so B3 goes
     gc.collect()
-    assert ref() is None
+    assert b3() is None
+    assert list(reflection_group._held.values()) == [a3(), a2]
+    enumerate_group(parse("x4o3o"))  # 78 again: A3, now the least recent, goes
+    gc.collect()
+    assert a3() is None
+    assert sum(g.order for g in reflection_group._held.values()) == 54
 
 
 def test_a_group_over_the_hold_limit_is_not_kept(monkeypatch):
@@ -405,6 +426,38 @@ def test_a_group_over_the_hold_limit_is_not_kept(monkeypatch):
     monkeypatch.setattr(reflection_group, "HOLD_LIMIT", 48)
     g = enumerate_group(d)
     assert enumerate_group(d) is g
+
+
+# orders 6, 8, 10, 24, 48, 48 (another node order), 120 and 120
+_HOLD_DIAGRAMS = ("x3o", "x4o", "x5o", "x3o3o", "x4o3o", "x3o4o", "x5o3o", "x3o3o3o")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=200),
+    st.lists(st.sampled_from(_HOLD_DIAGRAMS), min_size=1, max_size=12),
+)
+def test_the_held_groups_stay_within_the_hold_limit(limit, texts):
+    saved = reflection_group.HOLD_LIMIT
+    reflection_group._held.clear()
+    reflection_group.HOLD_LIMIT = limit
+    try:
+        for text in texts:
+            g = enumerate_group(parse(text))
+            g.coset_table([0])
+            held = reflection_group._held
+            assert sum(h.order for h in held.values()) <= limit
+            if g.order <= limit:
+                assert list(held.values())[-1] is g
+            else:
+                assert not held
+            for h in held.values():
+                tables = [a for t in h._cosets.values() for a in (t.coset_id, t.reps)]
+                for a in [h.coxeter, h.roots.roots, h.roots.perms, h.perms, h.rmult, h.descents] + tables:
+                    assert not a.flags.writeable
+    finally:
+        reflection_group.HOLD_LIMIT = saved
+        reflection_group._held.clear()
 
 
 def test_budget_exceeded(monkeypatch):
