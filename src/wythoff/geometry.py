@@ -115,7 +115,7 @@ def realize(lat: FaceLattice) -> Realization:
     deviation = 0.0
     for lo in range(0, g.order, ROW_BLOCK):
         block = g.point_images(x, slice(lo, lo + ROW_BLOCK))
-        block -= points[vt.coset_id[lo : lo + ROW_BLOCK]]
+        block -= points.take(vt.coset_id[lo : lo + ROW_BLOCK], axis=0)
         deviation = max(deviation, np.abs(block, out=block).max())
     if deviation > POINT_MATCH_TOL:
         raise DedupCollision(

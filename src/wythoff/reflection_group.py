@@ -54,7 +54,11 @@ same coset (Humphreys, Reflection Groups and Coxeter Groups, 1.10;
 Bjorner-Brenti 2.4).  That element is the coset's canonical
 representative, and since elements are numbered by length it is also the
 coset's least index.  coset_table points every element one such step
-down and follows the pointers to it by pointer jumping.
+down, at g s_j for its lowest right descent j in J (one lookup per byte of
+its descent bits), and doubles the pointers until they all reach
+representatives.  The last index is the longest element w0 = w0^J w0_J, and
+its chain, of l(w0_J) steps, is the longest of all, so the doubling stops
+as soon as w0's pointer reaches its representative.
 
 Components of a graph of root or ordering maps are labelled by their least
 member in one routine, _coset_minima.  Over the generator permutations of
@@ -233,12 +237,12 @@ def root_system(d: DecoratedDiagram) -> RootSystem:
 class CosetTable:
     """Left-coset partition of a group by a parabolic subgroup W_J.
 
-    coset_id maps element index -> coset number; reps[c] is the coset's
-    canonical representative, its shortest element, the one with no right
-    descent in J and so its least index.  Every element of the coset g W_J
-    reaches it by right descents in J (Group.coset_table); cosets are
-    numbered in increasing order of their representatives, so coset 0 is
-    W_J itself.
+    coset_id maps element index -> coset number (int32); reps[c] is the
+    coset's canonical representative, its shortest element, the one with no
+    right descent in J and so its least index.  Every element of the coset
+    g W_J reaches it by a chain of lowest right descents in J
+    (Group.coset_table); cosets are numbered in increasing order of their
+    representatives, so coset 0 is W_J itself.
     """
 
     coset_id: np.ndarray
@@ -262,10 +266,12 @@ class Group:
     kept: (g s_i)(a) = g(s_i a).  The generators themselves are
     rmult[:, 0].  descents[g] holds g's right descents as bits: bit i is
     set when l(g s_i) < l(g), that is when g(a_i) is a negative root, in
-    the least unsigned dtype with n_gens bits.  Following right descents in
-    J from g leads to the shortest element of g W_J (coset_table).  No
-    element keys or words are kept: the keys and the search tree exist only
-    inside enumerate_group.  coxeter is the Coxeter matrix in node order,
+    the least unsigned dtype with n_gens bits.  Following the lowest right
+    descent in J from g, step after step, leads to the shortest element of
+    g W_J, and the longest such chain is the last index's (coset_table).
+    point_images reads g*x off perms and the roots.  No element keys or
+    words are kept: the keys and the search tree exist only inside
+    enumerate_group.  coxeter is the Coxeter matrix in node order,
     which fixes the group and its element numbering.  parabolic_orders
     maps a sorted node tuple J to |W_J|; its reader (the cover counts of
     face_lattice.diamond_report) fills it in, so a held group works each
@@ -289,24 +295,49 @@ class Group:
         return self.rmult.shape[1]
 
     def coset_table(self, nodes) -> CosetTable:
-        key = frozenset(int(v) for v in nodes)
+        """The left cosets g W_J of the parabolic subgroup on the given nodes.
+
+        Each element points one step down its coset, at g s_j for its lowest
+        right descent j in J (_lowest_bit), and each representative at
+        itself.  k doublings of the pointers move each element 2^k steps
+        down its chain, or to its representative if that is nearer.  The
+        chain of g = g^J g_J has l(g_J) steps, and the longest, of l(w0_J)
+        steps, is that of the last index, the longest element
+        w0 = w0^J w0_J: so the pointers are doubled until ptr[-1] is a
+        representative, and then all of them are.  A table is kept per node
+        set.  SubgroupNotContained if a node is not an integer or not the
+        index of a generator.
+        """
+        key = frozenset(nodes)
+        for v in key:
+            if not isinstance(v, (int, np.integer)):
+                raise SubgroupNotContained("generator index %r is not an integer" % (v,))
+        key = frozenset(map(int, key))
         if not all(0 <= v < self.n_gens for v in key):
             raise SubgroupNotContained("generator indices out of range")
         table = self._cosets.get(key)
         if table is not None:
             return table
-        # every element points one step down its coset, at g s_j for a right
-        # descent j in J; pointer jumping reaches the coset's shortest element
-        ptr = np.arange(self.order, dtype=np.int32)
-        for j in sorted(key):
-            ptr = np.where(self.descents & (1 << j), self.rmult[j], ptr)
-        while True:
-            nxt = ptr[ptr]
-            if np.array_equal(nxt, ptr):
-                break
-            ptr = nxt
-        is_rep = (self.descents & sum(1 << j for j in key)) == 0
-        coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[ptr]
+        order = self.order
+        step = _lowest_bit(self.descents & sum(1 << j for j in key))
+        is_rep = step < 0
+        # g s_j is entry j * order + g of the flattened rmult
+        ptr = np.maximum(step, 0).astype(np.int32 if self.n_gens * order < 2**31 else np.int64)
+        del step
+        ptr *= order
+        ptr += np.arange(order, dtype=np.int32)
+        ptr = _gather(self.rmult.ravel(), ptr)
+        # the representatives point at themselves
+        np.copyto(ptr, np.arange(order, dtype=np.int32), where=is_rep)
+        while not is_rep[ptr[-1]]:
+            ptr = _gather(ptr, ptr)
+        # cosets are numbered in order of their representatives (-1 elsewhere,
+        # which no pointer reaches); the pointers are freed before the
+        # representatives are listed
+        number = np.full(order, -1, dtype=np.int32)
+        number[is_rep] = np.arange(np.count_nonzero(is_rep), dtype=np.int32)
+        coset_id = _gather(number, ptr)
+        del number, ptr
         table = CosetTable(coset_id, np.flatnonzero(is_rep))
         for a in (coset_id, table.reps):
             a.setflags(write=False)
@@ -317,15 +348,51 @@ class Group:
         """g*x for the given elements (all by default), without matrices.
 
         With x = sum_j y_j a_j, g*x = sum_j y_j g(a_j), added up one simple
-        root at a time so that no (elements, n, dim) array is built.
+        root at a time so that no (elements, n, dim) array is built.  The
+        terms are gathered from the roots scaled by y_j once per call, so
+        each product y_j g(a_j) is computed once per root, not per element.
         """
         roots = self.roots.roots
         y = np.linalg.solve(roots[: self.n_gens].T, np.asarray(x, dtype=np.float64))
+        scaled = roots * y[:, None, None]
         rows = self.perms[elements]
-        out = roots[rows[:, 0]] * y[0]
+        out = scaled[0].take(rows[:, 0], axis=0)
         for j in range(1, len(y)):
-            out += roots[rows[:, j]] * y[j]
+            out += scaled[j].take(rows[:, j], axis=0)
         return out
+
+
+# _LOWEST_BIT[b] is the index of the lowest set bit of the byte b; for b = 0
+# it is -128, which stays negative after adding a byte's shift (at most 56)
+_LOWEST_BIT = np.array(
+    [(b & -b).bit_length() - 1 if b else -128 for b in range(256)], dtype=np.int8
+)
+
+
+def _lowest_bit(bits: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each entry (int8), negative where none is set.
+
+    Read a byte at a time from _LOWEST_BIT; a higher byte counts only where
+    the lower ones are all clear.
+    """
+    low = _gather(_LOWEST_BIT, bits & 0xFF)
+    for shift in range(8, 8 * bits.itemsize, 8):
+        np.copyto(low, _gather(_LOWEST_BIT, (bits >> shift) & 0xFF) + shift, where=low < 0)
+    return low
+
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """values[index], taken ROW_BLOCK indices at a time.
+
+    take reads an index of another dtype than intp through an intp copy of
+    it; a block at a time, that copy stays one block long, where a whole
+    one would add 8 bytes an element to a coset table's peak (and, on B7,
+    about 4 MB to a cold check's peak RSS).
+    """
+    out = np.empty(len(index), dtype=values.dtype)
+    for lo in range(0, len(index), ROW_BLOCK):
+        out[lo : lo + ROW_BLOCK] = values.take(index[lo : lo + ROW_BLOCK])
+    return out
 
 
 def _coset_minima(count: int, tables: list) -> np.ndarray:

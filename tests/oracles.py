@@ -21,7 +21,10 @@ multiply by composing permutation rows.  rmult_by_key_lookup (each g s_i found b
 key, its images of the simple roots matched from float combinations of
 the kept ones) and coset_table_by_hooking (the components of rmult
 restricted to J, by _coset_minima) are the group tables' routes before
-the library read them off the search and its descent bits.  The minimum
+the library read them off the search and its descent bits, and
+point_images_by_products (each term y_j g(a_j) multiplied per element) is
+the point images' route before they were gathered from pre-scaled roots.
+The minimum
 separation by a walk along one sorted projection is the point kernel's
 route before its cell grid.  coset_pairs_by_sort (one key per element of
 G, deduplicated by sorted_unique) is the incidence rule's route before it
@@ -268,6 +271,22 @@ def rmult_by_key_lookup(g) -> np.ndarray:
             raise KeyError("permutation is not a group element")
         rmult[i] = order[pos]
     return rmult
+
+
+def point_images_by_products(g, x, elements=slice(None)) -> np.ndarray:
+    """g*x for the given elements, each term y_j g(a_j) multiplied per element.
+
+    With x = sum_j y_j a_j, the gathered images of a_j are scaled by y_j and
+    added up one simple root at a time, the order Group.point_images adds
+    its pre-scaled terms in.
+    """
+    roots = g.roots.roots
+    y = np.linalg.solve(roots[: g.n_gens].T, np.asarray(x, dtype=np.float64))
+    rows = g.perms[elements]
+    out = roots[rows[:, 0]] * y[0]
+    for j in range(1, len(y)):
+        out += roots[rows[:, j]] * y[j]
+    return out
 
 
 def coset_table_by_hooking(g, nodes) -> CosetTable:

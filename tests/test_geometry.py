@@ -1,10 +1,12 @@
 import copy
+import functools
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import point_images_by_products
 from sweep import benchmark_workloads, decorated_variants, sweep_diagrams, sweep_products
 from wythoff import geometry
 from wythoff._kernels import match_rows, min_pairwise_distance
@@ -278,6 +280,27 @@ def test_shortest_edge_is_the_closest_pair(shared):
         assert _shortest_edge(real.lattice, real.points) == min_pairwise_distance(
             real.points
         ), text
+
+
+def test_point_images_equal_the_per_element_products_to_the_bit(shared, monkeypatch):
+    # the terms gathered from pre-scaled roots are the same products, added
+    # in the same order, so every image, point and deviation is unchanged
+    wl = benchmark_workloads()
+    texts = wl.sweep_items(1) + sorted(wl.KNOWN_DEFECTS_I2) + list(wl.ORBIT_ITEMS)
+    texts += wl.big_group_items()
+    texts = list(dict.fromkeys(texts))
+    assert len(texts) == 66
+    for text in texts:
+        real = shared.realization(parse(text))
+        g, x = real.lattice.group, wythoff_point(real.lattice.diagram)
+        reps = real.lattice.slots_by_rank[0][0].table.reps
+        assert np.array_equal(g.point_images(x), point_images_by_products(g, x)), text
+        assert np.array_equal(g.point_images(x, reps), point_images_by_products(g, x, reps)), text
+        with monkeypatch.context() as m:
+            m.setattr(g, "point_images", functools.partial(point_images_by_products, g))
+            want = realize(real.lattice)
+        assert np.array_equal(real.points, want.points), text
+        assert real.deviation == want.deviation, text
 
 
 def test_vertices_closer_than_the_separation_are_refused(shared, monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import tracemalloc
 import weakref
 from itertools import combinations
@@ -295,6 +296,24 @@ def test_enumeration_peak_stays_near_the_kept_tables(shared):
     assert peak < 88 * g.order
 
 
+@pytest.mark.parametrize("text", ["x4o3o3o3o3o", "x3o3o3o3o3o3o"])
+def test_a_coset_table_peak_stays_under_20_bytes_an_element(shared, text):
+    # the vertex table of the benchmark's B6 and A7 items.  The pointers and
+    # the coset numbers are int32 and the representative marks a byte: at
+    # the end the pointers, the numbers, the table and the marks take 13
+    # bytes an element, plus one block of take's index copies
+    g = shared.group(parse(text))
+    nodes = frozenset(range(1, g.n_gens))
+    g._cosets.pop(nodes, None)  # else the call below returns the kept table
+    tracemalloc.start()
+    try:
+        g.coset_table(nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * g.order
+
+
 def _group_arrays(g):
     tables = [g.coset_table(nodes) for nodes in ({0}, {0, 1}, {1, 2})]
     return [g.coxeter, g.roots.roots, g.roots.perms, g.perms, g.rmult, g.descents] + [
@@ -378,9 +397,15 @@ def test_build_lattice_takes_the_group_of_its_coxeter_matrix():
     assert build_lattice(reversed_edges, enumerate_group(cube)).f_vector == (8, 12, 6)
 
 
-@pytest.mark.parametrize("nodes", [[3], [-1]])
+@pytest.mark.parametrize("nodes", [[3], [-1], [0.7], np.array([1.9]), ["1"]])
 def test_coset_table_refuses_nodes_outside_the_group(shared, nodes):
-    with pytest.raises(SubgroupNotContained, match="out of range"):
+    # a node that is not an integer is refused by its value, not truncated
+    (v,) = nodes
+    if isinstance(v, int):
+        message = "out of range"
+    else:
+        message = "index %s is not an integer" % re.escape(repr(v))
+    with pytest.raises(SubgroupNotContained, match=message):
         shared.group(parse("x4o3o")).coset_table(nodes)
 
 
@@ -750,6 +775,29 @@ def test_coset_reps_are_the_descent_free_shortest_elements(shared, decorations):
         least = np.full(table.count, g.order)
         np.minimum.at(least, table.coset_id, length)
         assert _same(np.flatnonzero(length == least[table.coset_id]), table.reps), sorted(J)
+
+
+@pytest.mark.parametrize(
+    "decorations",
+    _by_matrix(_benchmark_items()),
+    ids=lambda ds: "+".join(str(t) for t in classify_components(ds[0])),
+)
+def test_the_last_index_has_the_longest_coset_chain(shared, decorations):
+    # coset_table stops doubling once the last index reaches its
+    # representative.  That is exact: the last index is w0, the one longest
+    # element, and w0 = w0^J w0_J lies l(w0_J) steps above its
+    # representative, the longest chain of any element, l(w0_J) being the
+    # greatest length in coset 0, W_J itself
+    g = shared.group(decorations[0])
+    length = lengths(g)
+    assert np.flatnonzero(length == length.max()).tolist() == [g.order - 1]
+    nodes = set().union(*map(_stabilizers, decorations))
+    nodes |= {frozenset(), frozenset(range(g.n_gens))}
+    for J in sorted(nodes, key=sorted):
+        table = g.coset_table(J)
+        longest_in_w_j = length[table.coset_id == 0].max()
+        rep = table.reps[table.coset_id[-1]]
+        assert length[-1] - length[rep] == longest_in_w_j, sorted(J)
 
 
 @pytest.mark.parametrize(
