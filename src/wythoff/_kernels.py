@@ -34,7 +34,8 @@ keys fit in int64.  Those rows are compared pairwise, O(V^2) like a full
 distance matrix, in memory bounded by _BLOCK pairs at a time.
 
 found_at is the one test of membership in sorted integer keys, read at
-their searchsorted positions.  The library calls no numpy dedup:
+their searchsorted positions; face_lattice's flag moves are its one
+caller.  The library calls no numpy dedup:
 np.unique (and np.intersect1d, which calls it) builds a hash set before it
 sorts, and face_lattice.coset_pairs needs no dedup, since it keys one
 element of each coset pair.

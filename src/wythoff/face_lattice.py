@@ -133,10 +133,12 @@ class FaceLattice:
         Each slot's lists are built on their first read, so a reader of one
         rank (realize reads the edges) builds only that rank's.
         """
-        vs = self.slots_by_rank[0][0]
+        # the builder holds the group and the vertex slot, not self: a cycle
+        # through the lattice would keep both alive until the cyclic GC ran
+        group, vs = self.group, self.slots_by_rank[0][0]
 
         def face_vertices(s):
-            face, vertex = np.divmod(coset_pairs(self.group, s, vs), vs.count)
+            face, vertex = np.divmod(coset_pairs(group, s, vs), vs.count)
             counts = np.bincount(face, minlength=s.count)
             m = int(counts[0])
             if not np.all(counts == m):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import found_at, match_rows
+from ._kernels import match_rows
 from .decoration import RING
 from .errors import (
     DedupCollision,
@@ -199,10 +199,16 @@ def affine_rank_check(real: Realization) -> CheckReport:
 def containment_check(real: Realization) -> CheckReport:
     """Vertex set of the lower face of each cover lies inside the upper's.
 
-    Every (face, vertex) incidence of a slot becomes one integer key,
-    face * V + vertex, sorted as built since each face's vertex list is
-    sorted; each cover block's (upper face, lower-face vertex) keys are
-    looked up in its upper slot's keys.
+    Each upper slot's vertex lists become one membership table, read by
+    direct address, so a list is read as a set in any order.  With m
+    vertices a face and V vertices, a slot with V <= 8m gets a boolean
+    (faces, V) table, at most twice the size of its int32 lists, and one
+    gather answers each (upper face, lower-face vertex) pair.  Otherwise
+    column v of an (r, V) int32 table lists the r faces of the slot that
+    hold vertex v, in order, from one stable sort of the lists' vertex
+    ids; each pair takes r probes.  Conjugate faces put every vertex in
+    equally many faces of a slot, and only a corrupted list leaves a
+    column short, padded with -1.
 
     It ties every face's vertex list to the covers in integers.
     affine_rank_check measures each slot's base face only and carries the
@@ -213,23 +219,52 @@ def containment_check(real: Realization) -> CheckReport:
     """
     fv = real.lattice.face_vertices
     nv = len(real.points)
-    keys = {}
+    blocks = real.lattice.cover_blocks
+    # each table is dropped after the last block that reads it
+    last = {hi.offset: b for b, (_, hi, _, _) in enumerate(blocks)}
+    tables = {}
     covers = violations = 0
-    for lo, hi, i, j in real.lattice.cover_blocks:
-        dtype = np.int32 if hi.count * nv < 2**31 else np.int64
-        if hi.offset not in keys:
-            keys[hi.offset] = (np.arange(hi.count, dtype=dtype)[:, None] * nv + fv[hi.offset]).ravel()
-        have = keys[hi.offset]
-        # by upper face, so the keys reach searchsorted nearly sorted; a
-        # stable sort of 8- or 16-bit integers is a radix sort
-        order = np.argsort(j.astype(np.min_scalar_type(hi.count)), kind="stable")
-        want = j[order].astype(dtype)[:, None] * nv + fv[lo.offset][i[order]]
-        hit = found_at(have, want, np.searchsorted(have, want))
-        violations += int(np.count_nonzero(~hit.all(axis=1)))
+    for b, (lo, hi, i, j) in enumerate(blocks):
+        if hi.offset not in tables:
+            tables[hi.offset] = _membership_table(fv[hi.offset], nv)
+        table = tables[hi.offset]
+        if last[hi.offset] == b:
+            del tables[hi.offset]
+        want = fv[lo.offset].take(i, axis=0)
+        if table.dtype == bool:
+            hit = table.ravel().take(j[:, None] * nv + want)
+        else:
+            face = j.astype(np.int32)[:, None]
+            hit = table[0].take(want) == face
+            probe, eq = np.empty(want.shape, np.int32), np.empty_like(hit)
+            for row in table[1:]:
+                hit |= np.equal(row.take(want, out=probe), face, out=eq)
+        # a row-wise all over a few columns is slow; a valid block skips it
+        if np.count_nonzero(hit) < hit.size:
+            violations += int(np.count_nonzero(~hit.all(axis=1)))
         covers += len(i)
     return CheckReport(
         "containment", violations == 0, {"covers": covers, "violations": violations}
     )
+
+
+def _membership_table(lists: np.ndarray, nv: int) -> np.ndarray:
+    """Which faces of one slot hold each vertex; see containment_check."""
+    count, m = lists.shape
+    if nv <= 8 * m:
+        table = np.zeros((count, nv), dtype=bool)
+        table[np.arange(count)[:, None], lists] = True
+        return table
+    # a stable sort of 8- or 16-bit integers is a radix sort
+    order = np.argsort(lists.ravel().astype(np.min_scalar_type(nv)), kind="stable")
+    held = np.bincount(lists.ravel(), minlength=nv)
+    r = int(held.max())
+    if np.all(held == r):
+        return np.ascontiguousarray((order // m).reshape(nv, r).T, dtype=np.int32)
+    table = np.full((r, nv), -1, dtype=np.int32)
+    vertex = lists.ravel()[order]
+    table[np.arange(len(order)) - (np.cumsum(held) - held)[vertex], vertex] = order // m
+    return table
 
 
 def distinct_faces_check(real: Realization) -> CheckReport:

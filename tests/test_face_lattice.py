@@ -1,6 +1,8 @@
 import ast
+import gc
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +21,7 @@ from oracles import (
     vertex_figure,
 )
 from sweep import benchmark_workloads, sweep_products
-from wythoff import face_lattice
+from wythoff import face_lattice, reflection_group
 from wythoff.cli import main
 from wythoff.decoration import f_vector_formula, start_decoration
 from wythoff.diagram import disjoint_union, family_diagram, group_order, parse
@@ -380,6 +382,22 @@ def test_vertices_builds_the_edge_lists_only(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 8
     # realize reads the separation off the one edge slot's vertex lists
     assert calls == ["face_vertices"]
+
+
+def test_a_dropped_lattice_frees_its_group_without_the_cyclic_gc():
+    # B6 has 46080 elements, over HOLD_LIMIT, so no hold keeps its group;
+    # realize builds the edges' vertex lists, whose builder must not close
+    # over the lattice
+    gc.disable()
+    try:
+        lat = build_lattice(parse("x4o3o3o3o3o"))
+        group = weakref.ref(lat.group)
+        assert group().order > reflection_group.HOLD_LIMIT
+        real = realize(lat)
+        del lat, real
+        assert group() is None
+    finally:
+        gc.enable()
 
 
 def _incidence_diagrams():

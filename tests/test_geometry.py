@@ -18,6 +18,7 @@ from wythoff.geometry import (
     RIDGE_MATCH_TOL,
     _ridge_normals,
     _shortest_edge,
+    containment_check,
     off_document,
     polar_dual_check,
     realization_document,
@@ -328,6 +329,21 @@ def test_realize_builds_no_array_of_every_image(shared, text):
     finally:
         tracemalloc.stop()
     assert peak < 2 * g.order * g.roots.roots.shape[1] * 8
+
+
+def test_containment_peak_memory(shared):
+    # 14400 vertices: each slot's membership table is dropped after the
+    # last cover block that reads it
+    real = shared.realization(parse("x5x3x3x"))
+    containment_check(real)
+    tracemalloc.start()
+    try:
+        report = containment_check(real)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 1_000_000
 
 
 def _with_face_vertices(real, slot, fv):

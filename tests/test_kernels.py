@@ -317,7 +317,8 @@ def test_group_layer_references_no_point_kernel():
 
 
 # the group layer's one dedup is the sort of each search layer: no element
-# is looked up after it, and no coset is labelled by hooking rounds
+# is looked up after it, and no coset is labelled by hooking rounds; the
+# containment check reads its membership tables by direct address
 GROUP_LOOKUPS = {"searchsorted", "found_at", "_coset_minima"}
 
 
@@ -358,3 +359,10 @@ def test_the_group_tables_come_from_the_search_without_a_lookup():
     source = path.read_text("utf-8")
     assert _lookup_references(source, "enumerate_group") == []
     assert _lookup_references(source, "Group.coset_table") == []
+
+
+def test_containment_reads_its_tables_without_a_lookup():
+    path = Path(__file__).resolve().parents[1] / "src" / "wythoff" / "geometry.py"
+    source = path.read_text("utf-8")
+    assert _lookup_references(source, "containment_check") == []
+    assert _lookup_references(source, "_membership_table") == []

@@ -3,12 +3,13 @@ isomorphism answers, and its covers and face-vertex lists, agree with the
 routes in oracles.py on every input set below."""
 
 import copy
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -33,7 +34,7 @@ from sweep import (
     sweep_diagrams,
     sweep_products,
 )
-from wythoff import face_lattice, reflection_group
+from wythoff import face_lattice, geometry, reflection_group
 from wythoff.diagram import disjoint_union, parse
 from wythoff.face_lattice import (
     FaceLattice,
@@ -119,6 +120,18 @@ def test_diamond_and_containment_match_sparse_products(shared, name):
         assert diamond_report(lat) == _diamond_by_sparse(lat), d
         real = shared.realization(d)
         assert containment_check(real) == _containment_by_sparse(real), d
+
+
+@pytest.mark.parametrize("text", ["x3x4o", "o5o3x3o", "x5x3x3x"])
+def test_containment_reads_each_list_as_a_set(shared, text):
+    # every face's vertices, reversed: the same sets in another order
+    real = shared.realization(parse(text))
+    lat = copy.copy(real.lattice)  # the shared lattice keeps its own lists
+    lat.face_vertices = {o: fv[:, ::-1] for o, fv in real.lattice.face_vertices.items()}
+    reversed_rows = replace(real, lattice=lat)
+    report = containment_check(reversed_rows)
+    assert report.ok and report == containment_check(real)
+    assert report == _containment_by_sparse(reversed_rows)
 
 
 AFFINE_ITEMS = {
@@ -321,11 +334,8 @@ def _corruptions(draw):
     return name, ops
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(_corruptions())
-def test_corrupted_diamond_matches_sparse_products(shared, corruption):
-    name, ops = corruption
-    lat = shared.lattice(CORRUPTIBLE[name]())
+def _corrupted_blocks(lat, ops) -> list:
+    """lat's cover blocks with the ops drawn by _corruptions applied in turn."""
     blocks = [(lo, hi, i.copy(), j.copy()) for lo, hi, i, j in lat.cover_blocks]
     for kind, b, r, t in ops:
         lo, hi, i, j = blocks[b % len(blocks)]
@@ -353,7 +363,63 @@ def test_corrupted_diamond_matches_sparse_products(shared, corruption):
             j = j.copy()
             j[r % len(j)] = (j[r % len(j)] + 1 + t % (hi.count - 1)) % hi.count
         blocks[b % len(blocks)] = (lo, hi, i, j)
-    _assert_diamond_matches(lat, _with_blocks(lat, blocks))
+    return blocks
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_corruptions())
+def test_corrupted_diamond_matches_sparse_products(shared, corruption):
+    name, ops = corruption
+    d = CORRUPTIBLE[name]()
+    lat = shared.lattice(d)
+    bad = _with_blocks(lat, _corrupted_blocks(lat, ops))
+    _assert_diamond_matches(lat, bad)
+    real = replace(shared.realization(d), lattice=bad)
+    assert containment_check(real) == _containment_by_sparse(real)
+
+
+def test_corrupted_vertex_lists_match_sparse_containment(shared, monkeypatch):
+    # each move puts a vertex not in a face's list in place of one of its
+    # vertices: the list stays a set, and the slot's vertices no longer lie
+    # in equally many of its faces
+    built = Counter()
+    table = geometry._membership_table
+
+    def counted(lists, nv):
+        t = table(lists, nv)
+        kind = "dense" if t.dtype == bool else "padded" if (t < 0).any() else "by vertex"
+        # only a corrupted slot's padding may pass twice its int32 lists
+        assert kind == "padded" or t.nbytes <= 2 * lists.nbytes
+        built[kind] += 1
+        return t
+
+    monkeypatch.setattr(geometry, "_membership_table", counted)
+    moves = st.lists(st.tuples(*[st.integers(0, 10**6)] * 4), min_size=1, max_size=3)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_corruptions(), moves)
+    # a vertex moved out of face 0 of x3x4x's first edge slot: -1, not 0,
+    # must fill the short column
+    @example(("x3x4x", [("drop", 0, 0, 0)]), [(0, 0, 0, 0)])
+    def check(corruption, moves):
+        name, ops = corruption
+        d = CORRUPTIBLE[name]()
+        lat = shared.lattice(d)
+        bad = _with_blocks(lat, _corrupted_blocks(lat, ops))
+        bad.face_vertices = {o: fv.copy() for o, fv in lat.face_vertices.items()}
+        slots = [s for sl in lat.slots_by_rank[1:] for s in sl]
+        nv = lat.slots_by_rank[0][0].count
+        for s, f, at, v in moves:
+            s = slots[s % len(slots)]
+            row = bad.face_vertices[s.offset][f % s.count]
+            free = np.setdiff1d(np.arange(nv), row)
+            if len(free):
+                row[at % len(row)] = free[v % len(free)]
+        real = replace(shared.realization(d), lattice=bad)
+        assert containment_check(real) == _containment_by_sparse(real)
+
+    check()
+    assert built.keys() == {"dense", "by vertex", "padded"}
 
 
 def test_isomorphism_matches_per_flag_starts(shared):
