@@ -216,7 +216,7 @@ def coset_pairs(group: Group, a: Slot, b: Slot) -> np.ndarray:
     """
     mask = sum(1 << v for v in a.nodes & b.nodes)
     reps = np.flatnonzero((group.descents & mask) == 0)
-    keys = a.table.coset_id[reps].astype(np.int64) * b.count + b.table.coset_id[reps]
+    keys = a.table.coset_id.take(reps).astype(np.int64) * b.count + b.table.coset_id.take(reps)
     keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise WythoffError("two minimal coset representatives give one coset pair")
@@ -363,7 +363,7 @@ def _chain(lower: tuple, upper: tuple) -> np.ndarray:
     middle -> upper block; a -1 in a padded lower table stays -1.
     """
     (lm, padded), (mh, _) = lower, upper
-    out = mh[lm]
+    out = mh.take(lm, axis=0)
     if padded:
         out[lm < 0] = -1
     return out.reshape(len(lm), lm.shape[1] * mh.shape[1])

@@ -82,14 +82,26 @@ class Realization:
         return self.lattice.face_vertices[slot.offset]
 
 
-def _shortest_edge(lat: FaceLattice, points: np.ndarray) -> float:
-    """Length of the shortest rank-1 face, computed as min_pairwise_distance
-    computes a pair's distance, so that the two agree to the bit."""
-    best2 = np.inf
+def _edge_lengths(lat: FaceLattice, points: np.ndarray) -> np.ndarray:
+    """Length of every rank-1 face, slot after slot.
+
+    Each length is computed as np.linalg.norm and min_pairwise_distance
+    compute a pair's distance (the root of the summed squared differences),
+    so all three agree to the bit.
+    """
+    lengths = []
     for s in lat.slots_by_rank[1]:
-        ends = points[lat.face_vertices[s.offset]]
-        best2 = min(best2, float(((ends[:, 0] - ends[:, 1]) ** 2).sum(axis=1).min()))
-    return float(np.sqrt(best2))
+        fv = lat.face_vertices[s.offset]
+        seg = points.take(fv[:, 0], axis=0)
+        seg -= points.take(fv[:, 1], axis=0)
+        seg *= seg
+        lengths.append(np.sqrt(seg.sum(axis=1)))
+    return np.concatenate(lengths)
+
+
+def _shortest_edge(lat: FaceLattice, points: np.ndarray) -> float:
+    """Length of the shortest rank-1 face; see _edge_lengths."""
+    return float(_edge_lengths(lat, points).min())
 
 
 def realize(lat: FaceLattice) -> Realization:
@@ -171,7 +183,7 @@ def affine_rank_check(real: Realization) -> CheckReport:
     per_face_slots = 0
 
     def singular_values(rows):
-        pts = real.points[rows]
+        pts = real.points.take(rows, axis=0)
         return np.linalg.svd(pts - pts.mean(axis=1, keepdims=True), compute_uv=False)
 
     for sl in lat.slots_by_rank:
@@ -267,14 +279,30 @@ def _membership_table(lists: np.ndarray, nv: int) -> np.ndarray:
     return table
 
 
+def _vertex_words(count: int) -> np.ndarray:
+    """One fixed 64-bit word per vertex id 0..count-1: output v + 1 of splitmix64 from 0."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return z
+
+
 def distinct_faces_check(real: Realization) -> CheckReport:
     """No two faces of the same rank share their whole vertex set.
 
-    Each face's vertex list is sorted, so two faces share their vertex set
-    exactly when their rows are equal.  The rows of one rank and one width
-    are put in lexicographic order, and every row equal to its predecessor
-    is a duplicate.
+    A face's key is the wrapping uint64 sum of one fixed word per vertex
+    (_vertex_words), so it does not depend on the order of the face's
+    list, and each list is read as a set.  Faces of one rank and one width
+    whose keys differ hold different vertex sets.  Only the rows whose keys
+    tie are compared exactly: each is sorted, the tied rows are put in
+    lexicographic order, and every row equal to its predecessor is a
+    duplicate.
     """
+    words = _vertex_words(len(real.points))
     dup = 0
     for sl in real.lattice.slots_by_rank:
         by_width = {}
@@ -282,21 +310,23 @@ def distinct_faces_check(real: Realization) -> CheckReport:
             fv = real.lattice.face_vertices[s.offset]
             by_width.setdefault(fv.shape[1], []).append(fv)
         for blocks in by_width.values():
-            rows = np.concatenate(blocks)
-            if len(rows) < 2:
+            keys = np.concatenate([words.take(fv).sum(axis=1) for fv in blocks])
+            order = keys.argsort()
+            keys = keys.take(order)
+            tie = keys[1:] == keys[:-1]
+            if not tie.any():
                 continue
-            rows = rows[np.lexsort(rows.T[::-1])]
+            tied = np.zeros(len(keys), dtype=bool)
+            tied[1:] = tie
+            tied[:-1] |= tie
+            rows = np.sort(np.concatenate(blocks).take(order[tied], axis=0), axis=1)
+            rows = rows.take(np.lexsort(rows.T[::-1]), axis=0)
             dup += int(np.count_nonzero((rows[1:] == rows[:-1]).all(axis=1)))
     return CheckReport("distinct_faces", dup == 0, {"duplicates": dup})
 
 
 def edge_uniformity_check(real: Realization) -> CheckReport:
-    lat = real.lattice
-    lengths = []
-    for s in lat.slots_by_rank[1]:
-        seg = real.points[lat.face_vertices[s.offset]]
-        lengths.append(np.linalg.norm(seg[:, 0] - seg[:, 1], axis=1))
-    lengths = np.concatenate(lengths)
+    lengths = _edge_lengths(real.lattice, real.points)
     mean = float(lengths.mean())
     spread = float((lengths.max() - lengths.min()) / mean)
     return CheckReport(
@@ -334,7 +364,7 @@ def _ridge_normals(real: Realization) -> np.ndarray:
         raise UnsupportedDimension("ridges need dimension >= 2")
     out = []
     for s in lat.slots_by_rank[n - 2]:
-        pts = real.points[lat.face_vertices[s.offset]]
+        pts = real.points.take(lat.face_vertices[s.offset], axis=0)
         u_, sv, vt = np.linalg.svd(pts, full_matrices=True)
         ranks = (sv > AFFINE_RANK_TOL).sum(axis=1)
         if np.any(ranks != n - 1):
@@ -391,7 +421,7 @@ def polar_dual_check(real: Realization) -> CheckReport:
     lat = real.lattice
     cents = []
     for s in lat.slots_by_rank[lat.n - 1]:
-        cents.append(real.points[lat.face_vertices[s.offset]].mean(axis=1))
+        cents.append(real.points.take(lat.face_vertices[s.offset], axis=0).mean(axis=1))
     cents = np.vstack(cents)
     norms = np.linalg.norm(cents, axis=1)
     spread = float((norms.max() - norms.min()) / norms.mean())

@@ -36,16 +36,22 @@ complete, and an unset entry of the frontier marks an ascent.  Only the
 ascents are keyed: all of them are new, and the equal ones among them are
 found by sorting their keys.  Elements are numbered in the order the
 search finds them: by length, and within a length by key.  So index 0 is
-the identity, and a longer element always has a larger index.
+the identity, and a longer element always has a larger index.  The images
+of the simple roots are kept column by column, one row of |G| entries per
+simple root, and every gather of the search is a take: a layer's images,
+its key terms and its new elements' images.  lmult is written through its
+flat indices i |G| + w, and Group.perms is the (|G|, n) transposed view of
+the images, so they are never copied.
 
 One Cayley table is kept, right multiplication by the generators (rmult),
 and it comes from the search with no lookup: w = s_k p, with p a layer
 below w, gives w s_i = s_k (p s_i), the left table read at a right product
-of p, so the right products fill in layer after layer.  With them come the
-right descents: bit i of descents[w] is set when w s_i lies in a lower
-layer, which holds exactly when w(a_i) is a negative root.  Only the images
-of the simple roots are carried through the search, and they are the only
-root images kept.
+of p (one take from the flat left table per layer, its indices int64
+once n |G| reaches 2^31), so the right products fill in layer after
+layer.  With them come the right descents: bit i of descents[w] is set
+when w s_i lies in a lower layer, which holds exactly when w(a_i) is a
+negative root.  Only the images of the simple roots are carried through
+the search, and they are the only root images kept.
 
 The faces of the lattice are the left cosets g W_J.  Each has exactly one
 element with no right descent in J, its least in length, and every other
@@ -262,11 +268,13 @@ class Group:
     representative.  perms[g, j] is the index of g(a_j) for the simple
     roots a_j = roots.roots[j], j < n_gens, which the root closure lists
     first, so perms holds the first n_gens columns of the full permutation
-    rows.  rmult[i] maps each element g to g s_i, the one Cayley table
-    kept: (g s_i)(a) = g(s_i a).  The generators themselves are
-    rmult[:, 0].  descents[g] holds g's right descents as bits: bit i is
-    set when l(g s_i) < l(g), that is when g(a_i) is a negative root, in
-    the least unsigned dtype with n_gens bits.  Following the lowest right
+    rows; enumerate_group gives it as the transposed view of its
+    (n_gens, order) table of images.  rmult[i] maps each element g to
+    g s_i, the one Cayley table kept: (g s_i)(a) = g(s_i a).  The
+    generators themselves are rmult[:, 0].  descents[g] holds g's right
+    descents as bits: bit i is set when l(g s_i) < l(g), that is when
+    g(a_i) is a negative root, in the least unsigned dtype with n_gens
+    bits.  Following the lowest right
     descent in J from g, step after step, leads to the shortest element of
     g W_J, and the longest such chain is the last index's (coset_table).
     point_images reads g*x off perms and the roots.  No element keys or
@@ -355,10 +363,11 @@ class Group:
         roots = self.roots.roots
         y = np.linalg.solve(roots[: self.n_gens].T, np.asarray(x, dtype=np.float64))
         scaled = roots * y[:, None, None]
-        rows = self.perms[elements]
-        out = scaled[0].take(rows[:, 0], axis=0)
+        cols = self.perms.T
+        cols = cols[:, elements] if isinstance(elements, slice) else cols.take(elements, axis=1)
+        out = scaled[0].take(cols[0], axis=0)
         for j in range(1, len(y)):
-            out += scaled[j].take(rows[:, j], axis=0)
+            out += scaled[j].take(cols[j], axis=0)
         return out
 
 
@@ -494,15 +503,16 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     # at i * count + a: moves holds s_i(a), and tables[j] the key term of
     # s_i w for an element w with w(a_j) = a
     moves = gens.ravel()
-    tables = [row[gens].ravel() for row in key_table]
+    tables = [row.take(gens).ravel() for row in key_table]
     # the search, layer after layer, each in key order, numbers the elements:
-    # simple holds the images of the simple roots, lmult[i, w] is s_i w (-1
-    # until found) and w = s_(gen_of[w]) parent[w]
-    simple = np.empty((expected, n), dtype=gens.dtype)
+    # images[j, w] is w(a_j), lmult[i, w] is s_i w (-1 until found, at
+    # i * expected + w of the flat view) and w = s_(gen_of[w]) parent[w]
+    images = np.empty((n, expected), dtype=gens.dtype)
     lmult = np.full((n, expected), -1, dtype=np.int32)
+    lflat = lmult.ravel()
     parent = np.empty(expected, dtype=np.int32)
     gen_of = np.empty(expected, dtype=np.int8)
-    simple[0] = np.arange(n)
+    images[:, 0] = np.arange(n)
     bounds = [0, 1]
     while bounds[-1] > bounds[-2]:
         lo, hi = bounds[-2:]
@@ -511,12 +521,12 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
         # ones among them are found by sorting their keys
         gen, src = np.divmod((lmult[:, lo:hi] < 0).ravel().nonzero()[0], hi - lo)
         src += lo
-        rows, base = simple[src], gen * count
-        cand = tables[0][base + rows[:, 0]]
+        rows, base = images.take(src, axis=1), gen * count
+        cand = tables[0].take(base + rows[0])
         for j in range(1, n):
-            cand += tables[j][base + rows[:, j]]
+            cand += tables[j].take(base + rows[j])
         by_key = cand.argsort()
-        cand = cand[by_key]
+        cand = cand.take(by_key)
         step = np.empty(len(cand), dtype=bool)
         step[:1] = True
         np.not_equal(cand[1:], cand[:-1], out=step[1:])
@@ -527,26 +537,28 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
             break
         ids = step.cumsum(dtype=np.int32)
         ids += hi - 1
-        gen_k, src_k = gen[by_key], src[by_key]
-        lmult[gen_k, src_k] = ids
-        lmult[gen_k, ids] = src_k
-        first = by_key[heads]
-        parent[hi:top] = src[first]
-        gen_of[hi:top] = gen[first]
-        simple[hi:top] = moves[base[first, None] + rows[first]]
+        at, src_k = gen.take(by_key) * expected, src.take(by_key)
+        lflat[at + src_k] = ids
+        lflat[at + ids] = src_k
+        first = by_key.take(heads)
+        parent[hi:top] = src.take(first)
+        gen_of[hi:top] = gen.take(first)
+        images[:, hi:top] = moves.take(base.take(first) + rows.take(first, axis=1))
     total = bounds[-1]
     if total != expected:
         raise ToleranceCollision(
             "enumerated %d elements, formula says %d" % (total, expected)
         )
     # g = s_k p gives g s_i = s_k (p s_i): each layer's right products are
-    # read off the layer before it through lmult
+    # read off the layer before it through the flat left table
+    flat_type = np.int32 if n * total < 2**31 else np.int64
     rmult = np.empty((n, total), dtype=np.int32)
     rmult[:, 0] = lmult[:, 0]
-    flat = lmult.ravel()
     for lo, hi in itertools.pairwise(bounds[1:-1]):
-        rmult[:, lo:hi] = flat[gen_of[lo:hi] * np.int64(total) + rmult[:, parent[lo:hi]]]
-    del lmult, flat, parent, gen_of
+        at = rmult.take(parent[lo:hi], axis=1).astype(flat_type, copy=False)
+        at += gen_of[lo:hi] * flat_type(total)
+        rmult[:, lo:hi] = lflat.take(at)
+    del lmult, lflat, parent, gen_of
     # bit i: g s_i lies in a lower layer, which ends where g's layer starts
     start = np.repeat(np.array(bounds[:-2], dtype=np.int32), np.diff(bounds[:-1]))
     descents = np.zeros(total, dtype=np.min_scalar_type(2**n - 1))
@@ -555,9 +567,9 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
     del start
     identity = np.arange(total, dtype=np.int32)
     for i, row in enumerate(rmult):
-        if not np.array_equal(row[row], identity):
+        if not np.array_equal(row.take(row), identity):
             raise ToleranceCollision("right multiplication by s_%d is not an involution" % i)
-    group = Group(coxeter, roots, simple, rmult, descents)
+    group = Group(coxeter, roots, images.T, rmult, descents)
     if expected <= HOLD_LIMIT:
         _held[key] = group
     return group

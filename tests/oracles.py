@@ -31,6 +31,8 @@ G, deduplicated by sorted_unique) is the incidence rule's route before it
 read only the minimal coset representatives.  The cover pairs and the
 face-vertex lists by np.unique, and the affine rank check with one SVD
 per face, are the routes before a sorted dedup and the one SVD per slot.
+edge_lengths_by_norm (np.linalg.norm of the fancy-indexed edge ends) is
+the edge lengths' route before both ends were gathered by take.
 The node-selection rewrite (select_node, which raises NotApplicable on a
 node not valued 1, and the BFS reachable_decorations) is the route that
 valid_selection_sets gives in closed form.  constructions_of looks a named
@@ -764,6 +766,15 @@ def affine_rank_per_face(real) -> CheckReport:
             wrong = np.flatnonzero((sv > AFFINE_RANK_TOL).sum(axis=1) != s.rank)
             bad.extend(int(w) + s.offset for w in wrong[:10])
     return CheckReport("affine_rank", not bad, {"faces": checked, "violations": bad})
+
+
+def edge_lengths_by_norm(real) -> np.ndarray:
+    """Length of every rank-1 face, slot after slot, by np.linalg.norm of fancy-indexed ends."""
+    lengths = []
+    for s in real.lattice.slots_by_rank[1]:
+        fv = real.slot_vertices(s)
+        lengths.append(np.linalg.norm(real.points[fv][:, 0] - real.points[fv][:, 1], axis=1))
+    return np.concatenate(lengths)
 
 
 class NotApplicable(WythoffError):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import point_images_by_products
+from oracles import edge_lengths_by_norm, point_images_by_products
 from sweep import benchmark_workloads, decorated_variants, sweep_diagrams, sweep_products
 from wythoff import geometry
 from wythoff._kernels import match_rows, min_pairwise_distance
@@ -16,9 +16,11 @@ from wythoff.geometry import (
     AFFINE_RANK_TOL,
     FACET_NORM_TOL,
     RIDGE_MATCH_TOL,
+    _edge_lengths,
     _ridge_normals,
     _shortest_edge,
     containment_check,
+    edge_uniformity_check,
     off_document,
     polar_dual_check,
     realization_document,
@@ -283,6 +285,24 @@ def test_shortest_edge_is_the_closest_pair(shared):
         ), text
 
 
+def test_edge_lengths_equal_the_norm_route_to_the_bit(shared):
+    # both ends are gathered by take and the root of the summed squares
+    # taken, as np.linalg.norm takes it, so every length, the mean and the
+    # spread are unchanged
+    wl = benchmark_workloads()
+    texts = wl.sweep_items(1) + sorted(wl.KNOWN_DEFECTS_I2) + list(wl.ORBIT_ITEMS)
+    texts += wl.big_group_items()
+    texts = list(dict.fromkeys(texts))
+    assert len(texts) == 66
+    for text in texts:
+        real = shared.realization(parse(text))
+        want = edge_lengths_by_norm(real)
+        assert np.array_equal(_edge_lengths(real.lattice, real.points), want), text
+        detail = edge_uniformity_check(real).detail
+        assert detail["mean"] == float(want.mean()), text
+        assert detail["relative_spread"] == float((want.max() - want.min()) / want.mean()), text
+
+
 def test_point_images_equal_the_per_element_products_to_the_bit(shared, monkeypatch):
     # the terms gathered from pre-scaled roots are the same products, added
     # in the same order, so every image, point and deviation is unchanged
@@ -369,18 +389,61 @@ def test_a_wrong_vertex_on_a_non_base_face_fails(shared, text):
         assert not verify_realization(bad)["containment"].ok, (text, k)
 
 
-@pytest.mark.parametrize("text", ["x3x4o", "x4x3x"])
-def test_a_copied_face_is_one_duplicate(shared, text):
-    # the vertex row of a rank's first face overwrites the last face of the
-    # same width, across slots where the rank has several of that width
-    real = shared.realization(parse(text))
-    assert geometry.distinct_faces_check(real).detail["duplicates"] == 0
+def _copied_faces(real):
+    """(rank, real with one vertex row copied over another face's) for every rank.
+
+    The vertex row of a rank's first face overwrites the last face of the
+    same width, across slots where the rank has several of that width: as
+    it is, reversed and permuted.
+    """
+    rng = np.random.default_rng(31)
     for k in range(real.lattice.n):
         slots = real.lattice.slots_by_rank[k]
-        src = real.slot_vertices(slots[0])
-        dst = [s for s in slots if real.slot_vertices(s).shape[1] == src.shape[1]][-1]
-        fv = real.slot_vertices(dst).copy()
-        fv[-1] = src[0]
-        bad = _with_face_vertices(real, dst, fv)
+        src = real.slot_vertices(slots[0])[0]
+        dst = [s for s in slots if real.slot_vertices(s).shape[1] == len(src)][-1]
+        for row in (src, src[::-1], rng.permutation(src)):
+            fv = real.slot_vertices(dst).copy()
+            fv[-1] = row
+            yield k, _with_face_vertices(real, dst, fv)
+
+
+@pytest.mark.parametrize("text", ["x3x4o", "x4x3x"])
+def test_a_copied_face_is_one_duplicate(shared, text):
+    # a face's key ignores the order of its list, so a copy in any order
+    # is the one duplicate
+    real = shared.realization(parse(text))
+    assert geometry.distinct_faces_check(real).detail["duplicates"] == 0
+    for k, bad in _copied_faces(real):
         report = geometry.distinct_faces_check(bad)
         assert not report.ok and report.detail["duplicates"] == 1, (text, k)
+
+
+@pytest.mark.parametrize("text", ["x3x4o", "x4x3x", "o5o3x3o"])
+def test_colliding_face_keys_are_compared_exactly(shared, monkeypatch, text):
+    # one word for every vertex gives all faces of a width one key, so every
+    # row is compared on the exact path: sorted, then lexsorted with the
+    # other tied rows
+    real = shared.realization(parse(text))
+    monkeypatch.setattr(geometry, "_vertex_words", lambda count: np.full(count, 7, np.uint64))
+    assert geometry.distinct_faces_check(real).detail["duplicates"] == 0
+    for k, bad in _copied_faces(real):
+        assert geometry.distinct_faces_check(bad).detail["duplicates"] == 1, (text, k)
+
+
+def test_distinct_faces_lexsorts_only_the_tied_rows(shared, monkeypatch):
+    # on a valid lattice no two keys tie and nothing is lexsorted; a copied
+    # face ties with its original, and those two rows alone are
+    real = shared.realization(parse("o5x3x3x"))
+    lexsorted = []
+    lexsort = np.lexsort
+
+    def counted(keys):
+        lexsorted.append(np.shape(keys)[1])
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    assert geometry.distinct_faces_check(real).ok
+    assert lexsorted == []
+    for k, bad in _copied_faces(real):
+        assert geometry.distinct_faces_check(bad).detail["duplicates"] == 1, k
+    assert lexsorted == [2] * 3 * real.lattice.n
