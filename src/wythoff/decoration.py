@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import CROSS, RING, DecoratedDiagram, group_order
+from .diagram import CROSS, RING, DecoratedDiagram, group_order, parabolic_order
 from .errors import Degenerate, InvalidS
 
 CROSSED = 0
@@ -141,18 +141,18 @@ def orbit_size(dec: Decoration, order: int) -> int:
     """Faces of this type, |G| / |W_J|, given order = |G|.
 
     W_J is the face stabilizer, generated by the nodes not valued 1; it is
-    trivial when every node is.
+    trivial when every node is.  |W_J| is read from diagram's cache of
+    Coxeter orders (parabolic_order), so each is classified once.
     """
-    d, stab = dec.diagram, dec.stabilizer_nodes()
-    return order // group_order(d.induced(stab)) if stab else order
+    return order // parabolic_order(dec.diagram, dec.stabilizer_nodes())
 
 
 def f_vector_formula(d: DecoratedDiagram) -> tuple[int, ...]:
     """Face counts by orbit-stabilizer arithmetic only (no enumeration).
 
-    f_k sums group_order(d) / group_order(stabilizer subdiagram) over the
-    rank-k selections, so it works for groups far beyond any enumeration
-    budget.
+    f_k sums |G| / |W_J| over the rank-k selections, J each one's
+    stabilizer nodes, so it works for groups far beyond any enumeration
+    budget.  Both orders come from diagram's cache of Coxeter orders.
     """
     require_nondegenerate(d)
     total = group_order(d)

@@ -5,10 +5,16 @@ edge means m = 2) and a mark on every node: ring (the generating mirror does
 not pass through the base point) or cross (it does).  Inline notation covers
 path diagrams, e.g. ``x4o3o`` for the cube; branched or disconnected diagrams
 use a structured JSON document.
+
+The order of a reflection group depends only on its Coxeter matrix, so
+group_order and parabolic_order read one bounded cache keyed by the Coxeter
+submatrix in node order: each |W_J| is classified once, whatever the
+diagram's node ids and marks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -341,9 +347,57 @@ def classify_components(d: DecoratedDiagram) -> tuple[FamilyTag, ...]:
     return tuple(tags)
 
 
+# Coxeter submatrices whose orders are kept; all of the benchmark's
+# library items together read about 70
+ORDER_CACHE = 256
+
+
+class _Submatrix:
+    """Cache key: the Coxeter submatrix of d on sorted nodes, in node order.
+
+    It hashes and compares as (rank, edges) with the nodes renumbered from 0
+    in node order, so diagrams that differ only in node ids or marks share
+    a key.  d and the nodes ride along, so a miss classifies the real
+    (sub)diagram and NotFiniteType names its own nodes.
+    """
+
+    __slots__ = ("key", "diagram", "nodes")
+
+    def __init__(self, d: DecoratedDiagram, nodes: list):
+        pos = {v: i for i, v in enumerate(nodes)}
+        edges = sorted(
+            (min(pos[i], pos[j]), max(pos[i], pos[j]), m)
+            for i, j, m in d.edges
+            if i in pos and j in pos
+        )
+        self.key = (len(nodes), tuple(edges))
+        self.diagram = d
+        self.nodes = nodes
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=ORDER_CACHE)
+def _coxeter_order(sub: _Submatrix) -> int:
+    d = sub.diagram
+    if len(sub.nodes) < d.rank:
+        d = d.induced(sub.nodes)
+    return math.prod(tag.order for tag in classify_components(d))
+
+
 def group_order(d: DecoratedDiagram) -> int:
     """Order of the reflection group: product of component family orders."""
-    return math.prod(tag.order for tag in classify_components(d))
+    return _coxeter_order(_Submatrix(d, list(range(d.rank))))
+
+
+def parabolic_order(d: DecoratedDiagram, nodes) -> int:
+    """|W_J| for the subgroup generated by the given node indices; 1 for none."""
+    nodes = sorted({int(v) for v in nodes})
+    return _coxeter_order(_Submatrix(d, nodes)) if nodes else 1
 
 
 def canonical_certificate(d: DecoratedDiagram):

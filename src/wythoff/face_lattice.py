@@ -50,7 +50,7 @@ from .decoration import (
     selection_orderings,
     start_decoration,
 )
-from .diagram import DecoratedDiagram, group_order
+from .diagram import DecoratedDiagram, group_order, parabolic_order
 from .errors import WythoffError
 from .reflection_group import Group, _coset_minima, coxeter_matrix, enumerate_group
 
@@ -119,10 +119,13 @@ class FaceLattice:
     @cached_property
     def covers(self) -> np.ndarray:
         """(pairs, 2) cover pairs, lower id then upper id, block by block."""
-        return np.vstack([
-            np.stack([i + lo.offset, j + hi.offset], axis=1)
-            for lo, hi, i, j in self.cover_blocks
-        ])
+        out = np.empty((sum(len(i) for _, _, i, _ in self.cover_blocks), 2), dtype=np.int64)
+        at = 0
+        for lo, hi, i, j in self.cover_blocks:
+            np.add(i, lo.offset, out=out[at : at + len(i), 0])
+            np.add(j, hi.offset, out=out[at : at + len(i), 1])
+            at += len(i)
+        return out
 
     @cached_property
     def face_vertices(self) -> Mapping:
@@ -328,15 +331,10 @@ def _up_tables(lat: FaceLattice) -> tuple:
     is True.  per_edge holds (edge slot, vertices of each edge) for the
     vertex -> edge blocks.
     """
-    d = lat.diagram
     total = lat.group.order
-    orders = lat.group.parabolic_orders
     ups, per_edge, totals, faces = [], [], [], []
     for lo, hi, i, j in lat.cover_blocks:
-        common = tuple(sorted(lo.nodes & hi.nodes))
-        if common not in orders:
-            orders[common] = group_order(d.induced(common))
-        want = total // orders[common]
+        want = total // parabolic_order(lat.diagram, lo.nodes & hi.nodes)
         if len(i) != want:
             totals.append((sorted(lo.selection), sorted(hi.selection), len(i), want))
         per_lo = np.bincount(i, minlength=lo.count)

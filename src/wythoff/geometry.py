@@ -13,11 +13,18 @@ The vertices' separation is read off the shortest edge: on a sphere the
 closest pair is a hull edge (Matula and Sokal, 1980; Brown, 1979), and
 distinct cosets are distinct points (Humphreys, Reflection Groups and
 Coxeter Groups, 1.12).  See realize.
+
+The faces of one slot form one orbit, so the affine rank check and the
+regularity witnesses measure one base face per slot and carry its verdict
+to the slot's other faces g F when it clears its tolerance by a slack
+derived from the audit deviation; a slot with a thinner margin is checked
+face by face.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +50,9 @@ FACET_NORM_TOL = 1e-9        # relative spread of facet centroid norms
 # reflected points matched per match_rows call in the regularity witnesses;
 # on the 120-cell, 2^14 rows ran faster than both 2^13 and 2^15 or more
 WITNESS_ROWS = 1 << 14
+# far above the rounding of an SVD, a reflection or a distance of the
+# unit-scale rows realized here; the witnesses add it to every slack
+ROUNDING = 1e-12
 
 
 def wythoff_point(d) -> np.ndarray:
@@ -81,6 +91,23 @@ class Realization:
     def slot_vertices(self, slot) -> np.ndarray:
         return self.lattice.face_vertices[slot.offset]
 
+    @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        """Length of every rank-1 face; realize and edge_uniformity_check read it."""
+        return _edge_lengths(self.lattice, self.points)
+
+    def image_error(self, m: int) -> float:
+        """Bound on ||E||_F when face g F's m points are g times F's plus E.
+
+        Face g F holds the vertices of the g h, h in F, and vertex(h) ->
+        vertex(g h) maps F onto it.  realize audits every image w x against
+        its vertex's point to within deviation per coordinate, so both the
+        point of vertex(g h) and g times the point of vertex(h) lie within
+        sqrt(dim) deviation of g h x (g is orthogonal): each row of E has
+        norm at most 2 sqrt(dim) deviation.
+        """
+        return 2.0 * np.sqrt(m * self.dim) * self.deviation
+
 
 def _edge_lengths(lat: FaceLattice, points: np.ndarray) -> np.ndarray:
     """Length of every rank-1 face, slot after slot.
@@ -97,11 +124,6 @@ def _edge_lengths(lat: FaceLattice, points: np.ndarray) -> np.ndarray:
         seg *= seg
         lengths.append(np.sqrt(seg.sum(axis=1)))
     return np.concatenate(lengths)
-
-
-def _shortest_edge(lat: FaceLattice, points: np.ndarray) -> float:
-    """Length of the shortest rank-1 face; see _edge_lengths."""
-    return float(_edge_lengths(lat, points).min())
 
 
 def realize(lat: FaceLattice) -> Realization:
@@ -133,10 +155,11 @@ def realize(lat: FaceLattice) -> Realization:
         raise DedupCollision(
             f"orbit image differs from its representative by {deviation:.2e}"
         )
-    gap = _shortest_edge(lat, points)
+    real = Realization(lat, points, float(deviation))
+    gap = float(real.edge_lengths.min())
     if gap < POINT_SEPARATION:
         raise DedupCollision(f"distinct vertices only {gap:.2e} apart")
-    return Realization(lat, points, float(deviation))
+    return real
 
 
 # -- verification reports ----------------------------------------------------
@@ -158,13 +181,8 @@ def affine_rank_check(real: Realization) -> CheckReport:
     """Affine dimension of each face's vertex set equals its lattice rank.
 
     One SVD per slot, on its base face W_J (coset 0), decides every face of
-    the slot.  Face g W_J holds the vertices of the g h, h in W_J, and
-    vertex(h) -> vertex(g h) maps the base face onto it.  realize audits
-    every image w x against its vertex's point to within deviation per
-    coordinate, so both the point of vertex(g h) and g times the point of
-    vertex(h) lie within sqrt(dim) deviation of g h x (g is orthogonal).
-    So face g W_J's points are g times the base face's, rows paired by that
-    map, plus an error E with rows of norm at most 2 sqrt(dim) deviation.
+    the slot.  Face g W_J's points are g times the base face's, rows paired
+    by vertex(h) -> vertex(g h), plus an error E (Realization.image_error).
     g and the row order keep singular values and centering does not raise
     ||E||, so by Weyl's inequality each moves by at most ||E||_2 <= ||E||_F
     <= 2 sqrt(m dim) deviation, the slack, for m vertices per face.  The
@@ -193,7 +211,7 @@ def affine_rank_check(real: Realization) -> CheckReport:
                 continue
             fv = lat.face_vertices[s.offset]
             base = singular_values(fv[:1])
-            slack = 2.0 * np.sqrt(fv.shape[1] * real.dim) * real.deviation
+            slack = real.image_error(fv.shape[1])
             slot_margin = float(np.abs(base - AFFINE_RANK_TOL).min()) - slack
             margin = min(margin, slot_margin)
             if slot_margin > 0:
@@ -326,7 +344,7 @@ def distinct_faces_check(real: Realization) -> CheckReport:
 
 
 def edge_uniformity_check(real: Realization) -> CheckReport:
-    lengths = _edge_lengths(real.lattice, real.points)
+    lengths = real.edge_lengths
     mean = float(lengths.mean())
     spread = float((lengths.max() - lengths.min()) / mean)
     return CheckReport(
@@ -351,12 +369,30 @@ def verify_realization(real: Realization) -> dict:
 # -- regularity witnesses ----------------------------------------------------
 
 
-def _ridge_normals(real: Realization) -> np.ndarray:
-    """Unit normal of span(ridge) for every rank n-2 face.
+def _span_normals(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and unit span normals of stacked ridge point sets."""
+    _, sv, vt = np.linalg.svd(pts, full_matrices=True)
+    return sv, vt[:, -1, :]
+
+
+def _ridge_slots(real: Realization) -> list:
+    """(slot, normals, bend) per rank n-2 slot, in slot order.
 
     A symmetry fixing a ridge pointwise also fixes the origin, hence the
     whole linear span of the ridge; that span must be a hyperplane or no
-    reflection through the ridge exists.
+    reflection through the ridge exists (SpanDeficient; below dimension 2,
+    UnsupportedDimension).  As in affine_rank_check, ridge g r's points
+    are g times the base ridge r's plus E, ||E||_F <= err = image_error(m)
+    + ROUNDING, so by Weyl's inequality each singular value moves by at
+    most err.  When every base singular value is farther than err from
+    AFFINE_RANK_TOL, the base ridge's span decides the slot: normals holds
+    its one unit normal u, and bend bounds 2 sin of the angle between any
+    ridge's computed normal and g u, the norm of the difference of their
+    reflections.  Counting the base's last singular value s_n as part of
+    the error, that sine is at most (err + s_n) / (s_(n-1) - err - s_n) by
+    Wedin's theorem, s_(n-1) the base's smallest nonzero singular value;
+    bend is inf when that gap closes.  Otherwise normals holds every
+    ridge's normal and bend is None.
     """
     lat = real.lattice
     n = lat.n
@@ -364,33 +400,92 @@ def _ridge_normals(real: Realization) -> np.ndarray:
         raise UnsupportedDimension("ridges need dimension >= 2")
     out = []
     for s in lat.slots_by_rank[n - 2]:
-        pts = real.points.take(lat.face_vertices[s.offset], axis=0)
-        u_, sv, vt = np.linalg.svd(pts, full_matrices=True)
+        fv = lat.face_vertices[s.offset]
+        err = real.image_error(fv.shape[1]) + ROUNDING
+        sv, normals = _span_normals(real.points.take(fv[:1], axis=0))
+        carried = np.abs(sv - AFFINE_RANK_TOL).min() > err
+        if not carried:
+            sv, normals = _span_normals(real.points.take(fv, axis=0))
         ranks = (sv > AFFINE_RANK_TOL).sum(axis=1)
         if np.any(ranks != n - 1):
             raise SpanDeficient(
                 f"ridge span has dimension {int(ranks.min())}, expected {n - 1}"
             )
-        out.append(vt[:, -1, :])
-    return np.vstack(out)
+        bend = None
+        if carried:
+            tail = err + (sv[0, n - 1] if sv.shape[1] >= n else 0.0)
+            gap = sv[0, n - 2] - tail
+            bend = 2.0 * tail / gap if gap > 0 else np.inf
+        out.append((s, normals, bend))
+    return out
 
 
-def _unclosed_ridges(points: np.ndarray, normals: np.ndarray, limit: int) -> list:
-    """First `limit` ridges, in order, whose reflection moves a point off the set.
+def _reflected_matches(points: np.ndarray, normals: np.ndarray, slack: np.ndarray) -> tuple:
+    """(missed, held) per normal, for points reflected through it.
 
-    The reflected copies for a block of ridges, about WITNESS_ROWS rows
-    together, are matched in one match_rows call, so the set is sorted once
-    per block rather than once per ridge.
+    missed: some image lies farther than RIDGE_MATCH_TOL + slack from every
+    point.  held: every image lies within RIDGE_MATCH_TOL - slack of a
+    point.  slack holds one value per normal, each below RIDGE_MATCH_TOL;
+    at slack 0, missed is match_rows' verdict at RIDGE_MATCH_TOL itself.
+    The images for a block of normals, about WITNESS_ROWS rows together,
+    are matched in one match_rows call, so the set is sorted once per block.
     """
     per = max(1, WITNESS_ROWS // len(points))
-    failures = []
+    missed, held = [], []
     for start in range(0, len(normals), per):
-        block = normals[start : start + per]
+        block, sl = normals[start : start + per], slack[start : start + per, None]
         moved = np.concatenate([points - 2.0 * np.outer(points @ u, u) for u in block])
-        idx = match_rows(moved, points, RIDGE_MATCH_TOL).reshape(len(block), -1)
-        failures.extend((start + np.flatnonzero((idx < 0).any(axis=1))).tolist())
+        idx = match_rows(moved, points, RIDGE_MATCH_TOL + sl.max())
+        d2 = ((moved - points.take(idx, axis=0)) ** 2).sum(axis=1).reshape(len(block), -1)
+        idx = idx.reshape(len(block), -1)
+        missed.append((idx < 0).any(axis=1))
+        held.append(((idx >= 0) & (d2 <= (RIDGE_MATCH_TOL - sl) ** 2)).all(axis=1))
+    return np.concatenate(missed), np.concatenate(held)
+
+
+def _unclosed_ridges(real: Realization, points: np.ndarray, limit: int) -> list:
+    """First `limit` ridge ids, in order, whose reflection moves a point off the set.
+
+    points are the vertices or any rows that the group permutes as it does
+    the faces they stand for, each within 2 sqrt(dim) deviation of g times
+    its counterpart (the facet centroids: a mean of such rows).  Ridge g r
+    reflects by g s g^-1, s the base ridge r's reflection, so each of its
+    images is within 2 sqrt(dim) deviation (one row error) plus bend times
+    the largest row norm (its normal's error) of g times an image under s,
+    and each point within 2 sqrt(dim) deviation of g times a point.  So when
+    s misses or holds with that slack (_reflected_matches), every ridge of
+    the slot does so at RIDGE_MATCH_TOL; otherwise, and for the slots whose
+    span margin was too thin (_ridge_slots), each ridge is matched alone.
+    """
+    slots = _ridge_slots(real)
+    reach = np.sqrt((points * points).sum(axis=1).max())
+    carry = 4.0 * np.sqrt(real.dim) * real.deviation + ROUNDING
+    # a base ridge whose slack reaches the tolerance cannot hold, so its
+    # slot goes ridge by ridge without a try
+    tried = [
+        k for k, (_, _, bend) in enumerate(slots)
+        if bend is not None and carry + bend * reach < RIDGE_MATCH_TOL
+    ]
+    fails = {}  # slot index -> whether every ridge of a decided slot fails
+    if tried:
+        normals = np.concatenate([slots[k][1] for k in tried])
+        slack = carry + reach * np.array([slots[k][2] for k in tried])
+        missed, held = _reflected_matches(points, normals, slack)
+        fails = {k: bool(m) for k, m, h in zip(tried, missed, held, strict=True) if m or h}
+    failures = []
+    first = 0
+    for k, (s, normals, bend) in enumerate(slots):
+        if k not in fails:
+            if bend is not None:
+                fv = real.lattice.face_vertices[s.offset]
+                normals = _span_normals(real.points.take(fv, axis=0))[1]
+            missed, _ = _reflected_matches(points, normals, np.zeros(len(normals)))
+            failures.extend((first + np.flatnonzero(missed)).tolist())
+        elif fails[k]:
+            failures.extend(range(first, first + min(s.count, limit)))
         if len(failures) >= limit:
             return failures[:limit]
+        first += s.count
     return failures
 
 
@@ -399,14 +494,15 @@ def ridge_reflection_check(real: Realization) -> CheckReport:
 
     This is the geometric regularity test: it holds for the classical
     regular polytopes and fails as soon as two facet shapes meet at a
-    ridge.
+    ridge.  One base ridge per slot decides the slot (_unclosed_ridges);
+    failures lists the first ten ridge ids, numbered slot after slot.
     """
-    normals = _ridge_normals(real)
-    failures = _unclosed_ridges(real.points, normals, 10)
+    failures = _unclosed_ridges(real, real.points, 10)
+    ridges = sum(s.count for s in real.lattice.slots_by_rank[real.lattice.n - 2])
     return CheckReport(
         "ridge_reflection",
         not failures,
-        {"ridges": len(normals), "failures": failures},
+        {"ridges": ridges, "failures": failures},
     )
 
 
@@ -416,7 +512,8 @@ def polar_dual_check(real: Realization) -> CheckReport:
     The facet centroids are the vertices of the polar dual up to scale; the
     group is transitive on facets by construction, so with equal norms and
     ridge-reflection closure the dual vertex orbit is itself the orbit of a
-    point under the same group.
+    point under the same group.  As in ridge_reflection_check, one base
+    ridge per slot decides the slot.
     """
     lat = real.lattice
     cents = []
@@ -425,7 +522,7 @@ def polar_dual_check(real: Realization) -> CheckReport:
     cents = np.vstack(cents)
     norms = np.linalg.norm(cents, axis=1)
     spread = float((norms.max() - norms.min()) / norms.mean())
-    closed = not _unclosed_ridges(cents, _ridge_normals(real), 1)
+    closed = not _unclosed_ridges(real, cents, 1)
     return CheckReport(
         "polar_dual",
         spread <= FACET_NORM_TOL and closed,

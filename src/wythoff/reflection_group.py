@@ -280,10 +280,7 @@ class Group:
     point_images reads g*x off perms and the roots.  No element keys or
     words are kept: the keys and the search tree exist only inside
     enumerate_group.  coxeter is the Coxeter matrix in node order,
-    which fixes the group and its element numbering.  parabolic_orders
-    maps a sorted node tuple J to |W_J|; its reader (the cover counts of
-    face_lattice.diamond_report) fills it in, so a held group works each
-    one out once.
+    which fixes the group and its element numbering.
     """
 
     def __init__(self, coxeter, roots, perms, rmult, descents):
@@ -296,7 +293,6 @@ class Group:
         self.descents = descents
         self.n_gens = len(rmult)
         self._cosets: dict = {}
-        self.parabolic_orders: dict = {(): 1}
 
     @property
     def order(self) -> int:

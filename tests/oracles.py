@@ -33,6 +33,8 @@ face-vertex lists by np.unique, and the affine rank check with one SVD
 per face, are the routes before a sorted dedup and the one SVD per slot.
 edge_lengths_by_norm (np.linalg.norm of the fancy-indexed edge ends) is
 the edge lengths' route before both ends were gathered by take.
+ridge_normals (one SVD per ridge) is the regularity witnesses' route
+before one base ridge per slot decided the slot.
 The node-selection rewrite (select_node, which raises NotApplicable on a
 node not valued 1, and the BFS reachable_decorations) is the route that
 valid_selection_sets gives in closed form.  constructions_of looks a named
@@ -48,7 +50,13 @@ from scipy.sparse.csgraph import connected_components
 
 from wythoff import _kernels
 from wythoff.decoration import ACTIVE, Decoration, _select
-from wythoff.errors import ToleranceCollision, UnknownName, WythoffError
+from wythoff.errors import (
+    SpanDeficient,
+    ToleranceCollision,
+    UnknownName,
+    UnsupportedDimension,
+    WythoffError,
+)
 from wythoff.face_lattice import DiamondReport, FaceLattice, FlagReport, _walk_code
 from wythoff.geometry import AFFINE_RANK_TOL, CheckReport
 from wythoff.reflection_group import CosetTable, RootSystem, _coset_minima, gram_matrix, key_layout
@@ -775,6 +783,30 @@ def edge_lengths_by_norm(real) -> np.ndarray:
         fv = real.slot_vertices(s)
         lengths.append(np.linalg.norm(real.points[fv][:, 0] - real.points[fv][:, 1], axis=1))
     return np.concatenate(lengths)
+
+
+def ridge_normals(real) -> np.ndarray:
+    """Unit normal of span(ridge) for every rank n-2 face, one SVD per ridge.
+
+    A symmetry fixing a ridge pointwise also fixes the origin, hence the
+    whole linear span of the ridge; that span must be a hyperplane or no
+    reflection through the ridge exists.
+    """
+    lat = real.lattice
+    n = lat.n
+    if n < 2:
+        raise UnsupportedDimension("ridges need dimension >= 2")
+    out = []
+    for s in lat.slots_by_rank[n - 2]:
+        pts = real.points.take(lat.face_vertices[s.offset], axis=0)
+        u_, sv, vt = np.linalg.svd(pts, full_matrices=True)
+        ranks = (sv > AFFINE_RANK_TOL).sum(axis=1)
+        if np.any(ranks != n - 1):
+            raise SpanDeficient(
+                f"ridge span has dimension {int(ranks.min())}, expected {n - 1}"
+            )
+        out.append(vt[:, -1, :])
+    return np.vstack(out)
 
 
 class NotApplicable(WythoffError):

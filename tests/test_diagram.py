@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from oracles import is_positive_definite_gram
+from wythoff import diagram
 from wythoff.diagram import (
+    CROSS,
+    RING,
+    DecoratedDiagram,
     canonical_certificate,
     classify_components,
     diagram_from_document,
     disjoint_union,
     family_diagram,
     group_order,
+    parabolic_order,
     parse,
     serialize_document,
     serialize_inline,
@@ -220,3 +225,32 @@ def test_family_diagram_ring_positions():
     assert d.label(0, 1) == 4 and d.marks[0] == 1
     h = family_diagram("H", 4, ringed=(3,))
     assert h.label(0, 1) == 5 and h.marks[3] == 1
+
+
+def test_orders_are_classified_once_per_submatrix(monkeypatch):
+    # the same Coxeter matrix under other node ids and marks, its edges
+    # listed in another order and orientation, shares every cached order
+    a = parse("x4o3o")
+    b = DecoratedDiagram(("p", "q", "r"), (CROSS, RING, CROSS), ((2, 1, 3), (1, 0, 4)))
+    calls = []
+    monkeypatch.setattr(
+        diagram, "classify_components", lambda d: calls.append(d.node_ids) or classify_components(d)
+    )
+    diagram._coxeter_order.cache_clear()
+    assert group_order(a) == group_order(b) == 48
+    assert parabolic_order(a, [1, 2]) == parabolic_order(b, (2, 1)) == 6
+    assert parabolic_order(a, [0, 2]) == parabolic_order(b, {2, 0}) == 4
+    assert parabolic_order(a, []) == 1
+    assert calls == [a.node_ids, ("v2", "v3"), ("v1", "v3")]
+
+
+def test_a_non_finite_order_names_its_own_nodes():
+    # an affine A2 triangle on nodes 1..3 beside a fourth node
+    edges = ((0, 1, 3), (1, 2, 3), (2, 3, 3), (1, 3, 3))
+    for ids in (("a", "b", "c", "d"), ("w", "x", "y", "z")):
+        d = DecoratedDiagram(ids, (RING,) * 4, edges)
+        assert parabolic_order(d, [0, 1]) == 6
+        with pytest.raises(NotFiniteType, match="{%s}" % ",".join(ids)):
+            group_order(d)
+        with pytest.raises(NotFiniteType, match="{%s}" % ",".join(ids[1:])):
+            parabolic_order(d, [3, 2, 1])

@@ -6,19 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import edge_lengths_by_norm, point_images_by_products
+from oracles import edge_lengths_by_norm, point_images_by_products, ridge_normals
 from sweep import benchmark_workloads, decorated_variants, sweep_diagrams, sweep_products
 from wythoff import geometry
 from wythoff._kernels import match_rows, min_pairwise_distance
 from wythoff.diagram import disjoint_union, family_diagram, parse
-from wythoff.errors import DedupCollision, UnsupportedDimension
+from wythoff.errors import DedupCollision, SpanDeficient, UnsupportedDimension
 from wythoff.geometry import (
     AFFINE_RANK_TOL,
     FACET_NORM_TOL,
     RIDGE_MATCH_TOL,
+    CheckReport,
     _edge_lengths,
-    _ridge_normals,
-    _shortest_edge,
     containment_check,
     edge_uniformity_check,
     off_document,
@@ -132,7 +131,7 @@ def test_polar_dual_separates_regular_from_not(shared):
 
 def _ridge_reflection_per_ridge(real):
     """One match_rows call per ridge: the oracle for the batched witness."""
-    normals = _ridge_normals(real)
+    normals = ridge_normals(real)
     pts = real.points
     failures = []
     for i, u in enumerate(normals):
@@ -152,7 +151,7 @@ def _polar_dual_per_ridge(real):
     norms = np.linalg.norm(cents, axis=1)
     spread = float((norms.max() - norms.min()) / norms.mean())
     closed = True
-    for u in _ridge_normals(real):
+    for u in ridge_normals(real):
         moved = cents - 2.0 * np.outer(cents @ u, u)
         if (match_rows(moved, cents, RIDGE_MATCH_TOL) < 0).any():
             closed = False
@@ -169,7 +168,38 @@ def _witness_items():
         if d.rank >= 2 and ruled_verdict(d).regular
     ]
     regular += [d for d in sweep_products() if ruled_verdict(d).regular]
+    regular += [parse(text) for text in ("o5o3o3x", "x5o3o3o", "x400x")]
     return regular + [parse("o3x4x"), parse("x3x3x3x")]
+
+
+def _moved_vertex(real, by):
+    """real with its last vertex moved by `by`, its deviation raised to match."""
+    step = np.arange(1.0, real.dim + 1.0)
+    step *= by / np.linalg.norm(step)
+    points = real.points.copy()
+    points[-1] += step
+    return replace(real, points=points, deviation=real.deviation + float(step.max()))
+
+
+def _at_the_tolerance(shared):
+    """The pentagon with its last vertex moved by RIDGE_MATCH_TOL itself.
+
+    The deviation is left as it was, so the images of that vertex, which
+    lies off the base ridge's line, and of its mirror image land on the
+    tolerance: the base ridge's verdict is open, and the one ridge slot is
+    checked ridge by ridge.
+    """
+    real = shared.realization(parse("x5o"))
+    return replace(_moved_vertex(real, RIDGE_MATCH_TOL), deviation=real.deviation)
+
+
+def _outcome(run, real):
+    """run(real) as (ok, detail), or the message of the SpanDeficient it raised."""
+    try:
+        out = run(real)
+    except SpanDeficient as e:
+        return "SpanDeficient", str(e)
+    return (out.ok, out.detail) if isinstance(out, CheckReport) else out
 
 
 @pytest.mark.parametrize("block", [None, 1000])
@@ -182,10 +212,45 @@ def test_batched_witnesses_match_per_ridge_oracle(shared, monkeypatch, block):
         polar = polar_dual_check(real)
         assert (ridge.ok, ridge.detail) == _ridge_reflection_per_ridge(real)
         assert (polar.ok, polar.detail) == _polar_dual_per_ridge(real)
+    # a moved vertex, or a deviation this large, leaves no slot a margin
+    # over its slack, so every slot is checked ridge by ridge; the
+    # 120-cell's moved pentagons leave their plane, and both routes refuse
+    # the same slot
+    moved = ("x5o", "x4o3o", "o5o3x", "x3o3o3o", "x5o3o3o")
+    cases = {t: _moved_vertex(shared.realization(parse(t)), 1e-3) for t in moved}
+    cases["x3o4o3o"] = replace(shared.realization(parse("x3o4o3o")), deviation=1.0)
+    cases["x5o at the tolerance"] = _at_the_tolerance(shared)
+    for text, real in cases.items():
+        for check, oracle in (
+            (ridge_reflection_check, _ridge_reflection_per_ridge),
+            (polar_dual_check, _polar_dual_per_ridge),
+        ):
+            got = _outcome(check, real)
+            assert got == _outcome(oracle, real), text
+            assert (got[0] == "SpanDeficient") == (text == "x5o3o3o"), text
     for text in ("o3x4x", "x3x3x3x"):
         real = shared.realization(parse(text))
         assert len(ridge_reflection_check(real).detail["failures"]) == 10
         assert not polar_dual_check(real).detail["reflection_closed"]
+
+
+def test_witnesses_match_once_per_ridge_slot(shared, monkeypatch):
+    # one base ridge decides each slot: per-ridge work, or a fallback on a
+    # valid lattice, would make more match_rows calls than ridge slots
+    calls = []
+    monkeypatch.setattr(geometry, "match_rows", lambda *a: calls.append(len(a[0])) or match_rows(*a))
+    box = disjoint_union(parse("x"), parse("x"), parse("x"))
+    for d in (parse("x5o3o3o"), parse("o5o3o3x"), parse("x4o3o3o"), box):
+        real = shared.realization(d)
+        slots = len(real.lattice.slots_by_rank[real.lattice.n - 2])
+        for check in (ridge_reflection_check, polar_dual_check):
+            calls.clear()
+            assert check(real).ok, d
+            assert 1 <= len(calls) <= slots, d
+    # an open base verdict costs the slot one more call, over every ridge
+    calls.clear()
+    assert ridge_reflection_check(_at_the_tolerance(shared)).detail["failures"] == [2]
+    assert calls == [5, 25]
 
 
 def test_box_product_is_geometrically_regular(shared):
@@ -280,9 +345,7 @@ def test_shortest_edge_is_the_closest_pair(shared):
     texts += wl.big_group_items() + ["x3x3x3x3x3x", "x5o3o3o"]
     for text in dict.fromkeys(texts):
         real = shared.realization(parse(text))
-        assert _shortest_edge(real.lattice, real.points) == min_pairwise_distance(
-            real.points
-        ), text
+        assert real.edge_lengths.min() == min_pairwise_distance(real.points), text
 
 
 def test_edge_lengths_equal_the_norm_route_to_the_bit(shared):

@@ -34,7 +34,7 @@ from sweep import (
     sweep_diagrams,
     sweep_products,
 )
-from wythoff import face_lattice, geometry, reflection_group
+from wythoff import diagram, face_lattice, geometry, reflection_group
 from wythoff.diagram import disjoint_union, parse
 from wythoff.face_lattice import (
     FaceLattice,
@@ -245,25 +245,35 @@ def test_corrupted_lattice_reports_agree(shared):
 
 
 def test_a_held_group_works_out_each_parabolic_order_once(shared, monkeypatch):
+    # each |W_J| is classified once per Coxeter submatrix, whichever
+    # lattice or group asks, so a fresh group starts no new work
+    diagrams = [parse(text) for text in ("x3x4o", "o3x4x")]
+    bad, _ = _corrupted_cube(shared)
     calls = []
-    order = face_lattice.group_order
-    monkeypatch.setattr(face_lattice, "group_order", lambda d: calls.append(d.node_ids) or order(d))
+    classify = diagram.classify_components
+    monkeypatch.setattr(
+        diagram,
+        "classify_components",
+        lambda d: calls.append(diagram._Submatrix(d, list(range(d.rank))).key) or classify(d),
+    )
+    diagram._coxeter_order.cache_clear()
     reflection_group._held.clear()
-    lats = [build_lattice(parse(text)) for text in ("x3x4o", "o3x4x")]
+    lats = [build_lattice(d) for d in diagrams]
     assert lats[1].group is lats[0].group
     reports = [diamond_report(lat) for lat in lats]
-    assert calls and len(set(calls)) == len(calls)
-    bad, _ = _corrupted_cube(shared)
     lats.append(bad)
     reports.append(diamond_report(bad))
     assert reports[-1].cover_mismatches and reports[-1].face_mismatches
     for lat, report in zip(lats, reports, strict=True):
         reflection_group._held.clear()
         fresh = enumerate_group(lat.diagram)
-        assert fresh is not lat.group and not fresh.parabolic_orders.keys() - {()}
+        assert fresh is not lat.group
         again = FaceLattice(lat.diagram, lat.start, fresh, lat.slots_by_rank)
         again.cover_blocks = lat.cover_blocks
+        worked = len(calls)
         assert diamond_report(again) == report
+        assert len(calls) == worked
+    assert calls and len(set(calls)) == len(calls)
 
 
 CORRUPTIBLE = {
