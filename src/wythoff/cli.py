@@ -5,10 +5,14 @@ string or a JSON document.  Every subcommand takes ``--json`` for a
 machine-readable envelope.  Exit codes: 0 success, 1 a verification or
 classification came out negative, 2 bad input.
 
-The commands that enumerate (``check``, ``lattice``, ``vertices``,
-``export`` and ``fvector`` with an enumerated method) import the
-numpy-backed layers inside themselves, so the formula commands never load
-numpy.  Their group size limit is the WYTHOFF_BUDGET environment variable.
+Each command imports the modules it runs inside itself, so a cold process
+loads only those.  Besides this module and errors, ``--version`` loads
+none, ``order`` loads diagram, ``validate``, ``faces`` and ``fvector
+--method formula`` add decoration, and ``is-regular`` and ``classify``
+add regular; none of them loads numpy or dataclasses.  The commands that
+enumerate (``check``, ``lattice``, ``vertices``, ``export`` and
+``fvector`` with an enumerated method) add the numpy-backed layers; their
+group size limit is the WYTHOFF_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -18,21 +22,6 @@ import json
 import sys
 
 from . import __version__
-from .decoration import (
-    f_vector_formula,
-    face_types,
-    is_degenerate,
-    orbit_size,
-    require_nondegenerate,
-    start_decoration,
-)
-from .diagram import (
-    classify_components,
-    group_order,
-    parse,
-    serialize_document,
-    serialize_inline,
-)
 from .errors import (
     BudgetExceeded,
     Degenerate,
@@ -41,13 +30,6 @@ from .errors import (
     UnknownName,
     UnsupportedDimension,
     WythoffError,
-)
-from .regular import (
-    is_flag_transitive,
-    known_f_vector,
-    oracle_gap_reason,
-    regular_catalog,
-    ruled_verdict,
 )
 
 _USAGE_ERRORS = (
@@ -61,6 +43,8 @@ _USAGE_ERRORS = (
 
 
 def _load_diagram(arg: str):
+    from .diagram import parse
+
     if arg.startswith("@"):
         path = arg[1:]
         with open(path, encoding="utf-8") as fh:
@@ -90,6 +74,8 @@ def _write_text(path: str | None, text: str):
 
 
 def _diagram_ref(d) -> str:
+    from .diagram import serialize_document, serialize_inline
+
     try:
         return serialize_inline(d)
     except WythoffError:
@@ -97,6 +83,9 @@ def _diagram_ref(d) -> str:
 
 
 def _cmd_validate(args) -> int:
+    from .decoration import is_degenerate
+    from .diagram import classify_components, group_order
+
     d = _load_diagram(args.diagram)
     tags = classify_components(d)
     degenerate = is_degenerate(d)
@@ -119,12 +108,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from .diagram import group_order
+
     d = _load_diagram(args.diagram)
     order = group_order(d)
     return _emit(args, {"order": order, "lines": [str(order)]})
 
 
 def _cmd_faces(args) -> int:
+    from .decoration import face_types, orbit_size, require_nondegenerate, start_decoration
+    from .diagram import group_order
+
     d = _load_diagram(args.diagram)
     require_nondegenerate(d)
     if args.rank is not None and not 0 <= args.rank <= d.rank:
@@ -144,6 +138,8 @@ def _cmd_faces(args) -> int:
 
 
 def _cmd_fvector(args) -> int:
+    from .decoration import f_vector_formula
+
     d = _load_diagram(args.diagram)
     payload = {}
     lines = []
@@ -203,6 +199,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .decoration import f_vector_formula
     from .face_lattice import build_lattice, diamond_report, euler_ok, flag_report
     from .geometry import realize, verify_realization
 
@@ -226,6 +223,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_is_regular(args) -> int:
+    from .regular import is_flag_transitive, oracle_gap_reason, ruled_verdict
+
     d = _load_diagram(args.diagram)
     v = ruled_verdict(d)
     payload = {
@@ -252,6 +251,8 @@ def _cmd_is_regular(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .regular import known_f_vector, regular_catalog
+
     catalog = regular_catalog(args.dim, kmax=args.kmax)
     entries = []
     lines = []

@@ -9,10 +9,9 @@ are the selected nodes.  The rewrite never places a 2 next to a 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import CROSS, RING, DecoratedDiagram, group_order, parabolic_order
+from .diagram import CROSS, RING, DecoratedDiagram, Record, group_order, parabolic_order
 from .errors import Degenerate, InvalidS
 
 CROSSED = 0
@@ -20,12 +19,11 @@ ACTIVE = 1
 SELECTED = 2
 
 
-@dataclass(frozen=True)
-class Decoration:
-    diagram: DecoratedDiagram
-    values: tuple[int, ...]
+class Decoration(Record):
+    _fields = ("diagram", "values")
 
-    def __post_init__(self):
+    def __init__(self, diagram: DecoratedDiagram, values: tuple[int, ...]):
+        super().__init__(diagram, values)
         if len(self.values) != self.diagram.rank:
             raise ValueError("one value per node required")
         if any(v not in (0, 1, 2) for v in self.values):
@@ -83,12 +81,16 @@ def valid_selection_sets(start: Decoration, k: int) -> list[frozenset]:
     are exactly decoration_from_selection over these sets.
     """
     d = start.diagram
-    ringed = {v for v, val in enumerate(start.values) if val == ACTIVE}
+    ringed = _ringed(start)
     out = []
     for combo in combinations(range(d.rank), k):
         if _selection_ok(d, set(combo), ringed):
             out.append(frozenset(combo))
     return out
+
+
+def _ringed(start: Decoration) -> set:
+    return {v for v, val in enumerate(start.values) if val == ACTIVE}
 
 
 def _selection_ok(d, s, ringed):
@@ -112,29 +114,34 @@ def decoration_from_selection(start: Decoration, s) -> Decoration:
     """Decoration with selection s: 2 on s, 1 on rings and neighbors of s."""
     d = start.diagram
     s = frozenset(int(v) for v in s)
-    ringed = {v for v, val in enumerate(start.values) if val == ACTIVE}
+    ringed = _ringed(start)
     if not _selection_ok(d, set(s), ringed):
         raise InvalidS("selection %s has a ringless component" % sorted(s))
-    values = []
-    for v in range(d.rank):
-        if v in s:
-            values.append(SELECTED)
-        elif v in ringed or any(w in s for w in d.neighbors(v)):
-            values.append(ACTIVE)
-        else:
-            values.append(CROSSED)
-    return Decoration(d, tuple(values))
+    return Decoration(d, _selected_values(d, s, ringed))
+
+
+def _selected_values(d, s, ringed) -> tuple:
+    """2 on s, 1 on rings and neighbors of s, 0 elsewhere."""
+    return tuple(
+        SELECTED if v in s
+        else ACTIVE if v in ringed or any(w in s for w in d.neighbors(v))
+        else CROSSED
+        for v in range(d.rank)
+    )
 
 
 def face_types(start: Decoration, ranks):
     """(rank, selection, decoration) of every face type of the given ranks.
 
     Within a rank the selections come in sorted order; face ids are
-    numbered in this order.
+    numbered in this order.  The selections are valid_selection_sets', so
+    they are not checked again.
     """
+    d = start.diagram
+    ringed = _ringed(start)
     for k in ranks:
         for sel in sorted(valid_selection_sets(start, k), key=sorted):
-            yield k, sel, decoration_from_selection(start, sel)
+            yield k, sel, Decoration(d, _selected_values(d, sel, ringed))
 
 
 def orbit_size(dec: Decoration, order: int) -> int:

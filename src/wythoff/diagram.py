@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field
 
 from .errors import NotFiniteType, ParseError
 
@@ -31,8 +30,46 @@ _MARK_NAMES = {"ring": RING, "cross": CROSS}
 _INLINE_RE = re.compile(r"^[xo](?:\d+[xo])*$")
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class Record:
+    """Immutable record: equality, hash and repr over the fields in _fields.
+
+    A subclass names its fields in _fields and passes their values, in that
+    order, to Record.__init__ from its own; any other attribute it sets with
+    object.__setattr__ stays out of equality, hash and repr.  Records of
+    different classes are never equal.  copy and pickle restore __dict__
+    without calling __init__.  (The formula commands import this module, so
+    it stands in for dataclasses, whose import pulls in inspect and ast.)
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FamilyTag(Record):
     """Finite reflection family of one connected component.
 
     family is one of A, B, D, E, F, H, I2; k is the edge label for I2.
@@ -47,10 +84,11 @@ class FamilyTag:
     positions (regular.py) read this order.
     """
 
-    family: str
-    rank: int
-    k: int | None = None
-    nodes: tuple[int, ...] = ()
+    _fields = ("family", "rank", "k", "nodes")
+
+    def __init__(self, family: str, rank: int, k: int | None = None,
+                 nodes: tuple[int, ...] = ()):
+        super().__init__(family, rank, k, nodes)
 
     def __str__(self):
         if self.family == "I2":
@@ -76,17 +114,14 @@ class FamilyTag:
         raise ValueError("unknown family %r" % self.family)
 
 
-@dataclass(frozen=True)
-class DecoratedDiagram:
+class DecoratedDiagram(Record):
     """Nodes with ring/cross marks plus labelled edges (m >= 3)."""
 
-    node_ids: tuple[str, ...]
-    marks: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
-    _label: dict = field(init=False, repr=False, compare=False, hash=False)
-    _adj: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _fields = ("node_ids", "marks", "edges")
 
-    def __post_init__(self):
+    def __init__(self, node_ids: tuple[str, ...], marks: tuple[int, ...],
+                 edges: tuple[tuple[int, int, int], ...]):
+        super().__init__(node_ids, marks, edges)
         n = len(self.node_ids)
         if n == 0:
             raise ParseError("diagram needs at least one node")

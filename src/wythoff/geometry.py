@@ -407,9 +407,10 @@ def _ridge_slots(real: Realization) -> list:
         if not carried:
             sv, normals = _span_normals(real.points.take(fv, axis=0))
         ranks = (sv > AFFINE_RANK_TOL).sum(axis=1)
-        if np.any(ranks != n - 1):
+        wrong = np.flatnonzero(ranks != n - 1)
+        if wrong.size:
             raise SpanDeficient(
-                f"ridge span has dimension {int(ranks.min())}, expected {n - 1}"
+                f"ridge span has dimension {int(ranks[wrong[0]])}, expected {n - 1}"
             )
         bend = None
         if carried:

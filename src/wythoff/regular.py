@@ -13,7 +13,6 @@ oracle_gap_reason enumerates exactly those constructions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb
 
 from .decoration import (
@@ -28,6 +27,7 @@ from .decoration import (
 from .diagram import (
     RING,
     DecoratedDiagram,
+    Record,
     canonical_certificate,
     classify_components,
     disjoint_union,
@@ -166,12 +166,12 @@ def _classify_component(d: DecoratedDiagram, tag) -> tuple[str | None, str, str 
     return None, f"ring position on {tag} is not a regular one", None
 
 
-@dataclass(frozen=True)
-class RuledVerdict:
-    regular: bool
-    name: str | None
-    reason: str
-    witness: tuple | None = None
+class RuledVerdict(Record):
+    _fields = ("regular", "name", "reason", "witness")
+
+    def __init__(self, regular: bool, name: str | None, reason: str,
+                 witness: tuple | None = None):
+        super().__init__(regular, name, reason, witness)
 
 
 def ruled_verdict(d: DecoratedDiagram) -> RuledVerdict:

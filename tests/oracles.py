@@ -801,9 +801,10 @@ def ridge_normals(real) -> np.ndarray:
         pts = real.points.take(lat.face_vertices[s.offset], axis=0)
         u_, sv, vt = np.linalg.svd(pts, full_matrices=True)
         ranks = (sv > AFFINE_RANK_TOL).sum(axis=1)
-        if np.any(ranks != n - 1):
+        wrong = np.flatnonzero(ranks != n - 1)
+        if wrong.size:
             raise SpanDeficient(
-                f"ridge span has dimension {int(ranks.min())}, expected {n - 1}"
+                f"ridge span has dimension {int(ranks[wrong[0]])}, expected {n - 1}"
             )
         out.append(vt[:, -1, :])
     return np.vstack(out)

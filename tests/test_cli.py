@@ -125,29 +125,36 @@ def test_is_regular_oracle_beyond_the_budget(capsys):
     assert code == 0 and data["name"] == "8-hypercube" and data["flag_transitive"]
 
 
-# the benchmark's cold commands, the catalog and the oracle: (argv, exit code)
+# the benchmark's cold commands, the catalog and the oracle: (argv, exit
+# code, the wythoff modules a formula command loads besides cli and errors)
+DIAGRAM = ("diagram",)
+DECORATION = ("diagram", "decoration")
+REGULAR = ("diagram", "decoration", "regular")
 COLD_COMMANDS = {
-    "version": (["--version"], 0),
-    "validate": (["validate", "x3x4o", "--json"], 0),
-    "order": (["order", E8_DOC, "--json"], 0),
-    "faces": (["faces", "x3x4o", "--rank", "2", "--json"], 0),
-    "fvector": (["fvector", "x5o3o3o", "--method", "formula", "--json"], 0),
-    "is_regular": (["is-regular", "o3x4o", "--json"], 1),
-    "is_regular_oracle": (["is-regular", "x3o3o", "--oracle", "--json"], 0),
-    "classify": (["classify", "--dim", "4", "--json"], 0),
-    "check": (["check", "x3x4o", "--json"], 0),
+    "version": (["--version"], 0, ()),
+    "validate": (["validate", "x3x4o", "--json"], 0, DECORATION),
+    "order": (["order", E8_DOC, "--json"], 0, DIAGRAM),
+    "faces": (["faces", "x3x4o", "--rank", "2", "--json"], 0, DECORATION),
+    "fvector": (["fvector", "x5o3o3o", "--method", "formula", "--json"], 0, DECORATION),
+    "is_regular": (["is-regular", "o3x4o", "--json"], 1, REGULAR),
+    "is_regular_oracle": (["is-regular", "x3o3o", "--oracle", "--json"], 0, REGULAR),
+    "classify": (["classify", "--dim", "4", "--json"], 0, REGULAR),
+    "check": (["check", "x3x4o", "--json"], 0, None),
 }
 ENUMERATION_MODULES = {
     "numpy", "wythoff.reflection_group", "wythoff.face_lattice", "wythoff.geometry",
     "wythoff._kernels",
 }
+# standard modules a formula command must not load: importing dataclasses
+# pulls in inspect, ast, dis and tokenize
+HEAVY_STANDARD_MODULES = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("name", list(COLD_COMMANDS))
-def test_cold_process_imports(name):
+def test_cold_process_imports(capsys, name):
     # a fresh interpreter runs the console entry point and reports which of
-    # numpy, scipy and the wythoff modules it loaded
-    argv, want = COLD_COMMANDS[name]
+    # numpy, scipy, dataclasses, inspect and the wythoff modules it loaded
+    argv, want, modules = COLD_COMMANDS[name]
     script = (
         "import json, sys\n"
         "from wythoff.cli import main\n"
@@ -155,7 +162,8 @@ def test_cold_process_imports(name):
         "    code = main(sys.argv[1:])\n"
         "except SystemExit as e:\n"
         "    code = e.code\n"
-        "seen = {m for m in sys.modules if m in ('numpy', 'scipy') or m.startswith('wythoff.')}\n"
+        "watch = ('numpy', 'scipy', 'dataclasses', 'inspect')\n"
+        "seen = {m for m in sys.modules if m in watch or m.startswith('wythoff.')}\n"
         "print(json.dumps([code, sorted(seen)]), file=sys.stderr)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -168,11 +176,19 @@ def test_cold_process_imports(name):
     code, seen = json.loads(done.stderr.splitlines()[-1])
     assert code == want, done.stderr
     assert "scipy" not in seen
-    if name == "check":
+    if modules is None:
         assert json.loads(done.stdout)["ok"]
         assert ENUMERATION_MODULES <= set(seen)
     else:
-        assert not ENUMERATION_MODULES & set(seen), seen
+        assert not (ENUMERATION_MODULES | HEAVY_STANDARD_MODULES) & set(seen), seen
+        loaded = {m for m in seen if m.startswith("wythoff.")}
+        assert loaded == {"wythoff." + m for m in ("cli", "errors", *modules)}
+    # the cold process prints what main() prints in this one
+    try:
+        main(list(argv))
+    except SystemExit:
+        pass
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_classify_kmax_below_3_is_a_usage_error(capsys):

@@ -1,14 +1,19 @@
+import copy
 import json
+import pickle
+from dataclasses import make_dataclass
 
 import numpy as np
 import pytest
 
 from oracles import is_positive_definite_gram
 from wythoff import diagram
+from wythoff.decoration import Decoration, start_decoration
 from wythoff.diagram import (
     CROSS,
     RING,
     DecoratedDiagram,
+    FamilyTag,
     canonical_certificate,
     classify_components,
     diagram_from_document,
@@ -22,6 +27,7 @@ from wythoff.diagram import (
 )
 from wythoff.errors import NotFiniteType, ParseError
 from wythoff.reflection_group import gram_matrix
+from wythoff.regular import RuledVerdict, ruled_verdict
 
 
 def test_inline_round_trip():
@@ -254,3 +260,51 @@ def test_a_non_finite_order_names_its_own_nodes():
             group_order(d)
         with pytest.raises(NotFiniteType, match="{%s}" % ",".join(ids[1:])):
             parabolic_order(d, [3, 2, 1])
+
+
+# each record class: (a record, one that differs from it in one field)
+RECORDS = {
+    "FamilyTag": lambda: (
+        classify_components(parse("x4o3o"))[0],
+        FamilyTag("B", 3, None, (2, 1, 0)),
+    ),
+    "DecoratedDiagram": lambda: (parse("x3x4o"), parse("x3x4x")),
+    "Decoration": lambda: (
+        start_decoration(parse("x3x4o")),
+        Decoration(parse("x3x4o"), (2, 1, 0)),
+    ),
+    "RuledVerdict": lambda: (ruled_verdict(parse("o3x4x")), ruled_verdict(parse("x3o4x"))),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_behave_as_frozen_dataclasses(name):
+    rec, other = RECORDS[name]()
+    again = RECORDS[name]()[0]
+    assert type(rec).__name__ == name
+    values = tuple(getattr(rec, f) for f in rec._fields)
+    # a frozen dataclass of the same fields is the reference for repr and hash
+    ref = make_dataclass(name, rec._fields, frozen=True)(*values)
+    assert repr(rec) == repr(ref)
+    assert rec == again and hash(rec) == hash(again) == hash(ref)
+    assert rec != values and rec != ref and rec != other
+    assert sum(getattr(rec, f) != getattr(other, f) for f in rec._fields) == 1
+    for f in rec._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, f, getattr(other, f))
+        with pytest.raises(AttributeError):
+            delattr(rec, f)
+    assert tuple(getattr(rec, f) for f in rec._fields) == values
+    for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert twin == rec and hash(twin) == hash(rec) and repr(twin) == repr(rec)
+
+
+def test_a_diagram_repr_lists_its_fields_only():
+    d = parse("x3x4o")
+    assert repr(d) == (
+        "DecoratedDiagram(node_ids=('v1', 'v2', 'v3'), marks=(1, 1, 0), "
+        "edges=((0, 1, 3), (1, 2, 4)))"
+    )
+    twin = pickle.loads(pickle.dumps(d))
+    assert twin.neighbors(1) == (0, 2) and twin.label(2, 1) == 4
+    assert copy.copy(d).components() == d.components()

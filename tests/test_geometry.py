@@ -172,12 +172,12 @@ def _witness_items():
     return regular + [parse("o3x4x"), parse("x3x3x3x")]
 
 
-def _moved_vertex(real, by):
-    """real with its last vertex moved by `by`, its deviation raised to match."""
+def _moved_vertex(real, by, vertex=-1):
+    """real with one vertex (the last) moved by `by`, its deviation raised to match."""
     step = np.arange(1.0, real.dim + 1.0)
     step *= by / np.linalg.norm(step)
     points = real.points.copy()
-    points[-1] += step
+    points[vertex] += step
     return replace(real, points=points, deviation=real.deviation + float(step.max()))
 
 
@@ -232,6 +232,21 @@ def test_batched_witnesses_match_per_ridge_oracle(shared, monkeypatch, block):
         real = shared.realization(parse(text))
         assert len(ridge_reflection_check(real).detail["failures"]) == 10
         assert not polar_dual_check(real).detail["reflection_closed"]
+
+
+def test_span_deficient_names_a_rank_it_found(shared):
+    # vertex 0 of the 120-cell leaves the planes of its pentagons, so those
+    # ridges span 4 dimensions where 3 are expected; both routes say so
+    moved = _moved_vertex(shared.realization(parse("x5o3o3o")), 1e-3, vertex=0)
+    moved = replace(moved, deviation=1.0)
+    want = ("SpanDeficient", "ridge span has dimension 4, expected 3")
+    for run in (
+        ridge_reflection_check,
+        polar_dual_check,
+        _ridge_reflection_per_ridge,
+        _polar_dual_per_ridge,
+    ):
+        assert _outcome(run, moved) == want, run.__name__
 
 
 def test_witnesses_match_once_per_ridge_slot(shared, monkeypatch):
