@@ -5,11 +5,15 @@ The start decoration of a diagram has no selected nodes: rings are 1,
 crosses are 0.  Selecting an active node w turns it to 2 and activates the
 crossed neighbors of w; k selections describe a rank-k face, whose mirrors
 are the selected nodes.  The rewrite never places a 2 next to a 0.
+
+This step is the one selection rule: the face types, the valid selection
+sets and decoration_from_selection are read off the layers of values it
+reaches in 0, 1, 2, ... steps, and the selection orderings are its paths.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import islice
 
 from .diagram import CROSS, RING, DecoratedDiagram, Record, group_order, parabolic_order
 from .errors import Degenerate, InvalidS
@@ -73,75 +77,67 @@ def _select(d: DecoratedDiagram, values: tuple, w: int) -> tuple:
     return tuple(new)
 
 
-def valid_selection_sets(start: Decoration, k: int) -> list[frozenset]:
-    """Size-k node sets whose induced components each contain a ring.
+def _selected(values: tuple) -> tuple[int, ...]:
+    return tuple(i for i, v in enumerate(values) if v == SELECTED)
 
-    Closed-form counterpart of the rewrite BFS (reachable_decorations in
-    tests/oracles.py): the rank-k decorations reachable by k selections
-    are exactly decoration_from_selection over these sets.
+
+def _layers(start: Decoration):
+    """The values reachable from start in 0, 1, 2, ... rewrite steps, a list each.
+
+    Each layer applies every step to the one before, drops repeats and sorts
+    by selection; the layers end with the last rank that has a face.
     """
     d = start.diagram
-    ringed = _ringed(start)
-    out = []
-    for combo in combinations(range(d.rank), k):
-        if _selection_ok(d, set(combo), ringed):
-            out.append(frozenset(combo))
-    return out
+    layer = [start.values]
+    while layer:
+        yield layer
+        nxt = {_select(d, vals, w) for vals in layer for w, v in enumerate(vals) if v == ACTIVE}
+        layer = sorted(nxt, key=_selected)
 
 
-def _ringed(start: Decoration) -> set:
-    return {v for v, val in enumerate(start.values) if val == ACTIVE}
+def valid_selection_sets(start: Decoration, k: int) -> list[frozenset]:
+    """Selections of the decorations reachable from start in k rewrite steps.
 
-
-def _selection_ok(d, s, ringed):
-    todo = set(s)
-    while todo:
-        v = todo.pop()
-        comp, stack = {v}, [v]
-        while stack:
-            u = stack.pop()
-            for w in d.neighbors(u):
-                if w in s and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if not (comp & ringed):
-            return False
-        todo -= comp
-    return True
+    They come in sorted order, [] for k beyond the rank and a ValueError
+    for negative k.  Each induced component of such a selection holds a
+    ring, and every size-k set that does is one: that closed form is kept
+    as the oracle in tests/oracles.py.
+    """
+    return [frozenset(_selected(vals)) for vals in next(islice(_layers(start), k, None), [])]
 
 
 def decoration_from_selection(start: Decoration, s) -> Decoration:
-    """Decoration with selection s: 2 on s, 1 on rings and neighbors of s."""
-    d = start.diagram
-    s = frozenset(int(v) for v in s)
-    ringed = _ringed(start)
-    if not _selection_ok(d, set(s), ringed):
-        raise InvalidS("selection %s has a ringless component" % sorted(s))
-    return Decoration(d, _selected_values(d, s, ringed))
+    """Decoration with selection s, selecting its nodes as they turn active.
 
-
-def _selected_values(d, s, ringed) -> tuple:
-    """2 on s, 1 on rings and neighbors of s, 0 elsewhere."""
-    return tuple(
-        SELECTED if v in s
-        else ACTIVE if v in ringed or any(w in s for w in d.neighbors(v))
-        else CROSSED
-        for v in range(d.rank)
-    )
+    InvalidS names a node outside 0..n-1 or not an integer, and a selection
+    with a node that never turns active, that is, a ringless component.
+    """
+    d, nodes = start.diagram, set(s)
+    for v in nodes:
+        if not (hasattr(v, "__index__") and 0 <= v < d.rank):
+            raise InvalidS(f"node {v!r} is not one of 0..{d.rank - 1}")
+    vals = start.values
+    for _ in nodes:
+        ready = [w for w in nodes if vals[w] == ACTIVE]
+        if not ready:
+            raise InvalidS("selection %s has a ringless component" % sorted(nodes))
+        vals = _select(d, vals, ready[0])
+    return Decoration(d, vals)
 
 
 def face_types(start: Decoration, ranks):
     """(rank, selection, decoration) of every face type of the given ranks.
 
     Within a rank the selections come in sorted order; face ids are
-    numbered in this order.  The selections are valid_selection_sets', so
-    they are not checked again.
+    numbered in this order.  The layers are grown only as far as the
+    largest rank read so far.
     """
-    d = start.diagram
-    ringed = _ringed(start)
+    layers, grown = _layers(start), []
     for k in ranks:
-        for sel in sorted(valid_selection_sets(start, k), key=sorted):
-            yield k, sel, Decoration(d, _selected_values(d, sel, ringed))
+        while len(grown) <= k:
+            grown.append(next(layers, []))
+        for vals in grown[k]:
+            yield k, frozenset(_selected(vals)), Decoration(start.diagram, vals)
 
 
 def orbit_size(dec: Decoration, order: int) -> int:
@@ -169,25 +165,22 @@ def f_vector_formula(d: DecoratedDiagram) -> tuple[int, ...]:
     return tuple(out)
 
 
-def selection_orderings(start: Decoration) -> list[tuple[int, ...]]:
-    """All full selection orders (maximal rewrite chains) from start.
+def selection_orderings(start: Decoration):
+    """Every full selection order (maximal rewrite chain) from start, lazily.
 
     Each ordering lists the nodes in selection order; its prefixes are the
     selections of the faces along one maximal chain of the face lattice.
+    The search is depth first, lower nodes first, on an explicit stack.
     """
-    d = start.diagram
-    out = []
-
-    def rec(vals, prefix):
+    d, stack = start.diagram, [(start.values, ())]
+    while stack:
+        vals, prefix = stack.pop()
         if len(prefix) == d.rank:
-            out.append(tuple(prefix))
-            return
-        for w, val in enumerate(vals):
-            if val == ACTIVE:
-                rec(_select(d, vals, w), prefix + [w])
-
-    rec(start.values, [])
-    return out
+            yield prefix
+        stack.extend(
+            (_select(d, vals, w), prefix + (w,))
+            for w in reversed(range(d.rank)) if vals[w] == ACTIVE
+        )
 
 
 def face_restriction(start: Decoration, s) -> DecoratedDiagram:

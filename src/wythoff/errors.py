@@ -22,11 +22,11 @@ class Degenerate(WythoffError):
 
 
 class InvalidS(WythoffError):
-    """A selection set has a component with no ringed node."""
+    """A selection set has a node outside the diagram or a ringless component."""
 
 
 class BudgetExceeded(WythoffError):
-    """Group enumeration would exceed the element budget."""
+    """Group enumeration or a catalog would exceed its size limit."""
 
 
 class ToleranceCollision(WythoffError):

@@ -13,6 +13,7 @@ oracle_gap_reason enumerates exactly those constructions.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from math import comb
 
 from .decoration import (
@@ -34,7 +35,7 @@ from .diagram import (
     family_diagram,
     group_order,
 )
-from .errors import UnknownName
+from .errors import BudgetExceeded, UnknownName
 
 _POLYGON_NAMES = {
     3: "triangle",
@@ -249,13 +250,14 @@ def is_flag_transitive(src) -> bool:
     left translation of g alone.  That action is free and keeps the
     ordering, so the flags of one ordering form exactly one orbit.  The
     group is therefore flag-transitive exactly when there is one selection
-    ordering.  src is a diagram or a FaceLattice, whose orderings are its
-    chains; nothing is enumerated, so the answer holds beyond any
+    ordering.  src is a diagram, whose orderings are searched only until a
+    second one turns up, or a FaceLattice, whose orderings are its chains;
+    no group or flag is enumerated, so the answer holds beyond any
     enumeration budget.
     """
     if isinstance(src, DecoratedDiagram):
         require_nondegenerate(src)
-        return len(selection_orderings(start_decoration(src))) == 1
+        return len(list(islice(selection_orderings(start_decoration(src)), 2))) == 1
     return len(src.chains) == 1
 
 
@@ -272,20 +274,18 @@ def oracle_gap_reason(d: DecoratedDiagram) -> str | None:
 
 # -- catalog -------------------------------------------------------------------
 
+# the constructions one catalog may build and certify: dimension 21 (796)
+# fits and 22 (1006) does not, nor do the polygons past kmax 669
+CATALOG_LIMIT = 1000
 
-def _box_partitions(n: int):
-    """Multisets of factor sizes (>= 1) splitting n, excluding the single block."""
-    out = []
 
-    def rec(remaining, max_part, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(remaining, max_part), 0, -1):
-            rec(remaining - p, p, acc + [p])
-
-    rec(n, n, [])
-    return [p for p in out if len(p) > 1]
+def _partitions(n: int, most: int | None = None):
+    """Partitions of n into parts no larger than most (default n), largest first."""
+    if n == 0:
+        yield ()
+    for p in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - p, p):
+            yield (p, *rest)
 
 
 def _box_diagram(parts) -> DecoratedDiagram:
@@ -295,17 +295,45 @@ def _box_diagram(parts) -> DecoratedDiagram:
     )
 
 
+def _positions(n: int) -> list:
+    """The rows of _REGULAR_POSITIONS that apply in dimension n >= 3."""
+    return [row for row in _REGULAR_POSITIONS
+            if row[1] in (None, n) and not (row[0] == "D" and n < 4)]  # D starts at 4
+
+
+def _construction_count(n: int, kmax: int) -> int:
+    """How many constructions regular_catalog(n, kmax) builds and certifies.
+
+    A polygon catalog builds about 1.5 kmax; the others, besides the
+    position table's rows, one box product per partition of n but (n).
+    """
+    if n <= 2:  # the segment; the polygons and the x x box
+        return 1 if n == 1 else kmax - 1 + max(0, kmax // 2 - 2)
+    partitions = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            partitions[m] += partitions[m - part]
+    return len(_positions(n)) + partitions[n] - 1
+
+
 def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]:
     """All regular polytopes of dimension n with their constructions.
 
     Polygon entries run through edge label kmax, at least 3.  Every
     construction the position table accepts appears, deduplicated up to
     decorated-diagram isomorphism; hypercubes include all box products.
+    BudgetExceeded, before any is built, when there are more than
+    CATALOG_LIMIT; past that dimension only a lower bound is counted.
     """
     if n < 1:
         raise UnknownName(f"no polytopes of dimension {n}")
     if kmax < 3:
         raise UnknownName(f"kmax {kmax} is below 3, the fewest edges of a polygon")
+    count = _construction_count(min(n, CATALOG_LIMIT + 1), kmax)
+    if count > CATALOG_LIMIT:
+        more = "more than " if n > CATALOG_LIMIT + 1 else ""
+        raise BudgetExceeded(f"the catalog of dimension {n} builds {more}{count}"
+                             f" constructions, over the limit of {CATALOG_LIMIT}")
     catalog: dict[str, dict] = {}  # name -> certificate -> first construction
 
     def add(name, diagram):
@@ -319,10 +347,8 @@ def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]
             if k % 2 == 0 and k // 2 >= 3:
                 add(polygon_name(k), family_diagram("I2", 2, k=k // 2, ringed=(0, 1)))
     else:
-        for family, rank, pos, name, _ in _REGULAR_POSITIONS:
-            if rank in (None, n) and not (family == "D" and n < 4):  # D starts at 4
-                add(name.format(n=n), family_diagram(family, n, ringed=(pos % n,)))
-    for parts in _box_partitions(n):
+        for family, _, pos, name, _ in _positions(n):
+            add(name.format(n=n), family_diagram(family, n, ringed=(pos % n,)))
+    for parts in islice(_partitions(n), 1, None):  # all but (n) itself
         add(_hypercube_name(n), _box_diagram(parts))
     return {name: list(entry.values()) for name, entry in catalog.items()}
-

@@ -36,21 +36,29 @@ the edge lengths' route before both ends were gathered by take.
 ridge_normals (one SVD per ridge) is the regularity witnesses' route
 before one base ridge per slot decided the slot.
 The node-selection rewrite (select_node, which raises NotApplicable on a
-node not valued 1, and the BFS reachable_decorations) is the route that
-valid_selection_sets gives in closed form.  constructions_of looks a named
+node not valued 1, and the BFS reachable_decorations) keeps its own copy of
+the step the library's decoration layers apply.  The closed form
+(selection_sets_by_components: every size-k node set whose induced
+components each hold a ring, in combinations order; decoration_by_formula:
+2 on the set, 1 on the rings and the set's neighbors) is the route
+valid_selection_sets and decoration_from_selection took before they were
+read off the rewrite, and ordering_count counts the maximal rewrite chains
+by summing over the reachable decorations.  constructions_of looks a named
 regular polytope up in the regular catalog.
 """
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from wythoff import _kernels
-from wythoff.decoration import ACTIVE, Decoration, _select
+from wythoff.decoration import ACTIVE, CROSSED, SELECTED, Decoration
 from wythoff.errors import (
+    InvalidS,
     SpanDeficient,
     ToleranceCollision,
     UnknownName,
@@ -818,7 +826,12 @@ def select_node(dec: Decoration, w: int) -> Decoration:
     """Select active node w: w becomes 2, crossed neighbors of w become 1."""
     if dec.values[w] != ACTIVE:
         raise NotApplicable("node %d has value %d, not 1" % (w, dec.values[w]))
-    return Decoration(dec.diagram, _select(dec.diagram, dec.values, w))
+    values = list(dec.values)
+    values[w] = SELECTED
+    for u in dec.diagram.neighbors(w):
+        if values[u] == CROSSED:
+            values[u] = ACTIVE
+    return Decoration(dec.diagram, tuple(values))
 
 
 def reachable_decorations(start: Decoration, k: int) -> frozenset:
@@ -832,6 +845,63 @@ def reachable_decorations(start: Decoration, k: int) -> frozenset:
                     nxt.add(select_node(dec, w))
         level = nxt
     return frozenset(level)
+
+
+def _rings(start: Decoration) -> set:
+    return {v for v, val in enumerate(start.values) if val == ACTIVE}
+
+
+def _components_ringed(d, s: set, ringed: set) -> bool:
+    """Does every component of the subdiagram induced on s hold a ring?"""
+    todo = set(s)
+    while todo:
+        v = todo.pop()
+        comp, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for w in d.neighbors(u):
+                if w in s and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        if not comp & ringed:
+            return False
+        todo -= comp
+    return True
+
+
+def selection_sets_by_components(start: Decoration, k: int) -> list:
+    """Size-k node sets whose induced components each hold a ring, in combinations order."""
+    d, ringed = start.diagram, _rings(start)
+    return [
+        frozenset(c) for c in combinations(range(d.rank), k)
+        if _components_ringed(d, set(c), ringed)
+    ]
+
+
+def decoration_by_formula(start: Decoration, s) -> Decoration:
+    """2 on s, 1 on rings and neighbors of s, 0 elsewhere; s must be valid."""
+    d, s, ringed = start.diagram, frozenset(s), _rings(start)
+    if not _components_ringed(d, set(s), ringed):
+        raise InvalidS("selection %s has a ringless component" % sorted(s))
+    return Decoration(d, tuple(
+        SELECTED if v in s
+        else ACTIVE if v in ringed or any(w in s for w in d.neighbors(v))
+        else CROSSED
+        for v in range(d.rank)
+    ))
+
+
+def ordering_count(start: Decoration) -> int:
+    """Maximal rewrite chains from start, summed over reachable decorations."""
+    n = start.diagram.rank
+
+    @functools.lru_cache(maxsize=None)
+    def count(dec):
+        if dec.rank == n:
+            return 1
+        return sum(count(select_node(dec, w)) for w, v in enumerate(dec.values) if v == ACTIVE)
+
+    return count(start)
 
 
 def constructions_of(name: str, kmax: int = 12) -> list:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,13 @@ ENUMERATION_MODULES = {
 HEAVY_STANDARD_MODULES = {"dataclasses", "inspect"}
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 @pytest.mark.parametrize("name", list(COLD_COMMANDS))
 def test_cold_process_imports(capsys, name):
     # a fresh interpreter runs the console entry point and reports which of
@@ -166,11 +174,8 @@ def test_cold_process_imports(capsys, name):
         "seen = {m for m in sys.modules if m in watch or m.startswith('wythoff.')}\n"
         "print(json.dumps([code, sorted(seen)]), file=sys.stderr)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
-        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", script, *argv], env=_child_env(), capture_output=True, text=True,
         timeout=120,
     )
     code, seen = json.loads(done.stderr.splitlines()[-1])
@@ -198,6 +203,17 @@ def test_classify_kmax_below_3_is_a_usage_error(capsys):
         assert "below 3" in err, kmax
     code, out, _ = run(capsys, "classify", "--dim", "2", "--kmax", "3")
     assert code == 0 and out.startswith("triangle")
+
+
+def test_classify_over_the_catalog_limit_is_a_usage_error(capsys):
+    for argv, count in (
+        (("--dim", "22"), "1006"),
+        (("--dim", "100"), "190569296"),
+        (("--dim", "2", "--kmax", "100000"), "149997"),
+    ):
+        code, out, err = run(capsys, "classify", *argv)
+        assert code == 2 and not out, argv
+        assert f"builds {count} constructions, over the limit of 1000" in err, argv
 
 
 def test_document_edges_that_are_not_a_list_are_a_usage_error(capsys):
@@ -298,6 +314,53 @@ def test_non_finite_exit_code(capsys):
 def test_degenerate_exit_code(capsys):
     code, _, err = run(capsys, "fvector", "o4o3o")
     assert code == 2
+
+
+SIMPLEX_40 = "x" + "3o" * 39
+SIMPLEX_1100 = "x" + "3o" * 1099
+
+
+def _x3x(n):
+    return "x" + "3x" * (n - 1)
+
+
+# formula commands on long diagrams, each in a child process with a timeout
+# so that a regression fails instead of hanging: (argv, timeout in seconds,
+# exit code, a line of the output)
+LONG_DIAGRAMS = {
+    "fvector_40_simplex": (
+        ["fvector", SIMPLEX_40, "--method", "formula"], 30, 0,
+        "formula:    " + " ".join(str(comb(41, k + 1)) for k in range(40)),
+    ),
+    "faces_1100_simplex": (
+        ["faces", SIMPLEX_1100, "--rank", "3"], 30, 0,
+        f"rank 3  S={{v1,v2,v3}}  faces={comb(1101, 4)}",
+    ),
+    "is_regular_oracle_1100_simplex": (
+        ["is-regular", SIMPLEX_1100, "--oracle"], 30, 0,
+        "flag transitive under the generating group: yes",
+    ),
+    "is_regular_oracle_all_ringed_10": (
+        ["is-regular", _x3x(10), "--oracle"], 5, 1,
+        "flag transitive under the generating group: no",
+    ),
+    # the witness reads the rank-2 face types only, not the 2^30 selections
+    "is_regular_all_ringed_30": (
+        ["is-regular", _x3x(30)], 10, 1,
+        "witness: rank 2 has face types S=(0, 1) and S=(0, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LONG_DIAGRAMS))
+def test_formula_commands_on_long_diagrams_answer_in_time(name):
+    argv, timeout, want, line = LONG_DIAGRAMS[name]
+    done = subprocess.run(
+        [sys.executable, "-m", "wythoff.cli", *argv], env=_child_env(), capture_output=True,
+        text=True, timeout=timeout,
+    )
+    assert done.returncode == want, done.stderr
+    assert line in done.stdout.splitlines()
 
 
 def test_version(capsys):

@@ -1,6 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import NotApplicable, reachable_decorations, select_node
+from oracles import (
+    NotApplicable,
+    decoration_by_formula,
+    ordering_count,
+    reachable_decorations,
+    select_node,
+    selection_sets_by_components,
+)
 from wythoff.decoration import (
     ACTIVE,
     CROSSED,
@@ -82,6 +91,21 @@ def test_valid_selection_counts(text, k, expected):
     assert len(valid_selection_sets(start, k)) == expected
 
 
+def test_valid_selection_sets_edges():
+    start = start_decoration(parse("x3o3o"))
+    with pytest.raises(ValueError):
+        valid_selection_sets(start, -1)
+    assert valid_selection_sets(start, 3) == [frozenset({0, 1, 2})]
+    assert valid_selection_sets(start, 4) == []
+
+
+@pytest.mark.parametrize("s,node", [({7}, "7"), ({0, 0.5}, "0.5"), ({-1}, "-1"), (["1"], "'1'")])
+def test_selection_nodes_outside_the_diagram_are_refused(s, node):
+    start = start_decoration(parse("x3o3o"))
+    with pytest.raises(InvalidS, match=r"node %s is not one of 0\.\.2" % node):
+        decoration_from_selection(start, s)
+
+
 def test_selection_needs_ring_in_every_component():
     start = start_decoration(parse("x3o3o"))
     with pytest.raises(InvalidS):
@@ -120,7 +144,7 @@ def test_reachable_equals_selection_images():
     ],
 )
 def test_selection_ordering_counts(diagram, count):
-    assert len(selection_orderings(start_decoration(diagram))) == count
+    assert len(list(selection_orderings(start_decoration(diagram)))) == count
 
 
 def test_orderings_are_valid_chains():
@@ -130,6 +154,46 @@ def test_orderings_are_valid_chains():
         for w in ordering:
             cur = select_node(cur, w)
         assert cur.rank == 3
+
+
+_FAMILIES = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)]
+    + [("F", 4), ("H", 3), ("H", 4), ("I2", 2)]
+)
+
+
+def _family(draw, room):
+    family, n = draw(st.sampled_from([f for f in _FAMILIES if f[1] <= room]))
+    return family_diagram(family, n, k=draw(st.integers(3, 12)) if family == "I2" else None)
+
+
+@st.composite
+def decorated_diagrams(draw):
+    """A finite-type family or a union of two, up to rank 8, with random rings."""
+    d = _family(draw, 8)
+    if d.rank < 8 and draw(st.booleans()):
+        d = disjoint_union(d, _family(draw, 8 - d.rank))
+    return d.with_marks(draw(st.lists(st.sampled_from((0, 1)), min_size=d.rank, max_size=d.rank)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(d=decorated_diagrams(), data=st.data())
+def test_rewrite_layers_match_the_closed_form(d, data):
+    start = start_decoration(d)
+    for k in range(d.rank + 2):
+        assert valid_selection_sets(start, k) == selection_sets_by_components(start, k), k
+        for s in valid_selection_sets(start, k):
+            assert decoration_from_selection(start, s) == decoration_by_formula(start, s)
+    s = data.draw(st.sets(st.integers(0, d.rank - 1)))
+    try:
+        want = decoration_by_formula(start, s)
+    except InvalidS:
+        with pytest.raises(InvalidS):
+            decoration_from_selection(start, s)
+    else:
+        assert decoration_from_selection(start, s) == want
+    assert sum(1 for _ in selection_orderings(start)) == ordering_count(start)
 
 
 def test_degenerate_detection():

@@ -337,7 +337,7 @@ def test_chains_match_selection_orderings(shared):
     from wythoff.decoration import selection_orderings
 
     lat = shared.lattice(parse("o3x4x"))
-    assert len(lat.chains) == len(selection_orderings(start_decoration(lat.diagram)))
+    assert len(lat.chains) == len(list(selection_orderings(start_decoration(lat.diagram))))
 
 
 def _count_coset_pairs(monkeypatch) -> list:

@@ -12,7 +12,7 @@ from wythoff.diagram import (
     family_diagram,
     parse,
 )
-from wythoff.errors import Degenerate, UnknownName
+from wythoff.errors import BudgetExceeded, Degenerate, UnknownName
 from wythoff.regular import (
     canonical_name,
     is_flag_transitive,
@@ -252,6 +252,36 @@ def test_catalog_certifies_each_construction_once(monkeypatch):
     # (the partitions of 12 into at least two ranks), each certified once
     assert len(offered) == 5 + 76
     assert len(cat["12-hypercube"]) == 1 + 76
+
+
+@pytest.mark.parametrize("n,kmax", [(n, 12) for n in range(1, 10)] + [(2, 3), (2, 5), (2, 40)])
+def test_catalog_count_is_the_constructions_certified(monkeypatch, n, kmax):
+    offered = []
+
+    def certificate(d):
+        offered.append(d)
+        return canonical_certificate(d)
+
+    monkeypatch.setattr(regular, "canonical_certificate", certificate)
+    regular_catalog(n, kmax=kmax)
+    assert len(offered) == regular._construction_count(n, kmax)
+
+
+@pytest.mark.parametrize(
+    "n,kmax,count",
+    [(22, 12, "1006"), (100, 12, "190569296"), (2, 670, "1002"), (2, 100000, "149997"),
+     (10**6, 12, "more than 25032297938763929621013218349800")],
+)
+def test_catalog_over_the_limit_is_refused_before_building(n, kmax, count):
+    want = f"builds {count} constructions, over the limit of 1000"
+    with pytest.raises(BudgetExceeded, match=want):
+        regular_catalog(n, kmax=kmax)
+
+
+def test_catalog_at_the_limit_is_built():
+    assert regular._construction_count(21, 12) == 796 <= regular.CATALOG_LIMIT
+    assert regular._construction_count(2, 669) == regular.CATALOG_LIMIT
+    assert len(regular_catalog(2, kmax=669)) == 667
 
 
 def test_constructions_of_accepts_aliases():
