@@ -6,14 +6,13 @@ crosses are 0.  Selecting an active node w turns it to 2 and activates the
 crossed neighbors of w; k selections describe a rank-k face, whose mirrors
 are the selected nodes.  The rewrite never places a 2 next to a 0.
 
-This step is the one selection rule: the face types, the valid selection
-sets and decoration_from_selection are read off the layers of values it
-reaches in 0, 1, 2, ... steps, and the selection orderings are its paths.
+This step is the one selection rule: the face types and the valid
+selection sets of rank k are the values it reaches in k steps, each set
+along one path; decoration_from_selection replays it on the nodes of a
+selection, and the selection orderings are its maximal paths.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .diagram import CROSS, RING, DecoratedDiagram, Record, group_order, parabolic_order
 from .errors import Degenerate, InvalidS
@@ -81,18 +80,29 @@ def _selected(values: tuple) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(values) if v == SELECTED)
 
 
-def _layers(start: Decoration):
-    """The values reachable from start in 0, 1, 2, ... rewrite steps, a list each.
+def _grow(d: DecoratedDiagram, values: tuple, nodes: set) -> tuple:
+    """Select the nodes in nodes as they turn active, until none is left to select."""
+    todo = [w for w in nodes if values[w] == ACTIVE]
+    while todo:
+        w = todo.pop()
+        old, values = values, _select(d, values, w)
+        todo += [u for u in d.neighbors(w) if u in nodes and old[u] != values[u]]
+    return values
 
-    Each layer applies every step to the one before, drops repeats and sorts
-    by selection; the layers end with the last rank that has a face.
+
+def _children(d: DecoratedDiagram, vals: tuple, options: tuple, room: int, need: int):
+    """The states one rewrite step on that can still make need more steps.
+
+    A state is (values, options, room): options are the active nodes it may
+    still select, room the nodes neither selected nor passed over, so at
+    least those it can still reach.  Selecting option i passes over the
+    options before it for good, so each selection set is reached along
+    exactly one path.
     """
-    d = start.diagram
-    layer = [start.values]
-    while layer:
-        yield layer
-        nxt = {_select(d, vals, w) for vals in layer for w, v in enumerate(vals) if v == ACTIVE}
-        layer = sorted(nxt, key=_selected)
+    for i, w in enumerate(options[: max(0, room - need + 1)]):
+        new = _select(d, vals, w)
+        woken = tuple(u for u in d.neighbors(w) if new[u] != vals[u])
+        yield new, options[i + 1:] + woken, room - 1 - i
 
 
 def valid_selection_sets(start: Decoration, k: int) -> list[frozenset]:
@@ -103,7 +113,7 @@ def valid_selection_sets(start: Decoration, k: int) -> list[frozenset]:
     ring, and every size-k set that does is one: that closed form is kept
     as the oracle in tests/oracles.py.
     """
-    return [frozenset(_selected(vals)) for vals in next(islice(_layers(start), k, None), [])]
+    return [frozenset(sel) for _, level in _levels(start, [k]) for sel, _ in level]
 
 
 def decoration_from_selection(start: Decoration, s) -> Decoration:
@@ -112,32 +122,46 @@ def decoration_from_selection(start: Decoration, s) -> Decoration:
     InvalidS names a node outside 0..n-1 or not an integer, and a selection
     with a node that never turns active, that is, a ringless component.
     """
-    d, nodes = start.diagram, set(s)
+    d, nodes, n = start.diagram, set(s), start.diagram.rank
     for v in nodes:
-        if not (hasattr(v, "__index__") and 0 <= v < d.rank):
-            raise InvalidS(f"node {v!r} is not one of 0..{d.rank - 1}")
-    vals = start.values
-    for _ in nodes:
-        ready = [w for w in nodes if vals[w] == ACTIVE]
-        if not ready:
-            raise InvalidS("selection %s has a ringless component" % sorted(nodes))
-        vals = _select(d, vals, ready[0])
+        if not (hasattr(v, "__index__") and 0 <= v < n):
+            raise InvalidS(f"node {v!r} is not one of 0..{n - 1}")
+    vals = _grow(d, start.values, nodes)
+    if vals.count(SELECTED) < len(nodes):
+        raise InvalidS("selection %s has a ringless component" % sorted(nodes))
     return Decoration(d, vals)
+
+
+def _levels(start: Decoration, ranks):
+    """(rank, [(selection, values), ...] in sorted order) for each rank in ranks.
+
+    The ranks are reached by rewrite steps from start, one level at a time,
+    no further than the rank read, and only along paths that can still
+    reach it: so a high rank costs about its faces, not every face below.
+    """
+    d, vals = start.diagram, start.values
+    root = (vals, tuple(w for w, v in enumerate(vals) if v == ACTIVE), d.rank)
+    level, states = 0, [root]
+    for k in ranks:
+        if k < 0:
+            raise ValueError(f"rank {k} is negative")
+        if k < level or not states:  # none left once pruned for a higher rank
+            level, states = 0, [root]
+        while level < k and states:
+            states = [c for state in states for c in _children(d, *state, k - level)]
+            level += 1
+        yield k, sorted((_selected(state[0]), state[0]) for state in states)
 
 
 def face_types(start: Decoration, ranks):
     """(rank, selection, decoration) of every face type of the given ranks.
 
     Within a rank the selections come in sorted order; face ids are
-    numbered in this order.  The layers are grown only as far as the
-    largest rank read so far.
+    numbered in this order.  Each rank is grown only when it is read.
     """
-    layers, grown = _layers(start), []
-    for k in ranks:
-        while len(grown) <= k:
-            grown.append(next(layers, []))
-        for vals in grown[k]:
-            yield k, frozenset(_selected(vals)), Decoration(start.diagram, vals)
+    for k, level in _levels(start, ranks):
+        for sel, vals in level:
+            yield k, frozenset(sel), Decoration(start.diagram, vals)
 
 
 def orbit_size(dec: Decoration, order: int) -> int:
@@ -172,15 +196,14 @@ def selection_orderings(start: Decoration):
     selections of the faces along one maximal chain of the face lattice.
     The search is depth first, lower nodes first, on an explicit stack.
     """
-    d, stack = start.diagram, [(start.values, ())]
+    d, last, stack = start.diagram, start.diagram.rank - 1, [(start.values, ())]
     while stack:
         vals, prefix = stack.pop()
-        if len(prefix) == d.rank:
-            yield prefix
-        stack.extend(
-            (_select(d, vals, w), prefix + (w,))
-            for w in reversed(range(d.rank)) if vals[w] == ACTIVE
-        )
+        active = [w for w, v in enumerate(vals) if v == ACTIVE]
+        if len(prefix) == last:  # the one node left ends the ordering, no step needed
+            yield from (prefix + (w,) for w in active)
+        else:
+            stack += [(_select(d, vals, w), prefix + (w,)) for w in reversed(active)]
 
 
 def face_restriction(start: Decoration, s) -> DecoratedDiagram:

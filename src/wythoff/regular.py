@@ -13,6 +13,7 @@ oracle_gap_reason enumerates exactly those constructions.
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import islice
 from math import comb
 
@@ -274,9 +275,10 @@ def oracle_gap_reason(d: DecoratedDiagram) -> str | None:
 
 # -- catalog -------------------------------------------------------------------
 
-# the constructions one catalog may build and certify: dimension 21 (796)
-# fits and 22 (1006) does not, nor do the polygons past kmax 669
-CATALOG_LIMIT = 1000
+# the constructions one catalog may build and certify, about what lists in
+# a second: cold, dimension 25 (1962) takes 1.0 s and 26 (2440) 1.2-1.7 s
+# on two x86 cores; polygons fit up to kmax 1335
+CATALOG_LIMIT = 2000
 
 
 def _partitions(n: int, most: int | None = None):
@@ -284,8 +286,7 @@ def _partitions(n: int, most: int | None = None):
     if n == 0:
         yield ()
     for p in range(min(n, most or n), 0, -1):
-        for rest in _partitions(n - p, p):
-            yield (p, *rest)
+        yield from ((p, *rest) for rest in _partitions(n - p, p))
 
 
 def _box_diagram(parts) -> DecoratedDiagram:
@@ -295,25 +296,21 @@ def _box_diagram(parts) -> DecoratedDiagram:
     )
 
 
-def _positions(n: int) -> list:
-    """The rows of _REGULAR_POSITIONS that apply in dimension n >= 3."""
-    return [row for row in _REGULAR_POSITIONS
-            if row[1] in (None, n) and not (row[0] == "D" and n < 4)]  # D starts at 4
-
-
-def _construction_count(n: int, kmax: int) -> int:
-    """How many constructions regular_catalog(n, kmax) builds and certifies.
-
-    A polygon catalog builds about 1.5 kmax; the others, besides the
-    position table's rows, one box product per partition of n but (n).
-    """
-    if n <= 2:  # the segment; the polygons and the x x box
-        return 1 if n == 1 else kmax - 1 + max(0, kmax // 2 - 2)
-    partitions = [1] + [0] * n
-    for part in range(1, n + 1):
-        for m in range(part, n + 1):
-            partitions[m] += partitions[m - part]
-    return len(_positions(n)) + partitions[n] - 1
+def _constructions(n: int, kmax: int):
+    """(name, builder) of each construction of dimension n, lazily, unbuilt."""
+    if n == 1:
+        yield "segment", partial(family_diagram, "A", 1, ringed=(0,))
+    elif n == 2:
+        for k in range(3, kmax + 1):
+            yield polygon_name(k), partial(family_diagram, "I2", 2, k=k, ringed=(0,))
+            if k % 2 == 0 and k // 2 >= 3:
+                yield polygon_name(k), partial(family_diagram, "I2", 2, k=k // 2, ringed=(0, 1))
+    else:
+        for family, rank, pos, name, _ in _REGULAR_POSITIONS:
+            if rank in (None, n) and not (family == "D" and n < 4):  # D starts at 4
+                yield name.format(n=n), partial(family_diagram, family, n, ringed=(pos % n,))
+    for parts in islice(_partitions(n), 1, None):  # all but (n) itself
+        yield _hypercube_name(n), partial(_box_diagram, parts)
 
 
 def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]:
@@ -323,32 +320,18 @@ def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]
     construction the position table accepts appears, deduplicated up to
     decorated-diagram isomorphism; hypercubes include all box products.
     BudgetExceeded, before any is built, when there are more than
-    CATALOG_LIMIT; past that dimension only a lower bound is counted.
+    CATALOG_LIMIT.
     """
     if n < 1:
         raise UnknownName(f"no polytopes of dimension {n}")
     if kmax < 3:
         raise UnknownName(f"kmax {kmax} is below 3, the fewest edges of a polygon")
-    count = _construction_count(min(n, CATALOG_LIMIT + 1), kmax)
-    if count > CATALOG_LIMIT:
-        more = "more than " if n > CATALOG_LIMIT + 1 else ""
-        raise BudgetExceeded(f"the catalog of dimension {n} builds {more}{count}"
-                             f" constructions, over the limit of {CATALOG_LIMIT}")
+    todo = list(islice(_constructions(n, kmax), CATALOG_LIMIT + 1))
+    if len(todo) > CATALOG_LIMIT:
+        raise BudgetExceeded(f"the catalog of dimension {n} builds more than"
+                             f" {CATALOG_LIMIT} constructions, the catalog limit")
     catalog: dict[str, dict] = {}  # name -> certificate -> first construction
-
-    def add(name, diagram):
+    for name, build in todo:
+        diagram = build()
         catalog.setdefault(name, {}).setdefault(canonical_certificate(diagram), diagram)
-
-    if n == 1:
-        add("segment", family_diagram("A", 1, ringed=(0,)))
-    elif n == 2:
-        for k in range(3, kmax + 1):
-            add(polygon_name(k), family_diagram("I2", 2, k=k, ringed=(0,)))
-            if k % 2 == 0 and k // 2 >= 3:
-                add(polygon_name(k), family_diagram("I2", 2, k=k // 2, ringed=(0, 1)))
-    else:
-        for family, _, pos, name, _ in _positions(n):
-            add(name.format(n=n), family_diagram(family, n, ringed=(pos % n,)))
-    for parts in islice(_partitions(n), 1, None):  # all but (n) itself
-        add(_hypercube_name(n), _box_diagram(parts))
     return {name: list(entry.values()) for name, entry in catalog.items()}

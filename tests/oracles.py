@@ -37,7 +37,7 @@ ridge_normals (one SVD per ridge) is the regularity witnesses' route
 before one base ridge per slot decided the slot.
 The node-selection rewrite (select_node, which raises NotApplicable on a
 node not valued 1, and the BFS reachable_decorations) keeps its own copy of
-the step the library's decoration layers apply.  The closed form
+the step the library's selection search applies.  The closed form
 (selection_sets_by_components: every size-k node set whose induced
 components each hold a ring, in combinations order; decoration_by_formula:
 2 on the set, 1 on the rings and the set's neighbors) is the route

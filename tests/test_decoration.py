@@ -17,6 +17,7 @@ from wythoff.decoration import (
     Decoration,
     decoration_from_selection,
     face_restriction,
+    face_types,
     is_degenerate,
     require_nondegenerate,
     selection_orderings,
@@ -97,6 +98,14 @@ def test_valid_selection_sets_edges():
         valid_selection_sets(start, -1)
     assert valid_selection_sets(start, 3) == [frozenset({0, 1, 2})]
     assert valid_selection_sets(start, 4) == []
+    assert valid_selection_sets(start, 10**9) == []
+
+
+def test_top_ranks_of_an_all_ringed_diagram():
+    start = start_decoration(parse("x" + "3x" * 11))
+    assert valid_selection_sets(start, 12) == [frozenset(range(12))]
+    assert valid_selection_sets(start, 11) == [frozenset(range(12)) - {v} for v in range(11, -1, -1)]
+    assert len(valid_selection_sets(start, 10)) == 66
 
 
 @pytest.mark.parametrize("s,node", [({7}, "7"), ({0, 0.5}, "0.5"), ({-1}, "-1"), (["1"], "'1'")])
@@ -194,6 +203,12 @@ def test_rewrite_layers_match_the_closed_form(d, data):
     else:
         assert decoration_from_selection(start, s) == want
     assert sum(1 for _ in selection_orderings(start)) == ordering_count(start)
+    # ranks in any order, repeated: each is searched again where the last was higher
+    ranks = data.draw(st.lists(st.integers(0, d.rank + 1), max_size=6))
+    assert list(face_types(start, ranks)) == [
+        (k, s, decoration_by_formula(start, s))
+        for k in ranks for s in selection_sets_by_components(start, k)
+    ]
 
 
 def test_degenerate_detection():
