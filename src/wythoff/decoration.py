@@ -145,7 +145,7 @@ def _levels(start: Decoration, ranks):
     for k in ranks:
         if k < 0:
             raise ValueError(f"rank {k} is negative")
-        if k < level or not states:  # none left once pruned for a higher rank
+        if k < level or not states:  # past k, or emptied by pruning for a higher rank
             level, states = 0, [root]
         while level < k and states:
             states = [c for state in states for c in _children(d, *state, k - level)]
