@@ -14,7 +14,15 @@ selection, and the selection orderings are its maximal paths.
 
 from __future__ import annotations
 
-from .diagram import CROSS, RING, DecoratedDiagram, Record, group_order, parabolic_order
+from .diagram import (
+    CROSS,
+    RING,
+    DecoratedDiagram,
+    Record,
+    group_order,
+    node_indices,
+    parabolic_order,
+)
 from .errors import Degenerate, InvalidS
 
 CROSSED = 0
@@ -122,10 +130,8 @@ def decoration_from_selection(start: Decoration, s) -> Decoration:
     InvalidS names a node outside 0..n-1 or not an integer, and a selection
     with a node that never turns active, that is, a ringless component.
     """
-    d, nodes, n = start.diagram, set(s), start.diagram.rank
-    for v in nodes:
-        if not (hasattr(v, "__index__") and 0 <= v < n):
-            raise InvalidS(f"node {v!r} is not one of 0..{n - 1}")
+    d = start.diagram
+    nodes = set(node_indices(d, s, InvalidS))
     vals = _grow(d, start.values, nodes)
     if vals.count(SELECTED) < len(nodes):
         raise InvalidS("selection %s has a ringless component" % sorted(nodes))
@@ -210,10 +216,11 @@ def face_restriction(start: Decoration, s) -> DecoratedDiagram:
     """Diagram of the rank-|s| face: induced subdiagram with start marks.
 
     The face with selection s is itself built by Wythoff's construction on
-    this decorated subdiagram.
+    this decorated subdiagram.  InvalidS names a node that is not an
+    integer in 0..n-1.
     """
-    s = sorted(set(int(v) for v in s))
     d = start.diagram
+    s = node_indices(d, s, InvalidS)
     sub = d.induced(s)
     marks = tuple(RING if start.values[v] == ACTIVE else CROSS for v in s)
     return sub.with_marks(marks)

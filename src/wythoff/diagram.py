@@ -20,7 +20,7 @@ import json
 import math
 import re
 
-from .errors import NotFiniteType, ParseError
+from .errors import InvalidS, NotFiniteType, ParseError, SubgroupNotContained
 
 RING = 1
 CROSS = 0
@@ -164,8 +164,11 @@ class DecoratedDiagram(Record):
         return DecoratedDiagram(self.node_ids, tuple(int(m) for m in marks), self.edges)
 
     def induced(self, nodes) -> "DecoratedDiagram":
-        """Subdiagram on the given node indices (marks carried along)."""
-        keep = sorted(set(int(v) for v in nodes))
+        """Subdiagram on the given node indices (marks carried along).
+
+        InvalidS names a node that is not an integer in 0..n-1.
+        """
+        keep = node_indices(self, nodes, InvalidS)
         pos = {v: i for i, v in enumerate(keep)}
         edges = tuple(
             (pos[i], pos[j], m)
@@ -429,9 +432,25 @@ def group_order(d: DecoratedDiagram) -> int:
     return _coxeter_order(_Submatrix(d, list(range(d.rank))))
 
 
+def node_indices(d: DecoratedDiagram, nodes, error) -> list[int]:
+    """The given node indices of d, sorted, each once.
+
+    error names a node that is not an integer in 0..n-1: a float, a string
+    or an index out of range is refused, not truncated or wrapped around.
+    """
+    nodes, n = set(nodes), d.rank
+    for v in nodes:
+        if not (hasattr(v, "__index__") and 0 <= v < n):
+            raise error(f"node {v!r} is not one of 0..{n - 1}")
+    return sorted(map(int, nodes))
+
+
 def parabolic_order(d: DecoratedDiagram, nodes) -> int:
-    """|W_J| for the subgroup generated by the given node indices; 1 for none."""
-    nodes = sorted({int(v) for v in nodes})
+    """|W_J| for the subgroup generated by the given node indices; 1 for none.
+
+    SubgroupNotContained names a node that is not an integer in 0..n-1.
+    """
+    nodes = node_indices(d, nodes, SubgroupNotContained)
     return _coxeter_order(_Submatrix(d, nodes)) if nodes else 1
 
 

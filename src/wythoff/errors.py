@@ -32,9 +32,9 @@ class BudgetExceeded(WythoffError):
 class ToleranceCollision(WythoffError):
     """A result disagrees with an exact count.
 
-    The group search checks the elements it finds against the order formula
-    in exact integers; DedupCollision checks float vertices against the
-    coset partition within a tolerance.
+    The group enumeration checks the elements it finds against the order
+    formulas in exact integers; DedupCollision checks float vertices against
+    the coset partition within a tolerance.
     """
 
 

@@ -6,52 +6,52 @@ listing them first; every group element permutes the root list.  The
 closure decides which reflected root is new on an exact integer form of
 the roots (the geometric representation, Humphreys 5.3), so no step of
 this layer rests on a tolerance: roots, elements and cosets are all
-deduplicated as exact integers, and the float roots are only carried along
+told apart as exact integers, and the float roots are only carried along
 for the points of the geometry layer.
 
 An element w is kept as its images of the n simple roots a_j only.  These
 fix w, since w is linear and the simple roots are a basis.  The geometry
-layer reads its point images off them, and right multiplication comes from
-the search (rmult), so no per-element array of any other root is built.
+layer reads its point images off them, and right multiplication (rmult)
+comes from the enumeration, so no per-element array of any other root is
+built.
 
-Elements are found as whole arrays, keyed by their images of the n simple
-roots.  The image w(a_j) lies in the W-orbit of a_j, so it is written as
-its digit, its rank within that orbit in root-index order, and the key is
-the mixed-radix number sum_j digit[w(a_j)] * place_j, where place_j is the
-product of the orbit sizes of a_(j+1), ..., a_n.  Distinct images give
-distinct digit strings, so the key is injective.  Keys are uint64 and the
-key space is the product of the n orbit sizes: 2^49.4 for A8, 2^63.3 for
-E8.  A group whose key space exceeds 2^64 is refused (BudgetExceeded)
-before any per-element array is built.  The keys exist only inside
-enumerate_group, where a sort of them deduplicates each layer of the
-search.  No element is looked up by its key.
+The group is built along the node chain J_k = {0, ..., k-1}.  Each
+W_(J_k) factors as W_(J_(k-1)) U_k with lengths adding, U_k being the
+elements of W_(J_k) with no left descent in J_(k-1), the minimal
+representatives of the cosets W_(J_(k-1)) u (Bjorner-Brenti, Combinatorics
+of Coxeter Groups, 2.4.4).  So every element is u_1 u_2 ... u_n, once, and
+is numbered by mixed radix: v u gets u |W_(J_(k-1))| + v.  Each U_k is
+small and is found by a breadth-first search of right multiplication, which
+keeps whole root rows for its current layer only; U_k is closed under
+prefixes, so the search depth is the length, and the level must have
+|W_(J_k)| / |W_(J_(k-1))| members.  Right multiplication follows Deodhar's
+lemma: for u in U_k, u s_i is again in U_k, or it is s_t u for a t in
+J_(k-1), and this carry happens exactly when u(a_i) = +-a_t, an exact
+root index.  So v u s_i is v u' or (v s_t) u: rmult at level k is
+mixed-radix arithmetic plus the carry into rmult of the level below, with
+no left table and no dedup.  The images are one gather per level: w = v u
+sends a root r to v(u(r)), and each level keeps, for the level above it,
+only the images of the roots that level reads, down to the n simple roots
+at the top.
 
-The enumeration is a breadth-first search by layers, and layer k holds the
-elements of length k.  Every generator s_i is a reflection, so
-l(s_i w) = l(w) +- 1: s_i w lies in layer k-1 exactly when i is a left
-descent of w, and then w was found as s_i (s_i w).  Each product found,
-s_i w = w', sets lmult[i, w] = w' and, s_i being an involution,
-lmult[i, w'] = w; so once a layer is expanded its row of the left table is
-complete, and an unset entry of the frontier marks an ascent.  Only the
-ascents are keyed: all of them are new, and the equal ones among them are
-found by sorting their keys.  Elements are numbered in the order the
-search finds them: by length, and within a length by key.  So index 0 is
-the identity, and a longer element always has a larger index.  The images
-of the simple roots are kept column by column, one row of |G| entries per
-simple root, and every gather of the search is a take: a layer's images,
-its key terms and its new elements' images.  lmult is written through its
-flat indices i |G| + w, and Group.perms is the (|G|, n) transposed view of
-the images, so they are never copied.
-
-One Cayley table is kept, right multiplication by the generators (rmult),
-and it comes from the search with no lookup: w = s_k p, with p a layer
-below w, gives w s_i = s_k (p s_i), the left table read at a right product
-of p (one take from the flat left table per layer, its indices int64
-once n |G| reaches 2^31), so the right products fill in layer after
-layer.  With them come the right descents: bit i of descents[w] is set
-when w s_i lies in a lower layer, which holds exactly when w(a_i) is a
-negative root.  Only the images of the simple roots are carried through
-the search, and they are the only root images kept.
+Elements are then renumbered by length, and within a length by key, the
+order every table keeps.  The image w(a_j) lies in the W-orbit of a_j, so
+it is written as its digit, its rank within that orbit in root-index
+order, and the key is the mixed-radix number sum_j digit[w(a_j)] * place_j,
+where place_j is the product of the orbit sizes of a_(j+1), ..., a_n.
+Distinct images give distinct digit strings, so the key is injective, and
+the sorted keys must all differ.  Keys are uint64 and the key space is the
+product of the n orbit sizes: 2^49.4 for A8, 2^63.3 for E8.  A group whose
+key space exceeds 2^64 is refused (BudgetExceeded) before any per-element
+array is built.  One argsort of the keys and one stable sort of the
+lengths in key order give the numbering, so index 0 is the identity and a
+longer element always has a larger index.  No element is looked up by its
+key, and the keys are not kept.  The images are kept column by column, one
+row of |G| entries per simple root, and Group.perms is their (|G|, n)
+transposed view.  With them come the right descents: bit i of
+descents[w] is set when w s_i lies in a lower layer, which holds exactly
+when w(a_i) is a negative root.  Two more checks close the build: every
+row of rmult is an involution, and w s_i sends a_i to -w(a_i).
 
 The faces of the lattice are the left cosets g W_J.  Each has exactly one
 element with no right descent in J, its least in length, and every other
@@ -73,24 +73,23 @@ moves' ordering table, the components of the orderings.
 
 The group depends on the diagram only through its Coxeter matrix, so
 enumerate_group keeps the groups it built most recently, with their coset
-tables, for every decoration of their matrices: a sweep that comes back to
-a matrix skips both the search and the coset tables.  The held groups have
-at most HOLD_LIMIT elements together, the least recently used are dropped
-first to make room, and a larger group is not kept, so what a process
-holds between calls stays small.  Their arrays are read-only, so no caller
+tables, for every decoration of their matrices: a sweep that comes back
+to a matrix skips both the enumeration and the coset tables.  The held
+groups have at most HOLD_LIMIT elements together, the least recently used
+are dropped first to make room, and a larger group is not kept, so what a
+process holds between calls stays small.  Their arrays are read-only, so no caller
 can change what later callers read.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import DecoratedDiagram, classify_components, group_order
+from .diagram import DecoratedDiagram, classify_components, group_order, parabolic_order
 from .errors import (
     BudgetExceeded,
     NotFiniteType,
@@ -262,8 +261,8 @@ class CosetTable:
 class Group:
     """A finite reflection group with its elements as root permutations.
 
-    Element indices follow the search: by length, and within a length by
-    key (enumerate_group), so index 0 is the identity and the least index
+    Elements are numbered by length, and within a length by key
+    (enumerate_group), so index 0 is the identity and the least index
     of each coset g W_J is its shortest element, the canonical
     representative.  perms[g, j] is the index of g(a_j) for the simple
     roots a_j = roots.roots[j], j < n_gens, which the root closure lists
@@ -278,7 +277,7 @@ class Group:
     descent in J from g, step after step, leads to the shortest element of
     g W_J, and the longest such chain is the last index's (coset_table).
     point_images reads g*x off perms and the roots.  No element keys or
-    words are kept: the keys and the search tree exist only inside
+    words are kept: the keys and the chain exist only inside
     enumerate_group.  coxeter is the Coxeter matrix in node order,
     which fixes the group and its element numbering.
     """
@@ -459,21 +458,122 @@ def key_layout(gen_perms) -> np.ndarray:
 _held: dict[bytes, Group] = {}
 
 
+def _negatives(gens: np.ndarray) -> np.ndarray:
+    """neg[r], the index of the root -r, read off the closure's order.
+
+    -a_t = s_t(a_t), and a later root r was reached from a root listed
+    before it, the least of its images s_i(r): so -r = s_i(-s_i(r)).
+    """
+    n, count = gens.shape
+    g = gens.tolist()
+    neg = [g[t][t] for t in range(n)]
+    for r in range(n, count):
+        p, i = min((g[i][r], i) for i in range(n))
+        neg.append(g[i][neg[p]])
+    return np.array(neg, dtype=gens.dtype)
+
+
+def _coset_walk(gens, carry_at, k, cols, size):
+    """U_k, the elements of W_(J_k) with no left descent in J_(k-1).
+
+    A breadth-first search from the identity by right multiplication by
+    s_0, ..., s_(k-1).  For u in U_k, u s_i either lies in U_k again, or
+    u s_i = s_t u for a t in J_(k-1) (Deodhar's lemma), and that carry
+    happens exactly when u(a_i) = +-a_t, read from exact root indices by
+    carry_at.  Which products are new is decided by their images of the
+    simple roots.  U_k is closed under prefixes, so the search depth is the
+    length.  Only the search layer keeps whole root rows.  Returns each
+    member's images of the roots cols, its length, and step[u, i]: the
+    index of u s_i in U_k, or -1 - t for a carry into s_t.
+    ToleranceCollision, naming the level, unless U_k has size members.
+    """
+    n, count = gens.shape
+
+    def mismatch(found):
+        return ToleranceCollision(
+            "chain level %d (nodes 0..%d): %s coset representatives, orders say %d"
+            % (k, k - 1, found, size)
+        )
+
+    # -1 - t at the roots +-a_t with t in J_(k-1), 0 at the others
+    code = np.where((carry_at >= 0) & (carry_at < k - 1), -1 - carry_at, 0).astype(np.int32)
+    images = np.empty((size, len(cols)), dtype=gens.dtype)
+    lengths = np.empty(size, dtype=np.int64)
+    step = np.empty((size, k), dtype=np.int32)
+    layer = np.arange(count, dtype=gens.dtype)[None, :]
+    seen = {layer[0, :n].tobytes(): 0}
+    lo, hi = 0, 1
+    images[0], lengths[0] = cols, 0
+    while lo < hi:
+        at = step[lo:hi]
+        code.take(layer[:, :k], out=at)
+        prods = layer.take(gens[:k], axis=1)
+        new = []
+        for p, i in zip(*(a.tolist() for a in (at == 0).nonzero())):
+            key = prods[p, i, :n].tobytes()
+            u = seen.get(key)
+            if u is None:
+                u = seen[key] = len(seen)
+                if u == size:
+                    raise mismatch("over %d" % size)
+                new.append(prods[p, i])
+            at[p, i] = u
+        layer = np.array(new, dtype=gens.dtype).reshape(len(new), count)
+        lo, hi = hi, hi + len(new)
+        layer.take(cols, axis=1, out=images[lo:hi])
+        lengths[lo:hi] = lengths[lo - 1] + 1
+    if hi != size:
+        raise mismatch(hi)
+    return images, lengths, step
+
+
+def _chain_rmult(below: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Right multiplication on W_(J_k), element u * |W_(J_(k-1))| + v for v u.
+
+    v u s_i is v u' when u s_i = u' stays in U_k, and (v s_t) u when it
+    carries into s_t: mixed-radix arithmetic, and one read of the table
+    below for each carry.
+    """
+    m, k = step.shape
+    size = below.shape[1]
+    out = np.empty((k, m, size), dtype=np.int32)
+    span = np.arange(size, dtype=np.int32)
+    for i, row in enumerate(step.T):
+        stays, carries = row >= 0, row < 0
+        out[i][stays] = span + (row[stays] * size)[:, None]
+        out[i][carries] = below.take(-1 - row[carries], axis=0) + (
+            np.flatnonzero(carries).astype(np.int32) * size
+        )[:, None]
+    return out.reshape(k, -1)
+
+
+def _element_keys(key_table: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Each element's key, sum_j key_table[j, w(a_j)], ROW_BLOCK elements at a time."""
+    keys = np.empty(images.shape[1], dtype=np.uint64)
+    for lo in range(0, len(keys), ROW_BLOCK):
+        block = keys[lo : lo + ROW_BLOCK]
+        key_table[0].take(images[0, lo : lo + ROW_BLOCK], out=block)
+        for j in range(1, len(key_table)):
+            block += key_table[j].take(images[j, lo : lo + ROW_BLOCK])
+    return keys
+
+
 def enumerate_group(d: DecoratedDiagram) -> Group:
     """Enumerate the reflection group of a finite-type diagram.
 
     Checks the formula order against enumeration_budget() before doing any
     work, so an oversized group (e.g. rank-7/8 E families) fails fast with
     BudgetExceeded naming the budget, a usage error for the cli.  Elements
-    are numbered in the order the search finds them: by length, and within
-    a length by key.  A group is returned again for the same Coxeter
-    matrix in node order (element numbering follows node order), whatever
-    the marks, while it is held: the most recently used groups are held,
-    at most HOLD_LIMIT elements together, and a build drops the least
-    recently used ones until the new group fits.  A group of more than
-    HOLD_LIMIT elements is not kept, so it is built with nothing held.
-    ToleranceCollision if the search does not find exactly the formula's
-    number of elements, or if a row of rmult is not an involution.
+    are numbered by length, and within a length by key.  A group is returned
+    again for the same Coxeter matrix in node order (element numbering
+    follows node order), whatever the marks, while it is held: the most
+    recently used groups are held, at most HOLD_LIMIT elements together, and
+    a build drops the least recently used ones until the new group fits.  A
+    group of more than HOLD_LIMIT elements is not kept, so it is built with
+    nothing held.  ToleranceCollision if a level of the chain does not have
+    the orders' number of coset representatives, if the levels do not make
+    up the formula's number of elements, if two elements share a key, or if
+    a row of rmult is not an involution or does not send a_i to -w(a_i).
     """
     budget = enumeration_budget()
     expected = group_order(d)
@@ -493,78 +593,69 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
         del _held[next(iter(_held))]
     roots = root_system(d)
     gens = roots.perms
-    n = d.rank
+    n, count = gens.shape
     key_table = key_layout(gens)
-    count = gens.shape[1]
-    # at i * count + a: moves holds s_i(a), and tables[j] the key term of
-    # s_i w for an element w with w(a_j) = a
-    moves = gens.ravel()
-    tables = [row.take(gens).ravel() for row in key_table]
-    # the search, layer after layer, each in key order, numbers the elements:
-    # images[j, w] is w(a_j), lmult[i, w] is s_i w (-1 until found, at
-    # i * expected + w of the flat view) and w = s_(gen_of[w]) parent[w]
-    images = np.empty((n, expected), dtype=gens.dtype)
-    lmult = np.full((n, expected), -1, dtype=np.int32)
-    lflat = lmult.ravel()
-    parent = np.empty(expected, dtype=np.int32)
-    gen_of = np.empty(expected, dtype=np.int8)
-    images[:, 0] = np.arange(n)
-    bounds = [0, 1]
-    while bounds[-1] > bounds[-2]:
-        lo, hi = bounds[-2:]
-        # s_i w lies a layer down exactly when it reached w by s_i, which
-        # set lmult[i, w]; the other products are all new, and the equal
-        # ones among them are found by sorting their keys
-        gen, src = np.divmod((lmult[:, lo:hi] < 0).ravel().nonzero()[0], hi - lo)
-        src += lo
-        rows, base = images.take(src, axis=1), gen * count
-        cand = tables[0].take(base + rows[0])
-        for j in range(1, n):
-            cand += tables[j].take(base + rows[j])
-        by_key = cand.argsort()
-        cand = cand.take(by_key)
-        step = np.empty(len(cand), dtype=bool)
-        step[:1] = True
-        np.not_equal(cand[1:], cand[:-1], out=step[1:])
-        heads = step.nonzero()[0]
-        top = hi + len(heads)
-        bounds.append(top)
-        if top > expected:
-            break
-        ids = step.cumsum(dtype=np.int32)
-        ids += hi - 1
-        at, src_k = gen.take(by_key) * expected, src.take(by_key)
-        lflat[at + src_k] = ids
-        lflat[at + ids] = src_k
-        first = by_key.take(heads)
-        parent[hi:top] = src.take(first)
-        gen_of[hi:top] = gen.take(first)
-        images[:, hi:top] = moves.take(base.take(first) + rows.take(first, axis=1))
-    total = bounds[-1]
+    neg = _negatives(gens)
+    carry_at = np.full(count, -1, dtype=np.int64)
+    carry_at[np.arange(n)] = carry_at[neg[:n]] = np.arange(n)
+    # the levels top down, each U_k keeping its images of the roots level
+    # k + 1 reads (the simple roots at the top); then W_(J_k) bottom up,
+    # element u * |W_(J_(k-1))| + v for v u, each table one gather of the
+    # one below, kept one row per root
+    levels, cols = [], np.arange(n)
+    orders = [parabolic_order(d, range(k)) for k in range(n + 1)]
+    for k in range(n, 0, -1):
+        images, ulen, step = _coset_walk(gens, carry_at, k, cols, orders[k] // orders[k - 1])
+        # the roots this level reads, and each image as its place among them
+        used = np.zeros(count, dtype=bool)
+        used[images] = True
+        cols, place = used.nonzero()[0], used.cumsum() - 1
+        levels.append((place.take(images).T, ulen, step))
+    # table[c, w] is w's image of the root cols[c], for the cols of the level
+    # above; at the top, row j holds every w(a_j)
+    table = cols[:, None].astype(gens.dtype)
+    rmult = np.empty((0, 1), dtype=np.int32)
+    length = np.zeros(1, dtype=np.min_scalar_type(count // 2))
+    for images, ulen, step in reversed(levels):
+        rmult = _chain_rmult(rmult, step)
+        length = (ulen.astype(length.dtype)[:, None] + length).ravel()
+        table = table.take(images, axis=0).reshape(len(images), -1)
+    images, total = table, len(length)
+    del levels, table
     if total != expected:
         raise ToleranceCollision(
             "enumerated %d elements, formula says %d" % (total, expected)
         )
-    # g = s_k p gives g s_i = s_k (p s_i): each layer's right products are
-    # read off the layer before it through the flat left table
-    flat_type = np.int32 if n * total < 2**31 else np.int64
-    rmult = np.empty((n, total), dtype=np.int32)
-    rmult[:, 0] = lmult[:, 0]
-    for lo, hi in itertools.pairwise(bounds[1:-1]):
-        at = rmult.take(parent[lo:hi], axis=1).astype(flat_type, copy=False)
-        at += gen_of[lo:hi] * flat_type(total)
-        rmult[:, lo:hi] = lflat.take(at)
-    del lmult, lflat, parent, gen_of
+    # renumber by length, then key: a stable sort of the lengths in key order
+    keys = _element_keys(key_table, images)
+    by_key = keys.argsort()
+    keys = keys.take(by_key)
+    if not (keys[1:] > keys[:-1]).all():
+        raise ToleranceCollision("two elements share their images of the simple roots")
+    del keys
+    order = by_key.take(length.take(by_key).argsort(kind="stable"))
+    del by_key
+    rank = np.empty(total, dtype=np.int32)
+    rank[order] = np.arange(total, dtype=np.int32)
+    for row in images:
+        row[:] = row.take(order)
+    for row in rmult:
+        row[:] = _gather(rank, row.take(order))
+    del rank
     # bit i: g s_i lies in a lower layer, which ends where g's layer starts
-    start = np.repeat(np.array(bounds[:-2], dtype=np.int32), np.diff(bounds[:-1]))
+    sizes = np.bincount(length)
+    del order, length
+    start = np.repeat((np.cumsum(sizes) - sizes).astype(np.int32), sizes)
     descents = np.zeros(total, dtype=np.min_scalar_type(2**n - 1))
     for i, row in enumerate(rmult):
         descents |= (row < start).astype(descents.dtype) << i
     del start
     identity = np.arange(total, dtype=np.int32)
     for i, row in enumerate(rmult):
-        if not np.array_equal(row.take(row), identity):
+        if not np.array_equal(_gather(row, row), identity):
             raise ToleranceCollision("right multiplication by s_%d is not an involution" % i)
+        if not np.array_equal(_gather(images[i], row), _gather(neg, images[i])):
+            raise ToleranceCollision("w s_%d does not send a_%d to -w(a_%d)" % (i, i, i))
     group = Group(coxeter, roots, images.T, rmult, descents)
     if expected <= HOLD_LIMIT:
         _held[key] = group

@@ -13,8 +13,10 @@ tables, the reflection's node and the next ordering.  These are the only
 users of scipy.  The element matrices, the reflection count,
 the Gram definiteness test and the vertex figure are independent views of
 the group, the diagram and the lattice that only tests read, and so is
-face_rank, the rank of every face id.  The group keeps only the images
-of the simple roots and no words; full_rows rebuilds every column along a
+face_rank, the rank of every face id.  enumerate_by_search is the
+group's route before the parabolic chain: a search over all of W by
+layers that keys the ascents s_i w and deduplicates each layer by a sort.
+The group keeps only the images of the simple roots and no words; full_rows rebuilds every column along a
 search tree of rmult, word, lengths and walk give words, their lengths
 and products along that tree, and element_index, compose and inverse
 multiply by composing permutation rows.  rmult_by_key_lookup (each g s_i found by its element
@@ -48,6 +50,7 @@ regular polytope up in the regular catalog.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -67,7 +70,17 @@ from wythoff.errors import (
 )
 from wythoff.face_lattice import DiamondReport, FaceLattice, FlagReport, _walk_code
 from wythoff.geometry import AFFINE_RANK_TOL, CheckReport
-from wythoff.reflection_group import CosetTable, RootSystem, _coset_minima, gram_matrix, key_layout
+from wythoff.diagram import group_order
+from wythoff.reflection_group import (
+    CosetTable,
+    Group,
+    RootSystem,
+    _coset_minima,
+    coxeter_matrix,
+    gram_matrix,
+    key_layout,
+    root_system,
+)
 from wythoff.regular import canonical_name, known_f_vector, polygon_name, regular_catalog
 
 # the float root oracles' own tolerances: reflected roots match within
@@ -103,6 +116,76 @@ def _search_tree(g):
         layers.append(np.concatenate(nxt))
     assert seen.all(), "rmult does not reach every element"
     return parent, gen, layers[:-1]
+
+
+def enumerate_by_search(d) -> Group:
+    """The group by a search over all of W by layers, the library's route before the chain.
+
+    Layer k holds the elements of length k.  Each product found, s_i w = w',
+    sets lmult[i, w] = w' and lmult[i, w'] = w, so an unset entry of the
+    frontier marks an ascent; only the ascents are keyed, and the equal ones
+    among them are found by sorting their keys.  Elements are numbered in
+    the order the search finds them, by length and within a length by key.
+    rmult is read off the flat left table (w = s_k p gives w s_i =
+    s_k (p s_i)), and bit i of descents marks w s_i in a lower layer.  No
+    budget and no hold.
+    """
+    roots = root_system(d)
+    gens = roots.perms
+    n, count = gens.shape
+    expected = group_order(d)
+    key_table = key_layout(gens)
+    # at i * count + a: moves holds s_i(a), and tables[j] the key term of
+    # s_i w for an element w with w(a_j) = a
+    moves = gens.ravel()
+    tables = [row.take(gens).ravel() for row in key_table]
+    images = np.empty((n, expected), dtype=gens.dtype)
+    lmult = np.full((n, expected), -1, dtype=np.int32)
+    lflat = lmult.ravel()
+    parent = np.empty(expected, dtype=np.int32)
+    gen_of = np.empty(expected, dtype=np.int8)
+    images[:, 0] = np.arange(n)
+    bounds = [0, 1]
+    while bounds[-1] > bounds[-2]:
+        lo, hi = bounds[-2:]
+        gen, src = np.divmod((lmult[:, lo:hi] < 0).ravel().nonzero()[0], hi - lo)
+        src += lo
+        rows, base = images.take(src, axis=1), gen * count
+        cand = tables[0].take(base + rows[0])
+        for j in range(1, n):
+            cand += tables[j].take(base + rows[j])
+        by_key = cand.argsort()
+        cand = cand.take(by_key)
+        step = np.empty(len(cand), dtype=bool)
+        step[:1] = True
+        np.not_equal(cand[1:], cand[:-1], out=step[1:])
+        heads = step.nonzero()[0]
+        top = hi + len(heads)
+        bounds.append(top)
+        assert top <= expected, "more elements than the formula's order"
+        ids = step.cumsum(dtype=np.int32)
+        ids += hi - 1
+        at, src_k = gen.take(by_key) * expected, src.take(by_key)
+        lflat[at + src_k] = ids
+        lflat[at + ids] = src_k
+        first = by_key.take(heads)
+        parent[hi:top] = src.take(first)
+        gen_of[hi:top] = gen.take(first)
+        images[:, hi:top] = moves.take(base.take(first) + rows.take(first, axis=1))
+    total = bounds[-1]
+    assert total == expected, "fewer elements than the formula's order"
+    flat_type = np.int32 if n * total < 2**31 else np.int64
+    rmult = np.empty((n, total), dtype=np.int32)
+    rmult[:, 0] = lmult[:, 0]
+    for lo, hi in itertools.pairwise(bounds[1:-1]):
+        at = rmult.take(parent[lo:hi], axis=1).astype(flat_type, copy=False)
+        at += gen_of[lo:hi] * flat_type(total)
+        rmult[:, lo:hi] = lflat.take(at)
+    start = np.repeat(np.array(bounds[:-2], dtype=np.int32), np.diff(bounds[:-1]))
+    descents = np.zeros(total, dtype=np.min_scalar_type(2**n - 1))
+    for i, row in enumerate(rmult):
+        descents |= (row < start).astype(descents.dtype) << i
+    return Group(coxeter_matrix(d), roots, images.T, rmult, descents)
 
 
 def word(g, a: int) -> tuple[int, ...]:

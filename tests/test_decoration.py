@@ -229,3 +229,13 @@ def test_face_restriction_keeps_marks_and_labels():
     tri = face_restriction(start, frozenset({0, 1}))
     assert tri.label(0, 1) == 3
     assert tri.marks == (0, 1)
+
+
+
+@pytest.mark.parametrize("s,node", [({0.5}, "0.5"), ({-1}, "-1"), ({7}, "7"), ({1, 1.5}, "1.5")])
+def test_face_restriction_refuses_nodes_outside_the_diagram(s, node):
+    # {0.5} read as {0} gave the one-node diagram on v1, {-1} the one on v3,
+    # and {7} a bare IndexError
+    start = start_decoration(parse("x3o3o"))
+    with pytest.raises(InvalidS, match=r"node %s is not one of 0\.\.2" % node):
+        face_restriction(start, s)

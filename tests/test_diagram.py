@@ -25,7 +25,7 @@ from wythoff.diagram import (
     serialize_document,
     serialize_inline,
 )
-from wythoff.errors import NotFiniteType, ParseError
+from wythoff.errors import InvalidS, NotFiniteType, ParseError, SubgroupNotContained
 from wythoff.reflection_group import gram_matrix
 from wythoff.regular import RuledVerdict, ruled_verdict
 
@@ -261,6 +261,30 @@ def test_a_non_finite_order_names_its_own_nodes():
         with pytest.raises(NotFiniteType, match="{%s}" % ",".join(ids[1:])):
             parabolic_order(d, [3, 2, 1])
 
+
+
+# nodes that are not an integer in 0..2: each is named, not truncated
+# (0.5 to node 0) or wrapped around (-1 to node 2)
+OUTSIDE_NODES = [({0.5}, "0.5"), ({-1}, "-1"), ({7}, "7"), ({0, 1.2}, "1.2"), (["1"], "'1'")]
+
+
+@pytest.mark.parametrize("nodes, node", OUTSIDE_NODES)
+def test_induced_refuses_nodes_outside_the_diagram(nodes, node):
+    with pytest.raises(InvalidS, match=r"node %s is not one of 0\.\.2" % node):
+        parse("x3o3o").induced(nodes)
+
+
+@pytest.mark.parametrize("nodes, node", OUTSIDE_NODES + [([0.5, 1.2], r"(0\.5|1\.2)")])
+def test_parabolic_order_refuses_nodes_outside_the_diagram(nodes, node):
+    # [0.5, 1.2] read as {0, 1} gave 6
+    with pytest.raises(SubgroupNotContained, match=r"node %s is not one of 0\.\.2" % node):
+        parabolic_order(parse("x3o3o"), nodes)
+
+
+def test_integer_nodes_of_any_integer_type_are_read():
+    d = parse("x3o3o")
+    assert parabolic_order(d, [np.int64(1), np.int8(2)]) == 6
+    assert d.induced(np.array([2, 0])).node_ids == ("v1", "v3")
 
 # each record class: (a record, one that differs from it in one field)
 RECORDS = {

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -17,6 +17,7 @@ from oracles import (
     coset_table_by_hooking,
     element_index,
     element_indices,
+    enumerate_by_search,
     full_rows,
     group_matrices,
     inverse,
@@ -299,21 +300,24 @@ def test_a_coset_table_peak_stays_under_20_bytes_an_element(shared, text):
 @pytest.mark.parametrize(
     "d, bound",
     [
-        (parse("x3o3o3o3o3o3o"), 87.5),
-        (parse("x4o3o3o3o3o"), 74.0),
-        (family_diagram("E", 6, ringed=(0,)), 73.5),
+        (parse("x3o3o3o3o3o3o"), 68.5),
+        (parse("x4o3o3o3o3o"), 62.5),
+        (family_diagram("E", 6, ringed=(0,)), 62.5),
+        (parse("x999o"), 285.0),
+        (parse("x4o3o3o3o3o3o"), 68.0),
     ],
-    ids=["A7", "B6", "E6"],
+    ids=["A7", "B6", "E6", "I2(999)", "B7"],
 )
 def test_the_search_peak_stays_under_its_bound_an_element(shared, d, bound):
-    # the benchmark's A7, B6 and E6 groups.  perms (n int16 columns) and
-    # rmult (n int32 rows) are kept.  The peak is where rmult is read off
-    # the left table: both tables (4n bytes an element each), the search's
-    # simple-root images (2n) and tree (5) are held then, with one layer's
-    # gathers.  The images stay column by column and Group.perms is their
-    # transposed view, so no (|G|, n) copy adds to it.  Each bound lies under
-    # the peak of a search that holds the images as (|G|, n) rows and gathers
-    # them by fancy indexing: 88.00, 74.28 and 73.95 bytes an element
+    # the benchmark's A7, B6 and E6 groups, I2(999) and B7.  perms (n int16
+    # columns), rmult (n int32 rows) and the descent bits are kept.  The
+    # peak is at the key sort: the images and rmult in chain order, the
+    # lengths, and the keys, their argsort and the sorted keys (8 bytes an
+    # element each).  No level keeps a root-count table of its
+    # elements, so I2(999) peaks in its root closure.  The search over all
+    # of W (oracles.enumerate_by_search) peaks at 86.6, 72.8, 72.7, 281.8
+    # and 82.1 bytes an element; the chain at 67.4, 61.3, 61.3, 281.9 and
+    # 67.0
     warm = shared.group(d)
     reflection_group._held.clear()  # else the call below returns the held group
     tracemalloc.start()
@@ -839,9 +843,9 @@ def test_descent_bits_mark_the_negative_simple_images(shared, diagram):
 
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_an_order_formula_off_by_one_is_an_order_mismatch(monkeypatch, capsys, shift):
-    # one element short, the last layer overflows the preallocated tables;
-    # one over, the search ends early.  Both are domain errors, so the cli
-    # reports them and exits 1
+    # every level of the chain has the size its parabolic orders give, so
+    # the levels make up 48 elements, one more or one fewer than the
+    # formula.  Both are domain errors, so the cli reports them and exits 1
     d = parse("x4o3o")
     formula = group_order(d) + shift
     monkeypatch.setattr(reflection_group, "group_order", lambda _: formula)
@@ -850,3 +854,91 @@ def test_an_order_formula_off_by_one_is_an_order_mismatch(monkeypatch, capsys, s
         enumerate_group(d)
     assert main(["check", "x4o3o"]) == 1
     assert "formula says %d" % formula in capsys.readouterr().err
+
+
+def _same_tables(g, want):
+    for a, b in ((g.perms, want.perms), (g.rmult, want.rmult), (g.descents, want.descents)):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_small_groups())
+@example(parse("x3o3o3o3o3o3o"))
+@example(parse("x4o3o3o3o3o"))
+@example(family_diagram("E", 6, ringed=(0,)))
+@example(parse("x999o"))
+@example(parse("x4o3o3o3o3o3o"))
+def test_the_chain_matches_the_search_over_all_of_w(d):
+    # the chain's perms, rmult and descents, value, dtype and shape, are the
+    # search's: families and products up to 5000 elements, the benchmark's
+    # A7, B6 and E6, I2(999) and B7
+    reflection_group._held.clear()
+    _same_tables(enumerate_group(d), enumerate_by_search(d))
+
+
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        # B3: |W_J| is 1, 2, 8 and 48 along the chain {}, {0}, {0, 1}, {0, 1, 2}
+        ({3: 56}, "chain level 3 \\(nodes 0..2\\): 6 coset representatives, orders say 7"),
+        ({3: 40}, "chain level 3 \\(nodes 0..2\\): over 5 coset representatives, orders say 5"),
+        ({1: 1}, "chain level 2 \\(nodes 0..1\\): 4 coset representatives, orders say 8"),
+    ],
+)
+def test_a_chain_level_of_another_size_is_refused(monkeypatch, capsys, orders, message):
+    real = reflection_group.parabolic_order
+    monkeypatch.setattr(
+        reflection_group,
+        "parabolic_order",
+        lambda d, nodes: orders.get(len(nodes)) or real(d, nodes),
+    )
+    reflection_group._held.clear()
+    with pytest.raises(ToleranceCollision, match=message):
+        enumerate_group(parse("x4o3o"))
+    assert main(["check", "x4o3o"]) == 1
+    assert "chain level" in capsys.readouterr().err
+
+
+def _carry_into_another_node(images, step):
+    assert step[0, 0] == -1  # e s_0 = s_0 e carries into s_0
+    step[0, 0] = -2
+
+
+def _carry_into_a_fixed_point(images, step):
+    step[0, 0] = 0
+
+
+def _stay_elsewhere(images, step):
+    assert step[0, 2] == 1  # e s_2 = s_2, the first member found
+    step[0, 2] = 2
+
+
+def _images_shared(images, step):
+    images[2] = images[1]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_carry_into_another_node, "w s_0 does not send a_0 to -w\\(a_0\\)"),
+        (_carry_into_a_fixed_point, "w s_0 does not send a_0 to -w\\(a_0\\)"),
+        (_stay_elsewhere, "right multiplication by s_2 is not an involution"),
+        (_images_shared, "two elements share their images of the simple roots"),
+    ],
+)
+def test_a_corrupted_top_level_is_refused(monkeypatch, corrupt, message):
+    # one entry of B3's top level U_3 changed after its search.  A carry into
+    # another node, or into a fixed point, keeps each row of rmult an
+    # involution: only the check that w s_i sends a_i to -w(a_i) sees it
+    walk = reflection_group._coset_walk
+
+    def corrupted(gens, carry_at, k, cols, size):
+        images, lengths, step = walk(gens, carry_at, k, cols, size)
+        if k == len(gens):
+            corrupt(images, step)
+        return images, lengths, step
+
+    monkeypatch.setattr(reflection_group, "_coset_walk", corrupted)
+    reflection_group._held.clear()
+    with pytest.raises(ToleranceCollision, match=message):
+        enumerate_group(parse("x4o3o"))
