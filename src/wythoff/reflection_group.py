@@ -61,10 +61,13 @@ Bjorner-Brenti 2.4).  That element is the coset's canonical
 representative, and since elements are numbered by length it is also the
 coset's least index.  coset_table points every element one such step
 down, at g s_j for its lowest right descent j in J (one lookup per byte of
-its descent bits), and doubles the pointers until they all reach
-representatives.  The last index is the longest element w0 = w0^J w0_J, and
-its chain, of l(w0_J) steps, is the longest of all, so the doubling stops
-as soon as w0's pointer reaches its representative.
+its descent bits), one length layer lower.  The group keeps its layer
+sizes, so one pass up the layers numbers every element from the layer
+below it, whose numbers are already final: one gather per element, with
+no pointer doubling over all of G.  Consecutive layers of fewer than BAND
+elements share a band, so a long dihedral group takes a few steps, not
+one per layer.  Inside a band of t layers the pointers are doubled
+ceil(log2 min(t, l(w0_J))) times, l(w0_J) being the longest chain of all.
 
 Components of a graph of root or ordering maps are labelled by their least
 member in one routine, _coset_minima.  Over the generator permutations of
@@ -101,12 +104,19 @@ from .errors import (
 DEFAULT_BUDGET = 2_000_000
 KEY_LIMIT = 2**64
 ROW_BLOCK = 8192
+# consecutive length layers of fewer elements share one band of a coset
+# table's pass.  Each band costs a few numpy calls, and each doubling in it
+# a gather over the band: at 512 or 1024 the small layers of H4 and I2(999)
+# made their tables slower than doubling over all of G, at 4096 A7's
+# middle layers shared bands and took an extra doubling (2 CPUs, numpy 2.4)
+BAND = 2048
 # c^2 = alpha + beta c for c = 2cos(pi/m), m the label > 3 of a component
 _C_SQUARED = {4: (2, 0), 5: (1, 1), 6: (3, 0)}
 # limit on the total elements of the groups enumerate_group keeps for later
 # calls.  A group's own tables take 2 bytes a simple root, 4 a generator
-# and 1 for the descent bits per element (H4: 25), and each coset table 4
-# more and 8 a coset; with the tables of its decorations' lattices that is
+# and 1 for the descent bits per element (H4: 25), plus 4 bytes a length
+# layer (2 an element in I2(k)), and each coset table 4 more and 8 a
+# coset; with the tables of its decorations' lattices that is
 # 27 to 368 bytes an element over the sweep families (H4 all ringed:
 # 1.8 MB), so at most about 12 MB stays held.  The 28 groups of one pass of
 # the benchmark's sweep hold 16460 elements in 3.0 MB.  A7 (40320), B6
@@ -273,24 +283,29 @@ class Group:
     generators themselves are rmult[:, 0].  descents[g] holds g's right
     descents as bits: bit i is set when l(g s_i) < l(g), that is when
     g(a_i) is a negative root, in the least unsigned dtype with n_gens
-    bits.  Following the lowest right
-    descent in J from g, step after step, leads to the shortest element of
-    g W_J, and the longest such chain is the last index's (coset_table).
+    bits.  layer_sizes[k] is the number of elements of length k (int32,
+    l(w0) + 1 entries), so layer k is a run of consecutive indices.
+    Following the lowest right descent in J from g, step after step, leads
+    down the layers to the shortest element of g W_J (coset_table).
     point_images reads g*x off perms and the roots.  No element keys or
     words are kept: the keys and the chain exist only inside
     enumerate_group.  coxeter is the Coxeter matrix in node order,
     which fixes the group and its element numbering.
     """
 
-    def __init__(self, coxeter, roots, perms, rmult, descents):
-        for a in (coxeter, roots.roots, roots.perms, perms, rmult, descents):
+    def __init__(self, coxeter, roots, perms, rmult, descents, layer_sizes):
+        for a in (coxeter, roots.roots, roots.perms, perms, rmult, descents, layer_sizes):
             a.setflags(write=False)
         self.coxeter = coxeter
         self.roots = roots
         self.perms = perms
         self.rmult = rmult
         self.descents = descents
+        self.layer_sizes = layer_sizes
         self.n_gens = len(rmult)
+        self._bands = _bands(layer_sizes)
+        # where each of the lowest layers ends, as many as the widest band has
+        self._low_ends = np.cumsum(layer_sizes[: max(t for _, _, t in self._bands)])
         self._cosets: dict = {}
 
     @property
@@ -301,13 +316,15 @@ class Group:
         """The left cosets g W_J of the parabolic subgroup on the given nodes.
 
         Each element points one step down its coset, at g s_j for its lowest
-        right descent j in J (_lowest_bit), and each representative at
-        itself.  k doublings of the pointers move each element 2^k steps
-        down its chain, or to its representative if that is nearer.  The
-        chain of g = g^J g_J has l(g_J) steps, and the longest, of l(w0_J)
-        steps, is that of the last index, the longest element
-        w0 = w0^J w0_J: so the pointers are doubled until ptr[-1] is a
-        representative, and then all of them are.  A table is kept per node
+        right descent j in J (_lowest_bit), one layer lower, and each
+        representative at itself; the representatives are numbered in index
+        order.  The bands of layers are then walked upwards, and each element
+        takes the number its pointer reaches.  The chain of g = g^J g_J has
+        l(g_J) steps, at most l(w0_J), so within a band of t layers every
+        pointer reaches a representative, or a layer below the band, after
+        ceil(log2 min(t, l(w0_J))) doublings of the band's pointers: none in
+        a band of one layer.  l(w0_J) is the length of w0_J, the first index
+        with every node of J a right descent.  A table is kept per node
         set.  SubgroupNotContained if a node is not an integer or not the
         index of a generator.
         """
@@ -322,25 +339,39 @@ class Group:
         if table is not None:
             return table
         order = self.order
-        step = _lowest_bit(self.descents & sum(1 << j for j in key))
+        mask = sum(1 << j for j in key)
+        bits = self.descents & mask
+        step = _lowest_bit(bits)
         is_rep = step < 0
+        # l(w0_J) is the layer of w0_J, the shortest element with every node
+        # of J a right descent (every other one is x w0_J, x in W^J, lengths
+        # adding).  The bands need it only up to their most layers, so only
+        # that many of the lowest layers are searched
+        ends = self._low_ends
+        w0_j = int((bits[: ends[-1]] == mask).argmax())
+        depth = int(np.count_nonzero(ends <= w0_j)) if bits[w0_j] == mask else len(ends)
+        del bits
         # g s_j is entry j * order + g of the flattened rmult
         ptr = np.maximum(step, 0).astype(np.int32 if self.n_gens * order < 2**31 else np.int64)
         del step
         ptr *= order
         ptr += np.arange(order, dtype=np.int32)
         ptr = _gather(self.rmult.ravel(), ptr)
-        # the representatives point at themselves
+        # the representatives point at themselves, and cosets are numbered in
+        # order of their representatives; the pass below sets the rest
         np.copyto(ptr, np.arange(order, dtype=np.int32), where=is_rep)
-        while not is_rep[ptr[-1]]:
-            ptr = _gather(ptr, ptr)
-        # cosets are numbered in order of their representatives (-1 elsewhere,
-        # which no pointer reaches); the pointers are freed before the
-        # representatives are listed
-        number = np.full(order, -1, dtype=np.int32)
-        number[is_rep] = np.arange(np.count_nonzero(is_rep), dtype=np.int32)
-        coset_id = _gather(number, ptr)
-        del number, ptr
+        coset_id = np.empty(order, dtype=np.int32)
+        coset_id[is_rep] = np.arange(np.count_nonzero(is_rep), dtype=np.int32)
+        for lo, hi, layers in self._bands:
+            # an element of the band is at most min(layers, depth) steps above
+            # a representative or the layers below the band, whose numbers
+            # are set; ceil(log2) of that many doublings reach one
+            band = ptr[lo:hi]
+            for _ in range(max(min(layers, depth) - 1, 0).bit_length()):
+                band[:] = ptr.take(band)
+            coset_id[lo:hi] = coset_id.take(band)
+        # the pointers are freed before the representatives are listed
+        del ptr, band
         table = CosetTable(coset_id, np.flatnonzero(is_rep))
         for a in (coset_id, table.reps):
             a.setflags(write=False)
@@ -383,6 +414,23 @@ def _lowest_bit(bits: np.ndarray) -> np.ndarray:
     for shift in range(8, 8 * bits.itemsize, 8):
         np.copyto(low, _gather(_LOWEST_BIT, (bits >> shift) & 0xFF) + shift, where=low < 0)
     return low
+
+
+def _bands(sizes) -> list:
+    """(lo, hi, layers) of each band of consecutive length layers.
+
+    A band closes once it holds BAND elements, and a layer of BAND or more
+    elements starts a band of its own, so a band of several layers holds
+    fewer than 2 BAND elements.
+    """
+    bands, lo, hi, layers = [], 0, 0, 0
+    for size in sizes.tolist():
+        if layers and (hi - lo >= BAND or size >= BAND):
+            bands.append((lo, hi, layers))
+            lo, layers = hi, 0
+        hi, layers = hi + size, layers + 1
+    bands.append((lo, hi, layers))
+    return bands
 
 
 def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -656,7 +704,7 @@ def enumerate_group(d: DecoratedDiagram) -> Group:
             raise ToleranceCollision("right multiplication by s_%d is not an involution" % i)
         if not np.array_equal(_gather(images[i], row), _gather(neg, images[i])):
             raise ToleranceCollision("w s_%d does not send a_%d to -w(a_%d)" % (i, i, i))
-    group = Group(coxeter, roots, images.T, rmult, descents)
+    group = Group(coxeter, roots, images.T, rmult, descents, sizes.astype(np.int32))
     if expected <= HOLD_LIMIT:
         _held[key] = group
     return group

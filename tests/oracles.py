@@ -76,6 +76,8 @@ from wythoff.reflection_group import (
     Group,
     RootSystem,
     _coset_minima,
+    _gather,
+    _lowest_bit,
     coxeter_matrix,
     gram_matrix,
     key_layout,
@@ -185,7 +187,8 @@ def enumerate_by_search(d) -> Group:
     descents = np.zeros(total, dtype=np.min_scalar_type(2**n - 1))
     for i, row in enumerate(rmult):
         descents |= (row < start).astype(descents.dtype) << i
-    return Group(coxeter_matrix(d), roots, images.T, rmult, descents)
+    sizes = np.diff(bounds[:-1]).astype(np.int32)
+    return Group(coxeter_matrix(d), roots, images.T, rmult, descents, sizes)
 
 
 def word(g, a: int) -> tuple[int, ...]:
@@ -399,6 +402,39 @@ def coset_table_by_hooking(g, nodes) -> CosetTable:
     label = _coset_minima(g.order, list(g.rmult[sorted(nodes)]))
     is_rep = label == np.arange(g.order)
     coset_id = (np.cumsum(is_rep, dtype=np.int32) - 1)[label]
+    return CosetTable(coset_id, np.flatnonzero(is_rep))
+
+
+def coset_table_by_doubling(g, nodes) -> CosetTable:
+    """The left cosets g W_J by pointer doubling over all of G.
+
+    Each element points one step down its coset, at g s_j for its lowest
+    right descent j in J, and each representative at itself.  k doublings
+    of the pointers move each element 2^k steps down its chain, or to its
+    representative if that is nearer.  The last index, w0 = w0^J w0_J, has
+    the longest chain, of l(w0_J) steps, so the pointers are doubled until
+    ptr[-1] is a representative, and then all of them are.
+    """
+    order = g.order
+    step = _lowest_bit(g.descents & sum(1 << j for j in nodes))
+    is_rep = step < 0
+    # g s_j is entry j * order + g of the flattened rmult
+    ptr = np.maximum(step, 0).astype(np.int32 if g.n_gens * order < 2**31 else np.int64)
+    del step
+    ptr *= order
+    ptr += np.arange(order, dtype=np.int32)
+    ptr = _gather(g.rmult.ravel(), ptr)
+    # the representatives point at themselves
+    np.copyto(ptr, np.arange(order, dtype=np.int32), where=is_rep)
+    while not is_rep[ptr[-1]]:
+        ptr = _gather(ptr, ptr)
+    # cosets are numbered in order of their representatives (-1 elsewhere,
+    # which no pointer reaches); the pointers are freed before the
+    # representatives are listed
+    number = np.full(order, -1, dtype=np.int32)
+    number[is_rep] = np.arange(np.count_nonzero(is_rep), dtype=np.int32)
+    coset_id = _gather(number, ptr)
+    del number, ptr
     return CosetTable(coset_id, np.flatnonzero(is_rep))
 
 

@@ -197,7 +197,7 @@ def test_flag_move_off_its_reflection_is_refused(shared):
     # the other vertex of the base edge
     rmult = g.rmult.copy()
     rmult[0, 0] = g.rmult[2, 0]
-    off = Group(g.coxeter, g.roots, g.perms, rmult, g.descents)
+    off = Group(g.coxeter, g.roots, g.perms, rmult, g.descents, g.layer_sizes)
     with pytest.raises(WythoffError, match="flag move is not unique"):
         flag_report(FaceLattice(lat.diagram, lat.start, off, lat.slots_by_rank))
     # relabel the element s_0 alone into the base vertex's coset.  Its one
