@@ -80,8 +80,7 @@ class FamilyTag(Record):
     its long arm from the end, the branch node at n-3, then the two leaves;
     E is its length-2 arm from the end, the branch node at 2, the long arm
     outwards, then the leaf.  Ties (a path whose labels read the same both
-    ways, arms of equal length) go to the side with the least node.  Ring
-    positions (regular.py) read this order.
+    ways, arms of equal length) go to the side with the least node.
     """
 
     _fields = ("family", "rank", "k", "nodes")

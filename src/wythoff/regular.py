@@ -1,21 +1,46 @@
 """Regular polytopes among Wythoff constructions.
 
-Two independent notions are implemented.  ruled_verdict applies a closed
-position table on the decorated diagram (which families and ring positions
-yield regular polytopes); the same rule gives the gap reasons and the
-catalog.  is_flag_transitive decides transitivity of the generating
-reflection group on flags from the flag structure (one orbit per selection
-ordering).  They can disagree only when a polytope is regular but its full
-symmetry group is strictly larger than the generating group;
-oracle_gap_reason enumerates exactly those constructions.
+Regularity is read off the structure theorem.  The face types of rank k
+are the selections the decoration rewrite reaches in k steps, and each
+such face is itself the Wythoff polytope of its face diagram
+(face_restriction).  A regular polytope has one face shape at every rank,
+so regularity_witness walks the face types rank by rank from rank 2 and
+names the first rank with two shapes; ruled_verdict is regular exactly
+when there is none.  A product is decided factor by factor: it is regular
+exactly when every factor is a segment or a hypercube.
+
+The walk compares f-vectors, not recursive shapes.  Call a face's
+signature its f-vector with the multiset of its facets' signatures.  Rank
+1 has one shape, the segment, and the walk stops at the first rank with
+two, so when it reads rank k every rank below has one shape.  Then every
+facet of a rank-k face has that shape, and two rank-k faces have equal
+signatures exactly when their face diagrams have equal f-vectors.  That
+one shape per rank makes the polytope regular is not proved here; the
+ring-position table and the signature recursion, kept as oracles in
+tests/oracles.py, are checked against this rule.
+
+A regular polytope of rank n >= 3 is named by its vertex count f0 =
+|W|/|W_J|, W the generating group and J the crossed nodes: n+1 vertices
+make the simplex, 2^n the hypercube and 2n the hyperoctahedron, and the
+five exceptional polytopes have their own counts.  Rank 1 is the segment
+and rank 2 the f0-gon.
+
+is_flag_transitive decides whether W is transitive on flags: W acts
+freely on flags, with one orbit per selection ordering.  The symmetry
+group Aut of a regular polytope acts simply transitively on its flags, so
+|Aut| = orderings x |W|, and the index |Aut|/|W|, from the closed forms
+of |Aut| (Coxeter, Regular Polytopes, section 7), is the number of
+selection orderings.  oracle_gap_reason names the regular constructions
+whose index exceeds 1: regular, yet not flag-transitive under W.
 """
 
 from __future__ import annotations
 
 import re
-from functools import partial
-from itertools import islice
-from math import comb
+from functools import lru_cache, partial
+from itertools import chain, groupby, islice
+from math import comb, factorial
+from operator import itemgetter
 
 from .decoration import (
     f_vector_formula,
@@ -27,7 +52,6 @@ from .decoration import (
     start_decoration,
 )
 from .diagram import (
-    RING,
     DecoratedDiagram,
     Record,
     canonical_certificate,
@@ -36,7 +60,7 @@ from .diagram import (
     family_diagram,
     group_order,
 )
-from .errors import BudgetExceeded, UnknownName
+from .errors import BudgetExceeded, UnknownName, WythoffError
 
 _POLYGON_NAMES = {
     3: "triangle",
@@ -53,6 +77,14 @@ _SPECIAL_F_VECTORS = {
     "24-cell": (24, 96, 96, 24),
     "600-cell": (120, 720, 1200, 600),
     "120-cell": (600, 1200, 720, 120),
+}
+# the order of each one's symmetry group
+_SPECIAL_SYMMETRY = {
+    "icosahedron": 120,
+    "dodecahedron": 120,
+    "24-cell": 1152,
+    "600-cell": 14400,
+    "120-cell": 14400,
 }
 
 _ALIASES = {
@@ -98,74 +130,42 @@ def known_f_vector(name: str) -> tuple[int, ...]:
     return tuple(2 ** (k + 1) * comb(n, k + 1) for k in range(n))
 
 
-# The regular single-ring positions on connected diagrams of rank >= 3, in
-# catalog order: (family, rank or None for every rank, layout position with
-# -1 for the last node, name, gap).  The gap, when set, says why the
-# generating group is not flag-transitive on that regular polytope.
-_DEMICUBE_GAP = "16-cell from the demihypercube group (index 2)"
-_REGULAR_POSITIONS = (
-    ("A", None, 0, "{n}-simplex", None),
-    ("A", None, -1, "{n}-simplex", None),
-    ("B", None, 0, "{n}-hypercube", None),
-    ("B", None, -1, "{n}-hyperoctahedron", None),
-    ("A", 3, 1, "3-hyperoctahedron", "octahedron from the tetrahedral group (index 2)"),
-    ("H", 3, -1, "icosahedron", None),
-    ("H", 3, 0, "dodecahedron", None),
-    ("D", 4, 0, "4-hyperoctahedron", _DEMICUBE_GAP),
-    ("D", 4, 2, "4-hyperoctahedron", _DEMICUBE_GAP),
-    ("D", 4, -1, "4-hyperoctahedron", _DEMICUBE_GAP),
-    ("F", 4, 0, "24-cell", None),
-    ("F", 4, -1, "24-cell", None),
-    ("B", 4, 2, "24-cell", "24-cell from the hyperoctahedral group (index 3)"),
-    ("D", 4, 1, "24-cell", "24-cell from the D4 group (index 6)"),
-    ("H", 4, -1, "600-cell", None),
-    ("H", 4, 0, "120-cell", None),
-    ("D", None, 0, "{n}-hyperoctahedron", None),
-)
+def _regular_shapes(n: int):
+    """(f0, name, |Aut|) of each regular polytope of rank n >= 3, in catalog order."""
+    yield n + 1, f"{n}-simplex", factorial(n + 1)
+    yield 2**n, f"{n}-hypercube", 2**n * factorial(n)
+    yield 2 * n, f"{n}-hyperoctahedron", 2**n * factorial(n)
+    for name, fv in _SPECIAL_F_VECTORS.items():
+        if len(fv) == n:
+            yield fv[0], name, _SPECIAL_SYMMETRY[name]
 
 
-def _hypercube_name(n: int) -> str:
-    return {1: "segment", 2: polygon_name(4)}.get(n, f"{n}-hypercube")
+def _named(d: DecoratedDiagram) -> tuple[str, int]:
+    """(name, |Aut|) of the regular polytope of d's rank with d's vertex count."""
+    n, f0 = d.rank, _vertex_count(d)
+    if n < 3:
+        return ("segment", 2) if n == 1 else (polygon_name(f0), 2 * f0)
+    for count, name, aut in _regular_shapes(n):
+        if count == f0:
+            return name, aut
+    raise WythoffError(f"one face shape at every rank, yet no regular {n}-polytope"
+                       f" has {f0} vertices")
 
 
-def _classify(d: DecoratedDiagram) -> tuple[str | None, str, str | None]:
-    """(name or None, reason, gap or None) of a non-degenerate diagram.
+def _vertex_count(d: DecoratedDiagram) -> int:
+    return orbit_size(start_decoration(d), group_order(d))
 
-    A product is a hypercube exactly when each factor on its own is the
-    hypercube of its rank.
+
+@lru_cache(maxsize=1)
+def _shape(d: DecoratedDiagram) -> tuple:
+    """(witness, name, |Aut|) of d, name and |Aut| None when there is a witness.
+
+    ruled_verdict and oracle_gap_reason are read in turn on one diagram (by
+    is-regular --oracle and by the benchmark pipeline), so the last
+    diagram's answer is kept and the walk runs once for both.
     """
-    tags = classify_components(d)
-    if len(tags) == 1:
-        return _classify_component(d, tags[0])
-    if all(_classify_component(d, t)[0] == _hypercube_name(t.rank) for t in tags):
-        return (
-            _hypercube_name(d.rank),
-            "every factor is a segment or an end-ringed 4-chain",
-            "box product: generating group is a proper subgroup of the hypercube group",
-        )
-    return None, "product with a factor that is not a box", None
-
-
-def _classify_component(d: DecoratedDiagram, tag) -> tuple[str | None, str, str | None]:
-    """_classify of the connected component tag of d, read on its own."""
-    n = tag.rank
-    rings = [pos for pos, v in enumerate(tag.nodes) if d.marks[v] == RING]
-    if n == 1:
-        return "segment", "one mirror, one ringed node", None
-    if n == 2:
-        k = d.label(*tag.nodes)
-        return (
-            polygon_name(k * len(rings)),
-            f"one ring gives a {k}-gon, two give a {2 * k}-gon",
-            "doubled polygon: both nodes ringed halves the symmetry" if len(rings) == 2 else None,
-        )
-    if len(rings) != 1:
-        return None, "more than one ring on a connected diagram of dimension >= 3", None
-    for family, rank, pos, name, gap in _REGULAR_POSITIONS:
-        if (family, rank or n, pos % n) == (tag.family, n, rings[0]):
-            name = name.format(n=n)
-            return name, f"ring position on {tag} listed as {name}", gap
-    return None, f"ring position on {tag} is not a regular one", None
+    witness = regularity_witness(d)
+    return (witness, None, None) if witness else (None, *_named(d))
 
 
 class RuledVerdict(Record):
@@ -177,67 +177,59 @@ class RuledVerdict(Record):
 
 
 def ruled_verdict(d: DecoratedDiagram) -> RuledVerdict:
-    """Position-table classification of the construction.
+    """Regular exactly when every rank has one face shape.
 
-    Regular cases: any non-degenerate 2-node diagram (polygons); products
-    whose every factor is the hypercube of its rank; and the single-ring
-    positions listed in _REGULAR_POSITIONS.  Everything else is not
-    regular; when two distinct face shapes exist at some rank the verdict
-    carries one such witness.
+    A rank-k face type's shape is fixed by its face diagram's f-vector once
+    every lower rank has one shape (the module docstring gives the
+    argument), so regularity_witness decides the verdict from formulas
+    alone.  A regular construction is named by its vertex count, and
+    |Aut| = orderings x |W| makes the index |Aut|/|W| its number of
+    selection orderings.  A vertex count that names no regular polytope of
+    the rank is an internal error, raised as WythoffError.  A non-regular
+    verdict carries the witness.
     """
     require_nondegenerate(d)
-    name, reason, _ = _classify(d)
-    if name is None:
-        return RuledVerdict(False, None, reason, regularity_witness(d))
-    return RuledVerdict(True, name, reason)
-
-
-# -- face-shape signatures and non-regularity witnesses -----------------------
-
-_SIG_CACHE: dict = {}
-
-
-def shape_signature(d: DecoratedDiagram):
-    """Recursive combinatorial fingerprint of the polytope's shape.
-
-    Built from closed-formula f-vectors and the multiset of facet
-    signatures, so shapes that merely come from different diagrams (the
-    octahedron from A3 or B3, say) get equal signatures without any group
-    enumeration.
-    """
-    key = canonical_certificate(d)
-    if key in _SIG_CACHE:
-        return _SIG_CACHE[key]
-    n = d.rank
-    if n == 1:
-        sig = ("segment",)
-    elif n == 2:
-        sig = ("polygon", f_vector_formula(d)[0])
-    else:
-        start = start_decoration(d)
-        total = group_order(d)
-        facets = {}
-        for _, sel, dec in face_types(start, [n - 1]):
-            fsig = shape_signature(face_restriction(start, sel))
-            facets[fsig] = facets.get(fsig, 0) + orbit_size(dec, total)
-        sig = (n, f_vector_formula(d), tuple(sorted(facets.items())))
-    _SIG_CACHE[key] = sig
-    return sig
+    witness, name, _ = _shape(d)
+    if witness:
+        return RuledVerdict(False, None, f"two face shapes at rank {witness[0]}", witness)
+    return RuledVerdict(True, name, "one face shape at every rank, named by its vertices")
 
 
 def regularity_witness(d: DecoratedDiagram):
     """Two same-rank faces with different shapes, or None.
 
     Returns (rank, selection_a, selection_b) naming the first rank at which
-    two face types differ.
+    two face types differ, selection_a that rank's first type.  Every rank
+    below has one shape, so two faces differ exactly when their face
+    diagrams' f-vectors do.  A rank with one type costs nothing, and a type
+    whose face diagram is isomorphic to the first one's needs no f-vector.
+
+    A product of two or more factors has an edge x edge square among its
+    2-faces, so it has one shape at every rank exactly when every factor is
+    a segment or a hypercube: one shape at every rank and 2^rank vertices.
+    That is decided factor by factor, where the product's own walk would
+    read 2^m face types for m segments.  Any other product is walked whole,
+    and stops at the first rank with two shapes.
     """
+    parts = d.components()
+    if len(parts) > 1 and all(
+        _vertex_count(p) == 2**p.rank and regularity_witness(p) is None
+        for p in map(d.induced, parts)
+    ):
+        return None
     start = start_decoration(d)
-    first = {}
-    for k, sel, _ in face_types(start, range(2, d.rank)):
-        sig = shape_signature(face_restriction(start, sel))
-        other, osig = first.setdefault(k, (sel, sig))
-        if osig != sig:
-            return (k, tuple(sorted(other)), tuple(sorted(sel)))
+    face = partial(face_restriction, start)
+    for k, types in groupby(face_types(start, range(2, d.rank)), key=itemgetter(0)):
+        a = next(types)[1]
+        key_a = fv_a = None
+        for _, b, _ in types:
+            key_a = key_a or canonical_certificate(face(a))
+            face_b = face(b)
+            if canonical_certificate(face_b) == key_a:
+                continue
+            fv_a = fv_a or f_vector_formula(face(a))
+            if f_vector_formula(face_b) != fv_a:
+                return k, tuple(sorted(a)), tuple(sorted(b))
     return None
 
 
@@ -265,19 +257,28 @@ def is_flag_transitive(src) -> bool:
 def oracle_gap_reason(d: DecoratedDiagram) -> str | None:
     """Why a regular construction can fail generator flag-transitivity.
 
-    These are exactly the catalog entries whose full symmetry group is
-    larger than the generating group; geometric regularity still holds and
-    the test suite verifies it by ridge reflections.
+    The index |Aut|/|W| of the generating group W in the full symmetry
+    group is the number of selection orderings; above 1 the construction
+    is regular and not flag-transitive, and the reason names the index.
+    Geometric regularity still holds, and the test suite verifies it by
+    ridge reflections.
     """
     require_nondegenerate(d)
-    return _classify(d)[2]
+    witness, name, aut = _shape(d)
+    if witness:
+        return None
+    index = aut // group_order(d)
+    if index == 1:
+        return None
+    group = " x ".join(str(tag) for tag in classify_components(d))
+    return f"{name} from the {group} group (index {index})"
 
 
 # -- catalog -------------------------------------------------------------------
 
-# the constructions one catalog may build and certify, about what lists in
-# a second: cold, dimension 25 (1962) takes 1.0 s and 26 (2440) 1.2-1.7 s
-# on two x86 cores; polygons fit up to kmax 1335
+# the polygons and box products one catalog may build and certify, about
+# what lists in a second: cold, dimension 25 (1957 boxes) takes 1.0 s and
+# 26 (2435) 1.2-1.7 s on two x86 cores; polygons fit up to kmax 1335
 CATALOG_LIMIT = 2000
 
 
@@ -297,7 +298,8 @@ def _box_diagram(parts) -> DecoratedDiagram:
 
 
 def _constructions(n: int, kmax: int):
-    """(name, builder) of each construction of dimension n, lazily, unbuilt."""
+    """(name, builder) of the segment, the polygons and the box products of
+    dimension n, lazily, unbuilt."""
     if n == 1:
         yield "segment", partial(family_diagram, "A", 1, ringed=(0,))
     elif n == 2:
@@ -305,22 +307,47 @@ def _constructions(n: int, kmax: int):
             yield polygon_name(k), partial(family_diagram, "I2", 2, k=k, ringed=(0,))
             if k % 2 == 0 and k // 2 >= 3:
                 yield polygon_name(k), partial(family_diagram, "I2", 2, k=k // 2, ringed=(0, 1))
-    else:
-        for family, rank, pos, name, _ in _REGULAR_POSITIONS:
-            if rank in (None, n) and not (family == "D" and n < 4):  # D starts at 4
-                yield name.format(n=n), partial(family_diagram, family, n, ringed=(pos % n,))
+    box = polygon_name(4) if n == 2 else f"{n}-hypercube"
     for parts in islice(_partitions(n), 1, None):  # all but (n) itself
-        yield _hypercube_name(n), partial(_box_diagram, parts)
+        yield box, partial(_box_diagram, parts)
+
+
+# the ranks each family of _single_rings has, (least, greatest), None for
+# no greatest; family_diagram refuses any other
+_FAMILY_RANKS = {"A": (1, None), "B": (2, None), "D": (4, None), "E": (6, 8),
+                 "F": (4, 4), "H": (3, 4)}
+
+
+def _single_rings(n: int):
+    """Each connected family of rank n ringed at one node, every node in turn."""
+    for family, (least, most) in _FAMILY_RANKS.items():
+        if least <= n <= (most or n):
+            yield from (family_diagram(family, n, ringed=(pos,)) for pos in range(n))
+
+
+def _regular_single_rings(n: int) -> list[tuple[str, DecoratedDiagram]]:
+    """(name, diagram) of each regular single-ring construction of rank n >= 3.
+
+    By name in _regular_shapes order, then by index |Aut|/|W|, then in
+    the order _single_rings makes them.
+    """
+    rank = {name: i for i, (_, name, _) in enumerate(_regular_shapes(n))}
+    kept = []
+    for d in _single_rings(n):
+        witness, name, aut = _shape(d)
+        if witness is None:
+            kept.append((rank[name], aut // group_order(d), len(kept), name, d))
+    return [(name, d) for *_, name, d in sorted(kept)]
 
 
 def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]:
     """All regular polytopes of dimension n with their constructions.
 
-    Polygon entries run through edge label kmax, at least 3.  Every
-    construction the position table accepts appears, deduplicated up to
-    decorated-diagram isomorphism; hypercubes include all box products.
-    BudgetExceeded, before any is built, when there are more than
-    CATALOG_LIMIT.
+    The constructions are every family of rank n ringed at one node that
+    ruled_verdict calls regular, then the box products, deduplicated up to
+    decorated-diagram isomorphism; polygon entries run through edge label
+    kmax, at least 3.  BudgetExceeded, before any is built, when the
+    polygons and box products alone are more than CATALOG_LIMIT.
     """
     if n < 1:
         raise UnknownName(f"no polytopes of dimension {n}")
@@ -330,8 +357,8 @@ def regular_catalog(n: int, kmax: int = 12) -> dict[str, list[DecoratedDiagram]]
     if len(todo) > CATALOG_LIMIT:
         raise BudgetExceeded(f"the catalog of dimension {n} builds more than"
                              f" {CATALOG_LIMIT} constructions, the catalog limit")
+    rings = _regular_single_rings(n) if n >= 3 else []
     catalog: dict[str, dict] = {}  # name -> certificate -> first construction
-    for name, build in todo:
-        diagram = build()
-        catalog.setdefault(name, {}).setdefault(canonical_certificate(diagram), diagram)
+    for name, d in chain(rings, ((name, build()) for name, build in todo)):
+        catalog.setdefault(name, {}).setdefault(canonical_certificate(d), d)
     return {name: list(entry.values()) for name, entry in catalog.items()}

@@ -46,7 +46,14 @@ components each hold a ring, in combinations order; decoration_by_formula:
 valid_selection_sets and decoration_from_selection took before they were
 read off the rewrite, and ordering_count counts the maximal rewrite chains
 by summing over the reachable decorations.  constructions_of looks a named
-regular polytope up in the regular catalog.
+regular polytope up in the regular catalog.  _REGULAR_POSITIONS, read by
+_classify and _classify_component, is the hand-written table of regular
+ring positions and their gap reasons that the regularity verdict, the gap
+reasons and the catalog read before they were derived from the face
+types; shape_signature (a face's f-vector with its facets' signatures,
+recursively) and witness_by_signature, which compares it across each
+rank's face types, are the regularity witness's route before it compared
+the face diagrams' f-vectors.
 """
 
 import functools
@@ -59,7 +66,17 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from wythoff import _kernels
-from wythoff.decoration import ACTIVE, CROSSED, SELECTED, Decoration
+from wythoff.decoration import (
+    ACTIVE,
+    CROSSED,
+    SELECTED,
+    Decoration,
+    f_vector_formula,
+    face_restriction,
+    face_types,
+    orbit_size,
+    start_decoration,
+)
 from wythoff.errors import (
     InvalidS,
     SpanDeficient,
@@ -70,7 +87,13 @@ from wythoff.errors import (
 )
 from wythoff.face_lattice import DiamondReport, FaceLattice, FlagReport, _walk_code
 from wythoff.geometry import AFFINE_RANK_TOL, CheckReport
-from wythoff.diagram import group_order
+from wythoff.diagram import (
+    RING,
+    DecoratedDiagram,
+    canonical_certificate,
+    classify_components,
+    group_order,
+)
 from wythoff.reflection_group import (
     CosetTable,
     Group,
@@ -1038,3 +1061,122 @@ def constructions_of(name: str, kmax: int = 12) -> list:
     if cname not in catalog:
         raise UnknownName(name)
     return catalog[cname]
+
+
+# -- the regularity rule before the structure-theorem witness ------------------
+
+# The regular single-ring positions on connected diagrams of rank >= 3, in
+# catalog order: (family, rank or None for every rank, layout position with
+# -1 for the last node, name, gap).  The gap, when set, says why the
+# generating group is not flag-transitive on that regular polytope.
+_DEMICUBE_GAP = "16-cell from the demihypercube group (index 2)"
+_REGULAR_POSITIONS = (
+    ("A", None, 0, "{n}-simplex", None),
+    ("A", None, -1, "{n}-simplex", None),
+    ("B", None, 0, "{n}-hypercube", None),
+    ("B", None, -1, "{n}-hyperoctahedron", None),
+    ("A", 3, 1, "3-hyperoctahedron", "octahedron from the tetrahedral group (index 2)"),
+    ("H", 3, -1, "icosahedron", None),
+    ("H", 3, 0, "dodecahedron", None),
+    ("D", 4, 0, "4-hyperoctahedron", _DEMICUBE_GAP),
+    ("D", 4, 2, "4-hyperoctahedron", _DEMICUBE_GAP),
+    ("D", 4, -1, "4-hyperoctahedron", _DEMICUBE_GAP),
+    ("F", 4, 0, "24-cell", None),
+    ("F", 4, -1, "24-cell", None),
+    ("B", 4, 2, "24-cell", "24-cell from the hyperoctahedral group (index 3)"),
+    ("D", 4, 1, "24-cell", "24-cell from the D4 group (index 6)"),
+    ("H", 4, -1, "600-cell", None),
+    ("H", 4, 0, "120-cell", None),
+    ("D", None, 0, "{n}-hyperoctahedron", None),
+)
+
+
+def _hypercube_name(n: int) -> str:
+    return {1: "segment", 2: polygon_name(4)}.get(n, f"{n}-hypercube")
+
+
+def _classify(d: DecoratedDiagram) -> tuple[str | None, str, str | None]:
+    """(name or None, reason, gap or None) of a non-degenerate diagram.
+
+    A product is a hypercube exactly when each factor on its own is the
+    hypercube of its rank.
+    """
+    tags = classify_components(d)
+    if len(tags) == 1:
+        return _classify_component(d, tags[0])
+    if all(_classify_component(d, t)[0] == _hypercube_name(t.rank) for t in tags):
+        return (
+            _hypercube_name(d.rank),
+            "every factor is a segment or an end-ringed 4-chain",
+            "box product: generating group is a proper subgroup of the hypercube group",
+        )
+    return None, "product with a factor that is not a box", None
+
+
+def _classify_component(d: DecoratedDiagram, tag) -> tuple[str | None, str, str | None]:
+    """_classify of the connected component tag of d, read on its own."""
+    n = tag.rank
+    rings = [pos for pos, v in enumerate(tag.nodes) if d.marks[v] == RING]
+    if n == 1:
+        return "segment", "one mirror, one ringed node", None
+    if n == 2:
+        k = d.label(*tag.nodes)
+        return (
+            polygon_name(k * len(rings)),
+            f"one ring gives a {k}-gon, two give a {2 * k}-gon",
+            "doubled polygon: both nodes ringed halves the symmetry" if len(rings) == 2 else None,
+        )
+    if len(rings) != 1:
+        return None, "more than one ring on a connected diagram of dimension >= 3", None
+    for family, rank, pos, name, gap in _REGULAR_POSITIONS:
+        if (family, rank or n, pos % n) == (tag.family, n, rings[0]):
+            name = name.format(n=n)
+            return name, f"ring position on {tag} listed as {name}", gap
+    return None, f"ring position on {tag} is not a regular one", None
+
+
+_SIG_CACHE: dict = {}
+
+
+def shape_signature(d: DecoratedDiagram):
+    """Recursive combinatorial fingerprint of the polytope's shape.
+
+    Built from closed-formula f-vectors and the multiset of facet
+    signatures, so shapes that merely come from different diagrams (the
+    octahedron from A3 or B3, say) get equal signatures without any group
+    enumeration.
+    """
+    key = canonical_certificate(d)
+    if key in _SIG_CACHE:
+        return _SIG_CACHE[key]
+    n = d.rank
+    if n == 1:
+        sig = ("segment",)
+    elif n == 2:
+        sig = ("polygon", f_vector_formula(d)[0])
+    else:
+        start = start_decoration(d)
+        total = group_order(d)
+        facets = {}
+        for _, sel, dec in face_types(start, [n - 1]):
+            fsig = shape_signature(face_restriction(start, sel))
+            facets[fsig] = facets.get(fsig, 0) + orbit_size(dec, total)
+        sig = (n, f_vector_formula(d), tuple(sorted(facets.items())))
+    _SIG_CACHE[key] = sig
+    return sig
+
+
+def witness_by_signature(d: DecoratedDiagram):
+    """Two same-rank faces with different shapes, or None.
+
+    Returns (rank, selection_a, selection_b) naming the first rank at which
+    two face types differ.
+    """
+    start = start_decoration(d)
+    first = {}
+    for k, sel, _ in face_types(start, range(2, d.rank)):
+        sig = shape_signature(face_restriction(start, sel))
+        other, osig = first.setdefault(k, (sel, sig))
+        if osig != sig:
+            return (k, tuple(sorted(other)), tuple(sorted(sel)))
+    return None

@@ -209,7 +209,7 @@ def test_criterion_08_edge_uniformity_sweep(shared):
 
 
 def test_criterion_09_ruled_vs_oracle_with_documented_gaps(shared):
-    """Table verdicts equal the flag-transitivity oracle modulo listed gaps."""
+    """Ruled verdicts equal the flag-transitivity oracle modulo listed gaps."""
     agreements = 0
     gaps = 0
     for d in rank_34_diagrams():

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 from wythoff.cli import main
+from wythoff.diagram import disjoint_union, family_diagram, serialize_document
 
 E8_DOC = json.dumps(
     {
@@ -117,6 +118,26 @@ def test_is_regular_oracle_gap(capsys):
     assert "name: 24-cell" in out
     assert "flag transitive under the generating group: no" in out
     assert "gap:" in out
+
+
+def _d_long_arm_end(n):
+    """D_n ringed at the end of its long arm, as a JSON document."""
+    doc = serialize_document(family_diagram("D", n, ringed=(0,)))
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _segment_box(n):
+    """The product of n segments, the n-hypercube, as a JSON document."""
+    doc = serialize_document(disjoint_union(*[family_diagram("A", 1, ringed=(0,))] * n))
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def test_is_regular_oracle_gap_of_the_cross_polytope_from_d5(capsys):
+    code, out, _ = run(capsys, "is-regular", _d_long_arm_end(5), "--oracle")
+    assert code == 0
+    assert "name: 5-hyperoctahedron" in out
+    assert "flag transitive under the generating group: no" in out
+    assert "gap: 5-hyperoctahedron from the D5 group (index 2)" in out
 
 
 def test_is_regular_oracle_beyond_the_budget(capsys):
@@ -340,6 +361,12 @@ LONG_DIAGRAMS = {
         ["is-regular", SIMPLEX_1100, "--oracle"], 30, 0,
         "flag transitive under the generating group: yes",
     ),
+    # every face is a simplex; the two facet types have isomorphic face
+    # diagrams, so the witness computes no f-vector for them (their two
+    # 1099-simplex f-vectors took 12.7 s in process)
+    "is_regular_d1100_long_arm_end": (
+        ["is-regular", _d_long_arm_end(1100)], 5, 0, "name: 1100-hyperoctahedron",
+    ),
     "is_regular_oracle_all_ringed_10": (
         ["is-regular", _x3x(10), "--oracle"], 5, 1,
         "flag transitive under the generating group: no",
@@ -351,6 +378,11 @@ LONG_DIAGRAMS = {
     ),
     "faces_all_ringed_30_rank_29": (
         ["faces", _x3x(30), "--rank", "29"], 10, 0, f"rank 29  S={{{_nodes(29)}}}  faces=31",
+    ),
+    # a product is decided factor by factor, not by its 2^30 face types
+    "is_regular_oracle_box_of_30_segments": (
+        ["is-regular", _segment_box(30), "--oracle"], 5, 0,
+        f"gap: 30-hypercube from the {' x '.join(['A1'] * 30)} group (index {factorial(30)})",
     ),
     # the witness reads the rank-2 face types only, not the 2^30 selections
     "is_regular_all_ringed_30": (

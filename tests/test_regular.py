@@ -1,8 +1,18 @@
+import re
+from itertools import chain, combinations, combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import constructions_of
+from oracles import (
+    _classify,
+    constructions_of,
+    ordering_count,
+    shape_signature,
+    witness_by_signature,
+)
+from sweep import sweep_products
 from wythoff import regular
 from wythoff.decoration import f_vector_formula, face_restriction, start_decoration
 from wythoff.diagram import (
@@ -21,7 +31,6 @@ from wythoff.regular import (
     regular_catalog,
     regularity_witness,
     ruled_verdict,
-    shape_signature,
 )
 
 RULED_POSITIVE = {
@@ -118,6 +127,17 @@ def test_witness_names_two_distinct_shapes():
     assert w == (2, (0, 1), (1, 2))
 
 
+def test_isomorphic_face_types_need_no_f_vector(monkeypatch):
+    # D_n ringed at the end of its long arm has one face type at each rank
+    # but the last, where its two facet types are (n-1)-simplices with
+    # isomorphic face diagrams: the witness compares their certificates only
+    d = family_diagram("D", 12, ringed=(0,))
+    with monkeypatch.context() as patch:
+        patch.setattr(regular, "f_vector_formula", None)
+        assert regularity_witness(d) is None
+    assert ruled_verdict(d).name == "12-hyperoctahedron"
+
+
 def test_oracle_matches_ruled_on_true_regulars(shared):
     for text in ["x4o3o", "o4o3x", "x3o3o", "x5o3o", "o5o3x", "x3o4o3o", "x5o"]:
         assert is_flag_transitive(shared.lattice(parse(text))), text
@@ -150,10 +170,8 @@ def test_oracle_gap_cases(shared):
         assert oracle_gap_reason(parse(text)) is None
 
 
-def test_gap_reason_exactly_where_regular_meets_intransitive():
-    # every single-ring layout of the families, and I2(k) with one and two
-    # rings: a gap is given exactly when the verdict is regular and the
-    # generating group is not flag-transitive, apart from the listed cases
+def _family_cases():
+    """Every single-ring layout of the families, and I2(k) with one and two rings."""
     cases = [
         (family, rank, None, (pos,))
         for family, ranks in [
@@ -165,15 +183,90 @@ def test_gap_reason_exactly_where_regular_meets_intransitive():
     ]
     cases += [("I2", 2, k, rings) for k in range(3, 13) for rings in ((0,), (0, 1))]
     assert len(cases) == 180
+    return cases
+
+
+def test_gap_reason_exactly_where_regular_meets_intransitive():
+    # a gap is given exactly when the verdict is regular and the generating
+    # group is not flag-transitive
     undocumented = set()
-    for family, rank, k, rings in cases:
+    for family, rank, k, rings in _family_cases():
         d = family_diagram(family, rank, k=k, ringed=rings)
         gap_expected = ruled_verdict(d).regular and not is_flag_transitive(d)
         if (oracle_gap_reason(d) is not None) != gap_expected:
             undocumented.add((family, rank, rings))
+    assert undocumented == set()
     # the n-hyperoctahedra of D5..D9, ringed at the end of the long arm, are
-    # the cross-polytope from the demihypercube group (index 2) like D4's
-    assert undocumented == {("D", rank, (0,)) for rank in range(5, 10)}
+    # the cross-polytope from the D_n group (index 2) like D4's
+    for rank in range(5, 10):
+        gap = oracle_gap_reason(family_diagram("D", rank, ringed=(0,)))
+        assert gap == f"{rank}-hyperoctahedron from the D{rank} group (index 2)"
+
+
+def _index(d) -> int:
+    """The index |Aut| / |W| that the gap reason names, 1 when there is none."""
+    gap = oracle_gap_reason(d)
+    return int(re.fullmatch(r".* group \(index (\d+)\)", gap).group(1)) if gap else 1
+
+
+def test_index_is_the_number_of_selection_orderings():
+    # a regular polytope's symmetry group acts simply transitively on its
+    # flags, and the generating group has one free flag orbit per selection
+    # ordering, so the index is the number of orderings, here counted over
+    # the reachable decorations
+    boxes = [disjoint_union(*[parse("x")] * m) for m in range(2, 6)]
+    cases = [family_diagram(f, rank, k=k, ringed=rings) for f, rank, k, rings in _family_cases()]
+    regular_ones = [d for d in chain(cases, sweep_products(), boxes) if ruled_verdict(d).regular]
+    assert len(regular_ones) == 70 + 2 + 4
+    for d in regular_ones:
+        assert _index(d) == ordering_count(start_decoration(d)), d
+    assert [_index(d) for d in boxes] == [2, 6, 24, 120]  # m! for m segments
+
+
+# the table and signature oracles' diagram set: every ring set of these
+# families, and products of two, or of three of the first six, pieces
+ORACLE_FAMILIES = (
+    [("A", n, None) for n in range(1, 9)]
+    + [("B", n, None) for n in range(2, 9)]
+    + [("D", n, None) for n in range(4, 9)]
+    + [("E", n, None) for n in (6, 7)]
+    + [("F", 4, None), ("H", 3, None), ("H", 4, None)]
+    + [("I2", 2, k) for k in (4, 5, 6, 7, 8, 10, 12)]
+)
+ORACLE_PIECES = (
+    "x", "x3o", "x4o", "x3x", "x5o", "o4x", "x4o3o", "o4o3x", "x3o3o", "o3x3o", "x5o3o", "o3x4x",
+)
+
+
+def _oracle_diagrams():
+    for family, rank, k in ORACLE_FAMILIES:
+        for rings in chain.from_iterable(combinations(range(rank), r) for r in range(1, rank + 1)):
+            yield family_diagram(family, rank, k=k, ringed=rings)
+    pieces = [parse(text) for text in ORACLE_PIECES]
+    yield from (disjoint_union(*p) for p in combinations_with_replacement(pieces, 2))
+    yield from (disjoint_union(*p) for p in combinations_with_replacement(pieces[:6], 3))
+
+
+def test_verdict_name_and_witness_match_the_table_and_the_signatures():
+    # the ring-position table (_classify) gives the verdict, the name and the
+    # gap; the signature recursion (witness_by_signature) the witness
+    seen = regular_seen = 0
+    gaps_beyond_the_table = set()
+    for d in _oracle_diagrams():
+        v = ruled_verdict(d)
+        name, _, gap = _classify(d)
+        assert (v.regular, v.name) == (name is not None, name), d
+        assert v.witness == witness_by_signature(d), d
+        if v.regular and (gap is None) != (oracle_gap_reason(d) is None):
+            gaps_beyond_the_table.add(oracle_gap_reason(d))
+        seen += 1
+        regular_seen += v.regular
+    assert (seen, regular_seen) == (1876, 88)
+    # the table's one wrong row gave D5..D8 ringed at the end of the long arm
+    # no gap
+    assert gaps_beyond_the_table == {
+        f"{n}-hyperoctahedron from the D{n} group (index 2)" for n in range(5, 9)
+    }
 
 
 def test_known_f_vectors_formulas():
@@ -248,14 +341,16 @@ def test_catalog_certifies_each_construction_once(monkeypatch):
 
     monkeypatch.setattr(regular, "canonical_certificate", certificate)
     cat = regular_catalog(12)
-    # five constructions from the position table and the 76 box products
-    # (the partitions of 12 into at least two ranks), each certified once
-    assert len(offered) == 5 + 76
+    # the five regular single-ring constructions (A12 and B12 ringed at
+    # either end, D12 at the end of its long arm) and the 76 box products
+    # (the partitions of 12 into at least two ranks), each certified once;
+    # the witness certifies only face diagrams, of lower rank
+    assert len([d for d in offered if d.rank == 12]) == 5 + 76
     assert len(cat["12-hypercube"]) == 1 + 76
 
 
 CERTIFIED = {
-    (1, 12): 1, (2, 12): 15, (3, 12): 9, (4, 12): 18, (5, 12): 11, (6, 12): 15,
+    (1, 12): 1, (2, 12): 15, (3, 12): 9, (4, 12): 17, (5, 12): 11, (6, 12): 15,
     (7, 12): 19, (8, 12): 26, (9, 12): 34, (2, 3): 2, (2, 5): 4, (2, 40): 57,
     (25, 12): 1962, (2, 1335): 1999,  # the largest that fit the limit
 }
@@ -263,12 +358,18 @@ CERTIFIED = {
 
 @pytest.mark.parametrize("n,kmax", list(CERTIFIED))
 def test_catalog_within_the_limit_certifies_each_construction(monkeypatch, n, kmax):
-    # the position table's rows plus p(n) - 1 box products, or kmax - 2
-    # polygons, one more per even kmax from 6 and the x x box
+    # the regular single-ring constructions plus p(n) - 1 box products, or
+    # kmax - 2 polygons, one more per even kmax from 6 and the x x box
+    # (the witness certifies only face diagrams, of lower rank)
     offered = []
-    monkeypatch.setattr(regular, "canonical_certificate", lambda d: offered.append(d) or len(offered))
+
+    def certificate(d):
+        offered.append(d.rank)
+        return canonical_certificate(d) if d.rank < n else len(offered)
+
+    monkeypatch.setattr(regular, "canonical_certificate", certificate)
     regular_catalog(n, kmax=kmax)
-    assert len(offered) == CERTIFIED[n, kmax] <= regular.CATALOG_LIMIT
+    assert offered.count(n) == CERTIFIED[n, kmax] <= regular.CATALOG_LIMIT
 
 
 @pytest.mark.parametrize("n,kmax", [(26, 12), (100, 12), (2, 1336), (2, 100000), (10**6, 12)])
