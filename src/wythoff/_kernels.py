@@ -33,12 +33,9 @@ projection, a delta far above the answer, or a side raised so that the cell
 keys fit in int64.  Those rows are compared pairwise, O(V^2) like a full
 distance matrix, in memory bounded by _BLOCK pairs at a time.
 
-found_at is the one test of membership in sorted integer keys, read at
-their searchsorted positions; face_lattice's flag moves are its one
-caller.  The library calls no numpy dedup:
-np.unique (and np.intersect1d, which calls it) builds a hash set before it
-sorts, and face_lattice.coset_pairs needs no dedup, since it keys one
-element of each coset pair.
+The library calls no numpy dedup: np.unique (and np.intersect1d, which
+calls it) builds a hash set before it sorts, and face_lattice.coset_pairs
+needs no dedup, since it keys one element of each coset pair.
 """
 
 import functools
@@ -69,13 +66,6 @@ def _forward_offsets(r):
     offsets = offsets.reshape(3**r, r)[3**r // 2 :]
     offsets.setflags(write=False)
     return offsets
-
-
-def found_at(sorted_keys, keys, pos):
-    """Which keys sit at their searchsorted positions pos in sorted_keys."""
-    if not len(sorted_keys):
-        return np.zeros(np.shape(keys), dtype=bool)
-    return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
 
 
 def _pad(*arrays):

@@ -21,35 +21,32 @@ group element g), and the group acts on them by left translation of g
 alone, freely.  So the moves of one flag per ordering (_flag_moves) give
 the whole flag graph, and each move either changes the ordering and keeps
 the element or keeps the ordering and multiplies by one simple reflection.
-The faces between a flag's neighbors are read from the cover blocks.  The
-moves are two (orderings, n) integer tables: the node of the move's
-reflection (-1 for none) and the neighbor's ordering.  The flag checks
-(flag_report) and the partner table (flag_partners) both read them, with
-no group products and no subgroup closures, and no flag is ever listed.
-Lattice isomorphism needs one walk start per ordering
+The faces between a flag's neighbors are those between cosets 0 of two
+slots.  The moves are two (orderings, n) integer tables: the node of the
+move's reflection (-1 for none) and the neighbor's ordering.  The flag
+checks (flag_report) and the partner table (flag_partners) both read them,
+with no group products and no subgroup closures, and no flag is ever
+listed.  Lattice isomorphism needs one walk start per ordering
 (lattices_isomorphic).  The diamond property reads each cover block as a
 table of the upper faces of each lower face: the tables of adjacent ranks
 are chained through each middle slot into one short row per lower face,
-and each sorted row must hold every value exactly twice.  The covers of
-each block are counted against T = |G| / |W_(J_lo n J_hi)|, and those of
-each face against T over its slot's face count.
+and each sorted row must hold every value exactly twice.  Before it is
+sorted, row 0 names the faces between cosets 0, so one walk over the slot
+triples per lattice serves the diamond check and the flag moves.  The
+covers of each block are counted against T = |G| / |W_(J_lo n J_hi)|, and
+those of each face against T over its slot's face count.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 import numpy as np
 
-from ._kernels import found_at
-from .decoration import (
-    face_types,
-    require_nondegenerate,
-    selection_orderings,
-    start_decoration,
-)
+from .decoration import face_types, require_nondegenerate, start_decoration
 from .diagram import DecoratedDiagram, group_order, parabolic_order
 from .errors import WythoffError
 from .reflection_group import Group, _coset_minima, coxeter_matrix, enumerate_group
@@ -163,20 +160,32 @@ class FaceLattice:
 
     @cached_property
     def chains(self) -> list:
-        """Selection orderings as per-rank slot indices (ranks 0..n-1)."""
-        slot_idx = [
-            {s.selection: i for i, s in enumerate(sl)}
+        """Selection orderings as per-rank slot indices (ranks 0..n-1).
+
+        The chains grow rank by rank along the slots, where a slot with
+        selection sel leads to the slot sel | {w}.  That is exactly the
+        rewrite step that selects w: a w still crossed would make the ringless
+        component {w}, so sel | {w} is then no slot.  Each chain is extended
+        in increasing w, so the chains come in the order of
+        selection_orderings, depth first with lower nodes first.
+        """
+        masks = [
+            {sum(1 << v for v in s.selection): i for i, s in enumerate(sl)}
             for sl in self.slots_by_rank
         ]
-        chains = []
-        for ordering in selection_orderings(self.start):
-            sel = set()
-            path = [slot_idx[0][frozenset()]]
-            for w in ordering[:-1]:
-                sel.add(w)
-                path.append(slot_idx[len(sel)][frozenset(sel)])
-            chains.append(tuple(path))
+        chains = [(0,)]
+        for k in range(1, self.n):
+            steps = [
+                [masks[k][m | 1 << w] for w in range(self.n) if m | 1 << w in masks[k]]
+                for m in masks[k - 1]
+            ]
+            chains = [c + (i,) for c in chains for i in steps[c[-1]]]
         return chains
+
+    @cached_property
+    def _walk(self) -> tuple:
+        """(DiamondReport, faces between): one walk over the slot triples (_walk_triples)."""
+        return _walk_triples(self)
 
     def flag_count(self) -> int:
         return len(self.chains) * group_order(self.diagram)
@@ -271,12 +280,35 @@ def diamond_report(lat: FaceLattice) -> DiamondReport:
     as (lower selection, upper selection, found, T), and each block with a
     face off its count in face_mismatches as (lower selection, upper
     selection, lower faces off, upper faces off).
+
+    The walk that checks this also reads off the faces between for the flag
+    moves (_flag_moves); a lattice walks its slot triples once and keeps
+    the report.
+    """
+    return lat._walk[0]
+
+
+def _walk_triples(lat: FaceLattice) -> tuple:
+    """(DiamondReport, faces between), the walk behind diamond_report.
+
+    faces between maps the slot offsets (lower, upper) of every lower and
+    upper slot two ranks apart, lower -1 for the bottom, to the faces
+    between their cosets 0, as [(slot index in its rank, coset)].  They are
+    read off row 0 of the chained rows before it is sorted: a middle face
+    is listed once per cover of lower coset 0 that reaches it, however
+    often it reaches upper coset 0.  The bottom's are the vertices of edge 0
+    of each edge slot, each once.
     """
     blocks = lat.cover_blocks
     ups, per_edge, cover_mismatches, face_mismatches = _up_tables(lat)
+    index = {s.offset: si for sl in lat.slots_by_rank for si, s in enumerate(sl)}
+    first = [up[0].tolist() for up, _ in ups]  # the faces over each lower coset 0
+    between = {}
     checked = 0
     found = [[] for _ in range(lat.n)]
-    for hi, counts in per_edge:
+    for b, counts in per_edge:
+        _, hi, i, j = blocks[b]
+        between[-1, hi.offset] = [(0, v) for v in sorted(set(i[j == 0].tolist()))]
         checked += int(np.count_nonzero(counts))
         bad = np.flatnonzero((counts != 0) & (counts != 2))[:10]
         found[0] += [(None, hi.offset + e, c) for e, c in zip(bad.tolist(), counts[bad].tolist())]
@@ -293,6 +325,16 @@ def diamond_report(lat: FaceLattice) -> DiamondReport:
         (lo, mid, _, _), (_, hi, _, _) = blocks[chain[0][0]], blocks[chain[0][1]]
         rows = [_chain(ups[a], ups[b]) for a, b in chain]
         rows = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+        # the faces between cosets 0: in row 0, each middle's d1 * d2 entries
+        # are the d2 upper faces of each of its d1 faces over lower coset 0
+        row, mids, start = rows[0].tolist(), [], 0
+        for a, b in chain:
+            si, d2 = index[blocks[b][0].offset], ups[b][0].shape[1]
+            for c in first[a]:
+                if 0 in row[start : start + d2]:
+                    mids.append((si, c))
+                start += d2
+        between[lo.offset, hi.offset] = mids
         w = rows.shape[1]
         if w == 0:
             continue
@@ -317,7 +359,7 @@ def diamond_report(lat: FaceLattice) -> DiamondReport:
             lower, upper = divmod(int(keys[starts[r]]), hi.count)
             found[mid.rank].append((lo.offset + lower, hi.offset + upper, int(counts[r])))
     violations = [v for f in found for v in sorted(f, key=lambda v: (v[0] or 0, v[1]))[:10]]
-    return DiamondReport(checked, violations, cover_mismatches, face_mismatches)
+    return DiamondReport(checked, violations, cover_mismatches, face_mismatches), between
 
 
 def _up_tables(lat: FaceLattice) -> tuple:
@@ -328,13 +370,16 @@ def _up_tables(lat: FaceLattice) -> tuple:
     row i holds the upper faces of lower face i.  When every lower face has
     the T / lo.count covers of a valid lattice, the block, sorted by i, is
     that table reshaped; otherwise the rows are padded with -1 and padded
-    is True.  per_edge holds (edge slot, vertices of each edge) for the
-    vertex -> edge blocks.
+    is True.  per_edge holds (block index, vertices of each edge) for the
+    vertex -> edge blocks.  T is worked out once per shared node set.
     """
     total = lat.group.order
-    ups, per_edge, totals, faces = [], [], [], []
-    for lo, hi, i, j in lat.cover_blocks:
-        want = total // parabolic_order(lat.diagram, lo.nodes & hi.nodes)
+    ups, per_edge, totals, faces, wants = [], [], [], [], {}
+    for b, (lo, hi, i, j) in enumerate(lat.cover_blocks):
+        shared = lo.nodes & hi.nodes
+        if shared not in wants:
+            wants[shared] = total // parabolic_order(lat.diagram, shared)
+        want = wants[shared]
         if len(i) != want:
             totals.append((sorted(lo.selection), sorted(hi.selection), len(i), want))
         per_lo = np.bincount(i, minlength=lo.count)
@@ -344,7 +389,7 @@ def _up_tables(lat: FaceLattice) -> tuple:
         if lo_off or hi_off:
             faces.append((sorted(lo.selection), sorted(hi.selection), lo_off, hi_off))
         if lo.rank == 0:
-            per_edge.append((hi, per_hi))
+            per_edge.append((b, per_hi))
         if lo_off:
             up = np.full((lo.count, per_lo.max()), -1, dtype=j.dtype)
             up[i, np.arange(len(i)) - (np.cumsum(per_lo) - per_lo)[i]] = j
@@ -388,10 +433,10 @@ def _flag_moves(lat: FaceLattice) -> tuple[np.ndarray, np.ndarray] | None:
     Returns (gen, nxt), two (orderings, n) integer tables: the rank-k
     neighbor of (c, identity) is (nxt[c, k], s_i) with i = gen[c, k], or
     (nxt[c, k], identity) when gen[c, k] is -1.  The rank-k faces between
-    the flag's rank-(k-1) and rank-(k+1) faces are read from the cover
-    blocks: those covering the face below, which every vertex does for the
-    bottom, and covered by the face above.  None when some flag does not
-    have exactly two faces there, its own and one other.
+    the flag's rank-(k-1) and rank-(k+1) faces, cosets 0 of their slots,
+    come from the lattice's one walk over its slot triples (diamond_report).
+    None when some flag does not have exactly two faces there, its own and
+    one other.
 
     The other face gives the move.  Let J_j be the stabilizer nodes of the
     flag's rank-j face and K the nodes in every J_j but J_k.  Every h in W_K
@@ -406,48 +451,38 @@ def _flag_moves(lat: FaceLattice) -> tuple[np.ndarray, np.ndarray] | None:
       one node {i} and h = s_i.
     Anything else raises WythoffError.
     """
-    rmult = lat.group.rmult
     n = lat.n
-    chain_idx = {c: i for i, c in enumerate(lat.chains)}
     slots = lat.slots_by_rank
-    # per (lower, upper) slot offsets: the upper faces over the lower coset 0,
-    # a prefix of the block sorted by i, and the lower faces under the upper
-    # coset 0.  The bottom, offset -1, is below every vertex
-    v = slots[0][0]
-    over, under = {(-1, v.offset): np.arange(v.count)}, {}
-    for lo, hi, i, j in lat.cover_blocks:
-        over[lo.offset, hi.offset] = j[: np.searchsorted(i, 1)]
-        under[lo.offset, hi.offset] = i[j == 0]
-
-    @cache
-    def faces_between(k, lower, upper):
-        """Rank-k faces over coset 0 of slot offset lower and under that of upper."""
-        out = []
-        for si, s in enumerate(slots[k]):
-            a, b = over.get((lower, s.offset)), under.get((s.offset, upper))
-            if a is not None and b is not None:  # else the selections do not nest
-                out.extend((si, c) for c in a[found_at(b, a, np.searchsorted(b, a))].tolist())
-        return out
-
+    between = lat._walk[1]
+    chain_idx = {c: i for i, c in enumerate(lat.chains)}
+    masks = [[sum(1 << v for v in s.nodes) for s in sl] for sl in slots]
+    # per slot, the cosets of the identity and of each s_i, by node + 1
+    elements = [0, *lat.group.rmult[:, 0].tolist()]
+    moved = [[s.table.coset_id.take(elements).tolist() for s in sl] for sl in slots[:n]]
+    every = (1 << n) - 1
     gen = np.full((len(chain_idx), n), -1, dtype=np.int64)
     nxt = np.empty_like(gen)
     for ci, chain in enumerate(lat.chains):
         bounds = [-1] + [slots[k][c].offset for k, c in enumerate(chain)] + [lat.top_id]
+        nodes = [masks[k][c] for k, c in enumerate(chain)]
         for k in range(n):
-            mids = faces_between(k, bounds[k], bounds[k + 2])
-            if len(mids) != 2 or (chain[k], 0) not in mids:
+            mids = between[bounds[k], bounds[k + 2]]
+            own = (chain[k], 0)
+            if len(mids) != 2 or own not in mids or mids[0] == mids[1]:
                 return None
-            other_slot, other_coset = next(m for m in mids if m != (chain[k], 0))
+            other_slot, other_coset = mids[1] if mids[0] == own else mids[0]
+            i = -1
             if other_slot == chain[k]:
-                others = [slots[j][chain[j]].nodes for j in range(n) if j != k]
-                inter = frozenset.intersection(*others) if others else frozenset(range(n))
-                if len(inter) == 1:
-                    gen[ci, k] = min(inter)
+                inter = reduce(and_, nodes[:k] + nodes[k + 1 :], every)
+                if inter.bit_count() == 1:
+                    i = inter.bit_length() - 1
+                nxt[ci, k] = ci
+            else:
+                nxt[ci, k] = chain_idx[chain[:k] + (other_slot,) + chain[k + 1 :]]
             # the other face must be the coset of the move's element
-            h = 0 if gen[ci, k] < 0 else rmult[gen[ci, k], 0]
-            if slots[k][other_slot].table.coset_id[h] != other_coset:
+            if moved[k][other_slot][i + 1] != other_coset:
                 raise WythoffError("flag move is not unique")
-            nxt[ci, k] = chain_idx[chain[:k] + (other_slot,) + chain[k + 1 :]]
+            gen[ci, k] = i
     return gen, nxt
 
 

@@ -10,10 +10,13 @@ connectivity from the holonomy of the graph of orderings
 flag_report_by_holonomy), where the library reads each move as the
 identity or one simple reflection and keeps the moves as two integer
 tables, the reflection's node and the next ordering.  These are the only
-users of scipy.  The element matrices, the reflection count,
-the Gram definiteness test and the vertex figure are independent views of
-the group, the diagram and the lattice that only tests read, and so is
-face_rank, the rank of every face id.  enumerate_by_search is the
+users of scipy.  flag_moves_by_cover_scan builds those tables the way the
+library did before one walk over the slot triples fed both the diamond
+check and the moves: it scans every slot of a rank per (ordering, rank)
+and tests membership in sorted keys by found_at.  The element matrices,
+the reflection count, the Gram definiteness test and the vertex figure are
+independent views of the group, the diagram and the lattice that only
+tests read, and so is face_rank, the rank of every face id.  enumerate_by_search is the
 group's route before the parabolic chain: a search over all of W by
 layers that keys the ascents s_i w and deduplicates each layer by a sort.
 The group keeps only the images of the simple roots and no words; full_rows rebuilds every column along a
@@ -394,7 +397,7 @@ def rmult_by_key_lookup(g) -> np.ndarray:
             images[:, j] = hits[where]
         want = _row_keys(key_table, images)
         pos = np.searchsorted(keys, want)
-        if not _kernels.found_at(keys, want, pos).all():
+        if not found_at(keys, want, pos).all():
             raise KeyError("permutation is not a group element")
         rmult[i] = order[pos]
     return rmult
@@ -588,6 +591,59 @@ def flag_moves_by_search(lat: FaceLattice) -> dict | None:
             new_chain = chain[:k] + (other_slot,) + chain[k + 1 :]
             moves[(ci, k)] = (int(hs[0]), chain_idx[new_chain])
     return moves
+
+
+def flag_moves_by_cover_scan(lat: FaceLattice) -> tuple[np.ndarray, np.ndarray] | None:
+    """face_lattice._flag_moves, with the faces between found by a slot scan.
+
+    For each ordering and rank, every slot of the rank is scanned for the
+    faces over coset 0 of the flag's lower slot, read off the lower block
+    sorted by i, that lie under coset 0 of its upper slot, found by a
+    searchsorted membership test (found_at).  Below the vertices sits the
+    bottom, offset -1, under which every vertex lies.  A face is listed once
+    per cover of the lower coset 0 that reaches it, and the flag's own face
+    listed twice is no move.  The library reads the same faces off its one
+    walk over the slot triples.
+    """
+    rmult = lat.group.rmult
+    n = lat.n
+    chain_idx = {c: i for i, c in enumerate(lat.chains)}
+    slots = lat.slots_by_rank
+    v = slots[0][0]
+    over, under = {(-1, v.offset): np.arange(v.count)}, {}
+    for lo, hi, i, j in lat.cover_blocks:
+        over[lo.offset, hi.offset] = j[: np.searchsorted(i, 1)]
+        under[lo.offset, hi.offset] = i[j == 0]
+
+    @functools.cache
+    def faces_between(k, lower, upper):
+        out = []
+        for si, s in enumerate(slots[k]):
+            a, b = over.get((lower, s.offset)), under.get((s.offset, upper))
+            if a is not None and b is not None:  # else the selections do not nest
+                out.extend((si, c) for c in a[found_at(b, a, np.searchsorted(b, a))].tolist())
+        return out
+
+    gen = np.full((len(chain_idx), n), -1, dtype=np.int64)
+    nxt = np.empty_like(gen)
+    for ci, chain in enumerate(lat.chains):
+        bounds = [-1] + [slots[k][c].offset for k, c in enumerate(chain)] + [lat.top_id]
+        for k in range(n):
+            mids = faces_between(k, bounds[k], bounds[k + 2])
+            if len(mids) != 2 or (chain[k], 0) not in mids or mids[0] == mids[1]:
+                return None
+            other_slot, other_coset = next(m for m in mids if m != (chain[k], 0))
+            if other_slot == chain[k]:
+                others = [slots[j][chain[j]].nodes for j in range(n) if j != k]
+                inter = frozenset.intersection(*others) if others else frozenset(range(n))
+                if len(inter) == 1:
+                    gen[ci, k] = min(inter)
+            # the other face must be the coset of the move's element
+            h = 0 if gen[ci, k] < 0 else rmult[gen[ci, k], 0]
+            if slots[k][other_slot].table.coset_id[h] != other_coset:
+                raise WythoffError("flag move is not unique")
+            nxt[ci, k] = chain_idx[chain[:k] + (other_slot,) + chain[k + 1 :]]
+    return gen, nxt
 
 
 @functools.cache
@@ -868,6 +924,13 @@ def sorted_unique(keys):
     keep = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
+
+
+def found_at(sorted_keys, keys, pos):
+    """Which keys sit at their searchsorted positions pos in sorted_keys."""
+    if not len(sorted_keys):
+        return np.zeros(np.shape(keys), dtype=bool)
+    return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
 
 
 def coset_pairs_by_sort(a, b) -> np.ndarray:

@@ -20,10 +20,16 @@ from oracles import (
     generator_face_actions,
     vertex_figure,
 )
-from sweep import benchmark_workloads, sweep_products
+from sweep import (
+    benchmark_workloads,
+    decorated_variants,
+    rank_34_diagrams,
+    sweep_diagrams,
+    sweep_products,
+)
 from wythoff import face_lattice, reflection_group
 from wythoff.cli import main
-from wythoff.decoration import f_vector_formula, start_decoration
+from wythoff.decoration import f_vector_formula, selection_orderings, start_decoration
 from wythoff.diagram import disjoint_union, family_diagram, group_order, parse
 from wythoff.errors import DedupCollision, Degenerate, WythoffError
 from wythoff.face_lattice import (
@@ -129,12 +135,13 @@ def test_diamond_counts_covers_per_face(shared):
 
 def test_diamond_report_peak_memory(shared):
     # 14400 vertices: the up-tables of a valid lattice are its cover
-    # blocks reshaped, and the rows of one slot pair at a time are built
+    # blocks reshaped, and the rows of one slot pair at a time are built.
+    # diamond_report keeps the lattice's walk, so the walk itself is measured
     lat = shared.lattice(parse("x5x3x3x"))
     diamond_report(lat)
     tracemalloc.start()
     try:
-        report = diamond_report(lat)
+        report, _ = face_lattice._walk_triples(lat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -334,10 +341,35 @@ def test_lattice_document_shape(shared):
 
 
 def test_chains_match_selection_orderings(shared):
-    from wythoff.decoration import selection_orderings
+    # each ordering's prefixes, mapped to their slots, in the order
+    # selection_orderings lists the orderings
+    diagrams = [
+        *rank_34_diagrams(),
+        *sweep_products(),
+        *(d for base in sweep_diagrams() for d in decorated_variants(base)),
+    ]
+    for d in diagrams:
+        lat = shared.lattice(d)
+        index = [{s.selection: i for i, s in enumerate(sl)} for sl in lat.slots_by_rank]
+        want = [
+            tuple(index[k][frozenset(o[:k])] for k in range(lat.n))
+            for o in selection_orderings(start_decoration(d))
+        ]
+        assert lat.chains == want, d
 
-    lat = shared.lattice(parse("o3x4x"))
-    assert len(lat.chains) == len(list(selection_orderings(start_decoration(lat.diagram))))
+
+def test_one_walk_serves_the_diamond_and_the_flags(monkeypatch):
+    calls = []
+    up_tables = face_lattice._up_tables
+    monkeypatch.setattr(face_lattice, "_up_tables", lambda lat: calls.append(lat) or up_tables(lat))
+    for text in ("x3x4o", "x", "o3x3o3x"):
+        lat = build_lattice(parse(text))
+        assert flag_report(lat).ok
+        flag_partners(lat)
+        assert diamond_report(lat).ok
+        flag_report(lat)
+        assert calls == [lat]
+        calls.clear()
 
 
 def _count_coset_pairs(monkeypatch) -> list:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import min_pairwise_by_projection, sorted_unique
-from wythoff._kernels import found_at, match_rows, min_pairwise_distance
+from oracles import found_at, min_pairwise_by_projection, sorted_unique
+from wythoff._kernels import match_rows, min_pairwise_distance
 from wythoff.diagram import family_diagram, parse
 from wythoff.reflection_group import root_system
 

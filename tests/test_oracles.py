@@ -22,6 +22,7 @@ from oracles import (
     covers_by_unique,
     face_rank,
     face_vertex_by_unique,
+    flag_moves_by_cover_scan,
     flag_moves_by_search,
     flag_partners_by_rows,
     flag_report_by_holonomy,
@@ -36,6 +37,7 @@ from sweep import (
 )
 from wythoff import diagram, face_lattice, geometry, reflection_group
 from wythoff.diagram import disjoint_union, parse
+from wythoff.errors import WythoffError
 from wythoff.face_lattice import (
     FaceLattice,
     build_lattice,
@@ -386,6 +388,46 @@ def test_corrupted_diamond_matches_sparse_products(shared, corruption):
     _assert_diamond_matches(lat, bad)
     real = replace(shared.realization(d), lattice=bad)
     assert containment_check(real) == _containment_by_sparse(real)
+
+
+def _moves_outcome(moves, lat):
+    """("none",), ("moves", gen, nxt) or ("error", type, message) of one flag move route."""
+    try:
+        out = moves(lat)
+    except WythoffError as e:
+        return "error", type(e), str(e)
+    return ("none",) if out is None else ("moves", out[0].tolist(), out[1].tolist())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_corruptions())
+# a second cover of vertex 1 by edge 0: the vertices between the bottom
+# and edge 0 are still 0 and 1, each once
+@example(("x4o3o", [("duplicate", 0, 3, 0)]))
+# a second cover of edge 1 by square 0: edge 1 is still one face between
+# vertex 0 and square 0
+@example(("x4o3o", [("duplicate", 1, 2, 0)]))
+# edge 0 over vertex 0 twice, and the other edge of square 0 over it not
+# at all: the flag's own face twice is no move
+@example(("x4o3o", [("duplicate", 0, 0, 0), ("drop", 0, 2, 0)]))
+def test_corrupted_flag_moves_match_the_cover_scan(shared, corruption):
+    # the moves read off the one walk over the slot triples agree with a
+    # scan of every slot per (ordering, rank): both None, equal tables or
+    # the same error, and flag_report follows them
+    name, ops = corruption
+    lat = shared.lattice(CORRUPTIBLE[name]())
+    bad = _with_blocks(lat, _corrupted_blocks(lat, ops))
+    want = _moves_outcome(flag_moves_by_cover_scan, bad)
+    assert _moves_outcome(face_lattice._flag_moves, bad) == want
+    if want[0] == "error":
+        with pytest.raises(WythoffError):
+            flag_report(bad)
+    else:
+        report = flag_report(bad)
+        assert report.degree_ok == (want[0] == "moves")
+        if report.degree_ok:
+            moves = tuple(np.array(t) for t in want[1:])
+            assert report.connected == face_lattice._flags_connected(*moves)
 
 
 def test_corrupted_vertex_lists_match_sparse_containment(shared, monkeypatch):
