@@ -484,48 +484,49 @@ def _path(labels, marks, prefix="v"):
     return DecoratedDiagram(ids, tuple(marks), edges)
 
 
+# the ranks family_diagram builds for each family but I2, (least, greatest),
+# None for no greatest
+_FAMILY_RANKS = {"A": (1, None), "B": (2, None), "D": (4, None), "E": (6, 8),
+                 "F": (4, 4), "H": (3, 4)}
+
+
 def family_diagram(family: str, rank: int, k: int | None = None,
                    ringed=()) -> DecoratedDiagram:
     """Canonical layout of one family with rings at the given node indices.
 
     Layouts: A/B/F/H are paths (B has its 4 on the first edge, H its 5 on the
     first edge); D is a path v1..v(n-2) with two extra leaves on v(n-2); E is
-    a path v1..v(n-1) with one extra leaf on v3.
+    a path v1..v(n-1) with one extra leaf on v3.  ValueError for a rank
+    outside _FAMILY_RANKS, or for I2 without rank 2 and a label k >= 3.
     """
     ringed = set(ringed)
     marks = [RING if i in ringed else CROSS for i in range(rank)]
-    if family == "A":
-        return _path([3] * (rank - 1), marks)
-    if family == "B":
-        if rank < 2:
-            raise ValueError("B needs rank >= 2")
-        return _path([4] + [3] * (rank - 2), marks)
-    if family == "H":
-        if rank not in (3, 4):
-            raise ValueError("H needs rank 3 or 4")
-        return _path([5] + [3] * (rank - 2), marks)
-    if family == "F":
-        if rank != 4:
-            raise ValueError("F needs rank 4")
-        return _path([3, 4, 3], marks)
     if family == "I2":
         if rank != 2 or k is None or k < 3:
             raise ValueError("I2 needs rank 2 and a label k >= 3")
         return _path([k], marks)
+    if family not in _FAMILY_RANKS:
+        raise ValueError("unknown family %r" % family)
+    least, most = _FAMILY_RANKS[family]
+    if rank < least or rank > (most or rank):
+        span = ">= %d" % least if most is None else "%d to %d" % (least, most)
+        raise ValueError("%s needs rank %s" % (family, span))
+    if family == "A":
+        return _path([3] * (rank - 1), marks)
+    if family == "B":
+        return _path([4] + [3] * (rank - 2), marks)
+    if family == "H":
+        return _path([5] + [3] * (rank - 2), marks)
+    if family == "F":
+        return _path([3, 4, 3], marks)
     ids = tuple("v%d" % (i + 1) for i in range(rank))
     if family == "D":
-        if rank < 4:
-            raise ValueError("D needs rank >= 4")
         edges = [(i, i + 1, 3) for i in range(rank - 3)]
         edges += [(rank - 3, rank - 2, 3), (rank - 3, rank - 1, 3)]
-        return DecoratedDiagram(ids, tuple(marks), tuple(edges))
-    if family == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError("E needs rank 6, 7 or 8")
+    else:
         edges = [(i, i + 1, 3) for i in range(rank - 2)]
         edges += [(2, rank - 1, 3)]
-        return DecoratedDiagram(ids, tuple(marks), tuple(edges))
-    raise ValueError("unknown family %r" % family)
+    return DecoratedDiagram(ids, tuple(marks), tuple(edges))
 
 
 def disjoint_union(*parts: DecoratedDiagram) -> DecoratedDiagram:

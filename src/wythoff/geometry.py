@@ -14,11 +14,13 @@ closest pair is a hull edge (Matula and Sokal, 1980; Brown, 1979), and
 distinct cosets are distinct points (Humphreys, Reflection Groups and
 Coxeter Groups, 1.12).  See realize.
 
-The faces of one slot form one orbit, so the affine rank check and the
-regularity witnesses measure one base face per slot and carry its verdict
-to the slot's other faces g F when it clears its tolerance by a slack
-derived from the audit deviation; a slot with a thinner margin is checked
-face by face.
+The faces of one slot form one orbit, the cosets g W_J, so one base face
+decides its slot.  One rule (_slot_svd) measures it, for the affine rank
+check and for the witnesses' ridge spans alike, and carries its verdict to
+the slot's other faces g F when it clears its tolerance by a slack derived
+from the audit deviation; the witnesses then decide each ridge slot from
+its base ridge's reflection the same way.  A slot with a thinner margin is
+checked face by face.
 """
 
 from __future__ import annotations
@@ -181,14 +183,9 @@ def affine_rank_check(real: Realization) -> CheckReport:
     """Affine dimension of each face's vertex set equals its lattice rank.
 
     One SVD per slot, on its base face W_J (coset 0), decides every face of
-    the slot.  Face g W_J's points are g times the base face's, rows paired
-    by vertex(h) -> vertex(g h), plus an error E (Realization.image_error).
-    g and the row order keep singular values and centering does not raise
-    ||E||, so by Weyl's inequality each moves by at most ||E||_2 <= ||E||_F
-    <= 2 sqrt(m dim) deviation, the slack, for m vertices per face.  The
-    base verdict holds for the whole slot when every base singular value
-    is farther than the slack from AFFINE_RANK_TOL; a slot with a thinner
-    margin runs the same SVD over all of its faces.
+    the slot when its margin is positive (_slot_svd), the slack being
+    image_error(m) for m vertices per face; a slot with a thinner margin
+    runs the same SVD over all of its faces.
 
     detail: faces and the first violating ids per slot; margin, the least
     distance of a base singular value from AFFINE_RANK_TOL minus its slot's
@@ -199,31 +196,52 @@ def affine_rank_check(real: Realization) -> CheckReport:
     bad = []
     margin = np.inf
     per_face_slots = 0
-
-    def singular_values(rows):
-        pts = real.points.take(rows, axis=0)
-        return np.linalg.svd(pts - pts.mean(axis=1, keepdims=True), compute_uv=False)
-
     for sl in lat.slots_by_rank:
         for s in sl:
             checked += s.count
             if s.rank == 0:
                 continue
-            fv = lat.face_vertices[s.offset]
-            base = singular_values(fv[:1])
-            slack = real.image_error(fv.shape[1])
-            slot_margin = float(np.abs(base - AFFINE_RANK_TOL).min()) - slack
+            slack = real.image_error(lat.face_vertices[s.offset].shape[1])
+            sv, slot_margin, _ = _slot_svd(real, s, slack)
             margin = min(margin, slot_margin)
-            if slot_margin > 0:
-                ranks = np.repeat((base > AFFINE_RANK_TOL).sum(axis=1), s.count)
-            else:
-                per_face_slots += 1
-                ranks = (singular_values(fv) > AFFINE_RANK_TOL).sum(axis=1)
-            wrong = np.flatnonzero(ranks != s.rank)
+            per_face_slots += slot_margin <= 0
+            wrong = np.flatnonzero((sv > AFFINE_RANK_TOL).sum(axis=1) != s.rank)
+            if wrong.size and slot_margin > 0:
+                wrong = range(s.count)  # the base face's rank is every face's
             bad.extend(int(w) + s.offset for w in wrong[:10])
     detail = {"faces": checked, "violations": bad}
     detail.update(margin=float(margin), per_face_slots=per_face_slots)
     return CheckReport("affine_rank", not bad, detail)
+
+
+def _slot_svd(real: Realization, s, slack: float, span: bool = False) -> tuple:
+    """(sv, margin, vt): one slot's singular values, decided on its base face.
+
+    The rows are a face's vertices, centered on their mean for its affine
+    hull, or as they are for its linear span (span), which also returns the
+    right singular vectors vt, else None.  sv and vt are the base face W_J's
+    (coset 0) when margin, the least distance of a base singular value from
+    AFFINE_RANK_TOL minus slack, is positive, and every face's otherwise.
+    Face g W_J's points are g times the base face's, rows paired by
+    vertex(h) -> vertex(g h), plus an error E (Realization.image_error).  g
+    and the row order keep singular values and centering does not raise
+    ||E||, so by Weyl's inequality each moves by at most ||E||_2 <=
+    ||E||_F: when slack bounds ||E||_F and margin is positive, the base
+    face's rank is every face's.  An infinite slack asks for every face.
+    """
+    fv = real.lattice.face_vertices[s.offset]
+    margin = None
+    for rows in (fv[:1], fv):
+        pts = real.points.take(rows, axis=0)
+        if span:
+            _, sv, vt = np.linalg.svd(pts, full_matrices=True)
+        else:
+            sv, vt = np.linalg.svd(pts - pts.mean(axis=1, keepdims=True), compute_uv=False), None
+        if margin is None:
+            margin = float(np.abs(sv - AFFINE_RANK_TOL).min() - slack)
+            if margin > 0:
+                break
+    return sv, margin, vt
 
 
 def containment_check(real: Realization) -> CheckReport:
@@ -369,30 +387,22 @@ def verify_realization(real: Realization) -> dict:
 # -- regularity witnesses ----------------------------------------------------
 
 
-def _span_normals(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and unit span normals of stacked ridge point sets."""
-    _, sv, vt = np.linalg.svd(pts, full_matrices=True)
-    return sv, vt[:, -1, :]
-
-
 def _ridge_slots(real: Realization) -> list:
     """(slot, normals, bend) per rank n-2 slot, in slot order.
 
     A symmetry fixing a ridge pointwise also fixes the origin, hence the
     whole linear span of the ridge; that span must be a hyperplane or no
     reflection through the ridge exists (SpanDeficient; below dimension 2,
-    UnsupportedDimension).  As in affine_rank_check, ridge g r's points
-    are g times the base ridge r's plus E, ||E||_F <= err = image_error(m)
-    + ROUNDING, so by Weyl's inequality each singular value moves by at
-    most err.  When every base singular value is farther than err from
-    AFFINE_RANK_TOL, the base ridge's span decides the slot: normals holds
-    its one unit normal u, and bend bounds 2 sin of the angle between any
-    ridge's computed normal and g u, the norm of the difference of their
-    reflections.  Counting the base's last singular value s_n as part of
-    the error, that sine is at most (err + s_n) / (s_(n-1) - err - s_n) by
-    Wedin's theorem, s_(n-1) the base's smallest nonzero singular value;
-    bend is inf when that gap closes.  Otherwise normals holds every
-    ridge's normal and bend is None.
+    UnsupportedDimension).  Ridge g r's points are g times the base ridge
+    r's plus E, ||E||_F <= err = image_error(m) + ROUNDING, so when the
+    margin over err is positive (_slot_svd) the base ridge's span decides
+    the slot: normals holds its one unit normal u, and bend bounds 2 sin of
+    the angle between any ridge's computed normal and g u, the norm of the
+    difference of their reflections.  Counting the base's last singular
+    value s_n as part of the error, that sine is at most (err + s_n) /
+    (s_(n-1) - err - s_n) by Wedin's theorem, s_(n-1) the base's smallest
+    nonzero singular value; bend is inf when that gap closes.  Otherwise
+    normals holds every ridge's normal and bend is None.
     """
     lat = real.lattice
     n = lat.n
@@ -400,12 +410,8 @@ def _ridge_slots(real: Realization) -> list:
         raise UnsupportedDimension("ridges need dimension >= 2")
     out = []
     for s in lat.slots_by_rank[n - 2]:
-        fv = lat.face_vertices[s.offset]
-        err = real.image_error(fv.shape[1]) + ROUNDING
-        sv, normals = _span_normals(real.points.take(fv[:1], axis=0))
-        carried = np.abs(sv - AFFINE_RANK_TOL).min() > err
-        if not carried:
-            sv, normals = _span_normals(real.points.take(fv, axis=0))
+        err = real.image_error(lat.face_vertices[s.offset].shape[1]) + ROUNDING
+        sv, margin, vt = _slot_svd(real, s, err, span=True)
         ranks = (sv > AFFINE_RANK_TOL).sum(axis=1)
         wrong = np.flatnonzero(ranks != n - 1)
         if wrong.size:
@@ -413,34 +419,34 @@ def _ridge_slots(real: Realization) -> list:
                 f"ridge span has dimension {int(ranks[wrong[0]])}, expected {n - 1}"
             )
         bend = None
-        if carried:
+        if margin > 0:
             tail = err + (sv[0, n - 1] if sv.shape[1] >= n else 0.0)
             gap = sv[0, n - 2] - tail
             bend = 2.0 * tail / gap if gap > 0 else np.inf
-        out.append((s, normals, bend))
+        out.append((s, vt[:, -1, :], bend))
     return out
 
 
-def _reflected_matches(points: np.ndarray, normals: np.ndarray, slack: np.ndarray) -> tuple:
+def _reflected_matches(points: np.ndarray, normals: np.ndarray, slack: float) -> tuple:
     """(missed, held) per normal, for points reflected through it.
 
     missed: some image lies farther than RIDGE_MATCH_TOL + slack from every
     point.  held: every image lies within RIDGE_MATCH_TOL - slack of a
-    point.  slack holds one value per normal, each below RIDGE_MATCH_TOL;
-    at slack 0, missed is match_rows' verdict at RIDGE_MATCH_TOL itself.
-    The images for a block of normals, about WITNESS_ROWS rows together,
-    are matched in one match_rows call, so the set is sorted once per block.
+    point.  slack is below RIDGE_MATCH_TOL; at slack 0, missed is
+    match_rows' verdict at RIDGE_MATCH_TOL itself.  The images for a block
+    of normals, about WITNESS_ROWS rows together, are matched in one
+    match_rows call, so the set is sorted once per block.
     """
     per = max(1, WITNESS_ROWS // len(points))
     missed, held = [], []
     for start in range(0, len(normals), per):
-        block, sl = normals[start : start + per], slack[start : start + per, None]
+        block = normals[start : start + per]
         moved = np.concatenate([points - 2.0 * np.outer(points @ u, u) for u in block])
-        idx = match_rows(moved, points, RIDGE_MATCH_TOL + sl.max())
+        idx = match_rows(moved, points, RIDGE_MATCH_TOL + slack)
         d2 = ((moved - points.take(idx, axis=0)) ** 2).sum(axis=1).reshape(len(block), -1)
         idx = idx.reshape(len(block), -1)
         missed.append((idx < 0).any(axis=1))
-        held.append(((idx >= 0) & (d2 <= (RIDGE_MATCH_TOL - sl) ** 2)).all(axis=1))
+        held.append(((idx >= 0) & (d2 <= (RIDGE_MATCH_TOL - slack) ** 2)).all(axis=1))
     return np.concatenate(missed), np.concatenate(held)
 
 
@@ -457,33 +463,27 @@ def _unclosed_ridges(real: Realization, points: np.ndarray, limit: int) -> list:
     s misses or holds with that slack (_reflected_matches), every ridge of
     the slot does so at RIDGE_MATCH_TOL; otherwise, and for the slots whose
     span margin was too thin (_ridge_slots), each ridge is matched alone.
+    The slots are walked once, in order, each at its own slack.
     """
     slots = _ridge_slots(real)
     reach = np.sqrt((points * points).sum(axis=1).max())
     carry = 4.0 * np.sqrt(real.dim) * real.deviation + ROUNDING
-    # a base ridge whose slack reaches the tolerance cannot hold, so its
-    # slot goes ridge by ridge without a try
-    tried = [
-        k for k, (_, _, bend) in enumerate(slots)
-        if bend is not None and carry + bend * reach < RIDGE_MATCH_TOL
-    ]
-    fails = {}  # slot index -> whether every ridge of a decided slot fails
-    if tried:
-        normals = np.concatenate([slots[k][1] for k in tried])
-        slack = carry + reach * np.array([slots[k][2] for k in tried])
-        missed, held = _reflected_matches(points, normals, slack)
-        fails = {k: bool(m) for k, m, h in zip(tried, missed, held, strict=True) if m or h}
     failures = []
     first = 0
-    for k, (s, normals, bend) in enumerate(slots):
-        if k not in fails:
-            if bend is not None:
-                fv = real.lattice.face_vertices[s.offset]
-                normals = _span_normals(real.points.take(fv, axis=0))[1]
-            missed, _ = _reflected_matches(points, normals, np.zeros(len(normals)))
-            failures.extend((first + np.flatnonzero(missed)).tolist())
-        elif fails[k]:
+    for s, normals, bend in slots:
+        slack = np.inf if bend is None else carry + bend * reach
+        missed = held = False
+        # a base ridge whose slack reaches the tolerance cannot hold, so its
+        # slot goes ridge by ridge without a try
+        if slack < RIDGE_MATCH_TOL:
+            (missed,), (held,) = _reflected_matches(points, normals, slack)
+        if missed:
             failures.extend(range(first, first + min(s.count, limit)))
+        elif not held:
+            if bend is not None:
+                normals = _slot_svd(real, s, np.inf, span=True)[2][:, -1, :]
+            missed, _ = _reflected_matches(points, normals, 0.0)
+            failures.extend((first + np.flatnonzero(missed)).tolist())
         if len(failures) >= limit:
             return failures[:limit]
         first += s.count

@@ -175,27 +175,27 @@ class RootSystem:
 
 
 def _exact_form(d: DecoratedDiagram):
-    """Exact simple roots, generator matrices and wrapped columns of the root form.
+    """Exact simple roots, generator matrices and dihedral components of the root form.
 
     A root sum_j v_j a_j is a row of 2n integers (p_j, q_j), v_j = p_j + q_j c,
     where c = 2cos(pi/m) for the one label m > 3 of the root's component, and
     s_i(v) = v - (sum_j 2B_ij v_j) a_i with 2B_ij in {2, -1, 0, -c}: row @ moves[i].
     In I2(k), k > 6, c has degree above 2; there the root at angle j pi/k is
     (j, 1) in its first node's column pair, the simple roots are j = 0 and
-    j = k - 1, and s_r sends j to 2r + k - j, mod 2k (the wrapped columns).
+    j = k - 1, and s_r sends j to 2r + k - j, mod 2k, in that wrapped
+    column.  Each such component is listed as (first node, second node, k).
     """
     n = d.rank
     start = np.zeros((n, 2 * n), dtype=np.int64)
     moves = np.tile(np.eye(2 * n, dtype=np.int64), (n, 1, 1))
-    wrap_cols, wrap_mods = [], []
+    dihedral = []
     for tag in classify_components(d):
         if tag.family == "I2" and tag.k > 6:
             u, k = 2 * tag.nodes[0], tag.k
             for node, r in zip(tag.nodes, (0, k - 1)):
                 start[node, u : u + 2] = (r, 1)
                 moves[node, u : u + 2, u] = (-1, 2 * r + k)
-            wrap_cols.append(u)
-            wrap_mods.append(2 * k)
+            dihedral.append((*tag.nodes, k))
             continue
         m = max(d.label(i, j) for i in tag.nodes for j in tag.nodes)
         blocks = {1: [[2, 0], [0, 2]], 2: 0, 3: [[-1, 0], [0, -1]]}
@@ -207,7 +207,7 @@ def _exact_form(d: DecoratedDiagram):
             start[i, 2 * i] = 1
             for j in tag.nodes:
                 moves[i, 2 * j : 2 * j + 2, 2 * i : 2 * i + 2] -= blocks[d.label(i, j)]
-    return start, moves, wrap_cols, np.array(wrap_mods, dtype=np.int64)
+    return start, moves, dihedral
 
 
 def root_system(d: DecoratedDiagram) -> RootSystem:
@@ -219,12 +219,18 @@ def root_system(d: DecoratedDiagram) -> RootSystem:
     frontier: the simple normals, then the new images s_i(a_j), and so on.
     Which image is new is decided on its exact row (_exact_form), by a dict
     keyed by the rows' bytes; the float roots are the same rows of the
-    stacked products of the float frontier.
+    stacked products of the float frontier.  In I2(k), k > 6, those
+    products drift about as k^2 (8.7e-12 at k = 999), so each of its roots
+    after the simple ones is put at its exact angle j pi/k instead: (cos,
+    sin) in its two nodes' coordinates, which are the Cholesky normals'
+    (1, 0) and (-cos pi/k, sin pi/k) there.
     """
     normals = simple_normals(d)
     n = len(normals)
     refl = [np.eye(n) - 2.0 * np.outer(v, v) for v in normals]
-    exact, moves, wrap_cols, wrap_mods = _exact_form(d)
+    exact, moves, dihedral = _exact_form(d)
+    wrap_cols = [2 * a for a, _, _ in dihedral]
+    wrap_mods = np.array([2 * k for _, _, k in dihedral], dtype=np.int64)
     index = {bytes(row): a for a, row in enumerate(exact)}
     frontier = normals
     layers, blocks = [normals], []
@@ -243,6 +249,11 @@ def root_system(d: DecoratedDiagram) -> RootSystem:
         blocks.append(np.reshape(ids, (n, -1)))
         frontier = np.vstack([frontier @ r.T for r in refl])[first]
         exact = exact[first]
+        for a, b, k in dihedral:
+            mine = exact[:, 2 * a + 1] == 1
+            angle = exact[mine, 2 * a] * (np.pi / k)
+            frontier[mine, a] = np.cos(angle)
+            frontier[mine, b] = np.sin(angle)
         layers.append(frontier)
     perms = np.hstack(blocks).astype(np.int16 if len(index) < 2**15 else np.int32)
     return RootSystem(np.vstack(layers), perms)

@@ -52,6 +52,7 @@ from .decoration import (
     start_decoration,
 )
 from .diagram import (
+    _FAMILY_RANKS,
     DecoratedDiagram,
     Record,
     canonical_certificate,
@@ -71,20 +72,14 @@ _POLYGON_NAMES = {
     8: "octagon",
 }
 
-_SPECIAL_F_VECTORS = {
-    "icosahedron": (12, 30, 20),
-    "dodecahedron": (20, 30, 12),
-    "24-cell": (24, 96, 96, 24),
-    "600-cell": (120, 720, 1200, 600),
-    "120-cell": (600, 1200, 720, 120),
-}
-# the order of each one's symmetry group
-_SPECIAL_SYMMETRY = {
-    "icosahedron": 120,
-    "dodecahedron": 120,
-    "24-cell": 1152,
-    "600-cell": 14400,
-    "120-cell": 14400,
+# the f-vector of each exceptional regular polytope, and the order of its
+# symmetry group
+_SPECIAL = {
+    "icosahedron": ((12, 30, 20), 120),
+    "dodecahedron": ((20, 30, 12), 120),
+    "24-cell": ((24, 96, 96, 24), 1152),
+    "600-cell": ((120, 720, 1200, 600), 14400),
+    "120-cell": ((600, 1200, 720, 120), 14400),
 }
 
 _ALIASES = {
@@ -110,8 +105,8 @@ def canonical_name(name: str) -> str:
 def known_f_vector(name: str) -> tuple[int, ...]:
     """Face counts of a regular polytope from closed formulas."""
     name = canonical_name(name)
-    if name in _SPECIAL_F_VECTORS:
-        return _SPECIAL_F_VECTORS[name]
+    if name in _SPECIAL:
+        return _SPECIAL[name][0]
     if name == "segment":
         return (2,)
     for k, poly in _POLYGON_NAMES.items():
@@ -135,9 +130,9 @@ def _regular_shapes(n: int):
     yield n + 1, f"{n}-simplex", factorial(n + 1)
     yield 2**n, f"{n}-hypercube", 2**n * factorial(n)
     yield 2 * n, f"{n}-hyperoctahedron", 2**n * factorial(n)
-    for name, fv in _SPECIAL_F_VECTORS.items():
+    for name, (fv, aut) in _SPECIAL.items():
         if len(fv) == n:
-            yield fv[0], name, _SPECIAL_SYMMETRY[name]
+            yield fv[0], name, aut
 
 
 def _named(d: DecoratedDiagram) -> tuple[str, int]:
@@ -312,14 +307,8 @@ def _constructions(n: int, kmax: int):
         yield box, partial(_box_diagram, parts)
 
 
-# the ranks each family of _single_rings has, (least, greatest), None for
-# no greatest; family_diagram refuses any other
-_FAMILY_RANKS = {"A": (1, None), "B": (2, None), "D": (4, None), "E": (6, 8),
-                 "F": (4, 4), "H": (3, 4)}
-
-
 def _single_rings(n: int):
-    """Each connected family of rank n ringed at one node, every node in turn."""
+    """Each connected family but I2 of rank n ringed at one node, every node in turn."""
     for family, (least, most) in _FAMILY_RANKS.items():
         if least <= n <= (most or n):
             yield from (family_diagram(family, n, ringed=(pos,)) for pos in range(n))

@@ -106,6 +106,23 @@ def test_check_all_green(capsys):
     assert "overall: ok" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("text", ["x999o", "o999x", "x999x", "x3999o"])
+def test_check_passes_on_large_dihedral_groups(capsys, text):
+    # the dihedral roots sit at their angles in closed form, so their
+    # float error no longer grows with the label
+    code, out, _ = run(capsys, "check", text)
+    assert code == 0
+    assert "overall: ok" in out and "FAIL" not in out
+
+
+def test_check_stops_on_the_point_separation_of_a_3142_gon(capsys):
+    # the remaining limit: a truncated 3142-gon's short edges are 1e-3 long,
+    # the fixed POINT_SEPARATION
+    code, out, err = run(capsys, "check", "x3142x")
+    assert code == 1 and not out
+    assert "1.00e-03 apart" in err
+
+
 def test_is_regular_negative_exit_code(capsys):
     code, out, _ = run(capsys, "is-regular", "o3x4x")
     assert code == 1

@@ -1,7 +1,9 @@
+import ast
 import copy
 import functools
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,7 +116,7 @@ def test_affine_rank_detects_each_face_dimension(shared):
 
 
 def test_ridge_reflection_separates_regular_from_not(shared):
-    for text in ["x4o3o", "o4o3x", "x3o3o", "x5o3o", "o5o3x", "x5o"]:
+    for text in ["x4o3o", "o4o3x", "x3o3o", "x5o3o", "o5o3x", "x5o", "x999o", "o999x", "x999x"]:
         assert ridge_reflection_check(shared.realization(parse(text))).ok, text
     for text in ["o3x4x", "x3x3o", "o4x3o", "x3o3x"]:
         rep = ridge_reflection_check(shared.realization(parse(text)))
@@ -123,7 +125,7 @@ def test_ridge_reflection_separates_regular_from_not(shared):
 
 
 def test_polar_dual_separates_regular_from_not(shared):
-    for text in ["x4o3o", "o4o3x", "x3o3o", "x5o3o", "o5o3x"]:
+    for text in ["x4o3o", "o4o3x", "x3o3o", "x5o3o", "o5o3x", "x999o", "o999x", "x999x"]:
         assert polar_dual_check(shared.realization(parse(text))).ok, text
     assert not polar_dual_check(shared.realization(parse("o3x4x"))).ok
     assert not polar_dual_check(shared.realization(parse("x3x3o"))).ok
@@ -266,6 +268,74 @@ def test_witnesses_match_once_per_ridge_slot(shared, monkeypatch):
     calls.clear()
     assert ridge_reflection_check(_at_the_tolerance(shared)).detail["failures"] == [2]
     assert calls == [5, 25]
+
+
+def _svd_callers(source: str) -> set:
+    """Names of the innermost functions that call an svd in the source."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        elif isinstance(node, ast.Call) and "svd" in (
+            getattr(node.func, "attr", None),
+            getattr(node.func, "id", None),
+        ):
+            found.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_svd_scan_sees_calls_in_the_innermost_function():
+    source = (
+        "def outer(p):\n"
+        '    """np.linalg.svd(p) in a docstring."""\n'
+        "    def inner(q):\n"
+        "        return np.linalg.svd(q)  # svd(p) in a comment\n"
+        "    return inner\n"
+        "def other(p):\n"
+        "    return svd(p)\n"
+    )
+    assert _svd_callers(source) == {"inner", "other"}
+
+
+def _reflected_match_calls(source: str) -> tuple:
+    """(loops, calls) of _unclosed_ridges in the source.
+
+    loops counts its loops and comprehensions; calls lists, in source
+    order, each _reflected_matches call as (loops around it, its slack
+    argument's source).
+    """
+    loop_types = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    func = next(
+        n for n in ast.parse(source).body
+        if isinstance(n, ast.FunctionDef) and n.name == "_unclosed_ridges"
+    )
+    calls = []
+
+    def visit(node, depth):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_reflected_matches":
+            calls.append((node.lineno, depth, ast.unparse(node.args[-1])))
+        depth += isinstance(node, loop_types)
+        for child in ast.iter_child_nodes(node):
+            visit(child, depth)
+
+    visit(func, 0)
+    loops = sum(isinstance(n, loop_types) for n in ast.walk(func))
+    return loops, [call[1:] for call in sorted(calls)]
+
+
+def test_one_base_face_rule_per_slot():
+    # one helper measures every slot's base face, for the affine rank check
+    # and the ridge spans alike (off_document winds each face by its own);
+    # the witnesses walk the ridge slots once, trying one base ridge per
+    # slot at its own slack before any ridge-by-ridge match at slack 0
+    source = Path(geometry.__file__).read_text("utf-8")
+    assert _svd_callers(source) == {"_slot_svd", "off_document"}
+    assert _reflected_match_calls(source) == (1, [(1, "slack"), (1, "0.0")])
 
 
 def test_box_product_is_geometrically_regular(shared):

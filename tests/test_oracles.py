@@ -183,6 +183,21 @@ def test_affine_rank_without_margin_runs_every_face(shared):
     assert _same_affine_report(bad)
 
 
+def test_a_wrong_base_face_carries_to_its_slot(shared):
+    # the base hexagon itself leaves its plane, by a margin far over the
+    # slack, so its verdict is every face's of the slot, as the orbit rule
+    # says for lists that are g-images of it (containment_check ties them)
+    real = shared.realization(parse("x3x4o"))
+    s = next(s for s in real.lattice.slots_by_rank[2] if real.slot_vertices(s).shape[1] == 6)
+    fv = real.slot_vertices(s).copy()
+    fv[0, 0] = np.setdiff1d(np.arange(len(real.points)), fv[0])[0]
+    lat = copy.copy(real.lattice)
+    lat.face_vertices = {**real.lattice.face_vertices, s.offset: fv}
+    detail = affine_rank_check(replace(real, lattice=lat)).detail
+    assert detail["violations"] == list(range(s.offset, s.offset + s.count))
+    assert detail["margin"] > 0 and detail["per_face_slots"] == 0
+
+
 @pytest.mark.parametrize("name", ["orbit", "big_group", "products", "rank_34"])
 def test_covers_and_face_vertices_match_unique_route(shared, name):
     for d in INPUT_SETS[name]():
